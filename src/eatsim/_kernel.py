@@ -1,10 +1,33 @@
-"""Pure-Python eating kernel.
+"""The exact eating kernel.
 
-Reference implementation of the simultaneous-consumption event loop. A
-Cython twin (``eatsim._speedups``) implements the identical algorithm on raw
-integer numerator/denominator pairs; whichever is available is selected by
-``eatsim.engine`` at import time. Both kernels speak the same primitive
-interface so their outputs can be compared for exact equality:
+The simultaneous-consumption event loop on raw integer numerator/denominator
+pairs. The eating flow is piecewise linear (Bogomolnaia & Moulin 2001): inside
+a segment every rate is a small rational, and across segments only the
+depletion times grow. So the loop never integrates the n x m share matrix.
+Per segment it does O(n + m) big-rational operations:
+
+* advance the time t and the quantity q_j of each remaining item;
+* for each proportional agent, add dt / W_i(S) to its prefix sum P_i, where
+  W_i(S) is the sum of its integer weights over the remaining items S;
+* while some agent follows the uniform zero policy, add dt / |S| to the shared
+  prefix Z.
+
+Item rate totals are small-integer sums over the common denominator
+L = lcm(W_i(S), |S|). The time, the quantities and the prefix sums are kept
+as numerators over one shared denominator D. If item f runs out first, then
+dt = q_f * L / tot_f, and moving every value to the denominator D * tot_f
+takes only products of a big numerator with a small integer; one gcd chain
+per segment keeps D lowest. A share is written once, when its item j
+depletes, and exactly one rule applies to each (i, j):
+
+* proportional agent with w_ij > 0: gamma_ij = w_ij * P_i;
+* agent eating j at rate 1 (its lexicographic target, or the lowest-index or
+  fixed zero-policy target): gamma_ij = t - the time it started eating j;
+* agent under the uniform zero policy: gamma_ij = Z - Z at its entry into
+  zero mode.
+
+An agent's target changes only when the target depletes, and an agent that
+runs out of items to chase stays in zero mode, so no other case arises.
 
 inputs
     n, m            problem size
@@ -16,120 +39,281 @@ inputs
     policy_order    permutation of range(m) when policy_kind == 2
 
 outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
-    segments        list of (t_start, t_end, rates) with rates an n x m matrix
+    segments        list of (t_start, t_end, rates) with rates an n x m matrix;
+                    built only when ``want_segments`` is true
     events          list of (num, den, item), chronological, ties by item
     gamma           n x m matrix of total consumption shares
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 KERNEL_NAME = "pure-python"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# What an agent does within a segment.
+PROPORTIONAL = 0  # rate w_ij / W_i(S) on each remaining item
+TARGET = 1        # rate 1 on one item
+UNIFORM = 2       # rate 1 / |S| on each remaining item
+
+_ZERO = (0, 1)
+_ONE = (1, 1)
 
 
-def _zero_policy_row(policy_kind, policy_order, remaining, alive, m):
-    row = [_ZERO] * m
+def _reduce(num, den):
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _sub(a, b):
+    """a - b for pairs, as a reduced pair."""
+    return _reduce(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+
+
+def _zero_mode(policy_kind, policy_order, remaining, alive):
+    """The mode of an agent with nothing left to chase."""
     if policy_kind == 0:
-        share = Fraction(1, len(remaining))
+        return UNIFORM, 0
+    if policy_kind == 1:
+        return TARGET, remaining[0]
+    for j in policy_order:
+        if alive[j]:
+            return TARGET, j
+    raise ValueError("fixed zero policy orders no remaining item")
+
+
+def agent_mode(kind, weights, order, policy_kind, policy_order, remaining, alive):
+    """(mode, value) of one agent given the remaining items.
+
+    ``value`` is W_i(S) for PROPORTIONAL and the item for TARGET.
+    """
+    if kind == 0:
+        total = 0
+        for j in remaining:
+            total += weights[j]
+        if total:
+            return PROPORTIONAL, total
+    else:
+        for j in order:
+            if alive[j]:
+                return TARGET, j
+    return _zero_mode(policy_kind, policy_order, remaining, alive)
+
+
+def rate_row(mode, value, weights, remaining, m):
+    """One agent's rates as reduced pairs; the row sums to exactly 1."""
+    row = [_ZERO] * m
+    if mode == PROPORTIONAL:
+        for j in remaining:
+            w = weights[j]
+            if w:
+                g = gcd(w, value)
+                row[j] = (w // g, value // g)
+    elif mode == TARGET:
+        row[value] = _ONE
+    else:
+        share = (1, len(remaining))
         for j in remaining:
             row[j] = share
-    elif policy_kind == 1:
-        row[remaining[0]] = _ONE
-    else:
-        for j in policy_order:
-            if alive[j]:
-                row[j] = _ONE
-                break
     return row
 
 
-def _segment_rates(n, m, kinds, weights, orders, policy_kind, policy_order,
-                   remaining, alive):
-    rates = []
+def rates(n, m, kinds, weights, orders, policy_kind, policy_order, remaining):
+    """The n x m rate matrix, as reduced pairs, for a set of remaining items."""
+    remaining = sorted(remaining)
+    if not remaining:
+        raise ValueError("remaining item set is empty")
+    alive = [False] * m
+    for j in remaining:
+        alive[j] = True
+    matrix = []
     for i in range(n):
-        if kinds[i] == 0:
-            w = weights[i]
-            total = 0
-            for j in remaining:
-                total += w[j]
-            if total:
-                row = [_ZERO] * m
-                for j in remaining:
-                    if w[j]:
-                        row[j] = Fraction(w[j], total)
-                rates.append(row)
-                continue
-        else:
-            target = -1
-            for j in orders[i]:
-                if alive[j]:
-                    target = j
-                    break
-            if target >= 0:
-                row = [_ZERO] * m
-                row[target] = _ONE
-                rates.append(row)
-                continue
-        rates.append(_zero_policy_row(policy_kind, policy_order, remaining, alive, m))
-    return rates
+        mode, value = agent_mode(kinds[i], weights[i], orders[i],
+                                 policy_kind, policy_order, remaining, alive)
+        matrix.append(rate_row(mode, value, weights[i], remaining, m))
+    return matrix
 
 
 def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
                want_segments=True):
-    q = [_ONE] * m
     alive = [True] * m
     remaining = list(range(m))
-    t = _ZERO
     gamma = [[_ZERO] * m for _ in range(n)]
     segments = []
     events = []
 
+    # The time, the item quantities, the prefix sums P_i and Z share one
+    # denominator D: t = tn / D, q_j = qn[j] / D, P_i = pn[i] / D, Z = zn / D.
+    D = 1
+    tn = zn = 0
+    qn = [1] * m
+    pn = [0] * n
+    t = _ZERO
+
+    # Per agent: its mode and W_i(S) or target (see agent_mode). A target or
+    # uniform agent also keeps a mark: the time it started eating its target,
+    # or Z when it entered the uniform zero policy.
+    mode = [0] * n
+    value = [0] * n
+    mark = [_ZERO] * n
+    cursor = [0] * n  # position of the target in a lexicographic order
+    rows = [None] * n  # cached rate rows, only when want_segments
+    for i in range(n):
+        mode[i], value[i] = agent_mode(kinds[i], weights[i], orders[i],
+                                       policy_kind, policy_order, remaining, alive)
+
     while remaining:
-        rates = _segment_rates(n, m, kinds, weights, orders,
-                               policy_kind, policy_order, remaining, alive)
-        dt = None
-        totals = [_ZERO] * m
-        for j in remaining:
-            total = _ZERO
-            for i in range(n):
-                total += rates[i][j]
-            totals[j] = total
-            if total > 0:
-                candidate = q[j] / total
-                if dt is None or candidate < dt:
-                    dt = candidate
-        # Some remaining item always has positive total rate: each of the n
-        # agents eats at total rate exactly 1.
-        assert dt is not None
-        t_next = t + dt
-        for i in range(n):
-            row = rates[i]
-            acc = gamma[i]
+        size = len(remaining)
+        proportional = [i for i in range(n) if mode[i] == PROPORTIONAL]
+        uniform = mode.count(UNIFORM)
+
+        # The total rate of item j is tot[j] / L.
+        L = lcm(*(value[i] for i in proportional), size if uniform else 1)
+        tot = [0] * m
+        for i in proportional:
+            w = weights[i]
+            f = L // value[i]
             for j in remaining:
-                r = row[j]
-                if r:
-                    acc[j] += r * dt
-        still = []
+                if w[j]:
+                    tot[j] += w[j] * f
+        if uniform:
+            f = uniform * (L // size)
+            for j in remaining:
+                tot[j] += f
+        for i in range(n):
+            if mode[i] == TARGET:
+                tot[value[i]] += L
+
+        # The first item to run out minimises q_j / tot[j]; some remaining
+        # item is always eaten, as each agent eats at total rate exactly 1.
+        # Then dt = q * L / rate with q = qn[first] / D and rate = tot[first],
+        # and every value moves to the denominator D * rate.
+        first = -1
         for j in remaining:
-            if totals[j] > 0:
-                q[j] -= totals[j] * dt
-            if q[j] == 0:
-                alive[j] = False
-                events.append((t_next.numerator, t_next.denominator, j))
-            else:
-                still.append(j)
+            if tot[j] and (first < 0 or qn[j] * tot[first] < qn[first] * tot[j]):
+                first = j
+        q, rate = qn[first], tot[first]
+        for j in remaining:
+            qn[j] = qn[j] * rate - tot[j] * q
+        for i in proportional:
+            pn[i] = pn[i] * rate + q * (L // value[i])
+        zn = zn * rate + q * (L // size) if uniform else zn * rate
+        tn = tn * rate + q * L
+        D *= rate
+
+        # Keep D lowest over all the values it carries.
+        g = gcd(tn, D)
+        t_next = (tn // g, D // g)
+        if g > 1:
+            g = gcd(g, zn)
+            for j in remaining:
+                if g == 1:
+                    break
+                g = gcd(g, qn[j])
+            for i in proportional:
+                if g == 1:
+                    break
+                g = gcd(g, pn[i])
+            if g > 1:
+                D //= g
+                tn //= g
+                zn //= g
+                for j in remaining:
+                    qn[j] //= g
+                for i in proportional:
+                    pn[i] //= g
+
         if want_segments:
-            segments.append((
-                (t.numerator, t.denominator),
-                (t_next.numerator, t_next.denominator),
-                [[(r.numerator, r.denominator) for r in row] for row in rates],
-            ))
-        remaining = still
+            shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
+            for i in range(n):
+                if mode[i] == UNIFORM:
+                    rows[i] = shared
+                elif rows[i] is None:
+                    rows[i] = rate_row(mode[i], value[i], weights[i], remaining, m)
+            segments.append((t, t_next, list(rows)))
         t = t_next
 
-    gamma_pairs = [[(g.numerator, g.denominator) for g in row] for row in gamma]
-    return segments, events, gamma_pairs
+        still = []
+        gone = []
+        for j in remaining:
+            if qn[j]:
+                still.append(j)
+            else:
+                alive[j] = False
+                gone.append(j)
+                events.append((t[0], t[1], j))
+        remaining = still
+
+        # Shares of the items that just ran out.
+        prefix = {}  # agent -> reduced P_i
+        eaten = {}   # start time -> t - start
+        spread = {}  # Z at entry -> Z - entry
+        z = None
+        for j in gone:
+            for i in range(n):
+                k = mode[i]
+                if k == PROPORTIONAL:
+                    w = weights[i][j]
+                    if w:
+                        p = prefix.get(i)
+                        if p is None:
+                            p = prefix[i] = _reduce(pn[i], D)
+                        g = gcd(w, p[1])
+                        gamma[i][j] = (w // g * p[0], p[1] // g)
+                elif k == TARGET:
+                    if value[i] == j:
+                        start = mark[i]
+                        share = eaten.get(start)
+                        if share is None:
+                            share = eaten[start] = _sub(t, start)
+                        gamma[i][j] = share
+                else:
+                    entry = mark[i]
+                    share = spread.get(entry)
+                    if share is None:
+                        if z is None:
+                            z = _reduce(zn, D)
+                        share = spread[entry] = _sub(z, entry)
+                    gamma[i][j] = share
+        if not remaining:
+            break
+
+        # Move each agent past the depleted items. An agent that runs out of
+        # items to chase enters zero mode and stays there.
+        for i in range(n):
+            k = mode[i]
+            if k == PROPORTIONAL:
+                w = weights[i]
+                W = value[i]
+                for j in gone:
+                    W -= w[j]
+                if W == value[i]:
+                    continue
+                rows[i] = None
+                value[i] = W
+                if W:
+                    continue
+            elif k == TARGET:
+                if alive[value[i]]:
+                    continue
+                rows[i] = None
+                order = orders[i]
+                c = cursor[i]
+                while c < len(order) and not alive[order[c]]:
+                    c += 1
+                cursor[i] = c
+                if c < len(order):
+                    value[i] = order[c]
+                    mark[i] = t
+                    continue
+            else:
+                continue
+            mode[i], value[i] = _zero_mode(policy_kind, policy_order, remaining, alive)
+            if mode[i] == UNIFORM:
+                if z is None:
+                    z = _reduce(zn, D)
+                mark[i] = z
+            else:
+                mark[i] = t
+
+    return segments, events, gamma

@@ -72,6 +72,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
+def _sample_count(text: str) -> int:
+    value = _positive_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One CLI invocation, as data. Identical configs rerun bit-identically."""
@@ -127,7 +142,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("poa", help="welfare/opt ratio rows as CSV")
     add_common(p, mechanism=["cps", "ps", "rp", "rrp", "both"])
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples", type=_sample_count,
                    help="Monte Carlo samples for rp/rrp rows (rp defaults to exact)")
 
     p = sub.add_parser("best-response", help="sweep strategy families for one agent")
@@ -144,11 +159,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rp", help="random priority (exact n! enumeration or sampled)")
     add_common(p, policy=False)
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count (omit for exact)")
+    p.add_argument("--samples", type=_sample_count,
+                   help="Monte Carlo sample count (omit for exact)")
 
     p = sub.add_parser("rrp", help="repeated random priority (sampled)")
     add_common(p, policy=False)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_sample_count, default=10000)
 
     p = sub.add_parser("generate", help="write a generated instance (and bad profile)")
     add_common(p, profile=False, policy=False)
@@ -238,7 +254,10 @@ def _resolve_families(opts: dict, m: int):
         elif token == "grid":
             families.append(GridProportional(default_grid_resolution(m)))
         elif token.startswith("grid:"):
-            families.append(GridProportional(int(token[len("grid:"):])))
+            resolution = _positive_int(token[len("grid:"):])
+            if resolution is None:
+                raise _UsageError(f"grid resolution must be a positive integer, got {token!r}")
+            families.append(GridProportional(resolution))
         elif token:
             raise _UsageError(f"unknown family {token!r}")
     if not families:
@@ -328,9 +347,10 @@ def _cmd_poa(opts: dict) -> CliResult:
             report = equilibrium.ratio_report(instance, profile, mech, policy)
             total = report.welfare
         elif mech == "rp":
+            samples = opts.get("samples")
             total = lotteries.random_priority(
-                instance, profile, opts.get("samples"),
-                opts.get("seed", 0) if opts.get("samples") else None).expected_welfare
+                instance, profile, samples,
+                None if samples is None else opts.get("seed", 0)).expected_welfare
         else:
             total = lotteries.repeated_random_priority(
                 instance, profile, opts.get("samples", 10000),
@@ -426,7 +446,7 @@ def _cmd_rp(opts: dict) -> CliResult:
     samples = opts.get("samples")
     seed = opts.get("seed", 0)
     result = lotteries.random_priority(instance, profile, samples,
-                                       seed if samples else None)
+                                       None if samples is None else seed)
     return _finish_mechanism(opts, result)
 
 
@@ -518,6 +538,8 @@ def execute(config: ExperimentConfig) -> CliResult:
         return _COMMANDS[config.command](dict(config.options))
     except _UsageError:
         raise
+    except equilibrium.BudgetConfigError as exc:
+        raise _UsageError(str(exc)) from None
     except (ParseError, OSError) as exc:
         return CliResult(EXIT_PARSE, f"error: {exc}\n")
     except InvalidInstanceError as exc:

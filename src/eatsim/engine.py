@@ -6,16 +6,15 @@ Lexicographic strategies (see :func:`eatsim.strategies.ps_profile`). Within a
 segment the remaining-item set is constant, so rates are constant and every
 depletion time is an exact rational.
 
-The inner loop lives in a kernel selected at import time: the compiled
-extension ``eatsim._speedups`` when built, otherwise the pure-Python twin
-``eatsim._kernel``. Set ``EATSIM_PURE=1`` to force the fallback. Both produce
-bit-identical exact results.
+The inner loop lives in the kernel ``eatsim._kernel``, which works on raw
+integer pairs and builds the shares from per-agent prefix sums instead of
+integrating the share matrix segment by segment. :func:`run` is the one
+boundary where its pairs become ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,19 +31,11 @@ from .model import (
     format_rational,
 )
 
-from . import _kernel as _pure_kernel
-
-if os.environ.get("EATSIM_PURE") == "1":
-    _kernel_impl = _pure_kernel
-else:
-    try:
-        from . import _speedups as _kernel_impl  # type: ignore[no-redef]
-    except ImportError:
-        _kernel_impl = _pure_kernel
+from . import _kernel as _kernel_impl
 
 
 def kernel_name() -> str:
-    """Which eating kernel this process is using ('compiled' or 'pure-python')."""
+    """Name of the eating kernel ('pure-python')."""
     return _kernel_impl.KERNEL_NAME
 
 
@@ -113,47 +104,34 @@ def compute_rates(
     rate 1 over the remaining items in proportion to its report; a
     Lexicographic agent puts rate 1 on the first item of its order that is
     still remaining. Agents with nothing left to chase follow the zero policy.
-    Every row sums to exactly 1.
+    Every row sums to exactly 1. This is the kernel's own rate rule.
     """
-    rem = sorted(remaining)
-    if not rem:
-        raise ValueError("remaining item set is empty")
-    alive = [False] * m
-    for j in rem:
-        alive[j] = True
-    rates = []
-    zero = Fraction(0)
-    for strat in profile:
-        row = [zero] * m
-        if isinstance(strat, Proportional):
-            total = sum((strat.report[j] for j in rem), zero)
-            if total > 0:
-                for j in rem:
-                    if strat.report[j]:
-                        row[j] = strat.report[j] / total
-                rates.append(row)
-                continue
-        else:
-            target = next((j for j in strat.order if alive[j]), None)
-            if target is not None:
-                row[target] = Fraction(1)
-                rates.append(row)
-                continue
-        if policy.kind == "uniform":
-            share = Fraction(1, len(rem))
-            for j in rem:
-                row[j] = share
-        elif policy.kind == "lowest-index":
-            row[rem[0]] = Fraction(1)
-        else:
-            row[next(j for j in policy.order if alive[j])] = Fraction(1)
-        rates.append(row)
-    return rates
+    matrix = _kernel_impl.rates(*_kernel_args(len(profile), m, profile, policy), remaining)
+    return [[Fraction(num, den) for num, den in row] for row in matrix]
 
 
 def _integer_weights(report: Valuation) -> list[int]:
     scale = math.lcm(*(v.denominator for v in report.values))
     return [int(v * scale) for v in report.values]
+
+
+def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
+    """The kernel's primitive arguments for a profile and a zero policy."""
+    kinds = []
+    weights = []
+    orders = []
+    for strat in profile:
+        if isinstance(strat, Proportional):
+            kinds.append(0)
+            weights.append(_integer_weights(strat.report))
+            orders.append([])
+        else:
+            kinds.append(1)
+            weights.append([])
+            orders.append(list(strat.order))
+    policy_kind = {"uniform": 0, "lowest-index": 1, "fixed": 2}[policy.kind]
+    policy_order = list(policy.order) if policy.order else []
+    return n, m, kinds, weights, orders, policy_kind, policy_order
 
 
 def run(
@@ -171,41 +149,31 @@ def run(
     segments, at time exactly m/n.
 
     ``include_segments=False`` returns a trace with an empty segment list
-    (events and shares only); wrapping the per-segment rate matrices
-    dominates the cost of a run, so bulk sweeps that only need payoffs skip
-    it.
+    (events and shares only); bulk sweeps that only need payoffs skip the
+    per-segment rate matrices.
     """
     check_profile(n, m, profile)
     if policy.kind == "fixed" and len(policy.order) != m:
         raise ValueError(f"fixed zero policy must order all {m} items")
-    kinds = []
-    weights = []
-    orders = []
-    for strat in profile:
-        if isinstance(strat, Proportional):
-            kinds.append(0)
-            weights.append(_integer_weights(strat.report))
-            orders.append([])
-        else:
-            kinds.append(1)
-            weights.append([])
-            orders.append(list(strat.order))
-    policy_kind = {"uniform": 0, "lowest-index": 1, "fixed": 2}[policy.kind]
-    policy_order = list(policy.order) if policy.order else []
-
     raw_segments, raw_events, raw_gamma = _kernel_impl.run_eating(
-        n, m, kinds, weights, orders, policy_kind, policy_order, include_segments)
+        *_kernel_args(n, m, profile, policy), include_segments)
+
+    # Rates repeat across rows and segments, and segment ends repeat as
+    # starts: build each distinct pair's Fraction once.
+    fractions: dict[tuple[int, int], Fraction] = {}
+
+    def exact(pair: tuple[int, int]) -> Fraction:
+        value = fractions.get(pair)
+        if value is None:
+            value = fractions[pair] = Fraction(*pair)
+        return value
 
     segments = tuple(
-        Segment(
-            Fraction(t0[0], t0[1]),
-            Fraction(t1[0], t1[1]),
-            tuple(tuple(Fraction(num, den) for num, den in row) for row in rates),
-        )
+        Segment(exact(t0), exact(t1), tuple(tuple(map(exact, row)) for row in rates))
         for t0, t1, rates in raw_segments
     )
-    events = tuple((Fraction(num, den), j) for num, den, j in raw_events)
-    shares = tuple(tuple(Fraction(num, den) for num, den in row) for row in raw_gamma)
+    events = tuple((exact((num, den)), j) for num, den, j in raw_events)
+    shares = tuple(tuple(map(exact, row)) for row in raw_gamma)
     return Trace(n, m, segments, events, shares, Fraction(m, n))
 
 

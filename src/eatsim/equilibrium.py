@@ -41,11 +41,24 @@ class BudgetExceededError(RuntimeError):
     """The family expansion would exceed the configured engine-run budget."""
 
 
+class BudgetConfigError(ValueError):
+    """The engine-run budget in the environment is not a count."""
+
+
 def configured_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise BudgetConfigError(
+            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _mechanism_profile(profile: Sequence[Strategy], m: int, mechanism: str) -> list[Strategy]:

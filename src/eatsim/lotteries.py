@@ -92,6 +92,22 @@ def _grab(ranking: list[int], available: list[bool], count: int) -> list[int]:
     return taken
 
 
+def _stderr(total: int, total_sq: int, samples: int, scale: int) -> float:
+    """Standard error of a sample mean, from exact integer sums.
+
+    The sampled values are x_k / scale; ``total`` and ``total_sq`` sum x_k and
+    x_k^2. The variance is an exact rational, and its square root is taken on
+    integers with 64 significant bits before one rounding to float, so values
+    of any size neither overflow nor flush to zero.
+    """
+    if samples < 2:
+        return float("inf")
+    num = samples * total_sq - total * total
+    den = samples * samples * (samples - 1) * scale * scale
+    shift = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
+
+
 def random_priority(
     instance: Instance,
     reports: Sequence[Strategy],
@@ -105,6 +121,8 @@ def random_priority(
     the result is the exact average over all n! orders (refused for n > 8);
     otherwise ``samples`` seeded orders are drawn.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
@@ -144,7 +162,6 @@ def random_priority(
         raise ValueError("Monte Carlo mode requires a seed")
     total = Fraction(0)
     per_agent_total = [Fraction(0)] * n
-    sumsq = 0.0
     welfares = []
     for k in range(samples):
         rng = random.Random(f"eatsim-rp:{seed}:{k}")
@@ -156,11 +173,9 @@ def random_priority(
         for i in range(n):
             per_agent_total[i] += per[i]
     mean = total / samples
-    if samples > 1:
-        var = sum((float(w - mean)) ** 2 for w in welfares) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = float("inf")
+    scale = math.lcm(*(w.denominator for w in welfares))
+    scaled = [w.numerator * (scale // w.denominator) for w in welfares]
+    stderr = _stderr(sum(scaled), sum(x * x for x in scaled), samples, scale)
     return MechanismResult(
         mechanism="rp",
         expected_welfare=mean,
@@ -180,7 +195,7 @@ def repeated_random_priority(
 ) -> MechanismResult:
     """Repeated Random Priority: m i.i.d. uniform draws, one favorite item each."""
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
@@ -215,12 +230,7 @@ def repeated_random_priority(
         total_num += sample_num
         total_sq += sample_num * sample_num
     mean = Fraction(total_num, samples * denom)
-    if samples > 1:
-        mean_f = total_num / samples
-        var = (total_sq - samples * mean_f * mean_f) / (samples - 1)
-        stderr = math.sqrt(max(var, 0.0) / samples) / denom
-    else:
-        stderr = float("inf")
+    stderr = _stderr(total_num, total_sq, samples, denom)
     return MechanismResult(
         mechanism="rrp",
         expected_welfare=mean,

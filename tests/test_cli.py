@@ -277,3 +277,23 @@ class TestConfigRoundTrip:
         assert first.exit_code == second.exit_code
         assert first.stdout == second.stdout
         assert first.files == second.files
+
+
+class TestUsageErrorsNameTheBadValue:
+    def test_rp_zero_samples_exit_64(self, capsys):
+        code = main(["rp", "--generator", "rp-lb", "--n", "3", "--eps", "1/100",
+                     "--samples", "0"])
+        assert code == EXIT_USAGE
+        assert "--samples: must be a positive integer, got '0'" in capsys.readouterr().err
+
+    def test_non_integer_grid_resolution_exit_64(self, capsys):
+        code = main(["verify-ne", "--generator", "example2", "--families", "grid:x"])
+        assert code == EXIT_USAGE
+        assert "'grid:x'" in capsys.readouterr().err
+
+    def test_non_integer_budget_exit_64(self, monkeypatch, capsys):
+        monkeypatch.setenv("ALLOC_BUDGET", "abc")
+        code = main(["verify-ne", "--generator", "example2", "--profile", "truthful"])
+        assert code == EXIT_USAGE
+        assert "ALLOC_BUDGET must be a non-negative integer, got 'abc'" in \
+            capsys.readouterr().err

@@ -1,69 +1,100 @@
-"""The compiled kernel must be a bit-identical twin of the pure one."""
-
-import pytest
+"""The prefix-sum kernel against the independent trace oracle."""
 
 from eatsim import _kernel
-from eatsim.engine import _integer_weights, kernel_name
-from eatsim.model import Lexicographic, Proportional
+from eatsim.engine import _kernel_args, kernel_name, run
+from eatsim.model import (
+    LOWEST_INDEX_FIRST,
+    UNIFORM_OVER_REMAINING,
+    Lexicographic,
+    Proportional,
+    Valuation,
+    fixed_order_policy,
+)
+from fractions import Fraction
 
-from helpers import random_run_case, rng_for
+from helpers import random_run_case, random_strategy, rng_for
+from oracle import assert_valid_trace
 
-try:
-    from eatsim import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+POLICIES = ("uniform", "lowest-index", "fixed")
 
 
-def _kernel_args(n, m, profile, policy):
-    kinds, weights, orders = [], [], []
-    for strat in profile:
-        if isinstance(strat, Proportional):
-            kinds.append(0)
-            weights.append(_integer_weights(strat.report))
-            orders.append([])
-        else:
-            kinds.append(1)
-            weights.append([])
-            orders.append(list(strat.order))
-    policy_kind = {"uniform": 0, "lowest-index": 1, "fixed": 2}[policy.kind]
-    return n, m, kinds, weights, orders, policy_kind, list(policy.order or [])
+def _policy(rng, name, m):
+    if name == "uniform":
+        return UNIFORM_OVER_REMAINING
+    if name == "lowest-index":
+        return LOWEST_INDEX_FIRST
+    return fixed_order_policy(rng.sample(range(m), m))
+
+
+def _sparse_proportional(rng, m):
+    """A report that values one or two items only, so it runs dry mid-run."""
+    weights = [0] * m
+    for j in rng.sample(range(m), min(m, rng.randint(1, 2))):
+        weights[j] = rng.randint(1, 5)
+    total = sum(weights)
+    return Proportional(Valuation(tuple(Fraction(w, total) for w in weights)))
+
+
+def _check(n, m, profile, policy):
+    trace = run(n, m, profile, policy)
+    assert_valid_trace(n, m, profile, policy, trace)
+    return trace
 
 
 def test_kernel_name_reports_selection():
-    assert kernel_name() in ("pure-python", "compiled")
+    assert kernel_name() == "pure-python"
 
 
-@needs_compiled
-def test_exact_parity_on_mixed_corpus():
+def test_mixed_corpus_matches_oracle():
     rng = rng_for("kernel-parity")
     for _ in range(250):
         n, m, _, profile, policy = random_run_case(rng)
-        args = _kernel_args(n, m, profile, policy)
-        assert _kernel.run_eating(*args) == _speedups.run_eating(*args)
+        _check(n, m, profile, policy)
 
 
-@needs_compiled
-def test_parity_without_segment_output():
+def test_lean_run_matches_full_run():
     rng = rng_for("kernel-parity-lean")
     for _ in range(60):
         n, m, _, profile, policy = random_run_case(rng)
-        args = _kernel_args(n, m, profile, policy) + (False,)
-        pure = _kernel.run_eating(*args)
-        fast = _speedups.run_eating(*args)
-        assert pure == fast
-        assert pure[0] == []
-
-
-@needs_compiled
-def test_parity_includes_fixed_policy_and_prefix_orders():
-    rng = rng_for("kernel-parity-fixed")
-    from eatsim.model import fixed_order_policy
-    for _ in range(60):
-        n, m = rng.randint(2, 6), rng.randint(2, 6)
-        # lexicographic prefixes force the zero policy to fire
-        profile = [Lexicographic(tuple(rng.sample(range(m), 1))) for _ in range(n)]
-        policy = fixed_order_policy(rng.sample(range(m), m))
+        full = _check(n, m, profile, policy)
         args = _kernel_args(n, m, profile, policy)
-        assert _kernel.run_eating(*args) == _speedups.run_eating(*args)
+        segments, events, gamma = _kernel.run_eating(*args, False)
+        assert segments == []
+        assert [(Fraction(num, den), j) for num, den, j in events] == list(full.depletion_events)
+        assert [[Fraction(*pair) for pair in row] for row in gamma] == \
+            [list(row) for row in full.shares]
+
+
+def test_every_policy_with_one_item_prefix_orders():
+    rng = rng_for("kernel-parity-fixed")
+    for name in POLICIES:
+        for _ in range(40):
+            n, m = rng.randint(2, 6), rng.randint(2, 6)
+            # one-item lexicographic prefixes force the zero policy to fire
+            profile = [Lexicographic(tuple(rng.sample(range(m), 1))) for _ in range(n)]
+            _check(n, m, profile, _policy(rng, name, m))
+
+
+def test_proportional_rows_that_run_dry_mid_run():
+    rng = rng_for("kernel-dry-rows")
+    for name in POLICIES:
+        for _ in range(40):
+            n, m = rng.randint(1, 6), rng.randint(2, 7)
+            profile = [_sparse_proportional(rng, m) if rng.random() < 0.6
+                       else random_strategy(rng, m) for _ in range(n)]
+            _check(n, m, profile, _policy(rng, name, m))
+
+
+def test_tied_depletions():
+    rng = rng_for("kernel-ties")
+    ties = 0
+    for name in POLICIES:
+        for _ in range(40):
+            n, m = rng.randint(2, 6), rng.randint(2, 6)
+            # repeated strategies make items run out together
+            pool = [random_strategy(rng, m) for _ in range(rng.randint(1, 2))]
+            profile = [rng.choice(pool) for _ in range(n)]
+            trace = _check(n, m, profile, _policy(rng, name, m))
+            times = [t for t, _ in trace.depletion_events]
+            ties += len(times) - len(set(times))
+    assert ties > 0

@@ -7,6 +7,7 @@ from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.lotteries import (
     ExactEnumerationRefused,
     MechanismResult,
+    _stderr,
     opt,
     random_priority,
     repeated_random_priority,
@@ -153,3 +154,33 @@ class TestRepeatedRandomPriority:
         gen = generate(GeneratorSpec("log-m-lb", {"k": 4, "q": 3}))
         result = repeated_random_priority(gen.instance, list(gen.bad_profile), 2000, seed=11)
         assert float(result.expected_welfare) <= 4 + 3 * result.stderr
+
+
+class TestSampleCountsAndErrorBars:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_random_priority_rejects_non_positive_samples(self, samples):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": "1/100"})).instance
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            random_priority(inst, inst.truthful_profile(), samples=samples, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_repeated_random_priority_rejects_non_positive_samples(self, samples):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": "1/100"})).instance
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            repeated_random_priority(inst, inst.truthful_profile(), samples, seed=0)
+
+    def test_rrp_stderr_on_huge_denominators(self):
+        # the sum of squared numerators exceeds the float range
+        eps = "1/" + "1" + "0" * 180
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": eps})).instance
+        result = repeated_random_priority(inst, inst.truthful_profile(), 5, seed=0)
+        assert 0 <= result.stderr < 1
+
+    def test_stderr_is_the_exact_sample_formula(self):
+        # values 2/6, 3/6, 5/6: the standard error of their mean
+        welfares = [F(1, 3), F(1, 2), F(5, 6)]
+        mean = sum(welfares, F(0)) / 3
+        var_of_mean = sum(((w - mean) ** 2 for w in welfares), F(0)) / (2 * 3)
+        assert _stderr(10, 38, 3, 6) == pytest.approx(float(var_of_mean) ** 0.5, rel=1e-15)
+        assert _stderr(7, 49, 1, 1) == float("inf")
+        assert _stderr(6, 12, 3, 1) == 0.0
