@@ -14,7 +14,7 @@ boundary where its pairs become ``Fraction`` values.
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +29,7 @@ from .model import (
     check_profile,
     decimal_str,
     format_rational,
+    integer_form,
 )
 
 from . import _kernel as _kernel_impl
@@ -110,11 +111,6 @@ def compute_rates(
     return [[Fraction(num, den) for num, den in row] for row in matrix]
 
 
-def _integer_weights(report: Valuation) -> list[int]:
-    scale = math.lcm(*(v.denominator for v in report.values))
-    return [int(v * scale) for v in report.values]
-
-
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
     """The kernel's primitive arguments for a profile and a zero policy."""
     kinds = []
@@ -123,7 +119,7 @@ def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy
     for strat in profile:
         if isinstance(strat, Proportional):
             kinds.append(0)
-            weights.append(_integer_weights(strat.report))
+            weights.append(strat.report.integer_form[1])
             orders.append([])
         else:
             kinds.append(1)
@@ -198,12 +194,17 @@ def expected_payoffs(
               else trace_or_lottery.marginals)
     if len(true_valuations) != len(shares):
         raise ValueError("valuation count does not match trace")
-    payoffs = []
-    for row, valuation in zip(shares, true_valuations):
-        if len(valuation) != len(row):
-            raise ValueError("valuation length does not match trace")
-        payoffs.append(sum((g * valuation[j] for j, g in enumerate(row) if g), Fraction(0)))
-    return tuple(payoffs)
+    return tuple(map(payoff, shares, true_valuations))
+
+
+def payoff(shares_row: Sequence[Fraction], valuation: Valuation) -> Fraction:
+    """One agent's expected payoff sum_j shares_row[j] * valuation[j], as one
+    integer dot product over the integer forms of both sides."""
+    if len(valuation) != len(shares_row):
+        raise ValueError("valuation length does not match trace")
+    scale, shares = integer_form(shares_row)
+    d, values = valuation.integer_form
+    return Fraction(sum(map(operator.mul, shares, values)), scale * d)
 
 
 def welfare(trace_or_lottery: Trace | Lottery, true_valuations: Sequence[Valuation]) -> Fraction:
@@ -224,9 +225,7 @@ def sample_allocation(lottery: Lottery, seed: int) -> tuple[int, ...]:
     rng = random.Random(f"eatsim-alloc:{seed}")
     assignment = []
     for j in range(m):
-        column = [marginals[i][j] for i in range(n)]
-        denom = math.lcm(*(c.denominator for c in column))
-        weights = [int(c * denom) for c in column]
+        denom, weights = integer_form(marginals[i][j] for i in range(n))
         if sum(weights) != denom:
             raise ValueError(f"column {j + 1} of the lottery does not sum to 1")
         pick = rng.randrange(denom)

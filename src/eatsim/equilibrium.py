@@ -146,7 +146,7 @@ def best_response(
     def payoff_of(candidate: Strategy) -> Fraction:
         profile = list(opponents[:agent]) + [candidate] + list(opponents[agent:])
         trace = run_profile(n, m, profile, mechanism, policy, include_segments=False)
-        return engine.expected_payoffs(trace, [true_valuation] * n)[agent]
+        return engine.payoff(trace.shares[agent], true_valuation)
 
     baseline = baseline if baseline is not None else Proportional(true_valuation)
     baseline_payoff = payoff_of(baseline)

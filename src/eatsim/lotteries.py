@@ -8,6 +8,10 @@ hands every item to an agent that values it most.
 All tie-breaks are lowest-index. Monte Carlo paths use one child stream per
 sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
 reproducible bit for bit and samples could be drawn in any order.
+
+RP and RRP accumulate integers over one value table, the true values in
+:func:`eatsim.model.integer_form`; RP's exact enumeration and sampling share
+one loop over agent orders.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .model import Instance, Proportional, Strategy
+from .model import Instance, Strategy, integer_form
+from .strategies import as_ordinal
 
 
 class ExactEnumerationRefused(ValueError):
@@ -72,16 +77,13 @@ def opt(instance: Instance) -> tuple[Fraction, tuple[int, ...]]:
     return total, tuple(assignment)
 
 
-def _ranking(strategy: Strategy, m: int) -> list[int]:
-    # Favorite-first item order induced by a report; zero-value and
-    # off-order items sort last by index so a pick never stalls.
-    if isinstance(strategy, Proportional):
-        return list(strategy.report.preference_order())
-    listed = set(strategy.order)
-    return list(strategy.order) + [j for j in range(m) if j not in listed]
+def _value_table(instance: Instance) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, rows): every true value as an integer numerator over one d."""
+    d, flat = integer_form(v for row in instance.valuations for v in row.values)
+    return d, [flat[i:i + instance.m] for i in range(0, len(flat), instance.m)]
 
 
-def _grab(ranking: list[int], available: list[bool], count: int) -> list[int]:
+def _grab(ranking: Sequence[int], available: list[bool], count: int) -> list[int]:
     taken = []
     for j in ranking:
         if available[j]:
@@ -108,6 +110,13 @@ def _stderr(total: int, total_sq: int, samples: int, scale: int) -> float:
     return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
 
 
+def _seeded_orders(n: int, seed: int, samples: int):
+    for k in range(samples):
+        order = list(range(n))
+        random.Random(f"eatsim-rp:{seed}:{k}").shuffle(order)
+        yield order
+
+
 def random_priority(
     instance: Instance,
     reports: Sequence[Strategy],
@@ -126,65 +135,42 @@ def random_priority(
     n, m = instance.n, instance.m
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
-    rankings = [_ranking(s, m) for s in reports]
-    quota = m // n
-    leftover = m % n
-
-    def welfare_of_order(order: Sequence[int]) -> tuple[Fraction, list[Fraction]]:
-        available = [True] * m
-        per_agent = [Fraction(0)] * n
-        for pos, agent in enumerate(order):
-            count = quota + (leftover if pos == n - 1 else 0)
-            for j in _grab(rankings[agent], available, count):
-                per_agent[agent] += instance.valuations[agent][j]
-        return sum(per_agent, Fraction(0)), per_agent
-
     if samples is None:
         if n > 8:
             raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
-        total = Fraction(0)
-        per_agent_total = [Fraction(0)] * n
-        count = 0
-        for order in permutations(range(n)):
-            w, per = welfare_of_order(order)
-            total += w
-            for i in range(n):
-                per_agent_total[i] += per[i]
-            count += 1
-        return MechanismResult(
-            mechanism="rp",
-            expected_welfare=total / count,
-            per_agent=tuple(p / count for p in per_agent_total),
-            method="exact-enumeration",
-        )
-
-    if seed is None:
+        orders, count = permutations(range(n)), math.factorial(n)
+    elif seed is None:
         raise ValueError("Monte Carlo mode requires a seed")
-    total = Fraction(0)
-    per_agent_total = [Fraction(0)] * n
-    welfares = []
-    for k in range(samples):
-        rng = random.Random(f"eatsim-rp:{seed}:{k}")
-        order = list(range(n))
-        rng.shuffle(order)
-        w, per = welfare_of_order(order)
-        total += w
-        welfares.append(w)
-        for i in range(n):
-            per_agent_total[i] += per[i]
-    mean = total / samples
-    scale = math.lcm(*(w.denominator for w in welfares))
-    scaled = [w.numerator * (scale // w.denominator) for w in welfares]
-    stderr = _stderr(sum(scaled), sum(x * x for x in scaled), samples, scale)
+    else:
+        orders, count = _seeded_orders(n, seed, samples), samples
+    rankings = [as_ordinal(s, m).order for s in reports]
+    denom, value_int = _value_table(instance)
+    quota = m // n
+    leftover = m % n
+
+    # ``common`` is the gcd of denom and every order's welfare. The error bar
+    # is taken over the welfares' least common denominator, so its last bit
+    # does not depend on values that no order picked.
+    per_agent_num = [0] * n
+    total_sq = 0
+    common = denom
+    for order in orders:
+        available = [True] * m
+        order_num = 0
+        for pos, agent in enumerate(order):
+            quota_here = quota + (leftover if pos == n - 1 else 0)
+            gain = sum(value_int[agent][j] for j in _grab(rankings[agent], available, quota_here))
+            per_agent_num[agent] += gain
+            order_num += gain
+        total_sq += order_num * order_num
+        common = math.gcd(common, order_num)
+    welfare = Fraction(sum(per_agent_num), count * denom)
+    per_agent = tuple(Fraction(p, count * denom) for p in per_agent_num)
+    if samples is None:
+        return MechanismResult("rp", welfare, per_agent, "exact-enumeration")
     return MechanismResult(
-        mechanism="rp",
-        expected_welfare=mean,
-        per_agent=tuple(p / samples for p in per_agent_total),
-        method=f"monte-carlo(samples={samples}, seed={seed})",
-        samples=samples,
-        seed=seed,
-        stderr=stderr,
-    )
+        "rp", welfare, per_agent, f"monte-carlo(samples={samples}, seed={seed})", samples, seed,
+        _stderr(sum(per_agent_num) // common, total_sq // common ** 2, samples, denom // common))
 
 
 def repeated_random_priority(
@@ -199,12 +185,8 @@ def repeated_random_priority(
     n, m = instance.n, instance.m
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
-    rankings = [_ranking(s, m) for s in reports]
-
-    # Integer fast path: welfare accumulates as numerators over the common
-    # denominator of all true values, so 1e5 samples stay exact and cheap.
-    denom = math.lcm(*(v.denominator for row in instance.valuations for v in row.values))
-    value_int = [[int(v * denom) for v in row.values] for row in instance.valuations]
+    rankings = [as_ordinal(s, m).order for s in reports]
+    denom, value_int = _value_table(instance)
 
     total_num = 0
     total_sq = 0

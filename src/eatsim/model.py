@@ -4,6 +4,10 @@ Every quantity in the simulator (values, rates, times, shares, payoffs) is an
 exact rational, carried by :class:`fractions.Fraction`. Floating point never
 enters a computation path; decimal strings exist for display only.
 
+:func:`integer_form` is the one conversion from exact values to integers:
+numerators over the least common denominator. Kernel weights, payoffs, Random
+Priority's value table and lottery draws all use it.
+
 Item and agent indices are 0-based inside the package and 1-based in every
 external format (JSON files, CLI output).
 """
@@ -11,9 +15,11 @@ external format (JSON files, CLI output).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 
@@ -66,6 +72,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def integer_form(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(d, nums)`` with ``values[j] == nums[j] / d`` and d least (1 if empty)."""
+    values = tuple(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+
+
 @dataclass(frozen=True)
 class Valuation:
     """A unit-sum valuation: one nonnegative Fraction per item, summing to 1.
@@ -99,6 +112,11 @@ class Valuation:
     def preference_order(self) -> tuple[int, ...]:
         """All items sorted by decreasing value, ties broken by lowest index."""
         return tuple(sorted(range(len(self.values)), key=lambda j: (-self.values[j], j)))
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """:func:`integer_form` of the values, computed once on first use."""
+        return integer_form(self.values)
 
 
 def valuation_of(entries: Iterable[Union[Fraction, int, str]]) -> Valuation:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -237,6 +238,33 @@ class TestLotteryCommands:
         assert "stderr" in doc
 
 
+class TestLotteryOutputBytes:
+    # sha256 of outputs that carry the Monte Carlo stderr repr, per-agent
+    # rationals and allocation draws, so a change to how they are summed or
+    # drawn cannot move them unnoticed
+    @pytest.mark.parametrize("argv, digest", [
+        (["rp", "--generator", "rp-lb", "--n", "4", "--eps", "1/100",
+          "--samples", "300", "--seed", "1"],
+         "f79342222ab5f5f8168488898e5b316da0000e50fcab69dc6a016b33a66a6acd"),
+        (["rp", "--generator", "random", "--n", "5", "--m", "7", "--seed", "3",
+          "--samples", "300"],
+         "b66342d97c18f5768268fe32bc00ec1e5a4190c7eea055e2a9a123f3d54537c7"),
+        (["rrp", "--generator", "rp-lb", "--n", "4", "--eps", "1/100",
+          "--samples", "300", "--seed", "1"],
+         "428823ba821746267e25b3a18d0e0f8b71d163eef8818ae7c557aff3ec56eae0"),
+        (["sample", "--generator", "example1", "--seed", "7"],
+         "036d5ce5be870fa192418061f3144ae70877960cdd58d26c8a464d171e8f28e3"),
+    ], ids=["rp-lb-rp", "random-rp", "rp-lb-rrp", "example1-sample"])
+    def test_out_file_digest(self, argv, digest):
+        text = run_cli(argv + ["--out", "result.json"]).files["result.json"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_poa_rp_stdout_digest(self):
+        text = run_cli(["poa", "--generator", "rp-lb", "--n", "5", "--mechanism", "rp"]).stdout
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "df9a2bbe9f67278f6bb54e58d24c732399a426e7fd2bd8094a3a086e42d22d99")
+
+
 class TestGenerateAndSample:
     def test_generate_writes_instance_and_profile(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -297,3 +325,73 @@ class TestUsageErrorsNameTheBadValue:
         assert code == EXIT_USAGE
         assert "ALLOC_BUDGET must be a non-negative integer, got 'abc'" in \
             capsys.readouterr().err
+
+
+_INSTANCE = {"n": 2, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"]]}
+_INPUT_FILES = {
+    "instance.json": _INSTANCE,
+    "short-row.json": {"n": 2, "m": 2, "valuations": [["1"], ["1", "0"]]},
+    "n-word.json": dict(_INSTANCE, n="two"),
+    "n-half.json": dict(_INSTANCE, n=2.5),
+    "rows-not-list.json": dict(_INSTANCE, valuations="1/2"),
+    "short-labels.json": dict(_INSTANCE, labels={"agents": ["a"]}),
+    "long-item-labels.json": dict(_INSTANCE, labels={"items": ["x", "y", "z"]}),
+    "duplicates.json": [{"kind": "lexicographic", "order": [1, 1]},
+                        {"kind": "lexicographic", "order": [2]}],
+    "floats.json": [{"kind": "proportional", "report": [0.5, 0.5]},
+                    {"kind": "lexicographic", "order": [2]}],
+    "profile-object.json": {"kind": "lexicographic", "order": [1]},
+}
+_EXAMPLE1 = ["--generator", "example1"]
+_EXAMPLE2 = ["--generator", "example2"]
+_RP_LB = ["--generator", "rp-lb", "--n", "3"]
+_ON_FILE = ["simulate", "--instance", "{dir}/instance.json", "--profile"]
+
+MALFORMED = {
+    "fixed-repeat": ["simulate", *_EXAMPLE1, "--zero-policy", "fixed:1,1,2"],
+    "fixed-words": ["simulate", *_EXAMPLE1, "--zero-policy", "fixed:a,b,c"],
+    "fixed-empty": ["simulate", *_EXAMPLE1, "--zero-policy", "fixed:"],
+    "fixed-short": ["simulate", *_EXAMPLE1, "--zero-policy", "fixed:1,2"],
+    "agent-0": ["best-response", *_EXAMPLE1, "--agent", "0"],
+    "agent-past-n": ["best-response", *_EXAMPLE1, "--agent", "4"],
+    "agent-word": ["best-response", *_EXAMPLE1, "--agent", "x"],
+    "families-empty": ["verify-ne", *_EXAMPLE2, "--families", ""],
+    "families-comma": ["verify-ne", *_EXAMPLE2, "--families", ","],
+    "epsilon-word": ["verify-ne", *_EXAMPLE2, "--epsilon", "abc"],
+    "epsilon-zero-den": ["verify-ne", *_EXAMPLE2, "--epsilon", "1/0"],
+    "eps-word": ["generate", *_RP_LB, "--eps", "x"],
+    "eps-zero-den": ["generate", *_RP_LB, "--eps", "1/0"],
+    "eps-above": ["generate", *_RP_LB, "--eps", "2"],
+    "eps-zero": ["generate", *_RP_LB, "--eps", "0"],
+    "eps-negative": ["generate", *_RP_LB, "--eps", "-1/2"],
+    "n-not-square": ["generate", "--generator", "sqrt-n-lb", "--n", "5"],
+    "rp-n-9": ["rp", "--generator", "random", "--n", "9", "--m", "9"],
+    "poa-rp-n-9": ["poa", "--generator", "random", "--n", "9", "--m", "9",
+                   "--mechanism", "rp"],
+    "weight-max-0": ["generate", "--generator", "random", "--n", "2", "--m", "2",
+                     "--weight-max", "0"],
+    "unknown-generator": ["simulate", "--generator", "no-such-generator"],
+    "no-bad-profile": ["simulate", *_EXAMPLE1, "--profile", "bad"],
+    "missing-instance": ["simulate", "--instance", "{dir}/missing.json"],
+    "missing-profile": [*_ON_FILE, "{dir}/missing.json"],
+    "profile-duplicates": [*_ON_FILE, "{dir}/duplicates.json"],
+    "profile-floats": [*_ON_FILE, "{dir}/floats.json"],
+    "profile-not-list": [*_ON_FILE, "{dir}/profile-object.json"],
+    "short-row": ["simulate", "--instance", "{dir}/short-row.json"],
+    "n-word": ["simulate", "--instance", "{dir}/n-word.json"],
+    "n-half": ["simulate", "--instance", "{dir}/n-half.json"],
+    "rows-not-list": ["simulate", "--instance", "{dir}/rows-not-list.json"],
+    "short-agent-labels": ["simulate", "--instance", "{dir}/short-labels.json"],
+    "long-item-labels": ["simulate", "--instance", "{dir}/long-item-labels.json"],
+    "seed-word": ["simulate", *_EXAMPLE1, "--seed", "x"],
+    "sample-seed-word": ["sample", *_EXAMPLE1, "--seed", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_gets_a_documented_exit_code(argv, tmp_path, capsys):
+    for name, doc in _INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    assert main(argv) in {EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_REFUTED,
+                          EXIT_BUDGET, EXIT_USAGE}

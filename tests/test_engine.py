@@ -19,7 +19,8 @@ from eatsim import (
     valuation_of,
     welfare,
 )
-from eatsim.instances import GeneratorSpec, generate
+from eatsim.engine import payoff
+from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.strategies import as_ordinal, single_minded
 
 from helpers import random_run_case, random_valuation, rng_for
@@ -137,15 +138,24 @@ class TestComputeRates:
             compute_rates([Lexicographic((0,))], [], LOWEST_INDEX_FIRST, 1)
 
 
+def fraction_payoffs(shares, valuations):
+    # the definition, one Fraction product at a time
+    return tuple(sum((g * v for g, v in zip(row, val.values)), F(0))
+                 for row, val in zip(shares, valuations))
+
+
 class TestConservation:
     def test_fuzz_corpus(self):
+        # also checks the integer dot product of expected_payoffs
         rng = rng_for("engine-conservation")
         for _ in range(150):
-            n, m, _, profile, policy = random_run_case(rng)
+            n, m, instance, profile, policy = random_run_case(rng)
             trace = run(n, m, profile, policy)
             assert all(sum(col, F(0)) == 1 for col in zip(*trace.shares))
             assert all(sum(row, F(0)) == F(m, n) for row in trace.shares)
             assert trace.depletion_events[-1][0] == F(m, n)
+            assert expected_payoffs(trace, instance.valuations) == fraction_payoffs(
+                trace.shares, instance.valuations)
 
     def test_fuzz_against_definition_oracle(self):
         rng = rng_for("engine-oracle")
@@ -303,3 +313,13 @@ class TestTraceExport:
         trace = run(3, 3, example1.truthful_profile())
         payoffs = expected_payoffs(trace, example1.valuations)
         assert welfare(trace, example1.valuations) == sum(payoffs, F(0))
+
+    def test_payoffs_on_a_large_cps_trace(self):
+        # share denominators of about 1,300 bits
+        inst = random_instance(20, 20, 20, seed=1).instance
+        trace = run(20, 20, inst.truthful_profile(), include_segments=False)
+        assert max(g.denominator.bit_length() for row in trace.shares for g in row) > 1200
+        payoffs = expected_payoffs(trace, inst.valuations)
+        assert payoffs == fraction_payoffs(trace.shares, inst.valuations)
+        assert all(payoff(row, val) == p for row, val, p
+                   in zip(trace.shares, inst.valuations, payoffs))

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -7,17 +10,56 @@ from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.lotteries import (
     ExactEnumerationRefused,
     MechanismResult,
+    _grab,
     _stderr,
     opt,
     random_priority,
     repeated_random_priority,
 )
-from eatsim.model import Instance
+from eatsim.model import Instance, Lexicographic
 from eatsim.strategies import single_minded
 
 from helpers import random_profile, rng_for
 
 F = Fraction
+
+
+def seeded_orders(n, seed, samples):
+    for k in range(samples):
+        order = list(range(n))
+        random.Random(f"eatsim-rp:{seed}:{k}").shuffle(order)
+        yield order
+
+
+def rp_reference(instance, reports, orders):
+    """(mean welfare, mean per-agent payoffs, stderr) of Random Priority over
+    the given orders, one Fraction at a time."""
+    n, m = instance.n, instance.m
+    rankings = []
+    for report in reports:
+        if isinstance(report, Lexicographic):
+            rest = [j for j in range(m) if j not in report.order]
+            rankings.append(list(report.order) + rest)
+        else:
+            rankings.append(sorted(range(m), key=lambda j: (-report.report[j], j)))
+    per_agent = [F(0)] * n
+    welfares = []
+    for order in orders:
+        available = [True] * m
+        welfare = F(0)
+        for pos, agent in enumerate(order):
+            count = m // n + (m % n if pos == n - 1 else 0)
+            # the program's own pick rule: this checks the sums, not the picks
+            for j in _grab(rankings[agent], available, count):
+                per_agent[agent] += instance.valuations[agent][j]
+                welfare += instance.valuations[agent][j]
+        welfares.append(welfare)
+    k = len(welfares)
+    mean = sum(welfares, F(0)) / k
+    if k < 2:
+        return mean, tuple(p / k for p in per_agent), float("inf")
+    variance = sum(((w - mean) ** 2 for w in welfares), F(0)) / (k * (k - 1))
+    return mean, tuple(p / k for p in per_agent), math.sqrt(variance)
 
 
 class TestOpt:
@@ -93,17 +135,24 @@ class TestRandomPriority:
         assert opt(gen.instance)[0] == F(99, 25)
 
     def test_monte_carlo_tracks_exact(self):
+        # mixed profiles with lexicographic prefixes; both modes must also
+        # match the Fraction reference over the same orders
         rng = rng_for("rp-mc")
         for trial in range(50):
             n, m = rng.randint(1, 5), rng.randint(1, 6)
             inst = random_instance(n, m, 10, seed=100 + trial).instance
             reports = random_profile(rng, n, m)
-            exact = random_priority(inst, reports).expected_welfare
+            exact = random_priority(inst, reports)
             mc = random_priority(inst, reports, samples=400, seed=trial)
+            welfare, per_agent, _ = rp_reference(inst, reports, permutations(range(n)))
+            assert (exact.expected_welfare, exact.per_agent) == (welfare, per_agent)
+            welfare, per_agent, stderr = rp_reference(inst, reports, seeded_orders(n, trial, 400))
+            assert (mc.expected_welfare, mc.per_agent) == (welfare, per_agent)
+            assert mc.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-300)
             if mc.stderr == 0:
-                assert mc.expected_welfare == exact
+                assert mc.expected_welfare == exact.expected_welfare
             else:
-                assert abs(float(mc.expected_welfare - exact)) <= 4 * mc.stderr
+                assert abs(float(mc.expected_welfare - exact.expected_welfare)) <= 4 * mc.stderr
 
     def test_monte_carlo_reproducible(self):
         inst = random_instance(4, 4, 10, seed=3).instance

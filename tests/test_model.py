@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from eatsim.model import (
     instance_defects,
     instance_from_json,
     instance_to_json,
+    integer_form,
     parse_rational,
     profile_from_json,
     profile_to_json,
@@ -80,6 +82,28 @@ class TestValuation:
         total = sum(weights)
         v = Valuation(tuple(Fraction(w, total) for w in weights))
         assert sum(v.values) == 1
+
+
+class TestIntegerForm:
+    @given(st.lists(st.fractions(), max_size=12))
+    def test_exact_round_trip_over_the_least_denominator(self, values):
+        d, nums = integer_form(values)
+        assert d >= 1 and len(nums) == len(values)
+        assert [Fraction(x, d) for x in nums] == values
+        assert math.gcd(d, *nums) == 1
+
+    def test_empty_list(self):
+        assert integer_form([]) == (1, ())
+
+    def test_valuation_caches_its_form_without_changing_identity(self):
+        fresh = valuation_of(["1/6", "1/3", "1/2"])
+        used = valuation_of(["1/6", "1/3", "1/2"])
+        assert used.integer_form == (6, (1, 2, 3))
+        assert used.integer_form is used.integer_form
+        assert "integer_form" not in repr(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            "Valuation(values=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))")
 
 
 class TestInstance:
