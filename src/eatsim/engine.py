@@ -8,8 +8,8 @@ depletion time is an exact rational.
 
 The inner loop lives in the kernel ``eatsim._kernel``, which works on raw
 integer pairs and builds the shares from per-agent prefix sums instead of
-integrating the share matrix segment by segment. :func:`run` is the one
-boundary where its pairs become ``Fraction`` values.
+integrating the share matrix segment by segment. Its pairs come back reduced,
+and ``_coprime`` is the one place where they become ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -108,7 +108,20 @@ def compute_rates(
     Every row sums to exactly 1. This is the kernel's own rate rule.
     """
     matrix = _kernel_impl.rates(*_kernel_args(len(profile), m, profile, policy), remaining)
-    return [[Fraction(num, den) for num, den in row] for row in matrix]
+    return [[_coprime(num, den) for num, den in row] for row in matrix]
+
+
+def _coprime(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for a pair already in lowest terms with den > 0.
+
+    Skips the gcd that the constructor would run again: every pair the kernel
+    returns is reduced. ``Fraction`` stores exactly these two slots on
+    Python 3.10 to 3.13.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
@@ -161,11 +174,21 @@ def run(
     def exact(pair: tuple[int, int]) -> Fraction:
         value = fractions.get(pair)
         if value is None:
-            value = fractions[pair] = Fraction(*pair)
+            value = fractions[pair] = _coprime(*pair)
+        return value
+
+    # The kernel reuses a row list while an agent's rates do not change;
+    # raw_segments keeps every row alive for the call, so its id is unique.
+    converted: dict[int, tuple[Fraction, ...]] = {}
+
+    def exact_row(row: list[tuple[int, int]]) -> tuple[Fraction, ...]:
+        value = converted.get(id(row))
+        if value is None:
+            value = converted[id(row)] = tuple(map(exact, row))
         return value
 
     segments = tuple(
-        Segment(exact(t0), exact(t1), tuple(tuple(map(exact, row)) for row in rates))
+        Segment(exact(t0), exact(t1), tuple(map(exact_row, rates)))
         for t0, t1, rates in raw_segments
     )
     events = tuple((exact((num, den)), j) for num, den, j in raw_events)
@@ -240,19 +263,29 @@ def sample_allocation(lottery: Lottery, seed: int) -> tuple[int, ...]:
 
 def trace_to_json(trace: Trace, decimals: bool = False) -> dict:
     """Exact JSON export; optional decimal block is display-only and flagged."""
+    # run() shares one Fraction per distinct value, and the trace keeps every
+    # value alive for the call, so each distinct value is rendered once.
+    rendered: dict[int, str] = {}
+
+    def text(value: Fraction) -> str:
+        out = rendered.get(id(value))
+        if out is None:
+            out = rendered[id(value)] = format_rational(value)
+        return out
+
     doc: dict = {
         "n": trace.n,
         "m": trace.m,
         "horizon": format_rational(trace.horizon),
         "depletion_events": [
-            {"time": format_rational(t), "item": j + 1} for t, j in trace.depletion_events
+            {"time": text(t), "item": j + 1} for t, j in trace.depletion_events
         ],
         "shares": [[format_rational(g) for g in row] for row in trace.shares],
         "segments": [
             {
-                "start": format_rational(seg.start),
-                "end": format_rational(seg.end),
-                "rates": [[format_rational(r) for r in row] for row in seg.rates],
+                "start": text(seg.start),
+                "end": text(seg.end),
+                "rates": [list(map(text, row)) for row in seg.rates],
             }
             for seg in trace.segments
         ],

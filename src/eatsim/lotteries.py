@@ -84,13 +84,14 @@ def _value_table(instance: Instance) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def _grab(ranking: Sequence[int], available: list[bool], count: int) -> list[int]:
+    """Take the first ``count`` available items of the ranking (none for 0)."""
     taken = []
     for j in ranking:
+        if len(taken) == count:
+            break
         if available[j]:
             available[j] = False
             taken.append(j)
-            if len(taken) == count:
-                break
     return taken
 
 

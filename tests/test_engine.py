@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from eatsim import (
 )
 from eatsim.engine import payoff
 from eatsim.instances import GeneratorSpec, generate, random_instance
-from eatsim.strategies import as_ordinal, single_minded
+from eatsim.model import decimal_str, format_rational
+from eatsim.strategies import as_ordinal, ps_profile, single_minded
 
 from helpers import random_run_case, random_valuation, rng_for
 from oracle import assert_valid_trace
@@ -136,6 +138,30 @@ class TestComputeRates:
     def test_empty_remaining_rejected(self):
         with pytest.raises(ValueError):
             compute_rates([Lexicographic((0,))], [], LOWEST_INDEX_FIRST, 1)
+
+
+def plain_trace_json(trace, decimals):
+    # the export format, one format_rational or decimal_str call per cell
+    doc = {
+        "n": trace.n,
+        "m": trace.m,
+        "horizon": format_rational(trace.horizon),
+        "depletion_events": [{"time": format_rational(t), "item": j + 1}
+                             for t, j in trace.depletion_events],
+        "shares": [[format_rational(g) for g in row] for row in trace.shares],
+        "segments": [{"start": format_rational(seg.start),
+                      "end": format_rational(seg.end),
+                      "rates": [[format_rational(r) for r in row] for row in seg.rates]}
+                     for seg in trace.segments],
+    }
+    if decimals:
+        doc["decimal_approx"] = {
+            "note": "approximate rendering; exact values are the rational strings",
+            "depletion_events": [{"time": decimal_str(t), "item": j + 1}
+                                 for t, j in trace.depletion_events],
+            "shares": [[decimal_str(g) for g in row] for row in trace.shares],
+        }
+    return doc
 
 
 def fraction_payoffs(shares, valuations):
@@ -323,3 +349,20 @@ class TestTraceExport:
         assert payoffs == fraction_payoffs(trace.shares, inst.valuations)
         assert all(payoff(row, val) == p for row, val, p
                    in zip(trace.shares, inst.valuations, payoffs))
+
+    @pytest.mark.parametrize("mechanism,policy", [
+        ("cps", LOWEST_INDEX_FIRST), ("ps", LOWEST_INDEX_FIRST), ("cps", UNIFORM_OVER_REMAINING)],
+        ids=["cps", "ps", "cps-uniform"])
+    def test_export_bytes_match_a_cell_by_cell_rendering(self, mechanism, policy):
+        inst = random_instance(20, 20, 20, seed=4).instance
+        profile = inst.truthful_profile()
+        if mechanism == "ps":
+            profile = ps_profile(profile, 20)
+        elif policy is UNIFORM_OVER_REMAINING:
+            # single-minded reports run dry early, so the zero policy fires
+            profile[:5] = [single_minded(j % 3, 20) for j in range(5)]
+        trace = run(20, 20, profile, policy)
+        assert len(trace.segments) > 10
+        for decimals in (False, True):
+            expected = json.dumps(plain_trace_json(trace, decimals))
+            assert json.dumps(trace_to_json(trace, decimals=decimals)) == expected

@@ -1,7 +1,13 @@
 """The prefix-sum kernel against the independent trace oracle."""
 
+from itertools import chain
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eatsim import _kernel
-from eatsim.engine import _kernel_args, kernel_name, run
+from eatsim.engine import _coprime, _kernel_args, kernel_name, run
 from eatsim.model import (
     LOWEST_INDEX_FIRST,
     UNIFORM_OVER_REMAINING,
@@ -98,3 +104,67 @@ def test_tied_depletions():
             times = [t for t, _ in trace.depletion_events]
             ties += len(times) - len(set(times))
     assert ties > 0
+
+
+def _assert_reduced_pairs(n, m, profile, policy):
+    """Every kernel pair is reduced with den > 0, and the trace holds exactly
+    the Fraction of each pair, so building it without a gcd is sound."""
+    args = _kernel_args(n, m, profile, policy)
+    segments, events, gamma = _kernel.run_eating(*args, True)
+    pairs = [pair for t0, t1, rates in segments for pair in (t0, t1, *chain(*rates))]
+    pairs += [(num, den) for num, den, _ in events]
+    pairs += chain(*gamma)
+    for num, den in pairs:
+        assert den > 0 and gcd(num, den) == 1, (num, den)
+    trace = run(n, m, profile, policy)
+    values = [v for seg in trace.segments for v in (seg.start, seg.end, *chain(*seg.rates))]
+    values += [t for t, _ in trace.depletion_events]
+    values += chain(*trace.shares)
+    assert len(values) == len(pairs)
+    for value, (num, den) in zip(values, pairs):
+        reference = Fraction(num, den)
+        assert value == reference and hash(value) == hash(reference)
+        assert (value.numerator, value.denominator) == (num, den)
+
+
+def test_kernel_pairs_are_reduced_on_the_fuzz_corpus():
+    rng = rng_for("kernel-reduced-pairs")
+    for name in POLICIES:
+        for _ in range(60):
+            n, m, _, profile, _ = random_run_case(rng)
+            _assert_reduced_pairs(n, m, profile, _policy(rng, name, m))
+
+
+@st.composite
+def _run_cases(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    profile = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)
+                           .filter(lambda w: sum(w) > 0))
+            total = sum(weights)
+            profile.append(Proportional(Valuation(tuple(Fraction(w, total) for w in weights))))
+        else:
+            items = draw(st.permutations(range(m)))
+            profile.append(Lexicographic(tuple(items[:draw(st.integers(1, m))])))
+    rng = draw(st.randoms(use_true_random=False))
+    return n, m, profile, _policy(rng, draw(st.sampled_from(POLICIES)), m)
+
+
+@given(_run_cases())
+@settings(max_examples=80, deadline=None)
+def test_kernel_pairs_are_reduced_property(case):
+    _assert_reduced_pairs(*case)
+
+
+def test_coprime_fraction_behaves_like_fraction():
+    for num, den in [(0, 1), (1, 1), (-7, 3), (5, 12), (3 ** 200, 2 ** 301)]:
+        value, reference = _coprime(num, den), Fraction(num, den)
+        assert type(value) is Fraction
+        assert value == reference and hash(value) == hash(reference)
+        assert (repr(value), str(value)) == (repr(reference), str(reference))
+        assert value + Fraction(1, 3) == reference + Fraction(1, 3)
+        assert value * 2 - reference == reference
+        assert (value < 1) == (reference < 1)

@@ -10,7 +10,6 @@ from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.lotteries import (
     ExactEnumerationRefused,
     MechanismResult,
-    _grab,
     _stderr,
     opt,
     random_priority,
@@ -49,8 +48,9 @@ def rp_reference(instance, reports, orders):
         welfare = F(0)
         for pos, agent in enumerate(order):
             count = m // n + (m % n if pos == n - 1 else 0)
-            # the program's own pick rule: this checks the sums, not the picks
-            for j in _grab(rankings[agent], available, count):
+            # the documented rule: the first `count` items still available
+            for j in [j for j in rankings[agent] if available[j]][:count]:
+                available[j] = False
                 per_agent[agent] += instance.valuations[agent][j]
                 welfare += instance.valuations[agent][j]
         welfares.append(welfare)
@@ -121,6 +121,32 @@ class TestRandomPriority:
         inst = Instance(2, 3, (valuation_of(["1/3", "1/3", "1/3"]),) * 2)
         result = random_priority(inst, inst.truthful_profile())
         assert result.expected_welfare == F(1, 3) + F(2, 3)
+
+    def test_fewer_items_than_agents_go_to_the_last_agent(self):
+        # m < n: quota 0, so the order's final agent takes all m items
+        n, m = 5, 3
+        inst = Instance(n, m, (valuation_of(["1/3"] * m),) * n)
+        reports = inst.truthful_profile()
+        for seed in range(20):
+            last = next(seeded_orders(n, seed, 1))[-1]
+            one = random_priority(inst, reports, samples=1, seed=seed)
+            assert one.per_agent == tuple(F(i == last) for i in range(n))
+        lasts = [order[-1] for order in seeded_orders(n, 7, 300)]
+        many = random_priority(inst, reports, samples=300, seed=7)
+        assert many.per_agent == tuple(F(lasts.count(i), 300) for i in range(n))
+
+    def test_fewer_items_than_agents_exact_enumeration(self):
+        # each agent is last in 1/n of the orders and then takes every item,
+        # whatever it reports: the same result as when the first agent did
+        rng = rng_for("rp-quota-zero")
+        for trial in range(10):
+            n = rng.randint(2, 5)
+            m = rng.randint(1, n - 1)
+            inst = random_instance(n, m, 10, seed=700 + trial).instance
+            expected = tuple(sum(v.values, F(0)) / n for v in inst.valuations)
+            exact = random_priority(inst, random_profile(rng, n, m))
+            assert exact.per_agent == expected
+            assert exact.expected_welfare == sum(expected, F(0))
 
     def test_exact_refused_beyond_eight_agents(self):
         gen = random_instance(9, 9, 10, seed=1)
