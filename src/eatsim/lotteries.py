@@ -7,11 +7,20 @@ hands every item to an agent that values it most.
 
 All tie-breaks are lowest-index. Monte Carlo paths use one child stream per
 sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
-reproducible bit for bit and samples could be drawn in any order.
+reproducible bit for bit and samples could be drawn in any order. One
+generator is reseeded per sample, which gives the same state as a fresh one.
 
-RP and RRP accumulate integers over one value table, the true values in
-:func:`eatsim.model.integer_form`; RP's exact enumeration and sampling share
-one loop over agent orders.
+An item is *valued* when some agent's true value for it is positive. An RRP
+sample, and an RP order, sampled or enumerated, stops once every valued item
+is taken: every later pick gains exactly 0. As each sample reseeds its own
+stream, skipping the tail of one sample leaves every other sample unchanged,
+so the results are those of playing every draw and turn to the end.
+
+RP and RRP accumulate integers over the instance's cached value table
+(:attr:`eatsim.model.Instance.value_table`). RP's exact enumeration walks
+order prefixes depth-first: a prefix's last turn is played once and weighted
+by the number of orders that extend it. It and sampling share one pick
+routine.
 """
 
 from __future__ import annotations
@@ -20,10 +29,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
-from .model import Instance, Strategy, integer_form
+from .model import Instance, Strategy
 from .strategies import as_ordinal
 
 
@@ -61,26 +69,18 @@ def opt(instance: Instance) -> tuple[Fraction, tuple[int, ...]]:
     """Optimal welfare and its assignment: each item to a highest-value agent.
 
     Ties break to the lowest agent index. Welfare is the sum of column maxima
-    of the true valuation matrix.
+    of the true valuation matrix, taken over the instance's cached integer
+    value table.
     """
-    assignment = []
-    total = Fraction(0)
-    for j in range(instance.m):
-        best_agent = 0
-        best_value = instance.valuations[0][j]
-        for i in range(1, instance.n):
-            v = instance.valuations[i][j]
-            if v > best_value:
-                best_agent, best_value = i, v
-        assignment.append(best_agent)
-        total += best_value
-    return total, tuple(assignment)
+    d, rows = instance.value_table
+    agents = range(instance.n)
+    assignment = tuple(max(agents, key=column.__getitem__) for column in zip(*rows))
+    return Fraction(sum(rows[i][j] for j, i in enumerate(assignment)), d), assignment
 
 
-def _value_table(instance: Instance) -> tuple[int, list[tuple[int, ...]]]:
-    """(d, rows): every true value as an integer numerator over one d."""
-    d, flat = integer_form(v for row in instance.valuations for v in row.values)
-    return d, [flat[i:i + instance.m] for i in range(0, len(flat), instance.m)]
+def _valued(rows: Sequence[Sequence[int]]) -> list[bool]:
+    """Per item: does some agent's true value for it exceed 0?"""
+    return [any(column) for column in zip(*rows)]
 
 
 def _grab(ranking: Sequence[int], available: list[bool], count: int) -> list[int]:
@@ -112,9 +112,11 @@ def _stderr(total: int, total_sq: int, samples: int, scale: int) -> float:
 
 
 def _seeded_orders(n: int, seed: int, samples: int):
+    rng = random.Random()
     for k in range(samples):
+        rng.seed(f"eatsim-rp:{seed}:{k}")  # the same state as a fresh Random(...)
         order = list(range(n))
-        random.Random(f"eatsim-rp:{seed}:{k}").shuffle(order)
+        rng.shuffle(order)
         yield order
 
 
@@ -136,35 +138,66 @@ def random_priority(
     n, m = instance.n, instance.m
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
-    if samples is None:
-        if n > 8:
-            raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
-        orders, count = permutations(range(n)), math.factorial(n)
-    elif seed is None:
+    if samples is None and n > 8:
+        raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
+    if samples is not None and seed is None:
         raise ValueError("Monte Carlo mode requires a seed")
-    else:
-        orders, count = _seeded_orders(n, seed, samples), samples
     rankings = [as_ordinal(s, m).order for s in reports]
-    denom, value_int = _value_table(instance)
-    quota = m // n
-    leftover = m % n
-
-    # ``common`` is the gcd of denom and every order's welfare. The error bar
-    # is taken over the welfares' least common denominator, so its last bit
-    # does not depend on values that no order picked.
+    denom, value_int = instance.value_table
+    valued = _valued(value_int)
+    valued_count = sum(valued)
+    quotas = [m // n] * (n - 1) + [m // n + m % n]
     per_agent_num = [0] * n
-    total_sq = 0
-    common = denom
-    for order in orders:
+
+    def turn(agent: int, pos: int, available: list[bool]) -> tuple[list[int], int, int]:
+        """The agent's pick at order position ``pos``: (items, gain, valued items)."""
+        taken = _grab(rankings[agent], available, quotas[pos])
+        return (taken, sum(value_int[agent][j] for j in taken),
+                sum(valued[j] for j in taken))
+
+    if samples is None:
+        # Depth-first over order prefixes: a prefix's last turn is played once
+        # and stands for the (n-1-pos)! orders that extend it. A prefix that
+        # leaves nothing of value is not extended, as every later turn gains 0.
+        weights = [math.factorial(n - 1 - pos) for pos in range(n)]
         available = [True] * m
-        order_num = 0
-        for pos, agent in enumerate(order):
-            quota_here = quota + (leftover if pos == n - 1 else 0)
-            gain = sum(value_int[agent][j] for j in _grab(rankings[agent], available, quota_here))
-            per_agent_num[agent] += gain
-            order_num += gain
-        total_sq += order_num * order_num
-        common = math.gcd(common, order_num)
+        placed = [False] * n
+
+        def extend(pos: int, left: int) -> None:
+            for agent in range(n):
+                if placed[agent]:
+                    continue
+                taken, gain, worth = turn(agent, pos, available)
+                per_agent_num[agent] += gain * weights[pos]
+                if left > worth:
+                    placed[agent] = True
+                    extend(pos + 1, left - worth)
+                    placed[agent] = False
+                for j in taken:
+                    available[j] = True
+
+        extend(0, valued_count)
+        count = math.factorial(n)
+    else:
+        # ``common`` is the gcd of denom and every order's welfare. The error
+        # bar is taken over the welfares' least common denominator, so its
+        # last bit does not depend on values that no order picked.
+        total_sq = 0
+        common = denom
+        for order in _seeded_orders(n, seed, samples):
+            available = [True] * m
+            left = valued_count
+            order_num = 0
+            for pos, agent in enumerate(order):
+                if not left:
+                    break  # nothing of value is left: every later turn gains 0
+                _, gain, worth = turn(agent, pos, available)
+                per_agent_num[agent] += gain
+                order_num += gain
+                left -= worth
+            total_sq += order_num * order_num
+            common = math.gcd(common, order_num)
+        count = samples
     welfare = Fraction(sum(per_agent_num), count * denom)
     per_agent = tuple(Fraction(p, count * denom) for p in per_agent_num)
     if samples is None:
@@ -187,19 +220,27 @@ def repeated_random_priority(
     if len(reports) != n:
         raise ValueError(f"expected {n} reports, got {len(reports)}")
     rankings = [as_ordinal(s, m).order for s in reports]
-    denom, value_int = _value_table(instance)
+    denom, value_int = instance.value_table
+    valued = _valued(value_int)
+    valued_count = sum(valued)
 
     total_num = 0
     total_sq = 0
     per_agent_num = [0] * n
-    agent_range = range(n)
+    rng = random.Random()
+    draw = rng.random
+    scale = float(n)
     for k in range(samples):
-        rng = random.Random(f"eatsim-rrp:{seed}:{k}")
-        draws = rng.choices(agent_range, k=m)
+        # Each sample reseeds its own stream, so stopping one early leaves
+        # every other sample's draws as they were. A draw is
+        # int(random() * float(n)), the value choices(range(n), k=m) computes.
+        rng.seed(f"eatsim-rrp:{seed}:{k}")
         available = [True] * m
         pointers = [0] * n
         sample_num = 0
-        for agent in draws:
+        left = valued_count
+        while left:  # once every valued item is taken, each later draw gains 0
+            agent = int(draw() * scale)
             rank = rankings[agent]
             p = pointers[agent]
             while not available[rank[p]]:
@@ -207,9 +248,11 @@ def repeated_random_priority(
             pointers[agent] = p + 1
             item = rank[p]
             available[item] = False
-            gain = value_int[agent][item]
-            sample_num += gain
-            per_agent_num[agent] += gain
+            if valued[item]:
+                left -= 1
+                gain = value_int[agent][item]
+                sample_num += gain
+                per_agent_num[agent] += gain
         total_num += sample_num
         total_sq += sample_num * sample_num
     mean = Fraction(total_num, samples * denom)

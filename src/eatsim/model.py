@@ -5,8 +5,9 @@ exact rational, carried by :class:`fractions.Fraction`. Floating point never
 enters a computation path; decimal strings exist for display only.
 
 :func:`integer_form` is the one conversion from exact values to integers:
-numerators over the least common denominator. Kernel weights, payoffs, Random
-Priority's value table and lottery draws all use it.
+numerators over the least common denominator. A valuation's unit-sum check
+and preference order, kernel weights, payoffs, and the lotteries' value table
+(:attr:`Instance.value_table`, built from the rows' forms) all use it.
 
 Item and agent indices are 0-based inside the package and 1-based in every
 external format (JSON files, CLI output).
@@ -92,12 +93,13 @@ class Valuation:
         if any(isinstance(v, float) for v in self.values):
             raise ValueError(
                 "floats are not exact; pass Fraction, int, or a rational string")
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
+        d, nums = self.integer_form
+        if any(x < 0 for x in nums):
             raise ValueError("valuation has a negative entry")
-        if sum(vals, ZERO) != ONE:
-            raise ValueError(f"valuation sums to {sum(vals, ZERO)}, expected 1")
+        if sum(nums) != d:
+            raise ValueError(f"valuation sums to {Fraction(sum(nums), d)}, expected 1")
 
     def __getitem__(self, item: int) -> Fraction:
         return self.values[item]
@@ -111,7 +113,8 @@ class Valuation:
 
     def preference_order(self) -> tuple[int, ...]:
         """All items sorted by decreasing value, ties broken by lowest index."""
-        return tuple(sorted(range(len(self.values)), key=lambda j: (-self.values[j], j)))
+        nums = self.integer_form[1]
+        return tuple(sorted(range(len(nums)), key=nums.__getitem__, reverse=True))
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
@@ -155,6 +158,16 @@ class Instance:
     def truthful_profile(self) -> list["Strategy"]:
         return [Proportional(v) for v in self.valuations]
 
+    @cached_property
+    def value_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, rows)``: every true value as ``rows[i][j] / d``, d least.
+
+        Built once from the rows' cached :func:`integer_form`.
+        """
+        forms = [v.integer_form for v in self.valuations]
+        d = math.lcm(*(dv for dv, _ in forms))
+        return d, tuple(tuple(x * (d // dv) for x in nums) for dv, nums in forms)
+
 
 def instance_defects(
     n: int,
@@ -166,7 +179,8 @@ def instance_defects(
     """Collect every invariant violation of a raw instance (empty list = valid).
 
     Works on raw rows (pre-Valuation) so a broken file reports all its defects
-    at once instead of failing on the first bad row.
+    at once instead of failing on the first bad row. A row that is already a
+    :class:`Valuation` passed the sign and sum checks when it was built.
     """
     defects: list[str] = []
     if n < 1:
@@ -179,6 +193,8 @@ def instance_defects(
         vals = row.values if isinstance(row, Valuation) else tuple(row)
         if len(vals) != m:
             defects.append(f"agent {i + 1}: row length {len(vals)} != m = {m}")
+            continue
+        if isinstance(row, Valuation):
             continue
         negatives = [j for j, v in enumerate(vals) if v < 0]
         for j in negatives:
@@ -225,7 +241,9 @@ class Lexicographic:
             raise ValueError("lexicographic order has a negative index")
 
 
-Strategy = Union[Proportional, Lexicographic]
+# A ``|`` union, not ``typing.Union[...]``: typing caches its subscriptions,
+# so each fresh import of this module would stay alive in that cache.
+Strategy = Proportional | Lexicographic
 
 
 def check_profile(n: int, m: int, profile: Sequence[Strategy]) -> None:
@@ -321,10 +339,13 @@ def instance_from_json(doc: dict) -> Instance:
     labels = doc.get("labels") or {}
     agent_labels = tuple(labels["agents"]) if "agents" in labels else None
     item_labels = tuple(labels["items"]) if "items" in labels else None
-    defects = instance_defects(n, m, rows, agent_labels, item_labels)
-    if defects:
-        raise InvalidInstanceError(defects)
-    return Instance(n, m, tuple(Valuation(r) for r in rows), agent_labels, item_labels)
+    try:
+        valuations = tuple(Valuation(r) for r in rows)
+    except ValueError:
+        # a sign or sum defect: report every defect of the raw rows at once
+        raise InvalidInstanceError(
+            instance_defects(n, m, rows, agent_labels, item_labels)) from None
+    return Instance(n, m, valuations, agent_labels, item_labels)
 
 
 def load_instance(path: str) -> Instance:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .model import Lexicographic, Proportional, Strategy, Valuation
 
@@ -130,7 +130,7 @@ class GridProportional:
             raise ValueError("grid resolution must be positive")
 
 
-StrategyFamily = Union[Truthful, SingleMinded, Sequential, Uniform, GridProportional]
+StrategyFamily = Truthful | SingleMinded | Sequential | Uniform | GridProportional
 
 _FAMILY_RANK = {Truthful: 0, SingleMinded: 1, Sequential: 2, Uniform: 3, GridProportional: 4}
 

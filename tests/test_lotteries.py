@@ -30,10 +30,7 @@ def seeded_orders(n, seed, samples):
         yield order
 
 
-def rp_reference(instance, reports, orders):
-    """(mean welfare, mean per-agent payoffs, stderr) of Random Priority over
-    the given orders, one Fraction at a time."""
-    n, m = instance.n, instance.m
+def plain_rankings(m, reports):
     rankings = []
     for report in reports:
         if isinstance(report, Lexicographic):
@@ -41,8 +38,15 @@ def rp_reference(instance, reports, orders):
             rankings.append(list(report.order) + rest)
         else:
             rankings.append(sorted(range(m), key=lambda j: (-report.report[j], j)))
-    per_agent = [F(0)] * n
-    welfares = []
+    return rankings
+
+
+def play_rp(instance, reports, orders):
+    """(welfare per order, per-agent totals): Random Priority played turn by
+    turn to the end of every order, one Fraction at a time."""
+    n, m = instance.n, instance.m
+    rankings = plain_rankings(m, reports)
+    per_agent, welfares = [F(0)] * n, []
     for order in orders:
         available = [True] * m
         welfare = F(0)
@@ -54,12 +58,121 @@ def rp_reference(instance, reports, orders):
                 per_agent[agent] += instance.valuations[agent][j]
                 welfare += instance.valuations[agent][j]
         welfares.append(welfare)
+    return welfares, per_agent
+
+
+def rp_reference(instance, reports, orders):
+    """(mean welfare, mean per-agent payoffs, stderr) of Random Priority over
+    the given orders, the stderr from the Fraction variance."""
+    welfares, per_agent = play_rp(instance, reports, orders)
     k = len(welfares)
     mean = sum(welfares, F(0)) / k
     if k < 2:
         return mean, tuple(p / k for p in per_agent), float("inf")
     variance = sum(((w - mean) ** 2 for w in welfares), F(0)) / (k * (k - 1))
     return mean, tuple(p / k for p in per_agent), math.sqrt(variance)
+
+
+def plain_summary(welfares, per_agent, scale):
+    """(mean, per-agent means, stderr) with the welfares counted over ``scale``."""
+    k = len(welfares)
+    xs = [w * scale for w in welfares]
+    assert all(x.denominator == 1 for x in xs)
+    stderr = _stderr(sum(xs, F(0)).numerator, sum(x * x for x in xs).numerator, k, scale)
+    return sum(welfares, F(0)) / k, tuple(p / k for p in per_agent), stderr
+
+
+def plain_rp(instance, reports, orders):
+    """Random Priority with the stderr over the welfares' least denominator."""
+    welfares, per_agent = play_rp(instance, reports, orders)
+    return plain_summary(welfares, per_agent, math.lcm(*(w.denominator for w in welfares)))
+
+
+def plain_rrp(instance, reports, samples, seed):
+    """Repeated Random Priority: a fresh generator per sample, all m draws."""
+    n, m = instance.n, instance.m
+    rankings = plain_rankings(m, reports)
+    per_agent, welfares = [F(0)] * n, []
+    for k in range(samples):
+        draws = random.Random(f"eatsim-rrp:{seed}:{k}").choices(range(n), k=m)
+        available = [True] * m
+        welfare = F(0)
+        for agent in draws:
+            j = next(j for j in rankings[agent] if available[j])
+            available[j] = False
+            per_agent[agent] += instance.valuations[agent][j]
+            welfare += instance.valuations[agent][j]
+        welfares.append(welfare)
+    scale = math.lcm(*(v.denominator for row in instance.valuations for v in row.values))
+    return plain_summary(welfares, per_agent, scale)
+
+
+def plain_opt(instance):
+    assignment, total = [], F(0)
+    for j in range(instance.m):
+        column = [row[j] for row in instance.valuations]
+        best = column.index(max(column))
+        assignment.append(best)
+        total += column[best]
+    return total, tuple(assignment)
+
+
+def sparse_instance(rng, n, m):
+    """m items of which a random few carry value; the other columns are all zero."""
+    valued = rng.sample(range(m), rng.randint(1, max(1, m // 3)))
+    rows = []
+    for _ in range(n):
+        weights = [rng.randint(0, 3) if j in valued else 0 for j in range(m)]
+        if not any(weights):
+            weights[rng.choice(valued)] = 1
+        rows.append(valuation_of(F(w, sum(weights)) for w in weights))
+    return Instance(n, m, tuple(rows))
+
+
+def reference_cases():
+    """(instance, reports) cases: sparse m >> n, rp-lb, m < n, lexicographic prefixes."""
+    rng = rng_for("lottery-reference")
+    for trial in range(8):
+        n = rng.randint(2, 5)
+        inst = sparse_instance(rng, n, rng.randint(3 * n, 5 * n))
+        yield pytest.param(inst, inst.truthful_profile(), id=f"sparse-{trial}")
+        yield pytest.param(inst, random_profile(rng, n, inst.m), id=f"sparse-mixed-{trial}")
+    for n in range(3, 7):
+        gen = generate(GeneratorSpec("rp-lb", {"n": n}))
+        yield pytest.param(gen.instance, list(gen.bad_profile), id=f"rp-lb-{n}")
+        yield pytest.param(gen.instance, random_profile(rng, n, gen.instance.m),
+                           id=f"rp-lb-{n}-mixed")
+    for trial in range(6):
+        n = rng.randint(3, 6)
+        inst = random_instance(n, rng.randint(1, n - 1), 4, seed=900 + trial).instance
+        yield pytest.param(inst, random_profile(rng, n, inst.m), id=f"m-below-n-{trial}")
+    for trial in range(6):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 3 * n)
+        inst = random_instance(n, m, 3, seed=950 + trial).instance
+        prefixes = [Lexicographic(tuple(rng.sample(range(m), rng.randint(1, m))))
+                    for _ in range(n)]
+        yield pytest.param(inst, prefixes, id=f"prefixes-{trial}")
+
+
+class TestAgainstPlainReference:
+    """Early stops and shared order prefixes change no result, stderr repr included."""
+
+    @pytest.mark.parametrize("inst,reports", list(reference_cases()))
+    def test_matches_plain_play(self, inst, reports):
+        n = inst.n
+        assert opt(inst) == plain_opt(inst)
+        exact = random_priority(inst, reports)
+        welfare, per_agent, _ = plain_rp(inst, reports, permutations(range(n)))
+        assert (exact.expected_welfare, exact.per_agent) == (welfare, per_agent)
+        sampled = random_priority(inst, reports, samples=120, seed=3)
+        welfare, per_agent, stderr = plain_rp(inst, reports, seeded_orders(n, 3, 120))
+        assert (sampled.expected_welfare, sampled.per_agent) == (welfare, per_agent)
+        assert repr(sampled.stderr) == repr(stderr)
+        rrp = repeated_random_priority(inst, reports, 150, seed=4)
+        welfare, per_agent, stderr = plain_rrp(inst, reports, 150, 4)
+        assert (rrp.expected_welfare, rrp.per_agent) == (welfare, per_agent)
+        assert repr(rrp.stderr) == repr(stderr)
 
 
 class TestOpt:

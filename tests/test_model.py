@@ -56,8 +56,10 @@ class TestParseRational:
 
 class TestValuation:
     def test_unit_sum_required(self):
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="^valuation sums to 5/6, expected 1$"):
             Valuation((Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(ValueError, match="^valuation sums to 2, expected 1$"):
+            Valuation((1, Fraction(1)))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -72,6 +74,12 @@ class TestValuation:
     def test_single_item(self):
         assert Valuation((Fraction(1),))[0] == 1
 
+    def test_entries_are_stored_as_fractions(self):
+        v = Valuation([1, "0", Fraction(0)])
+        assert v.values == (1, 0, 0)
+        assert type(v.values) is tuple
+        assert all(type(x) is Fraction for x in v.values)
+
     def test_preference_order_breaks_ties_by_index(self):
         v = valuation_of(["1/4", "1/4", "1/2"])
         assert v.preference_order() == (2, 0, 1)
@@ -82,6 +90,8 @@ class TestValuation:
         total = sum(weights)
         v = Valuation(tuple(Fraction(w, total) for w in weights))
         assert sum(v.values) == 1
+        assert v.preference_order() == tuple(
+            sorted(range(len(weights)), key=lambda j: (-v[j], j)))
 
 
 class TestIntegerForm:
@@ -131,6 +141,29 @@ class TestInstance:
                         agent_labels=("A", "B", "C"))
         again = instance_from_json(instance_to_json(inst))
         assert again == inst
+
+    def test_value_table_is_cached_over_one_least_denominator(self):
+        inst = Instance(2, 2, (valuation_of(["1/2", "1/2"]), valuation_of(["1/3", "2/3"])))
+        assert inst.value_table == (6, ((3, 3), (2, 4)))
+        assert inst.value_table is inst.value_table
+        assert inst == Instance(2, 2, inst.valuations)
+
+    def test_json_defects_listed_in_full(self):
+        doc = {"n": 3, "m": 2, "valuations": [["1/2", "1/3"], ["3/2", "-1/2"], ["1"]],
+               "labels": {"items": ["x"]}}
+        with pytest.raises(InvalidInstanceError) as exc:
+            instance_from_json(doc)
+        assert exc.value.defects == [
+            "agent 1: values sum to 5/6, expected 1",
+            "agent 2: negative value at item 2",
+            "agent 3: row length 1 != m = 2",
+            "expected 2 item labels, got 1",
+        ]
+        doc = {"n": 2, "m": 2, "valuations": [["1/2", "1/2"]], "labels": {"agents": ["A"]}}
+        with pytest.raises(InvalidInstanceError) as exc:
+            instance_from_json(doc)
+        assert exc.value.defects == [
+            "expected 2 valuation rows, got 1", "expected 2 agent labels, got 1"]
 
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
