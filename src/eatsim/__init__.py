@@ -10,14 +10,11 @@ command line tool.
 """
 
 from .engine import (
-    Lottery,
     Segment,
     Trace,
     compute_rates,
-    consumption_time,
     expected_payoffs,
     kernel_name,
-    lottery_from_trace,
     run,
     sample_allocation,
     trace_to_json,
@@ -49,7 +46,6 @@ __all__ = [
     "InvalidInstanceError",
     "Lexicographic",
     "LOWEST_INDEX_FIRST",
-    "Lottery",
     "ParseError",
     "Proportional",
     "Segment",
@@ -59,13 +55,11 @@ __all__ = [
     "Valuation",
     "ZeroPolicy",
     "compute_rates",
-    "consumption_time",
     "decimal_str",
     "expected_payoffs",
     "fixed_order_policy",
     "format_rational",
     "kernel_name",
-    "lottery_from_trace",
     "parse_rational",
     "run",
     "sample_allocation",

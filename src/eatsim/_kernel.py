@@ -13,12 +13,14 @@ Per segment it does O(n + m) big-rational operations:
   prefix Z.
 
 Item rate totals are small-integer sums over the common denominator
-L = lcm(W_i(S), |S|). The time, the quantities and the prefix sums are kept
-as numerators over one shared denominator D. If item f runs out first, then
-dt = q_f * L / tot_f, and moving every value to the denominator D * tot_f
-takes only products of a big numerator with a small integer; one gcd chain
-per segment keeps D lowest. A share is written once, when its item j
-depletes, and exactly one rule applies to each (i, j):
+L = lcm(W_i(S), |S|); a proportional agent adds only over its support, the
+remaining items it weights above 0. The time, the quantities and the prefix
+sums are kept as numerators over one shared denominator D. If item f runs out
+first, then dt = q_f * L / tot_f, and moving every value to the denominator
+D * tot_f takes only products of a big numerator with a small integer;
+dividing q_f and tot_f by their gcd first keeps D within a few bits of
+lowest. A share is written once, when its item j depletes, and exactly one
+rule applies to each (i, j):
 
 * proportional agent with w_ij > 0: gamma_ij = w_ij * P_i;
 * agent eating j at rate 1 (its lexicographic target, or the lowest-index or
@@ -27,7 +29,10 @@ depletes, and exactly one rule applies to each (i, j):
   zero mode.
 
 An agent's target changes only when the target depletes, and an agent that
-runs out of items to chase stays in zero mode, so no other case arises.
+runs out of items to chase stays in zero mode, so no other case arises. Every
+agent under the lowest-index or fixed zero policy eats the same item, the
+first remaining one in the policy's order, so the loop moves that group as
+one when the item runs out.
 
 inputs
     n, m            problem size
@@ -42,7 +47,9 @@ outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
     segments        list of (t_start, t_end, rates) with rates an n x m matrix;
                     built only when ``want_segments`` is true
     events          list of (num, den, item), chronological, ties by item
-    gamma           n x m matrix of total consumption shares
+    gamma           n x m matrix of total consumption shares; when the
+                    caller names ``agents``, only their rows are written and
+                    every other row is empty
 """
 
 from __future__ import annotations
@@ -70,16 +77,22 @@ def _sub(a, b):
     return _reduce(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
 
 
+def _zero_target(policy_kind, policy_order, remaining, alive, start):
+    """(position, item): the first remaining item in the lowest-index (1) or
+    fixed (2) zero policy's order; a fixed order is scanned from ``start``."""
+    if policy_kind == 1:
+        return 0, remaining[0]
+    for k in range(start, len(policy_order)):
+        if alive[policy_order[k]]:
+            return k, policy_order[k]
+    raise ValueError("fixed zero policy orders no remaining item")
+
+
 def _zero_mode(policy_kind, policy_order, remaining, alive):
     """The mode of an agent with nothing left to chase."""
     if policy_kind == 0:
         return UNIFORM, 0
-    if policy_kind == 1:
-        return TARGET, remaining[0]
-    for j in policy_order:
-        if alive[j]:
-            return TARGET, j
-    raise ValueError("fixed zero policy orders no remaining item")
+    return TARGET, _zero_target(policy_kind, policy_order, remaining, alive, 0)[1]
 
 
 def agent_mode(kind, weights, order, policy_kind, policy_order, remaining, alive):
@@ -135,10 +148,16 @@ def rates(n, m, kinds, weights, orders, policy_kind, policy_order, remaining):
 
 
 def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
-               want_segments=True):
+               want_segments=True, agents=None):
+    """Run the eating loop; ``agents`` lists the agents whose share rows are
+    written (default all), and every other row of ``gamma`` stays empty."""
     alive = [True] * m
     remaining = list(range(m))
-    gamma = [[_ZERO] * m for _ in range(n)]
+    if agents is None:
+        agents = range(n)
+    gamma = [[] for _ in range(n)]
+    for i in agents:
+        gamma[i] = [_ZERO] * m
     segments = []
     events = []
 
@@ -152,20 +171,35 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
 
     # Per agent: its mode and W_i(S) or target (see agent_mode). A target or
     # uniform agent also keeps a mark: the time it started eating its target,
-    # or Z when it entered the uniform zero policy.
+    # or Z when it entered the uniform zero policy. The agents fall into four
+    # groups: proportional, eating down a lexicographic order, chasing the
+    # shared lowest-index or fixed zero-policy target, and uniform (a count).
     mode = [0] * n
     value = [0] * n
     mark = [_ZERO] * n
+    support = [None] * n  # a proportional agent's remaining items with w_ij > 0
     cursor = [0] * n  # position of the target in a lexicographic order
     rows = [None] * n  # cached rate rows, only when want_segments
+    proportional = []
+    eaters = []
+    chasers = []
+    uniform = 0
+    zero_cursor = 0  # position of the chasers' target in the zero policy's order
     for i in range(n):
         mode[i], value[i] = agent_mode(kinds[i], weights[i], orders[i],
                                        policy_kind, policy_order, remaining, alive)
+        if mode[i] == PROPORTIONAL:
+            support[i] = [j for j in remaining if weights[i][j]]
+            proportional.append(i)
+        elif mode[i] == UNIFORM:
+            uniform += 1
+        elif kinds[i] and orders[i]:
+            eaters.append(i)
+        else:
+            chasers.append(i)
 
     while remaining:
         size = len(remaining)
-        proportional = [i for i in range(n) if mode[i] == PROPORTIONAL]
-        uniform = mode.count(UNIFORM)
 
         # The total rate of item j is tot[j] / L.
         L = lcm(*(value[i] for i in proportional), size if uniform else 1)
@@ -173,16 +207,16 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
         for i in proportional:
             w = weights[i]
             f = L // value[i]
-            for j in remaining:
-                if w[j]:
-                    tot[j] += w[j] * f
+            for j in support[i]:
+                tot[j] += w[j] * f
         if uniform:
             f = uniform * (L // size)
             for j in remaining:
                 tot[j] += f
-        for i in range(n):
-            if mode[i] == TARGET:
-                tot[value[i]] += L
+        for i in eaters:
+            tot[value[i]] += L
+        if chasers:
+            tot[value[chasers[0]]] += L * len(chasers)
 
         # The first item to run out minimises q_j / tot[j]; some remaining
         # item is always eaten, as each agent eats at total rate exactly 1.
@@ -193,35 +227,24 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
             if tot[j] and (first < 0 or qn[j] * tot[first] < qn[first] * tot[j]):
                 first = j
         q, rate = qn[first], tot[first]
+        # A factor common to q and the rate divides every new value and D, so
+        # drop it first: this keeps D within a few bits of lowest.
+        g = gcd(q, rate)
+        if g > 1:
+            q //= g
+            rate //= g
+        gone = []
         for j in remaining:
-            qn[j] = qn[j] * rate - tot[j] * q
+            if not (x := qn[j] * rate - tot[j] * q):
+                gone.append(j)
+            qn[j] = x
         for i in proportional:
             pn[i] = pn[i] * rate + q * (L // value[i])
         zn = zn * rate + q * (L // size) if uniform else zn * rate
         tn = tn * rate + q * L
         D *= rate
-
-        # Keep D lowest over all the values it carries.
         g = gcd(tn, D)
         t_next = (tn // g, D // g)
-        if g > 1:
-            g = gcd(g, zn)
-            for j in remaining:
-                if g == 1:
-                    break
-                g = gcd(g, qn[j])
-            for i in proportional:
-                if g == 1:
-                    break
-                g = gcd(g, pn[i])
-            if g > 1:
-                D //= g
-                tn //= g
-                zn //= g
-                for j in remaining:
-                    qn[j] //= g
-                for i in proportional:
-                    pn[i] //= g
 
         if want_segments:
             shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
@@ -229,20 +252,13 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
                 if mode[i] == UNIFORM:
                     rows[i] = shared
                 elif rows[i] is None:
-                    rows[i] = rate_row(mode[i], value[i], weights[i], remaining, m)
+                    rows[i] = rate_row(mode[i], value[i], weights[i], support[i], m)
             segments.append((t, t_next, list(rows)))
         t = t_next
-
-        still = []
-        gone = []
-        for j in remaining:
-            if qn[j]:
-                still.append(j)
-            else:
-                alive[j] = False
-                gone.append(j)
-                events.append((t[0], t[1], j))
-        remaining = still
+        for j in gone:
+            alive[j] = False
+            events.append((t[0], t[1], j))
+            remaining.remove(j)
 
         # Shares of the items that just ran out.
         prefix = {}  # agent -> reduced P_i
@@ -250,7 +266,7 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
         spread = {}  # Z at entry -> Z - entry
         z = None
         for j in gone:
-            for i in range(n):
+            for i in agents:
                 k = mode[i]
                 if k == PROPORTIONAL:
                     w = weights[i][j]
@@ -280,40 +296,58 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
 
         # Move each agent past the depleted items. An agent that runs out of
         # items to chase enters zero mode and stays there.
-        for i in range(n):
-            k = mode[i]
-            if k == PROPORTIONAL:
-                w = weights[i]
-                W = value[i]
-                for j in gone:
-                    W -= w[j]
-                if W == value[i]:
-                    continue
-                rows[i] = None
-                value[i] = W
-                if W:
-                    continue
-            elif k == TARGET:
-                if alive[value[i]]:
-                    continue
-                rows[i] = None
-                order = orders[i]
-                c = cursor[i]
-                while c < len(order) and not alive[order[c]]:
-                    c += 1
-                cursor[i] = c
-                if c < len(order):
-                    value[i] = order[c]
-                    mark[i] = t
-                    continue
-            else:
+        idle = []
+        for i in proportional:
+            w = weights[i]
+            W = value[i]
+            for j in gone:
+                W -= w[j]
+            if W == value[i]:
                 continue
-            mode[i], value[i] = _zero_mode(policy_kind, policy_order, remaining, alive)
-            if mode[i] == UNIFORM:
+            rows[i] = None
+            value[i] = W
+            if W:
+                support[i] = [j for j in support[i] if alive[j]]
+            else:
+                support[i] = None
+                idle.append(i)
+        if idle:
+            proportional = [i for i in proportional if value[i]]
+        dry = len(idle)
+        for i in eaters:
+            if alive[value[i]]:
+                continue
+            rows[i] = None
+            order = orders[i]
+            c = cursor[i]
+            while c < len(order) and not alive[order[c]]:
+                c += 1
+            cursor[i] = c
+            if c < len(order):
+                value[i] = order[c]
+                mark[i] = t
+            else:
+                idle.append(i)
+        if len(idle) > dry:
+            eaters = [i for i in eaters if alive[value[i]]]
+        if policy_kind == 0:
+            if idle:
                 if z is None:
                     z = _reduce(zn, D)
-                mark[i] = z
-            else:
-                mark[i] = t
+                for i in idle:
+                    mode[i] = UNIFORM
+                    mark[i] = z
+                uniform += len(idle)
+        elif idle or (chasers and not alive[value[chasers[0]]]):
+            zero_cursor, target = _zero_target(policy_kind, policy_order, remaining, alive,
+                                               zero_cursor)
+            for i in chasers:
+                if value[i] != target:
+                    rows[i] = None
+                    value[i] = target
+                    mark[i] = t
+            for i in idle:
+                mode[i], value[i], mark[i] = TARGET, target, t
+            chasers += idle
 
     return segments, events, gamma

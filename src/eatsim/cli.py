@@ -501,7 +501,7 @@ def _cmd_sample(opts: dict) -> CliResult:
     trace = equilibrium.run_profile(instance.n, instance.m, profile,
                                     opts.get("mechanism", "cps"), policy)
     seed = opts.get("seed", 0)
-    assignment = engine.sample_allocation(engine.lottery_from_trace(trace), seed)
+    assignment = engine.sample_allocation(trace, seed)
     out = io.StringIO()
     out.write(f"seed {seed}\n")
     for j, agent in enumerate(assignment):

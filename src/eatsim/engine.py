@@ -10,15 +10,19 @@ The inner loop lives in the kernel ``eatsim._kernel``, which works on raw
 integer pairs and builds the shares from per-agent prefix sums instead of
 integrating the share matrix segment by segment. Its pairs come back reduced,
 and ``_coprime`` is the one place where they become ``Fraction`` values.
+Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
+that step: ``_payoffs`` asks the kernel for the share rows of some agents only
+and takes each payoff as one integer dot product over the pairs (``_dot``,
+which ``payoff`` shares).
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 from .model import (
     LOWEST_INDEX_FIRST,
@@ -85,14 +89,6 @@ class Trace:
         return frozenset(j for time, j in self.depletion_events if time > t)
 
 
-@dataclass(frozen=True)
-class Lottery:
-    """Marginal assignment probabilities: item j goes to agent i w.p. marginals[i][j]."""
-
-    marginals: tuple[tuple[Fraction, ...], ...]
-    trace: Trace | None = None
-
-
 def compute_rates(
     profile: Sequence[Strategy],
     remaining: Sequence[int] | frozenset[int],
@@ -124,23 +120,34 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
+def _kernel_slot(strat: Strategy) -> tuple:
+    """One agent's kernel arguments: (kind, integer weights, order)."""
+    if isinstance(strat, Proportional):
+        return 0, strat.report.integer_form[1], ()
+    return 1, (), strat.order
+
+
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
     """The kernel's primitive arguments for a profile and a zero policy."""
     kinds = []
     weights = []
     orders = []
     for strat in profile:
-        if isinstance(strat, Proportional):
-            kinds.append(0)
-            weights.append(strat.report.integer_form[1])
-            orders.append([])
-        else:
-            kinds.append(1)
-            weights.append([])
-            orders.append(list(strat.order))
+        kind, w, order = _kernel_slot(strat)
+        kinds.append(kind)
+        weights.append(w)
+        orders.append(order)
     policy_kind = {"uniform": 0, "lowest-index": 1, "fixed": 2}[policy.kind]
     policy_order = list(policy.order) if policy.order else []
     return n, m, kinds, weights, orders, policy_kind, policy_order
+
+
+def _checked_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
+    """:func:`_kernel_args` after checking the profile and the zero policy."""
+    check_profile(n, m, profile)
+    if policy.kind == "fixed" and len(policy.order) != m:
+        raise ValueError(f"fixed zero policy must order all {m} items")
+    return _kernel_args(n, m, profile, policy)
 
 
 def run(
@@ -161,11 +168,8 @@ def run(
     (events and shares only); bulk sweeps that only need payoffs skip the
     per-segment rate matrices.
     """
-    check_profile(n, m, profile)
-    if policy.kind == "fixed" and len(policy.order) != m:
-        raise ValueError(f"fixed zero policy must order all {m} items")
     raw_segments, raw_events, raw_gamma = _kernel_impl.run_eating(
-        *_kernel_args(n, m, profile, policy), include_segments)
+        *_checked_args(n, m, profile, policy), include_segments)
 
     # Rates repeat across rows and segments, and segment ends repeat as
     # starts: build each distinct pair's Fraction once.
@@ -196,59 +200,63 @@ def run(
     return Trace(n, m, segments, events, shares, Fraction(m, n))
 
 
-def consumption_time(trace: Trace, item: int) -> Fraction:
-    return trace.consumption_time(item)
-
-
-def lottery_from_trace(trace: Trace) -> Lottery:
-    return Lottery(trace.shares, trace)
-
-
-def expected_payoffs(
-    trace_or_lottery: Trace | Lottery,
-    true_valuations: Sequence[Valuation],
-) -> tuple[Fraction, ...]:
+def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tuple[Fraction, ...]:
     """Per-agent expected payoff sum_j shares[i][j] * v'_i(j).
 
-    Valuations are additive, so the lottery marginals fully determine the
-    expected payoff.
+    Valuations are additive, so the share matrix (the lottery's marginals)
+    fully determines the expected payoff.
     """
-    shares = (trace_or_lottery.shares if isinstance(trace_or_lottery, Trace)
-              else trace_or_lottery.marginals)
-    if len(true_valuations) != len(shares):
+    if len(true_valuations) != len(trace.shares):
         raise ValueError("valuation count does not match trace")
-    return tuple(map(payoff, shares, true_valuations))
+    return tuple(map(payoff, trace.shares, true_valuations))
 
 
 def payoff(shares_row: Sequence[Fraction], valuation: Valuation) -> Fraction:
-    """One agent's expected payoff sum_j shares_row[j] * valuation[j], as one
-    integer dot product over the integer forms of both sides."""
+    """One agent's expected payoff sum_j shares_row[j] * valuation[j]."""
     if len(valuation) != len(shares_row):
         raise ValueError("valuation length does not match trace")
-    scale, shares = integer_form(shares_row)
+    return _dot([(g.numerator, g.denominator) for g in shares_row], valuation)
+
+
+def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:
+    return sum(expected_payoffs(trace, true_valuations), Fraction(0))
+
+
+def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation) -> Fraction:
+    """sum_j (num_j / den_j) * valuation[j] for reduced share pairs, as one
+    integer dot product over the items where both factors are nonzero."""
     d, values = valuation.integer_form
-    return Fraction(sum(map(operator.mul, shares, values)), scale * d)
+    terms = [(num, den, v) for (num, den), v in zip(pairs, values) if num and v]
+    scale = lcm(*[den for _, den, _ in terms])
+    return Fraction(sum(num * v * (scale // den) for num, den, v in terms), scale * d)
 
 
-def welfare(trace_or_lottery: Trace | Lottery, true_valuations: Sequence[Valuation]) -> Fraction:
-    return sum(expected_payoffs(trace_or_lottery, true_valuations), Fraction(0))
+def _payoffs(args: tuple, agents: Sequence[int],
+             valuations: Sequence[Valuation]) -> list[Fraction]:
+    """Exact payoffs of ``agents`` (``valuations`` in the same order) from one
+    lean kernel run on checked arguments.
+
+    The kernel writes only those agents' share rows, and each row goes
+    straight into :func:`_dot`: no ``Trace`` and no ``Fraction`` matrix.
+    """
+    _, _, gamma = _kernel_impl.run_eating(*args, False, agents)
+    return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 
-def sample_allocation(lottery: Lottery, seed: int) -> tuple[int, ...]:
-    """Draw one assignment (agent per item) from the lottery's marginals.
+def sample_allocation(trace: Trace, seed: int) -> tuple[int, ...]:
+    """Draw one assignment (agent per item) from the trace's share lottery.
 
     Each item is assigned independently by its marginal column. Deterministic
     given the seed: a single stream seeded with ``"eatsim-alloc:<seed>"``
     draws the items in index order, each by one exact integer draw against
     the column's common denominator.
     """
-    marginals = lottery.marginals
-    n = len(marginals)
-    m = len(marginals[0])
+    shares = trace.shares
+    n, m = trace.n, trace.m
     rng = random.Random(f"eatsim-alloc:{seed}")
     assignment = []
     for j in range(m):
-        denom, weights = integer_form(marginals[i][j] for i in range(n))
+        denom, weights = integer_form(shares[i][j] for i in range(n))
         if sum(weights) != denom:
             raise ValueError(f"column {j + 1} of the lottery does not sum to 1")
         pick = rng.randrange(denom)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import engine
+from .lotteries import opt as opt_welfare
 from .model import (
     Instance,
     LOWEST_INDEX_FIRST,
@@ -22,6 +23,7 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
+    check_strategy,
     format_rational,
     strategy_to_json,
 )
@@ -82,6 +84,23 @@ def run_profile(
                       include_segments)
 
 
+def _mechanism_args(
+    n: int, m: int, profile: Sequence[Strategy], mechanism: str, policy: ZeroPolicy
+) -> tuple:
+    """Checked kernel arguments for a profile under the chosen eating mechanism."""
+    return engine._checked_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
+
+
+def _check_families(families: Sequence[StrategyFamily], m: int) -> int:
+    """The number of candidates the families expand to, at least one."""
+    if not families:
+        raise ValueError("need at least one strategy family")
+    count = sum(family_size(f, m) for f in families)
+    if not count:
+        raise ValueError("the strategy families have no members")
+    return count
+
+
 @dataclass(frozen=True)
 class DeviationReport:
     """Outcome of one agent's best-response sweep over its families."""
@@ -132,24 +151,34 @@ def best_response(
     deviating agent removed; its candidate (and the ``baseline``, default the
     truthful report) is spliced back in at position ``agent``. Ties keep the
     first candidate in canonical enumeration order.
+
+    Each candidate costs one lean kernel run that writes only the deviating
+    agent's shares. The opponents, the zero policy and the baseline are
+    checked and converted to kernel arguments once; a candidate replaces the
+    deviating agent's slot only.
     """
-    if not families:
-        raise ValueError("need at least one strategy family")
     n = len(opponents) + 1
     m = len(true_valuation)
+    total = _check_families(families, m) + 1
     budget = configured_budget(budget)
-    total = sum(family_size(f, m) for f in families) + 1
     if total > budget:
         raise BudgetExceededError(
             f"family expansion needs {total} engine runs, budget is {budget}")
 
-    def payoff_of(candidate: Strategy) -> Fraction:
-        profile = list(opponents[:agent]) + [candidate] + list(opponents[agent:])
-        trace = run_profile(n, m, profile, mechanism, policy, include_segments=False)
-        return engine.payoff(trace.shares[agent], true_valuation)
-
     baseline = baseline if baseline is not None else Proportional(true_valuation)
-    baseline_payoff = payoff_of(baseline)
+    profile = list(opponents[:agent]) + [baseline] + list(opponents[agent:])
+    args = _mechanism_args(n, m, profile, mechanism, policy)
+    _, _, kinds, weights, orders, _, _ = args
+    wanted = [agent]
+    truth = [true_valuation]
+
+    def payoff_of(candidate: Strategy) -> Fraction:
+        (strat,) = _mechanism_profile([candidate], m, mechanism)
+        check_strategy(agent, m, strat)
+        kinds[agent], weights[agent], orders[agent] = engine._kernel_slot(strat)
+        return engine._payoffs(args, wanted, truth)[0]
+
+    baseline_payoff = engine._payoffs(args, wanted, truth)[0]
     best_label = None
     best_strategy = None
     best_payoff = None
@@ -191,11 +220,11 @@ def verify_ne(
     is a refutation whenever some agent gains more than epsilon, and a
     certificate otherwise.
     """
-    if not families:
-        raise ValueError("need at least one strategy family")
     n, m = instance.n, instance.m
+    if len(profile) != n:
+        raise ValueError(f"profile has {len(profile)} strategies, instance has {n} agents")
+    per_agent = _check_families(families, m) + 1
     budget = configured_budget(budget)
-    per_agent = sum(family_size(f, m) for f in families) + 1
     if n * per_agent > budget:
         raise BudgetExceededError(
             f"verification needs {n * per_agent} engine runs, budget is {budget}")
@@ -243,11 +272,9 @@ def ratio_report(
     Zero welfare (possible when every agent's shares sit on items it does not
     value) is flagged as an infinite ratio rather than raised.
     """
-    from .lotteries import opt as opt_welfare
-
-    trace = run_profile(instance.n, instance.m, profile, mechanism, policy,
-                        include_segments=False)
-    total = engine.welfare(trace, instance.valuations)
+    n, m = instance.n, instance.m
+    args = _mechanism_args(n, m, profile, mechanism, policy)
+    total = sum(engine._payoffs(args, range(n), instance.valuations), Fraction(0))
     best, _ = opt_welfare(instance)
     return RatioReport(
         welfare=total,

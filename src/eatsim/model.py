@@ -251,14 +251,19 @@ def check_profile(n: int, m: int, profile: Sequence[Strategy]) -> None:
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     for i, strat in enumerate(profile):
-        if isinstance(strat, Proportional):
-            if len(strat.report) != m:
-                raise ValueError(f"agent {i + 1}: report length {len(strat.report)} != m = {m}")
-        elif isinstance(strat, Lexicographic):
-            if any(j >= m for j in strat.order):
-                raise ValueError(f"agent {i + 1}: order index out of range for m = {m}")
-        else:
-            raise ValueError(f"agent {i + 1}: not a strategy: {strat!r}")
+        check_strategy(i, m, strat)
+
+
+def check_strategy(i: int, m: int, strat: Strategy) -> None:
+    """Reject agent i's strategy if it does not fit m items."""
+    if isinstance(strat, Proportional):
+        if len(strat.report) != m:
+            raise ValueError(f"agent {i + 1}: report length {len(strat.report)} != m = {m}")
+    elif isinstance(strat, Lexicographic):
+        if any(j >= m for j in strat.order):
+            raise ValueError(f"agent {i + 1}: order index out of range for m = {m}")
+    else:
+        raise ValueError(f"agent {i + 1}: not a strategy: {strat!r}")
 
 
 @dataclass(frozen=True)

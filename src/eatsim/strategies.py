@@ -72,8 +72,8 @@ def as_ordinal(strategy: Strategy, m: int) -> Lexicographic:
     ordinal mechanism never consults the zero policy.
     """
     if isinstance(strategy, Lexicographic):
-        rest = tuple(j for j in range(m) if j not in set(strategy.order))
-        return Lexicographic(strategy.order + rest)
+        taken = set(strategy.order)
+        return Lexicographic(strategy.order + tuple(j for j in range(m) if j not in taken))
     return Lexicographic(strategy.report.preference_order())
 
 

@@ -265,6 +265,29 @@ class TestLotteryOutputBytes:
             "df9a2bbe9f67278f6bb54e58d24c732399a426e7fd2bd8094a3a086e42d22d99")
 
 
+class TestSweepOutputBytes:
+    # sha256 of sweep outputs, so that the lean per-candidate kernel runs
+    # cannot move a certificate, a payoff or a label unnoticed
+    @pytest.mark.parametrize("mechanism, digest", [
+        ("cps", "8f356c23d1d79151aa3a537f4e45543eada41ef8537507e46096cbbcb0ccef32"),
+        ("ps", "a254f2dfb1e81e9d5e5f6850fb5e547f53edce312acc789b8448e00c2391c6c7"),
+    ])
+    def test_log_m_certificate_digest(self, mechanism, digest):
+        result = run_cli(["verify-ne", "--generator", "log-m-lb", "--k", "8", "--q", "3",
+                          "--mechanism", mechanism, "--out", "cert.json"])
+        assert result.exit_code == EXIT_OK
+        assert hashlib.sha256(result.files["cert.json"].encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("agent, digest", [
+        ("1", "7efb41fed6fbc2ec272f16b3a6286c7130fffb15965798ad0fd2c9a77f44ec6a"),
+        ("2", "482817a7e977ca36bc5abc690cd2dbdfc969caaa2699c675e47f186539bfc762"),
+    ])
+    def test_sqrt_n_best_response_stdout_digest(self, agent, digest):
+        text = run_cli(["best-response", "--generator", "sqrt-n-lb", "--n", "16",
+                        "--agent", agent, "--dump-candidates"]).stdout
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 class TestGenerateAndSample:
     def test_generate_writes_instance_and_profile(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -11,9 +11,7 @@ from eatsim import (
     Proportional,
     UNIFORM_OVER_REMAINING,
     compute_rates,
-    consumption_time,
     expected_payoffs,
-    lottery_from_trace,
     run,
     sample_allocation,
     trace_to_json,
@@ -83,7 +81,7 @@ class TestGoldenRuns:
     def test_example2_single_minded_deviation(self, example2):
         profile = [single_minded(0, 2), example2.truthful_profile()[1]]
         trace = run(2, 2, profile)
-        assert consumption_time(trace, 0) == F(3, 4)
+        assert trace.consumption_time(0) == F(3, 4)
         assert trace.shares[0] == (F(3, 4), F(1, 4))
         assert expected_payoffs(trace, example2.valuations)[0] == F(7, 12)
 
@@ -301,30 +299,26 @@ class TestQuarterRuleSurvey:
 class TestSampling:
     def test_degenerate_marginals(self):
         trace = run(2, 2, [single_minded(0, 2), single_minded(1, 2)])
-        lottery = lottery_from_trace(trace)
         for seed in range(20):
-            assert sample_allocation(lottery, seed) == (0, 1)
+            assert sample_allocation(trace, seed) == (0, 1)
 
     def test_column_concentrated_on_first_agent(self):
         trace = run(3, 3, [Lexicographic((0, 1, 2)),
                            Lexicographic((1, 2, 0)),
                            Lexicographic((2, 0, 1))])
-        lottery = lottery_from_trace(trace)
-        assert all(sample_allocation(lottery, s) == (0, 1, 2) for s in range(10))
+        assert all(sample_allocation(trace, s) == (0, 1, 2) for s in range(10))
 
     def test_example1_empirical_frequency(self, example1):
         trace = run(3, 3, example1.truthful_profile())
-        lottery = lottery_from_trace(trace)
         hits = sum(1 for seed in range(100_000)
-                   if sample_allocation(lottery, seed)[0] == 0)
+                   if sample_allocation(trace, seed)[0] == 0)
         p = float(EXAMPLE1_SHARES[0][0])
         se = (p * (1 - p) / 100_000) ** 0.5
         assert abs(hits / 100_000 - p) <= 3 * se
 
     def test_deterministic_given_seed(self, example1):
         trace = run(3, 3, example1.truthful_profile())
-        lottery = lottery_from_trace(trace)
-        assert sample_allocation(lottery, 1234) == sample_allocation(lottery, 1234)
+        assert sample_allocation(trace, 1234) == sample_allocation(trace, 1234)
 
 
 class TestTraceExport:

@@ -19,17 +19,23 @@ from eatsim.equilibrium import (
     verify_ne,
 )
 from eatsim.instances import GeneratorSpec, generate, random_instance
-from eatsim.model import Instance
+from eatsim.model import (
+    Instance,
+    LOWEST_INDEX_FIRST,
+    UNIFORM_OVER_REMAINING,
+    fixed_order_policy,
+)
 from eatsim.strategies import (
     GridProportional,
     Sequential,
     SingleMinded,
     Truthful,
     Uniform,
+    expand_families,
     single_minded,
 )
 
-from helpers import random_profile, rng_for
+from helpers import random_profile, random_run_case, rng_for
 
 F = Fraction
 
@@ -107,7 +113,60 @@ class TestBestResponse:
                           [SingleMinded(), Truthful()])
 
 
+    @pytest.mark.parametrize("families", [
+        [Sequential(orders=())], [Uniform(sets=())], [Sequential(orders=()), Uniform(sets=())]],
+        ids=["sequential", "uniform", "both"])
+    def test_families_without_members_rejected(self, example2, families):
+        with pytest.raises(ValueError, match="no members"):
+            best_response(0, example2.truthful_profile()[1:], example2.valuations[0], families)
+        with pytest.raises(ValueError, match="no members"):
+            verify_ne(example2.truthful_profile(), example2, families=families)
+
+
+class TestSweepMatchesPlainRuns:
+    """Each candidate of a sweep costs one lean kernel run on the deviator's
+    slot; its payoff must be the one a full run of the whole profile gives."""
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_candidate_payoffs_equal_full_runs(self, mechanism, policy_name):
+        rng = rng_for(f"sweep-plain-runs:{mechanism}:{policy_name}")
+        for _ in range(12):
+            n, m, instance, profile, _ = random_run_case(rng, max_n=5, max_m=5)
+            policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
+                      "fixed": fixed_order_policy(rng.sample(range(m), m))}[policy_name]
+            agent = rng.randrange(n)
+            truth = instance.valuations[agent]
+            # one-item prefix orders make the deviator fall to the zero policy
+            orders = tuple((j,) for j in range(m)) + (tuple(rng.sample(range(m), m)),)
+            families = [Truthful(), SingleMinded(), Sequential(orders), Uniform()]
+            report = best_response(agent, profile[:agent] + profile[agent + 1:], truth,
+                                   families, mechanism, policy, baseline=profile[agent],
+                                   collect_candidates=True)
+
+            def full_run_payoff(strategy):
+                trace = run_profile(n, m, profile[:agent] + [strategy] + profile[agent + 1:],
+                                    mechanism, policy, include_segments=False)
+                return expected_payoffs(trace, instance.valuations)[agent]
+
+            assert report.baseline_payoff == full_run_payoff(profile[agent])
+            candidates = list(expand_families(families, truth, m))
+            assert [label for label, _ in report.candidates] == [label for label, _ in candidates]
+            assert [value for _, value in report.candidates] == \
+                [full_run_payoff(strategy) for _, strategy in candidates]
+            assert report.runs == len(candidates) + 1
+
+
 class TestVerifyNe:
+    @pytest.mark.parametrize("extra", [1, -1], ids=["n+1", "n-1"])
+    def test_profile_length_must_match_instance(self, extra):
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = list(instance.truthful_profile())
+        profile = profile + profile[:1] if extra > 0 else profile[:-1]
+        with pytest.raises(ValueError,
+                           match=f"profile has {3 + extra} strategies, instance has 3 agents"):
+            verify_ne(profile, instance, families=[Truthful(), SingleMinded()])
+
     def test_example2_truthful_refuted_with_witness(self, example2):
         cert = verify_ne(example2.truthful_profile(), example2,
                          families=[Truthful(), SingleMinded()])

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eatsim import _kernel
-from eatsim.engine import _coprime, _kernel_args, kernel_name, run
+from eatsim.engine import (
+    _checked_args,
+    _coprime,
+    _kernel_args,
+    _payoffs,
+    expected_payoffs,
+    kernel_name,
+    run,
+)
 from eatsim.model import (
     LOWEST_INDEX_FIRST,
     UNIFORM_OVER_REMAINING,
@@ -16,9 +24,10 @@ from eatsim.model import (
     Valuation,
     fixed_order_policy,
 )
+from eatsim.strategies import ps_profile
 from fractions import Fraction
 
-from helpers import random_run_case, random_strategy, rng_for
+from helpers import random_run_case, random_strategy, random_valuation, rng_for
 from oracle import assert_valid_trace
 
 POLICIES = ("uniform", "lowest-index", "fixed")
@@ -135,6 +144,12 @@ def test_kernel_pairs_are_reduced_on_the_fuzz_corpus():
             _assert_reduced_pairs(n, m, profile, _policy(rng, name, m))
 
 
+def _unit_sum(m):
+    return (st.lists(st.integers(0, 9), min_size=m, max_size=m)
+            .filter(lambda w: sum(w) > 0)
+            .map(lambda w: Valuation(tuple(Fraction(x, sum(w)) for x in w))))
+
+
 @st.composite
 def _run_cases(draw):
     n = draw(st.integers(1, 5))
@@ -142,10 +157,7 @@ def _run_cases(draw):
     profile = []
     for _ in range(n):
         if draw(st.booleans()):
-            weights = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)
-                           .filter(lambda w: sum(w) > 0))
-            total = sum(weights)
-            profile.append(Proportional(Valuation(tuple(Fraction(w, total) for w in weights))))
+            profile.append(Proportional(draw(_unit_sum(m))))
         else:
             items = draw(st.permutations(range(m)))
             profile.append(Lexicographic(tuple(items[:draw(st.integers(1, m))])))
@@ -168,3 +180,55 @@ def test_coprime_fraction_behaves_like_fraction():
         assert value + Fraction(1, 3) == reference + Fraction(1, 3)
         assert value * 2 - reference == reference
         assert (value < 1) == (reference < 1)
+
+
+def _assert_lean_payoffs(n, m, profile, policy, valuations):
+    """One kernel run per asked-for agent set writes exactly those share rows,
+    and the payoffs built from them equal the full trace's payoffs."""
+    trace = run(n, m, profile, policy, include_segments=False)
+    expected = list(expected_payoffs(trace, valuations))
+    args = _checked_args(n, m, profile, policy)
+    assert _payoffs(args, range(n), valuations) == expected
+    for agent in range(n):
+        assert _payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
+        _, _, gamma = _kernel.run_eating(*args, False, [agent])
+        assert [Fraction(*pair) for pair in gamma[agent]] == list(trace.shares[agent])
+        assert all(row == [] for i, row in enumerate(gamma) if i != agent)
+
+
+def test_lean_payoffs_match_full_trace_on_the_fuzz_corpus():
+    rng = rng_for("kernel-lean-payoffs")
+    for name in POLICIES:
+        for mechanism in ("cps", "ps"):
+            for _ in range(25):
+                n, m, instance, profile, _ = random_run_case(rng)
+                if mechanism == "ps":
+                    profile = ps_profile(profile, m)
+                _assert_lean_payoffs(n, m, profile, _policy(rng, name, m), instance.valuations)
+
+
+def test_lean_payoffs_with_one_item_prefixes_and_sparse_rows():
+    rng = rng_for("kernel-lean-payoffs-sparse")
+    for name in POLICIES:
+        for _ in range(40):
+            n, m = rng.randint(1, 6), rng.randint(2, 7)
+            profile = [rng.choice([
+                Lexicographic(tuple(rng.sample(range(m), 1))),
+                _sparse_proportional(rng, m),
+                random_strategy(rng, m)]) for _ in range(n)]
+            valuations = [random_valuation(rng, m) for _ in range(n)]
+            _assert_lean_payoffs(n, m, profile, _policy(rng, name, m), valuations)
+
+
+@st.composite
+def _payoff_cases(draw):
+    n, m, profile, policy = draw(_run_cases())
+    if draw(st.booleans()):
+        profile = ps_profile(profile, m)
+    return n, m, profile, policy, [draw(_unit_sum(m)) for _ in range(n)]
+
+
+@given(_payoff_cases())
+@settings(max_examples=80, deadline=None)
+def test_lean_payoffs_match_full_trace_property(case):
+    _assert_lean_payoffs(*case)
