@@ -40,12 +40,18 @@ inputs
     weights         per proportional agent: m nonnegative ints (a scaled
                     report; only ratios matter), else an empty list
     orders          per lexicographic agent: 0-based item indices, else []
-    policy_kind     0 = uniform, 1 = lowest-index, 2 = fixed
-    policy_order    permutation of range(m) when policy_kind == 2
+    zero_order      None for the uniform zero policy, else the permutation of
+                    range(m) whose first remaining item an agent with nothing
+                    left to chase eats (range(m) for lowest-index)
+    agents          None for the whole trace, or a list of agents for their
+                    share rows only (no segments)
+
+``eatsim.engine._kernel_args`` builds and checks every input but ``agents``;
+the kernel itself checks nothing.
 
 outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
-    segments        list of (t_start, t_end, rates) with rates an n x m matrix;
-                    built only when ``want_segments`` is true
+    segments        list of (t_start, t_end, rates) with rates an n x m
+                    matrix; empty when the caller names ``agents``
     events          list of (num, den, item), chronological, ties by item
     gamma           n x m matrix of total consumption shares; when the
                     caller names ``agents``, only their rows are written and
@@ -77,25 +83,15 @@ def _sub(a, b):
     return _reduce(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
 
 
-def _zero_target(policy_kind, policy_order, remaining, alive, start):
-    """(position, item): the first remaining item in the lowest-index (1) or
-    fixed (2) zero policy's order; a fixed order is scanned from ``start``."""
-    if policy_kind == 1:
-        return 0, remaining[0]
-    for k in range(start, len(policy_order)):
-        if alive[policy_order[k]]:
-            return k, policy_order[k]
-    raise ValueError("fixed zero policy orders no remaining item")
+def _zero_target(zero_order, alive, k):
+    """(position, item): the first remaining item of the zero policy's order,
+    scanned from position ``k``."""
+    while not alive[zero_order[k]]:
+        k += 1
+    return k, zero_order[k]
 
 
-def _zero_mode(policy_kind, policy_order, remaining, alive):
-    """The mode of an agent with nothing left to chase."""
-    if policy_kind == 0:
-        return UNIFORM, 0
-    return TARGET, _zero_target(policy_kind, policy_order, remaining, alive, 0)[1]
-
-
-def agent_mode(kind, weights, order, policy_kind, policy_order, remaining, alive):
+def agent_mode(kind, weights, order, zero_order, remaining, alive):
     """(mode, value) of one agent given the remaining items.
 
     ``value`` is W_i(S) for PROPORTIONAL and the item for TARGET.
@@ -110,7 +106,10 @@ def agent_mode(kind, weights, order, policy_kind, policy_order, remaining, alive
         for j in order:
             if alive[j]:
                 return TARGET, j
-    return _zero_mode(policy_kind, policy_order, remaining, alive)
+    # nothing left to chase: the zero policy
+    if zero_order is None:
+        return UNIFORM, 0
+    return TARGET, _zero_target(zero_order, alive, 0)[1]
 
 
 def rate_row(mode, value, weights, remaining, m):
@@ -131,29 +130,27 @@ def rate_row(mode, value, weights, remaining, m):
     return row
 
 
-def rates(n, m, kinds, weights, orders, policy_kind, policy_order, remaining):
-    """The n x m rate matrix, as reduced pairs, for a set of remaining items."""
-    remaining = sorted(remaining)
-    if not remaining:
-        raise ValueError("remaining item set is empty")
+def rates(n, m, kinds, weights, orders, zero_order, remaining):
+    """The n x m rate matrix, as reduced pairs, for a nonempty set of distinct
+    remaining items."""
     alive = [False] * m
     for j in remaining:
         alive[j] = True
     matrix = []
     for i in range(n):
-        mode, value = agent_mode(kinds[i], weights[i], orders[i],
-                                 policy_kind, policy_order, remaining, alive)
+        mode, value = agent_mode(kinds[i], weights[i], orders[i], zero_order, remaining, alive)
         matrix.append(rate_row(mode, value, weights[i], remaining, m))
     return matrix
 
 
-def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
-               want_segments=True, agents=None):
-    """Run the eating loop; ``agents`` lists the agents whose share rows are
-    written (default all), and every other row of ``gamma`` stays empty."""
+def run_eating(n, m, kinds, weights, orders, zero_order, agents=None):
+    """Run the eating loop: the whole trace, or with ``agents`` only those
+    agents' share rows (every other row of ``gamma`` stays empty) and no
+    segments."""
     alive = [True] * m
     remaining = list(range(m))
-    if agents is None:
+    whole = agents is None
+    if whole:
         agents = range(n)
     gamma = [[] for _ in range(n)]
     for i in agents:
@@ -179,15 +176,15 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
     mark = [_ZERO] * n
     support = [None] * n  # a proportional agent's remaining items with w_ij > 0
     cursor = [0] * n  # position of the target in a lexicographic order
-    rows = [None] * n  # cached rate rows, only when want_segments
+    rows = [None] * n  # cached rate rows, only for the whole trace
     proportional = []
     eaters = []
     chasers = []
     uniform = 0
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
     for i in range(n):
-        mode[i], value[i] = agent_mode(kinds[i], weights[i], orders[i],
-                                       policy_kind, policy_order, remaining, alive)
+        mode[i], value[i] = agent_mode(kinds[i], weights[i], orders[i], zero_order,
+                                       remaining, alive)
         if mode[i] == PROPORTIONAL:
             support[i] = [j for j in remaining if weights[i][j]]
             proportional.append(i)
@@ -246,7 +243,7 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
         g = gcd(tn, D)
         t_next = (tn // g, D // g)
 
-        if want_segments:
+        if whole:
             shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
             for i in range(n):
                 if mode[i] == UNIFORM:
@@ -330,7 +327,7 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
                 idle.append(i)
         if len(idle) > dry:
             eaters = [i for i in eaters if alive[value[i]]]
-        if policy_kind == 0:
+        if zero_order is None:
             if idle:
                 if z is None:
                     z = _reduce(zn, D)
@@ -339,8 +336,7 @@ def run_eating(n, m, kinds, weights, orders, policy_kind, policy_order,
                     mark[i] = z
                 uniform += len(idle)
         elif idle or (chasers and not alive[value[chasers[0]]]):
-            zero_cursor, target = _zero_target(policy_kind, policy_order, remaining, alive,
-                                               zero_cursor)
+            zero_cursor, target = _zero_target(zero_order, alive, zero_cursor)
             for i in chasers:
                 if value[i] != target:
                     rows[i] = None

@@ -30,7 +30,7 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
-    check_profile,
+    check_strategy,
     decimal_str,
     format_rational,
     integer_form,
@@ -102,7 +102,11 @@ def compute_rates(
     Lexicographic agent puts rate 1 on the first item of its order that is
     still remaining. Agents with nothing left to chase follow the zero policy.
     Every row sums to exactly 1. This is the kernel's own rate rule.
+    ``remaining`` must hold one or more distinct items of ``range(m)``.
     """
+    items = set(remaining)
+    if not items or len(items) < len(remaining) or not items <= set(range(m)):
+        raise ValueError(f"remaining must hold one or more distinct items of range({m})")
     matrix = _kernel_impl.rates(*_kernel_args(len(profile), m, profile, policy), remaining)
     return [[_coprime(num, den) for num, den in row] for row in matrix]
 
@@ -120,34 +124,29 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
-def _kernel_slot(strat: Strategy) -> tuple:
-    """One agent's kernel arguments: (kind, integer weights, order)."""
+def _set_slot(args: tuple, i: int, strat: Strategy) -> None:
+    """Check agent i's strategy against m and write it into the kernel
+    arguments ``args`` (from :func:`_kernel_args`) in place."""
+    _, m, kinds, weights, orders, _ = args
+    check_strategy(i, m, strat)
     if isinstance(strat, Proportional):
-        return 0, strat.report.integer_form[1], ()
-    return 1, (), strat.order
+        kinds[i], weights[i], orders[i] = 0, strat.report.integer_form[1], ()
+    else:
+        kinds[i], weights[i], orders[i] = 1, (), strat.order
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
-    """The kernel's primitive arguments for a profile and a zero policy."""
-    kinds = []
-    weights = []
-    orders = []
-    for strat in profile:
-        kind, w, order = _kernel_slot(strat)
-        kinds.append(kind)
-        weights.append(w)
-        orders.append(order)
-    policy_kind = {"uniform": 0, "lowest-index": 1, "fixed": 2}[policy.kind]
-    policy_order = list(policy.order) if policy.order else []
-    return n, m, kinds, weights, orders, policy_kind, policy_order
-
-
-def _checked_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
-    """:func:`_kernel_args` after checking the profile and the zero policy."""
-    check_profile(n, m, profile)
+    """The kernel's arguments for a profile and a zero policy, after checking
+    both: ``(n, m, kinds, weights, orders, zero_order)``."""
+    if len(profile) != n:
+        raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:
         raise ValueError(f"fixed zero policy must order all {m} items")
-    return _kernel_args(n, m, profile, policy)
+    zero_order = None if policy.kind == "uniform" else list(policy.order or range(m))
+    args = (n, m, [0] * n, [()] * n, [()] * n, zero_order)
+    for i, strat in enumerate(profile):
+        _set_slot(args, i, strat)
+    return args
 
 
 def run(
@@ -155,7 +154,6 @@ def run(
     m: int,
     profile: Sequence[Strategy],
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
-    include_segments: bool = True,
 ) -> Trace:
     """Run the eating process to completion and return its exact trace.
 
@@ -163,13 +161,9 @@ def run(
     depletion, all items hitting zero simultaneously deplete together, and
     items with zero total rate simply persist. Terminates after at most m
     segments, at time exactly m/n.
-
-    ``include_segments=False`` returns a trace with an empty segment list
-    (events and shares only); bulk sweeps that only need payoffs skip the
-    per-segment rate matrices.
     """
     raw_segments, raw_events, raw_gamma = _kernel_impl.run_eating(
-        *_checked_args(n, m, profile, policy), include_segments)
+        *_kernel_args(n, m, profile, policy))
 
     # Rates repeat across rows and segments, and segment ends repeat as
     # starts: build each distinct pair's Fraction once.
@@ -234,12 +228,12 @@ def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation) -> Fraction:
 def _payoffs(args: tuple, agents: Sequence[int],
              valuations: Sequence[Valuation]) -> list[Fraction]:
     """Exact payoffs of ``agents`` (``valuations`` in the same order) from one
-    lean kernel run on checked arguments.
+    lean kernel run on arguments from :func:`_kernel_args`.
 
     The kernel writes only those agents' share rows, and each row goes
     straight into :func:`_dot`: no ``Trace`` and no ``Fraction`` matrix.
     """
-    _, _, gamma = _kernel_impl.run_eating(*args, False, agents)
+    _, _, gamma = _kernel_impl.run_eating(*args, agents)
     return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 

@@ -23,7 +23,6 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
-    check_strategy,
     format_rational,
     strategy_to_json,
 )
@@ -77,18 +76,9 @@ def run_profile(
     profile: Sequence[Strategy],
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
-    include_segments: bool = True,
 ) -> engine.Trace:
     """Run a profile under the chosen eating mechanism (ordinal = converted orders)."""
-    return engine.run(n, m, _mechanism_profile(profile, m, mechanism), policy,
-                      include_segments)
-
-
-def _mechanism_args(
-    n: int, m: int, profile: Sequence[Strategy], mechanism: str, policy: ZeroPolicy
-) -> tuple:
-    """Checked kernel arguments for a profile under the chosen eating mechanism."""
-    return engine._checked_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
+    return engine.run(n, m, _mechanism_profile(profile, m, mechanism), policy)
 
 
 def _check_families(families: Sequence[StrategyFamily], m: int) -> int:
@@ -167,15 +157,13 @@ def best_response(
 
     baseline = baseline if baseline is not None else Proportional(true_valuation)
     profile = list(opponents[:agent]) + [baseline] + list(opponents[agent:])
-    args = _mechanism_args(n, m, profile, mechanism, policy)
-    _, _, kinds, weights, orders, _, _ = args
+    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
     wanted = [agent]
     truth = [true_valuation]
 
     def payoff_of(candidate: Strategy) -> Fraction:
         (strat,) = _mechanism_profile([candidate], m, mechanism)
-        check_strategy(agent, m, strat)
-        kinds[agent], weights[agent], orders[agent] = engine._kernel_slot(strat)
+        engine._set_slot(args, agent, strat)
         return engine._payoffs(args, wanted, truth)[0]
 
     baseline_payoff = engine._payoffs(args, wanted, truth)[0]
@@ -223,6 +211,8 @@ def verify_ne(
     n, m = instance.n, instance.m
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, instance has {n} agents")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     per_agent = _check_families(families, m) + 1
     budget = configured_budget(budget)
     if n * per_agent > budget:
@@ -273,7 +263,7 @@ def ratio_report(
     value) is flagged as an infinite ratio rather than raised.
     """
     n, m = instance.n, instance.m
-    args = _mechanism_args(n, m, profile, mechanism, policy)
+    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
     total = sum(engine._payoffs(args, range(n), instance.valuations), Fraction(0))
     best, _ = opt_welfare(instance)
     return RatioReport(

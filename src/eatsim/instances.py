@@ -42,6 +42,23 @@ class GeneratorError(ValueError):
     """Unknown generator or a parameter outside its documented domain."""
 
 
+# The most valuation entries, n * m, that a generator builds; each generator
+# checks its n and m before it builds a row.
+MAX_ENTRIES = 10 ** 6
+
+
+def _check_size(n: int, m: int) -> None:
+    if n * m > MAX_ENTRIES:
+        raise GeneratorError(f"n * m = {n} * {m} is over the bound of {MAX_ENTRIES}")
+
+
+def _doubling(e: int) -> int:
+    """2**e - 1 items, or a GeneratorError before 2**e is built if it is over the bound."""
+    if e >= MAX_ENTRIES.bit_length():
+        raise GeneratorError(f"2**{e} - 1 items is over the bound of {MAX_ENTRIES}")
+    return 2 ** e - 1
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     name: str
@@ -79,9 +96,11 @@ def _req(params: Mapping, key: str) -> int:
 
 
 def _require_square(n: int) -> int:
+    """sqrt(n) for the n x n square constructions, after the size check."""
     root = math.isqrt(n)
     if root * root != n:
         raise GeneratorError(f"n = {n} must be a perfect square")
+    _check_size(n, n)
     return root
 
 
@@ -155,7 +174,8 @@ def log_m_lb(k: int, q: int) -> Generated:
     if k < 1 or q < 1:
         raise GeneratorError("needs k >= 1 and q >= 1")
     n = k + q
-    m = 2 ** (q + 1) - 1
+    m = _doubling(q + 1)
+    _check_size(n, m)
     rows = []
     for _ in range(k):
         rows.append([Fraction(1) if j == 0 else Fraction(0) for j in range(m)])
@@ -189,8 +209,9 @@ def rp_lb(n: int, eps: Fraction | None = None) -> Generated:
     """Random Priority collapse with m = n*n: one lucky agent takes everything of value."""
     if n < 2:
         raise GeneratorError("needs n >= 2")
-    eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     m = n * n
+    _check_size(n, m)
+    eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     rows = []
     for i in range(n):
         row = [Fraction(0)] * m
@@ -246,10 +267,12 @@ def tightness(x: int, k: int | None = None) -> Generated:
     """
     if x < 2:
         raise GeneratorError("needs x >= 2")
+    blocks = _doubling(x)
     k = k if k is not None else default_tightness_k(x)
     if k < 1:
         raise GeneratorError("needs k >= 1")
-    m = (2 ** x - 1) * k
+    m = blocks * k
+    _check_size(x * k, m)
     rows = []
     offset = 0
     for z in range(x):
@@ -294,6 +317,7 @@ def counterexample_safety(n: int, eps: Fraction | None = None) -> Generated:
     """
     if n < 2:
         raise GeneratorError("needs n >= 2")
+    _check_size(n, n)
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     rows = [[1 - (n - 1) * eps] + [eps] * (n - 1)]
     for _ in range(n - 1):
@@ -315,6 +339,7 @@ def random_instance(n: int, m: int, weight_max: int = 20, seed: int = 0) -> Gene
         raise GeneratorError("needs n >= 1 and m >= 1")
     if weight_max < 1:
         raise GeneratorError("needs weight_max >= 1")
+    _check_size(n, m)
     rng = random.Random(f"eatsim-gen:{seed}:{n}x{m}:{weight_max}")
     rows = []
     for _ in range(n):

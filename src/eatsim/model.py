@@ -246,14 +246,6 @@ class Lexicographic:
 Strategy = Proportional | Lexicographic
 
 
-def check_profile(n: int, m: int, profile: Sequence[Strategy]) -> None:
-    """Reject profiles with wrong arity or out-of-range item indices."""
-    if len(profile) != n:
-        raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
-    for i, strat in enumerate(profile):
-        check_strategy(i, m, strat)
-
-
 def check_strategy(i: int, m: int, strat: Strategy) -> None:
     """Reject agent i's strategy if it does not fit m items."""
     if isinstance(strat, Proportional):

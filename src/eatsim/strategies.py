@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .model import Lexicographic, Proportional, Strategy, Valuation
 
 
+@cache
 def single_minded(item: int, m: int) -> Proportional:
-    """Report value 1 on one item and 0 elsewhere."""
+    """Report value 1 on one item and 0 elsewhere; built once per (item, m)."""
     if not 0 <= item < m:
         raise ValueError(f"item {item} out of range for m = {m}")
     return Proportional(Valuation(tuple(

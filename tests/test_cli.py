@@ -207,6 +207,11 @@ class TestVerifyAndBestResponse:
         assert result.exit_code == EXIT_OK
         assert "verdict: certified" in result.stdout
 
+    def test_negative_epsilon_exit_2(self, capsys):
+        assert main(["verify-ne", "--generator", "example2", "--profile", "truthful",
+                     "--families", "truthful", "--epsilon=-1/2"]) == EXIT_INVALID
+        assert "epsilon must be nonnegative" in capsys.readouterr().out
+
     def test_best_response_report(self):
         result = run_cli(["best-response", "--generator", "example2",
                           "--profile", "truthful", "--agent", "1",
@@ -303,6 +308,10 @@ class TestGenerateAndSample:
     def test_generator_domain_error_exit_2(self):
         result = run_cli(["generate", "--generator", "sqrt-n-lb", "--n", "10"])
         assert result.exit_code == EXIT_INVALID
+
+    def test_oversized_generator_exit_2(self, capsys):
+        assert main(["poa", "--generator", "tightness", "--x", "40"]) == EXIT_INVALID
+        assert "over the bound" in capsys.readouterr().out
 
     def test_sample_deterministic(self):
         argv = ["sample", "--generator", "example1", "--seed", "42"]

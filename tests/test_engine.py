@@ -20,7 +20,7 @@ from eatsim import (
 )
 from eatsim.engine import payoff
 from eatsim.instances import GeneratorSpec, generate, random_instance
-from eatsim.model import decimal_str, format_rational
+from eatsim.model import decimal_str, fixed_order_policy, format_rational
 from eatsim.strategies import as_ordinal, ps_profile, single_minded
 
 from helpers import random_run_case, random_valuation, rng_for
@@ -102,13 +102,6 @@ class TestGoldenRuns:
         assert expected_payoffs(trace, valuations) == tuple(
             valuations[i][i] for i in range(n))
 
-    def test_segments_can_be_skipped_for_bulk_sweeps(self, example1):
-        full = run(3, 3, example1.truthful_profile())
-        lean = run(3, 3, example1.truthful_profile(), include_segments=False)
-        assert lean.segments == ()
-        assert lean.shares == full.shares
-        assert lean.depletion_events == full.depletion_events
-
 
 class TestComputeRates:
     def test_truthful_rates_at_start(self, example1):
@@ -136,6 +129,23 @@ class TestComputeRates:
     def test_empty_remaining_rejected(self):
         with pytest.raises(ValueError):
             compute_rates([Lexicographic((0,))], [], LOWEST_INDEX_FIRST, 1)
+
+    @pytest.mark.parametrize("remaining", [[1, 1], [-1, 1], [0, 3]],
+                             ids=["repeated", "negative", "past-m"])
+    def test_remaining_must_be_distinct_items_in_range(self, remaining):
+        profile = [Proportional(valuation_of(["1/2", "1/2", "0"]))]
+        with pytest.raises(ValueError, match="distinct items"):
+            compute_rates(profile, remaining, LOWEST_INDEX_FIRST, 3)
+
+    def test_report_must_fit_m(self):
+        profile = [Proportional(valuation_of(["1/2", "1/2"]))]
+        with pytest.raises(ValueError, match="report length 2 != m = 3"):
+            compute_rates(profile, range(3), LOWEST_INDEX_FIRST, 3)
+
+    def test_fixed_policy_must_order_every_item(self):
+        # the agent's order runs out, so the two-item policy would be read
+        with pytest.raises(ValueError, match="must order all 3 items"):
+            compute_rates([Lexicographic((0,))], [1, 2], fixed_order_policy((1, 0)), 3)
 
 
 def plain_trace_json(trace, decimals):
@@ -337,7 +347,7 @@ class TestTraceExport:
     def test_payoffs_on_a_large_cps_trace(self):
         # share denominators of about 1,300 bits
         inst = random_instance(20, 20, 20, seed=1).instance
-        trace = run(20, 20, inst.truthful_profile(), include_segments=False)
+        trace = run(20, 20, inst.truthful_profile())
         assert max(g.denominator.bit_length() for row in trace.shares for g in row) > 1200
         payoffs = expected_payoffs(trace, inst.valuations)
         assert payoffs == fraction_payoffs(trace.shares, inst.valuations)

@@ -146,7 +146,7 @@ class TestSweepMatchesPlainRuns:
 
             def full_run_payoff(strategy):
                 trace = run_profile(n, m, profile[:agent] + [strategy] + profile[agent + 1:],
-                                    mechanism, policy, include_segments=False)
+                                    mechanism, policy)
                 return expected_payoffs(trace, instance.valuations)[agent]
 
             assert report.baseline_payoff == full_run_payoff(profile[agent])
@@ -166,6 +166,10 @@ class TestVerifyNe:
         with pytest.raises(ValueError,
                            match=f"profile has {3 + extra} strategies, instance has 3 agents"):
             verify_ne(profile, instance, families=[Truthful(), SingleMinded()])
+
+    def test_negative_epsilon_rejected(self, example2):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            verify_ne(example2.truthful_profile(), example2, F(-1, 2), [Truthful()])
 
     def test_example2_truthful_refuted_with_witness(self, example2):
         cert = verify_ne(example2.truthful_profile(), example2,

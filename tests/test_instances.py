@@ -161,6 +161,10 @@ class TestTightnessBound:
         values = [tightness_bound(x) for x in range(2, 9)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_oversized_layout_rejected_before_any_row(self):
+        with pytest.raises(GeneratorError, match="over the bound"):
+            generate(GeneratorSpec("tightness", {"x": 40}))
+
     def test_default_k_is_ceiling(self):
         assert default_tightness_k(2) == 1   # ceil(3/4)
         assert default_tightness_k(3) == 1   # ceil(7/9)

@@ -3,15 +3,16 @@
 from itertools import chain
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eatsim import _kernel
 from eatsim.engine import (
-    _checked_args,
     _coprime,
     _kernel_args,
     _payoffs,
+    _set_slot,
     expected_payoffs,
     kernel_name,
     run,
@@ -23,6 +24,7 @@ from eatsim.model import (
     Proportional,
     Valuation,
     fixed_order_policy,
+    valuation_of,
 )
 from eatsim.strategies import ps_profile
 from fractions import Fraction
@@ -73,7 +75,7 @@ def test_lean_run_matches_full_run():
         n, m, _, profile, policy = random_run_case(rng)
         full = _check(n, m, profile, policy)
         args = _kernel_args(n, m, profile, policy)
-        segments, events, gamma = _kernel.run_eating(*args, False)
+        segments, events, gamma = _kernel.run_eating(*args, list(range(n)))
         assert segments == []
         assert [(Fraction(num, den), j) for num, den, j in events] == list(full.depletion_events)
         assert [[Fraction(*pair) for pair in row] for row in gamma] == \
@@ -119,7 +121,7 @@ def _assert_reduced_pairs(n, m, profile, policy):
     """Every kernel pair is reduced with den > 0, and the trace holds exactly
     the Fraction of each pair, so building it without a gcd is sound."""
     args = _kernel_args(n, m, profile, policy)
-    segments, events, gamma = _kernel.run_eating(*args, True)
+    segments, events, gamma = _kernel.run_eating(*args)
     pairs = [pair for t0, t1, rates in segments for pair in (t0, t1, *chain(*rates))]
     pairs += [(num, den) for num, den, _ in events]
     pairs += chain(*gamma)
@@ -185,13 +187,13 @@ def test_coprime_fraction_behaves_like_fraction():
 def _assert_lean_payoffs(n, m, profile, policy, valuations):
     """One kernel run per asked-for agent set writes exactly those share rows,
     and the payoffs built from them equal the full trace's payoffs."""
-    trace = run(n, m, profile, policy, include_segments=False)
+    trace = run(n, m, profile, policy)
     expected = list(expected_payoffs(trace, valuations))
-    args = _checked_args(n, m, profile, policy)
+    args = _kernel_args(n, m, profile, policy)
     assert _payoffs(args, range(n), valuations) == expected
     for agent in range(n):
         assert _payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
-        _, _, gamma = _kernel.run_eating(*args, False, [agent])
+        _, _, gamma = _kernel.run_eating(*args, [agent])
         assert [Fraction(*pair) for pair in gamma[agent]] == list(trace.shares[agent])
         assert all(row == [] for i, row in enumerate(gamma) if i != agent)
 
@@ -232,3 +234,38 @@ def _payoff_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_lean_payoffs_match_full_trace_property(case):
     _assert_lean_payoffs(*case)
+
+
+def _assert_lowest_index_is_the_identity_order(n, m, profile):
+    """The lowest-index zero policy is the fixed policy over range(m), under
+    CPS and under PS."""
+    for strategies in (profile, ps_profile(profile, m)):
+        assert run(n, m, strategies, LOWEST_INDEX_FIRST) == \
+            run(n, m, strategies, fixed_order_policy(range(m)))
+
+
+def test_lowest_index_is_the_identity_order_on_the_fuzz_corpus():
+    rng = rng_for("kernel-lowest-index-order")
+    for _ in range(80):
+        n, m, _, profile, _ = random_run_case(rng)
+        _assert_lowest_index_is_the_identity_order(n, m, profile)
+
+
+@given(_run_cases())
+@settings(max_examples=80, deadline=None)
+def test_lowest_index_is_the_identity_order_property(case):
+    n, m, profile, _ = case
+    _assert_lowest_index_is_the_identity_order(n, m, profile)
+
+
+@pytest.mark.parametrize("strategy", [
+    Proportional(valuation_of(["1/2", "1/2"])),
+    Proportional(valuation_of(["1/4", "1/4", "1/4", "1/4"])),
+    Lexicographic((1, 3)),
+    "not a strategy",
+], ids=["short-report", "long-report", "order-past-m", "not-a-strategy"])
+def test_set_slot_rejects_a_strategy_that_does_not_fit_m(strategy):
+    args = _kernel_args(2, 3, [Lexicographic((0,)), Lexicographic((1,))], LOWEST_INDEX_FIRST)
+    with pytest.raises(ValueError, match="agent 2"):
+        _set_slot(args, 1, strategy)
+    assert args == (2, 3, [1, 1], [(), ()], [(0,), (1,)], [0, 1, 2])

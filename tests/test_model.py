@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eatsim.engine import run
 from eatsim.model import (
     Instance,
     InvalidInstanceError,
@@ -13,7 +14,7 @@ from eatsim.model import (
     Proportional,
     Valuation,
     ZeroPolicy,
-    check_profile,
+    check_strategy,
     fixed_order_policy,
     format_rational,
     instance_defects,
@@ -179,11 +180,11 @@ class TestStrategies:
 
     def test_profile_arity_checked(self):
         with pytest.raises(ValueError):
-            check_profile(2, 2, [Proportional(valuation_of(["1", "0"]))])
+            run(2, 2, [Proportional(valuation_of(["1", "0"]))])
 
     def test_profile_order_range_checked(self):
         with pytest.raises(ValueError):
-            check_profile(1, 2, [Lexicographic((5,))])
+            check_strategy(0, 2, Lexicographic((5,)))
 
     def test_strategy_json_uses_one_based_indices(self):
         doc = strategy_to_json(Lexicographic((2, 0)))

@@ -28,6 +28,14 @@ from helpers import random_valuation, rng_for
 F = Fraction
 
 
+def test_single_minded_bids_are_built_once():
+    rng = rng_for("single-minded-once")
+    first, second = (dict(expand_families([SingleMinded()], random_valuation(rng, 4), 4))
+                     for _ in range(2))
+    assert first.keys() == second.keys()
+    assert all(first[label] is second[label] for label in first)
+
+
 class TestSingleMinded:
     def test_basic(self):
         assert single_minded(1, 3).report.values == (F(0), F(1), F(0))
