@@ -135,6 +135,13 @@ def _set_slot(args: tuple, i: int, strat: Strategy) -> None:
         kinds[i], weights[i], orders[i] = 1, (), strat.order
 
 
+def _slot(args: tuple, i: int) -> tuple:
+    """Agent i's slot in the kernel arguments ``args`` as a hashable key:
+    strategies with equal keys are the same kernel input."""
+    _, _, kinds, weights, orders, _ = args
+    return kinds[i], weights[i], tuple(orders[i])
+
+
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
     """The kernel's arguments for a profile and a zero policy, after checking
     both: ``(n, m, kinds, weights, orders, zero_order)``."""

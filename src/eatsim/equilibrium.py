@@ -10,7 +10,7 @@ the search is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -142,12 +142,17 @@ def best_response(
     truthful report) is spliced back in at position ``agent``. Ties keep the
     first candidate in canonical enumeration order.
 
-    Each candidate costs one lean kernel run that writes only the deviating
-    agent's shares. The opponents, the zero policy and the baseline are
-    checked and converted to kernel arguments once; a candidate replaces the
-    deviating agent's slot only.
+    Each candidate costs at most one lean kernel run that writes only the
+    deviating agent's shares. The opponents, the zero policy and the baseline
+    are checked and converted to kernel arguments once; a candidate replaces
+    the deviating agent's slot only. The kernel sees a candidate only through
+    that slot, so a candidate whose slot equals the baseline's or an earlier
+    candidate's reuses that payoff. ``runs`` still counts every candidate
+    and the baseline.
     """
     n = len(opponents) + 1
+    if not 0 <= agent < n:
+        raise ValueError(f"agent {agent} out of range for {n} agents")
     m = len(true_valuation)
     total = _check_families(families, m) + 1
     budget = configured_budget(budget)
@@ -161,12 +166,17 @@ def best_response(
     wanted = [agent]
     truth = [true_valuation]
 
+    baseline_payoff = engine._payoffs(args, wanted, truth)[0]
+    payoffs = {engine._slot(args, agent): baseline_payoff}
+
     def payoff_of(candidate: Strategy) -> Fraction:
         (strat,) = _mechanism_profile([candidate], m, mechanism)
         engine._set_slot(args, agent, strat)
-        return engine._payoffs(args, wanted, truth)[0]
-
-    baseline_payoff = engine._payoffs(args, wanted, truth)[0]
+        key = engine._slot(args, agent)
+        value = payoffs.get(key)
+        if value is None:
+            value = payoffs[key] = engine._payoffs(args, wanted, truth)[0]
+        return value
     best_label = None
     best_strategy = None
     best_payoff = None
@@ -207,6 +217,12 @@ def verify_ne(
     The verdict is an epsilon-Nash statement *within the given families*: it
     is a refutation whenever some agent gains more than epsilon, and a
     certificate otherwise.
+
+    The mechanism treats agents symmetrically: rates, zero policies and
+    depletion ties depend on items and an agent's own strategy, never on its
+    index. So agents with the same true valuation and the same strategy as
+    the kernel sees it have the same sweep, which runs once, for the first of
+    them; the others get its report under their own index.
     """
     n, m = instance.n, instance.m
     if len(profile) != n:
@@ -218,14 +234,23 @@ def verify_ne(
     if n * per_agent > budget:
         raise BudgetExceededError(
             f"verification needs {n * per_agent} engine runs, budget is {budget}")
+    # The checked arguments give each agent's key; a malformed profile
+    # raises here exactly as it does in the first agent's sweep.
+    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
+    swept: dict[tuple, DeviationReport] = {}
     reports = []
     witness = None
     for agent in range(n):
-        opponents = list(profile[:agent]) + list(profile[agent + 1:])
-        report = best_response(
-            agent, opponents, instance.valuations[agent], families,
-            mechanism=mechanism, policy=policy, baseline=profile[agent],
-            budget=budget, collect_candidates=collect_candidates)
+        key = (instance.valuations[agent].integer_form, engine._slot(args, agent))
+        report = swept.get(key)
+        if report is None:
+            opponents = list(profile[:agent]) + list(profile[agent + 1:])
+            report = swept[key] = best_response(
+                agent, opponents, instance.valuations[agent], families,
+                mechanism=mechanism, policy=policy, baseline=profile[agent],
+                budget=budget, collect_candidates=collect_candidates)
+        else:
+            report = replace(report, agent=agent)
         reports.append(report)
         if witness is None and report.gain > epsilon:
             witness = report

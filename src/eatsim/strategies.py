@@ -33,14 +33,15 @@ def sequential(order: Sequence[int]) -> Lexicographic:
 
 def uniform(items: Iterable[int], m: int) -> Proportional:
     """Report 1/k on each of k target items, 0 elsewhere."""
-    targets = sorted(set(items))
+    chosen = set(items)
+    targets = sorted(chosen)
     if not targets:
         raise ValueError("uniform bid needs a nonempty item set")
     if targets[0] < 0 or targets[-1] >= m:
         raise ValueError(f"item out of range for m = {m}")
     share = Fraction(1, len(targets))
     return Proportional(Valuation(tuple(
-        share if j in set(targets) else Fraction(0) for j in range(m))))
+        share if j in chosen else Fraction(0) for j in range(m))))
 
 
 def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportional:
@@ -137,6 +138,14 @@ StrategyFamily = Truthful | SingleMinded | Sequential | Uniform | GridProportion
 _FAMILY_RANK = {Truthful: 0, SingleMinded: 1, Sequential: 2, Uniform: 3, GridProportional: 4}
 
 
+def _rank(family: StrategyFamily) -> int:
+    """The family's place in canonical enumeration order."""
+    rank = _FAMILY_RANK.get(type(family))
+    if rank is None:
+        raise TypeError(f"not a strategy family: {family!r}")
+    return rank
+
+
 def default_grid_resolution(m: int) -> int:
     # d = 12 is affordable for two items, d = 6 for three; beyond that the
     # closed families above replace exhaustive search.
@@ -166,7 +175,9 @@ def family_size(family: StrategyFamily, m: int) -> int:
         return m if family.orders is None else len(family.orders)
     if isinstance(family, Uniform):
         return m if family.sets is None else len(family.sets)
-    return math.comb(family.resolution + m - 1, m - 1)
+    if isinstance(family, GridProportional):
+        return math.comb(family.resolution + m - 1, m - 1)
+    raise TypeError(f"not a strategy family: {family!r}")
 
 
 def expand_family(
@@ -202,13 +213,13 @@ def expand_families(
     families: Sequence[StrategyFamily], truth: Valuation, m: int
 ) -> Iterator[tuple[str, Strategy]]:
     """Expand several families back to back, in canonical family order."""
-    ranked = sorted(families, key=lambda f: _FAMILY_RANK[type(f)])
+    ranked = sorted(families, key=_rank)
     for family in ranked:
         yield from expand_family(family, truth, m)
 
 
 def describe_families(families: Sequence[StrategyFamily], m: int) -> str:
-    ranked = sorted(families, key=lambda f: _FAMILY_RANK[type(f)])
+    ranked = sorted(families, key=_rank)
     parts = []
     for family in ranked:
         if isinstance(family, Truthful):

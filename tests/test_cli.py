@@ -283,6 +283,24 @@ class TestSweepOutputBytes:
         assert result.exit_code == EXIT_OK
         assert hashlib.sha256(result.files["cert.json"].encode("utf-8")).hexdigest() == digest
 
+    # the anchor certificate: its eight identical chasers share one sweep
+    @pytest.mark.parametrize("mechanism, digest", [
+        ("cps", "b2d7f1e0bf8c8e79c9c4e214218dfa2aebb936cc6c7963ae04dfa6b829305e9e"),
+        ("ps", "9f4a1f8211c86ab0cf7af8f6f2dc61414fe7f323c16bc93935bf2785c3e6acdb"),
+    ])
+    def test_log_m_q4_certificate_digest(self, mechanism, digest):
+        result = run_cli(["verify-ne", "--generator", "log-m-lb", "--k", "8", "--q", "4",
+                          "--mechanism", mechanism, "--out", "cert.json"])
+        assert result.exit_code == EXIT_OK
+        assert hashlib.sha256(result.files["cert.json"].encode("utf-8")).hexdigest() == digest
+
+    def test_sqrt_n_certificate_stdout_digest(self):
+        result = run_cli(["verify-ne", "--generator", "sqrt-n-lb", "--n", "16", "--families",
+                          "truthful,single-minded,sequential,uniform", "--dump-candidates"])
+        assert result.exit_code == EXIT_REFUTED
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == \
+            "9adafec5abceac7630a4c06ad76007363182f907730d1f3963dcbbb28dc830f2"
+
     @pytest.mark.parametrize("agent, digest", [
         ("1", "7efb41fed6fbc2ec272f16b3a6286c7130fffb15965798ad0fd2c9a77f44ec6a"),
         ("2", "482817a7e977ca36bc5abc690cd2dbdfc969caaa2699c675e47f186539bfc762"),

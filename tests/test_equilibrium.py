@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eatsim import _kernel
 from eatsim import (
     Lexicographic,
     Proportional,
@@ -35,9 +39,26 @@ from eatsim.strategies import (
     single_minded,
 )
 
-from helpers import random_profile, random_run_case, rng_for
+from helpers import (
+    random_profile, random_run_case, random_strategy, random_valuation, rng_for)
 
 F = Fraction
+
+SWEEP_FAMILIES = [Truthful(), SingleMinded(), Sequential(), Uniform()]
+
+
+def _policy(rng, name, m):
+    return {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
+            "fixed": fixed_order_policy(rng.sample(range(m), m))}[name]
+
+
+def _plain_reports(profile, instance, families, mechanism, policy):
+    """One best_response per agent, sharing no work across agents."""
+    return tuple(
+        best_response(agent, profile[:agent] + profile[agent + 1:],
+                      instance.valuations[agent], families, mechanism, policy,
+                      baseline=profile[agent], collect_candidates=True)
+        for agent in range(instance.n))
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +134,25 @@ class TestBestResponse:
                           [SingleMinded(), Truthful()])
 
 
+    @pytest.mark.parametrize("agent", [-1, 3, 4])
+    def test_agent_index_out_of_range_rejected(self, agent):
+        # at agent -1 the deviator's row used to be the last opponent's,
+        # priced with the deviator's valuation; past n the kernel raised
+        # IndexError
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = instance.truthful_profile()
+        with pytest.raises(ValueError, match=f"agent {agent} out of range for 3 agents"):
+            best_response(agent, profile[:2], instance.valuations[2], [Truthful()])
+
+    @pytest.mark.parametrize("family", ["truthful", object(), None],
+                             ids=["str", "object", "none"])
+    def test_non_family_rejected(self, example2, family):
+        with pytest.raises(TypeError, match="not a strategy family"):
+            verify_ne(example2.truthful_profile(), example2, families=[family])
+        with pytest.raises(TypeError, match="not a strategy family"):
+            best_response(0, example2.truthful_profile()[1:], example2.valuations[0],
+                          [Truthful(), family])
+
     @pytest.mark.parametrize("families", [
         [Sequential(orders=())], [Uniform(sets=())], [Sequential(orders=()), Uniform(sets=())]],
         ids=["sequential", "uniform", "both"])
@@ -124,18 +164,37 @@ class TestBestResponse:
 
 
 class TestSweepMatchesPlainRuns:
-    """Each candidate of a sweep costs one lean kernel run on the deviator's
-    slot; its payoff must be the one a full run of the whole profile gives."""
+    """Each distinct candidate of a sweep costs one lean kernel run on the
+    deviator's slot, and a repeated slot reuses its payoff; every payoff must
+    be the one a full run of the whole profile gives."""
 
     @pytest.mark.parametrize("mechanism", ["cps", "ps"])
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
     def test_candidate_payoffs_equal_full_runs(self, mechanism, policy_name):
-        rng = rng_for(f"sweep-plain-runs:{mechanism}:{policy_name}")
+        self._check_sweeps(rng_for(f"sweep-plain-runs:{mechanism}:{policy_name}"),
+                           mechanism, policy_name, coincide=False)
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_coinciding_candidate_payoffs_equal_full_runs(self, mechanism, policy_name):
+        # the deviator is single-minded on item j and truthful: the baseline,
+        # truthful, single-minded(j) and uniform({j}) are one kernel input
+        # under CPS, and under PS so is every candidate with the same ordinal
+        # shadow, so most payoffs are reused
+        self._check_sweeps(rng_for(f"sweep-coinciding-runs:{mechanism}:{policy_name}"),
+                           mechanism, policy_name, coincide=True)
+
+    @staticmethod
+    def _check_sweeps(rng, mechanism, policy_name, coincide):
         for _ in range(12):
             n, m, instance, profile, _ = random_run_case(rng, max_n=5, max_m=5)
-            policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
-                      "fixed": fixed_order_policy(rng.sample(range(m), m))}[policy_name]
+            policy = _policy(rng, policy_name, m)
             agent = rng.randrange(n)
+            if coincide:
+                rows = list(instance.valuations)
+                rows[agent] = single_minded(rng.randrange(m), m).report
+                instance = Instance(n, m, tuple(rows))
+                profile[agent] = Proportional(rows[agent])
             truth = instance.valuations[agent]
             # one-item prefix orders make the deviator fall to the zero policy
             orders = tuple((j,) for j in range(m)) + (tuple(rng.sample(range(m), m)),)
@@ -155,6 +214,87 @@ class TestSweepMatchesPlainRuns:
             assert [value for _, value in report.candidates] == \
                 [full_run_payoff(strategy) for _, strategy in candidates]
             assert report.runs == len(candidates) + 1
+
+
+class TestSweepsShareWorkAcrossAgents:
+    """verify_ne sweeps once per class of agents with the same true valuation
+    and the same strategy as the kernel sees it; every report must equal the
+    one a sweep of that agent alone gives."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("log-m-lb", {"k": 3, "q": 2}), ("sqrt-n-lb", {"n": 16}),
+        ("stability-lb", {"n": 9}), ("cps-beats-ps", {"n": 9})],
+        ids=["log-m-lb", "sqrt-n-lb", "stability-lb", "cps-beats-ps"])
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_reports_equal_per_agent_sweeps(self, name, params, mechanism, policy_name):
+        generated = generate(GeneratorSpec(name, params))
+        canonical = generated.instance
+        n, m = canonical.n, canonical.m
+        profile = list(generated.bad_profile or canonical.truthful_profile())
+        # relabel the agents so that a block of identical agents is not
+        # contiguous
+        rng = rng_for(f"shared-sweeps:{name}:{mechanism}:{policy_name}")
+        perm = rng.sample(range(n), n)
+        instance = Instance(n, m, tuple(canonical.valuations[c] for c in perm))
+        profile = [profile[c] for c in perm]
+        policy = _policy(rng, policy_name, m)
+        cert = verify_ne(profile, instance, families=SWEEP_FAMILIES, mechanism=mechanism,
+                         policy=policy, collect_candidates=True)
+        plain = _plain_reports(profile, instance, SWEEP_FAMILIES, mechanism, policy)
+        assert cert.reports == plain
+        assert [r.agent for r in cert.reports] == list(range(n))
+        witness = next((r for r in plain if r.gain > 0), None)
+        assert cert.witness == witness
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_only_agents_equal_in_valuation_and_strategy_are_merged(self, data):
+        # copies share a valuation, a strategy or both with their source, so
+        # a sweep shared on one of the two alone gives a wrong report
+        rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+        n0, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        valuations = [random_valuation(rng, m) for _ in range(n0)]
+        profile = random_profile(rng, n0, m)
+        for _ in range(data.draw(st.integers(1, 4))):
+            source = data.draw(st.integers(0, len(profile) - 1))
+            shared = data.draw(st.sampled_from(["valuation", "strategy", "both"]))
+            valuation, strategy = valuations[source], profile[source]
+            if shared == "strategy":
+                valuation = random_valuation(rng, m)
+            elif shared == "valuation":
+                strategy = random_strategy(rng, m)
+            valuations.append(valuation)
+            profile.append(strategy)
+        order = data.draw(st.permutations(range(len(profile))))
+        n = len(profile)
+        instance = Instance(n, m, tuple(valuations[c] for c in order))
+        profile = [profile[c] for c in order]
+        mechanism = data.draw(st.sampled_from(["cps", "ps"]))
+        policy = _policy(rng, data.draw(st.sampled_from(["uniform", "lowest-index", "fixed"])), m)
+        cert = verify_ne(profile, instance, families=SWEEP_FAMILIES, mechanism=mechanism,
+                         policy=policy, collect_candidates=True)
+        assert cert.reports == _plain_reports(profile, instance, SWEEP_FAMILIES,
+                                              mechanism, policy)
+
+    def test_kernel_calls_on_the_dyadic_certificate(self, monkeypatch):
+        # the 10 agents of log-m-lb k=8 q=2 fall into 3 classes, and a
+        # candidate equal to the baseline or an earlier candidate is not run
+        # again; engine_runs still counts every candidate of every agent
+        calls = []
+        run_eating = _kernel.run_eating
+
+        def counted(*args):
+            calls.append(None)
+            return run_eating(*args)
+
+        monkeypatch.setattr(_kernel, "run_eating", counted)
+        gen = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": 2}))
+        cert = verify_ne(list(gen.bad_profile), gen.instance,
+                         families=[Truthful(), SingleMinded(), Sequential()])
+        assert cert.verdict == "certified"
+        assert sum(r.runs for r in cert.reports) == 160
+        assert len(calls) == 44
 
 
 class TestVerifyNe:

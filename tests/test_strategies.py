@@ -11,6 +11,7 @@ from eatsim.strategies import (
     Truthful,
     Uniform,
     as_ordinal,
+    describe_families,
     epsilon_strategy,
     expand_families,
     expand_family,
@@ -168,6 +169,17 @@ class TestFamilies:
         members = list(expand_family(GridProportional(6), truth, 3))
         assert len(members) == 28
         assert all(sum(s.report.values) == 1 for _, s in members)
+
+    @pytest.mark.parametrize("family", ["truthful", object(), None, Truthful],
+                             ids=["str", "object", "none", "class"])
+    def test_non_family_rejected(self, family):
+        truth = valuation_of(["1/2", "1/2"])
+        with pytest.raises(TypeError, match="not a strategy family"):
+            family_size(family, 2)
+        with pytest.raises(TypeError, match="not a strategy family"):
+            list(expand_families([Truthful(), family], truth, 2))
+        with pytest.raises(TypeError, match="not a strategy family"):
+            describe_families([family], 2)
 
     def test_greedy_defaults_follow_the_agent(self):
         truth = valuation_of(["1/10", "7/10", "1/5"])
