@@ -376,11 +376,9 @@ def _cmd_best_response(opts: dict) -> CliResult:
     if not 0 <= agent < instance.n:
         raise _UsageError(f"--agent must be in 1..{instance.n}")
     families = _resolve_families(opts, instance.m)
-    opponents = profile[:agent] + profile[agent + 1:]
     report = equilibrium.best_response(
-        agent, opponents, instance.valuations[agent], families,
+        profile, agent, instance.valuations[agent], families,
         mechanism=opts.get("mechanism", "cps"), policy=policy,
-        baseline=profile[agent],
         collect_candidates=bool(opts.get("dump_candidates")))
     out = io.StringIO()
     out.write(f"{_agent_name(instance, agent)} over {report.families}\n")

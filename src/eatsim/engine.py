@@ -139,7 +139,7 @@ def _slot(args: tuple, i: int) -> tuple:
     """Agent i's slot in the kernel arguments ``args`` as a hashable key:
     strategies with equal keys are the same kernel input."""
     _, _, kinds, weights, orders, _ = args
-    return kinds[i], weights[i], tuple(orders[i])
+    return kinds[i], weights[i], orders[i]
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:

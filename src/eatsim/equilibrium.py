@@ -12,17 +12,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import engine
 from .lotteries import opt as opt_welfare
 from .model import (
     Instance,
     LOWEST_INDEX_FIRST,
-    Proportional,
     Strategy,
     Valuation,
     ZeroPolicy,
+    check_strategy,
     format_rational,
     strategy_to_json,
 )
@@ -63,10 +63,15 @@ def configured_budget(budget: int | None = None) -> int:
 
 
 def _mechanism_profile(profile: Sequence[Strategy], m: int, mechanism: str) -> list[Strategy]:
+    """The profile as the kernel runs it under ``mechanism``; under ps each
+    strategy is checked against m before it is converted, as the kernel
+    arguments check it under cps."""
     if mechanism == "cps":
         return list(profile)
     if mechanism == "ps":
-        return list(ps_profile(profile, m))
+        for i, strat in enumerate(profile):
+            check_strategy(i, m, strat)
+        return ps_profile(profile, m)
     raise ValueError(f"unknown eating mechanism {mechanism!r}")
 
 
@@ -124,82 +129,103 @@ class EquilibriumCertificate:
             raise ValueError("verdict inconsistent with deviation gains")
 
 
+def _sweep(
+    profile: Sequence[Strategy],
+    m: int,
+    agents: Iterable[int],
+    truths: Iterable[Valuation],
+    families: Sequence[StrategyFamily],
+    mechanism: str,
+    policy: ZeroPolicy,
+    collect_candidates: bool,
+) -> list[DeviationReport]:
+    """Sweep each of ``agents`` (true valuations ``truths``, in the same
+    order) over every family member, with ``profile[agent]`` as its baseline.
+
+    The profile and the zero policy are checked and converted to kernel
+    arguments once. Each candidate costs at most one lean kernel run that
+    writes only the deviating agent's shares: it replaces that agent's slot
+    only, and the baseline slot is written back after the agent's sweep. The
+    kernel sees a candidate only through that slot, so a candidate whose slot
+    equals the baseline's or an earlier candidate's reuses that payoff.
+    ``runs`` still counts every candidate and the baseline.
+
+    The mechanism treats agents symmetrically: rates, zero policies and
+    depletion ties depend on items and an agent's own strategy, never on its
+    index. So agents with the same true valuation and the same slot have the
+    same sweep, which runs once, for the first of them; the others get its
+    report under their own index.
+    """
+    strats = _mechanism_profile(profile, m, mechanism)
+    args = engine._kernel_args(len(profile), m, strats, policy)
+    described = describe_families(families, m)
+    swept: dict[tuple, DeviationReport] = {}
+    reports = []
+    for agent, truth in zip(agents, truths):
+        baseline = engine._slot(args, agent)
+        key = (truth.integer_form, baseline)
+        if key in swept:
+            reports.append(replace(swept[key], agent=agent))
+            continue
+        wanted, truth_row = [agent], [truth]
+        baseline_payoff = engine._payoffs(args, wanted, truth_row)[0]
+        payoffs = {baseline: baseline_payoff}
+        best = None
+        collected: list[tuple[str, Fraction]] = []
+        for label, candidate in expand_families(families, truth, m):
+            (strat,) = _mechanism_profile([candidate], m, mechanism)
+            engine._set_slot(args, agent, strat)
+            slot = engine._slot(args, agent)
+            value = payoffs.get(slot)
+            if value is None:
+                value = payoffs[slot] = engine._payoffs(args, wanted, truth_row)[0]
+            collected.append((label, value))
+            if best is None or value > best[2]:
+                best = (label, candidate, value)
+        engine._set_slot(args, agent, strats[agent])
+        best_label, best_strategy, best_payoff = best
+        report = swept[key] = DeviationReport(
+            agent=agent,
+            baseline_payoff=baseline_payoff,
+            best_label=best_label,
+            best_strategy=best_strategy,
+            best_payoff=best_payoff,
+            gain=best_payoff - baseline_payoff,
+            families=described,
+            runs=len(collected) + 1,
+            candidates=tuple(collected) if collect_candidates else None,
+        )
+        reports.append(report)
+    return reports
+
+
 def best_response(
+    profile: Sequence[Strategy],
     agent: int,
-    opponents: Sequence[Strategy],
     true_valuation: Valuation,
     families: Sequence[StrategyFamily],
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
-    baseline: Strategy | None = None,
     budget: int | None = None,
     collect_candidates: bool = False,
 ) -> DeviationReport:
-    """Exhaustively evaluate every family member and return the payoff argmax.
+    """Exhaustively evaluate every family member for ``agent`` against the
+    rest of ``profile`` and return the payoff argmax.
 
-    ``opponents`` are the other n-1 strategies in agent-index order with the
-    deviating agent removed; its candidate (and the ``baseline``, default the
-    truthful report) is spliced back in at position ``agent``. Ties keep the
-    first candidate in canonical enumeration order.
-
-    Each candidate costs at most one lean kernel run that writes only the
-    deviating agent's shares. The opponents, the zero policy and the baseline
-    are checked and converted to kernel arguments once; a candidate replaces
-    the deviating agent's slot only. The kernel sees a candidate only through
-    that slot, so a candidate whose slot equals the baseline's or an earlier
-    candidate's reuses that payoff. ``runs`` still counts every candidate
-    and the baseline.
+    ``profile[agent]`` is the baseline. Ties keep the first candidate in
+    canonical enumeration order.
     """
-    n = len(opponents) + 1
+    n, m = len(profile), len(true_valuation)
     if not 0 <= agent < n:
         raise ValueError(f"agent {agent} out of range for {n} agents")
-    m = len(true_valuation)
     total = _check_families(families, m) + 1
     budget = configured_budget(budget)
     if total > budget:
         raise BudgetExceededError(
             f"family expansion needs {total} engine runs, budget is {budget}")
-
-    baseline = baseline if baseline is not None else Proportional(true_valuation)
-    profile = list(opponents[:agent]) + [baseline] + list(opponents[agent:])
-    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
-    wanted = [agent]
-    truth = [true_valuation]
-
-    baseline_payoff = engine._payoffs(args, wanted, truth)[0]
-    payoffs = {engine._slot(args, agent): baseline_payoff}
-
-    def payoff_of(candidate: Strategy) -> Fraction:
-        (strat,) = _mechanism_profile([candidate], m, mechanism)
-        engine._set_slot(args, agent, strat)
-        key = engine._slot(args, agent)
-        value = payoffs.get(key)
-        if value is None:
-            value = payoffs[key] = engine._payoffs(args, wanted, truth)[0]
-        return value
-    best_label = None
-    best_strategy = None
-    best_payoff = None
-    runs = 1
-    collected: list[tuple[str, Fraction]] = []
-    for label, candidate in expand_families(families, true_valuation, m):
-        value = payoff_of(candidate)
-        runs += 1
-        if collect_candidates:
-            collected.append((label, value))
-        if best_payoff is None or value > best_payoff:
-            best_label, best_strategy, best_payoff = label, candidate, value
-    return DeviationReport(
-        agent=agent,
-        baseline_payoff=baseline_payoff,
-        best_label=best_label,
-        best_strategy=best_strategy,
-        best_payoff=best_payoff,
-        gain=best_payoff - baseline_payoff,
-        families=describe_families(families, m),
-        runs=runs,
-        candidates=tuple(collected) if collect_candidates else None,
-    )
+    (report,) = _sweep(profile, m, [agent], [true_valuation], families,
+                       mechanism, policy, collect_candidates)
+    return report
 
 
 def verify_ne(
@@ -212,21 +238,17 @@ def verify_ne(
     budget: int | None = None,
     collect_candidates: bool = False,
 ) -> EquilibriumCertificate:
-    """Run best_response for every agent; certify or return the refutation.
+    """Sweep every agent; certify or return the refutation.
 
     The verdict is an epsilon-Nash statement *within the given families*: it
     is a refutation whenever some agent gains more than epsilon, and a
     certificate otherwise.
-
-    The mechanism treats agents symmetrically: rates, zero policies and
-    depletion ties depend on items and an agent's own strategy, never on its
-    index. So agents with the same true valuation and the same strategy as
-    the kernel sees it have the same sweep, which runs once, for the first of
-    them; the others get its report under their own index.
     """
     n, m = instance.n, instance.m
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, instance has {n} agents")
+    if isinstance(epsilon, float):
+        raise ValueError("floats are not exact; pass Fraction, int, or a rational string")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     per_agent = _check_families(families, m) + 1
@@ -234,33 +256,16 @@ def verify_ne(
     if n * per_agent > budget:
         raise BudgetExceededError(
             f"verification needs {n * per_agent} engine runs, budget is {budget}")
-    # The checked arguments give each agent's key; a malformed profile
-    # raises here exactly as it does in the first agent's sweep.
-    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
-    swept: dict[tuple, DeviationReport] = {}
-    reports = []
-    witness = None
-    for agent in range(n):
-        key = (instance.valuations[agent].integer_form, engine._slot(args, agent))
-        report = swept.get(key)
-        if report is None:
-            opponents = list(profile[:agent]) + list(profile[agent + 1:])
-            report = swept[key] = best_response(
-                agent, opponents, instance.valuations[agent], families,
-                mechanism=mechanism, policy=policy, baseline=profile[agent],
-                budget=budget, collect_candidates=collect_candidates)
-        else:
-            report = replace(report, agent=agent)
-        reports.append(report)
-        if witness is None and report.gain > epsilon:
-            witness = report
+    reports = _sweep(profile, m, range(n), instance.valuations, families,
+                     mechanism, policy, collect_candidates)
+    witness = next((r for r in reports if r.gain > epsilon), None)
     return EquilibriumCertificate(
         epsilon=epsilon,
         verdict="refuted" if witness is not None else "certified",
         reports=tuple(reports),
         witness=witness,
         mechanism=mechanism,
-        families=describe_families(families, m),
+        families=reports[0].families,
         budget=budget,
     )
 
@@ -314,6 +319,8 @@ def sequential_payoff_floor(
     previous = Fraction(0)
     floor = Fraction(0)
     for x in items:
+        if not 0 <= x < trace.m:
+            raise ValueError(f"item {x} out of range for m = {trace.m}")
         t = times[x]
         if t > 1:
             raise ValueError("floor only applies to items consumed by time 1")

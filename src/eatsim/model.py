@@ -235,6 +235,10 @@ class Lexicographic:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        order = tuple(self.order)
+        if not all(isinstance(j, int) for j in order):
+            raise ValueError("lexicographic order entries must be int item indices")
+        object.__setattr__(self, "order", order)
         if len(set(self.order)) != len(self.order):
             raise ValueError("lexicographic order contains duplicates")
         if any(j < 0 for j in self.order):

@@ -55,9 +55,8 @@ def _policy(rng, name, m):
 def _plain_reports(profile, instance, families, mechanism, policy):
     """One best_response per agent, sharing no work across agents."""
     return tuple(
-        best_response(agent, profile[:agent] + profile[agent + 1:],
-                      instance.valuations[agent], families, mechanism, policy,
-                      baseline=profile[agent], collect_candidates=True)
+        best_response(profile, agent, instance.valuations[agent], families,
+                      mechanism, policy, collect_candidates=True)
         for agent in range(instance.n))
 
 
@@ -69,8 +68,8 @@ def example2():
 class TestBestResponse:
     def test_example2_single_minded_beats_truth(self, example2):
         report = best_response(
+            profile=example2.truthful_profile(),
             agent=0,
-            opponents=example2.truthful_profile()[1:],
             true_valuation=example2.valuations[0],
             families=[Truthful(), SingleMinded()],
         )
@@ -81,8 +80,8 @@ class TestBestResponse:
 
     def test_grid_optimum_at_least_single_minded(self, example2):
         report = best_response(
+            profile=example2.truthful_profile(),
             agent=0,
-            opponents=example2.truthful_profile()[1:],
             true_valuation=example2.valuations[0],
             families=[GridProportional(12)],
         )
@@ -97,8 +96,8 @@ class TestBestResponse:
             item = rng.randrange(m)
             truth = single_minded(item, m).report
             opponents = random_profile(rng, n - 1, m)
-            report = best_response(0, opponents, truth, [SingleMinded()],
-                                   collect_candidates=True)
+            report = best_response([Proportional(truth)] + opponents, 0, truth,
+                                   [SingleMinded()], collect_candidates=True)
             own = dict(report.candidates)[f"single-minded({item + 1})"]
             assert own == report.best_payoff
 
@@ -108,7 +107,7 @@ class TestBestResponse:
             n, m = rng.randint(2, 4), rng.randint(2, 4)
             inst = random_instance(n, m, 10, seed=trial).instance
             report = best_response(
-                0, inst.truthful_profile()[1:], inst.valuations[0],
+                inst.truthful_profile(), 0, inst.valuations[0],
                 [Truthful(), SingleMinded(), Sequential(), Uniform()])
             assert report.gain >= 0
 
@@ -117,20 +116,20 @@ class TestBestResponse:
         # enumeration (truthful first) must win in both orders
         inst = Instance(1, 2, (valuation_of(["1/2", "1/2"]),))
         for families in ([Truthful(), SingleMinded()], [SingleMinded(), Truthful()]):
-            report = best_response(0, [], inst.valuations[0], families)
+            report = best_response(inst.truthful_profile(), 0, inst.valuations[0], families)
             assert report.best_label == "truthful"
             assert report.best_payoff == 1
 
     def test_budget_enforced(self, example2):
         with pytest.raises(BudgetExceededError):
-            best_response(0, example2.truthful_profile()[1:], example2.valuations[0],
+            best_response(example2.truthful_profile(), 0, example2.valuations[0],
                           [GridProportional(12)], budget=5)
 
     def test_budget_env_override(self, example2, monkeypatch):
         monkeypatch.setenv("ALLOC_BUDGET", "3")
         assert configured_budget() == 3
         with pytest.raises(BudgetExceededError):
-            best_response(0, example2.truthful_profile()[1:], example2.valuations[0],
+            best_response(example2.truthful_profile(), 0, example2.valuations[0],
                           [SingleMinded(), Truthful()])
 
 
@@ -142,7 +141,7 @@ class TestBestResponse:
         instance = generate(GeneratorSpec("example1")).instance
         profile = instance.truthful_profile()
         with pytest.raises(ValueError, match=f"agent {agent} out of range for 3 agents"):
-            best_response(agent, profile[:2], instance.valuations[2], [Truthful()])
+            best_response(profile, agent, instance.valuations[2], [Truthful()])
 
     @pytest.mark.parametrize("family", ["truthful", object(), None],
                              ids=["str", "object", "none"])
@@ -150,7 +149,7 @@ class TestBestResponse:
         with pytest.raises(TypeError, match="not a strategy family"):
             verify_ne(example2.truthful_profile(), example2, families=[family])
         with pytest.raises(TypeError, match="not a strategy family"):
-            best_response(0, example2.truthful_profile()[1:], example2.valuations[0],
+            best_response(example2.truthful_profile(), 0, example2.valuations[0],
                           [Truthful(), family])
 
     @pytest.mark.parametrize("families", [
@@ -158,7 +157,7 @@ class TestBestResponse:
         ids=["sequential", "uniform", "both"])
     def test_families_without_members_rejected(self, example2, families):
         with pytest.raises(ValueError, match="no members"):
-            best_response(0, example2.truthful_profile()[1:], example2.valuations[0], families)
+            best_response(example2.truthful_profile(), 0, example2.valuations[0], families)
         with pytest.raises(ValueError, match="no members"):
             verify_ne(example2.truthful_profile(), example2, families=families)
 
@@ -199,8 +198,7 @@ class TestSweepMatchesPlainRuns:
             # one-item prefix orders make the deviator fall to the zero policy
             orders = tuple((j,) for j in range(m)) + (tuple(rng.sample(range(m), m)),)
             families = [Truthful(), SingleMinded(), Sequential(orders), Uniform()]
-            report = best_response(agent, profile[:agent] + profile[agent + 1:], truth,
-                                   families, mechanism, policy, baseline=profile[agent],
+            report = best_response(profile, agent, truth, families, mechanism, policy,
                                    collect_candidates=True)
 
             def full_run_payoff(strategy):
@@ -307,6 +305,12 @@ class TestVerifyNe:
                            match=f"profile has {3 + extra} strategies, instance has 3 agents"):
             verify_ne(profile, instance, families=[Truthful(), SingleMinded()])
 
+    def test_float_epsilon_rejected(self, example2):
+        # a float epsilon used to certify after a float comparison, and the
+        # certificate then failed to render
+        with pytest.raises(ValueError, match="floats are not exact"):
+            verify_ne(example2.truthful_profile(), example2, 0.1, [Truthful()])
+
     def test_negative_epsilon_rejected(self, example2):
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             verify_ne(example2.truthful_profile(), example2, F(-1, 2), [Truthful()])
@@ -411,6 +415,34 @@ class TestVerifyNe:
         assert all(r.baseline_payoff == F(2, 3) for r in cert.reports)
 
 
+class TestMalformedProfilesUnderBothMechanisms:
+    """ps converts a profile to lexicographic orders; it must first reject
+    what the kernel arguments reject under cps, with the same message."""
+
+    @pytest.mark.parametrize("entry, message", [
+        (Proportional(valuation_of(["1/2", "1/2"])), "agent 2: report length 2 != m = 3"),
+        ("x", "agent 2: not a strategy: 'x'"),
+    ], ids=["short-report", "not-a-strategy"])
+    @pytest.mark.parametrize("call", ["verify_ne", "best_response", "ratio_report",
+                                      "run_profile"])
+    def test_same_error_under_cps_and_ps(self, call, entry, message):
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = instance.truthful_profile()
+        profile[1] = entry
+        calls = {
+            "verify_ne": lambda mech: verify_ne(
+                profile, instance, families=[Truthful(), SingleMinded()], mechanism=mech),
+            "best_response": lambda mech: best_response(
+                profile, 0, instance.valuations[0], [Truthful(), SingleMinded()], mech),
+            "ratio_report": lambda mech: ratio_report(instance, profile, mech),
+            "run_profile": lambda mech: run_profile(3, 3, profile, mech),
+        }
+        for mechanism in ("cps", "ps"):
+            with pytest.raises(ValueError) as exc:
+                calls[call](mechanism)
+            assert str(exc.value) == message
+
+
 class TestRatioReport:
     def test_example2_truthful_ratio(self, example2):
         report = ratio_report(example2, example2.truthful_profile())
@@ -440,6 +472,13 @@ class TestSequentialPayoffFloor:
                 if trace.consumption_times()[j] > 1]
         with pytest.raises(ValueError):
             sequential_payoff_floor(trace, gen.instance.valuations[0], late[:1])
+
+    @pytest.mark.parametrize("item", [-1, 2, 5])
+    def test_rejects_items_out_of_range(self, example2, item):
+        # -1 used to read the last item's time and 5 raised IndexError
+        trace = run_profile(2, 2, example2.truthful_profile())
+        with pytest.raises(ValueError, match=f"item {item} out of range for m = 2"):
+            sequential_payoff_floor(trace, example2.valuations[0], [item])
 
     def test_rejects_unsorted_sequences(self, example2):
         profile = [single_minded(0, 2), example2.truthful_profile()[1]]

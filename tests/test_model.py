@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eatsim.engine import run
+from eatsim.equilibrium import run_profile
+from eatsim.lotteries import random_priority
 from eatsim.model import (
     Instance,
     InvalidInstanceError,
@@ -177,6 +179,27 @@ class TestStrategies:
     def test_lexicographic_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Lexicographic((0, 1, 0))
+
+    def test_lexicographic_order_is_a_tuple_of_ints(self):
+        # a list order used to run under cps only: ps and RP concatenated
+        # it with a tuple, and the strategy could not be hashed
+        listed = Lexicographic([0, 1])
+        assert listed == Lexicographic((0, 1))
+        assert hash(listed) == hash(Lexicographic((0, 1)))
+        assert listed.order == (0, 1) and type(listed.order) is tuple
+        for mechanism in ("cps", "ps"):
+            assert run_profile(2, 3, [listed, Lexicographic((2,))], mechanism) == \
+                run_profile(2, 3, [Lexicographic((0, 1)), Lexicographic((2,))], mechanism)
+        instance = Instance(2, 3, (valuation_of(["1/2", "1/2", "0"]),
+                                   valuation_of(["0", "1/2", "1/2"])))
+        assert random_priority(instance, [listed, Lexicographic((2,))]) == \
+            random_priority(instance, [Lexicographic((0, 1)), Lexicographic((2,))])
+
+    @pytest.mark.parametrize("order", [(1.0,), (0, "1"), (None,)],
+                             ids=["float", "str", "none"])
+    def test_lexicographic_rejects_non_int_entries(self, order):
+        with pytest.raises(ValueError, match="must be int item indices"):
+            Lexicographic(order)
 
     def test_profile_arity_checked(self):
         with pytest.raises(ValueError):
