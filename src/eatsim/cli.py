@@ -4,14 +4,18 @@ Every run is captured as an :class:`ExperimentConfig`, a fully serializable
 record of the subcommand and its options; re-executing an identical config
 reproduces byte-identical outputs (Monte Carlo included, via seeds).
 
-Exit codes: 0 success, 1 parse error, 2 invariant/domain violation,
-3 equilibrium refuted, 4 budget or enumeration refusal, 64 usage error.
+Option defaults live in the parser only; handlers read ``opts[...]``.
+
+Exit codes: 0 success, 1 parse error or unreadable/unwritable file,
+2 invariant/domain violation, 3 equilibrium refuted, 4 budget or enumeration
+refusal, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,8 +34,9 @@ from .model import (
     decimal_str,
     fixed_order_policy,
     format_rational,
+    instance_from_json,
     instance_to_json,
-    load_instance,
+    load_json,
     parse_rational,
     profile_from_json,
     profile_to_json,
@@ -60,6 +65,8 @@ POA_CSV_COLUMNS = [
 ]
 
 DEFAULT_FAMILIES = "truthful,single-minded,sequential"
+
+RRP_SAMPLES = 10000
 
 
 class _UsageError(Exception):
@@ -113,17 +120,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="eatsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, generator=True, profile=True, mechanism=None, policy=True):
-        if generator:
-            p.add_argument("--instance", help="instance JSON file")
-            p.add_argument("--generator", help="named instance generator")
-            p.add_argument("--n", type=int)
-            p.add_argument("--m", type=int)
-            p.add_argument("--k", type=int)
-            p.add_argument("--q", type=int)
-            p.add_argument("--x", type=int)
-            p.add_argument("--eps", help="rational, e.g. 1/4096")
-            p.add_argument("--weight-max", type=int, dest="weight_max")
+    def add_common(p, profile=True, mechanism=None, policy=True):
+        p.add_argument("--instance", help="instance JSON file")
+        p.add_argument("--generator", help="named instance generator")
+        p.add_argument("--n", type=int)
+        p.add_argument("--m", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--q", type=int)
+        p.add_argument("--x", type=int)
+        p.add_argument("--eps", help="rational, e.g. 1/4096")
+        p.add_argument("--weight-max", type=int, dest="weight_max")
         if profile:
             p.add_argument("--profile", help="profile JSON file, 'truthful', or 'bad'")
         if mechanism:
@@ -131,7 +137,7 @@ def _build_parser() -> _Parser:
         if policy:
             p.add_argument("--zero-policy", dest="zero_policy", default="lowest-index",
                            help="uniform | lowest-index | fixed:<1-based permutation>")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file path")
 
     p = sub.add_parser("simulate", help="run the eating process and export the trace")
@@ -164,7 +170,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rrp", help="repeated random priority (sampled)")
     add_common(p, policy=False)
-    p.add_argument("--samples", type=_sample_count, default=10000)
+    p.add_argument("--samples", type=_sample_count)
 
     p = sub.add_parser("generate", help="write a generated instance (and bad profile)")
     add_common(p, profile=False, policy=False)
@@ -194,12 +200,12 @@ def _resolve_instance(opts: dict) -> tuple[Instance, instances.Generated | None]
     if opts.get("instance") and opts.get("generator"):
         raise _UsageError("pass either --instance or --generator, not both")
     if opts.get("instance"):
-        return load_instance(opts["instance"]), None
+        return instance_from_json(load_json(opts["instance"])), None
     if opts.get("generator"):
         params = {key: opts[key] for key in ("n", "m", "k", "q", "x", "eps", "weight_max")
                   if key in opts}
         generated = instances.generate(
-            instances.GeneratorSpec(opts["generator"], params, opts.get("seed")))
+            instances.GeneratorSpec(opts["generator"], params, opts["seed"]))
         return generated.instance, generated
     raise _UsageError("an --instance file or a --generator is required")
 
@@ -214,16 +220,11 @@ def _resolve_profile(opts: dict, instance: Instance,
         if generated is None or generated.bad_profile is None:
             raise _UsageError("this instance has no designated bad profile")
         return list(generated.bad_profile)
-    with open(token, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{token}: invalid JSON: {exc}") from None
-    return profile_from_json(doc, instance.n, instance.m)
+    return profile_from_json(load_json(token), instance.n, instance.m)
 
 
 def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
-    token = opts.get("zero_policy", "lowest-index")
+    token = opts["zero_policy"]
     if token == "uniform":
         return UNIFORM_OVER_REMAINING
     if token == "lowest-index":
@@ -241,7 +242,7 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
 
 def _resolve_families(opts: dict, m: int):
     families = []
-    for token in opts.get("families", DEFAULT_FAMILIES).split(","):
+    for token in opts["families"].split(","):
         token = token.strip()
         if token == "truthful":
             families.append(Truthful())
@@ -279,6 +280,22 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _out_file(opts: dict, make_doc) -> dict[str, str]:
+    """The ``--out`` file as ``{path: JSON text}``; ``make_doc()`` runs only if asked."""
+    return {opts["out"]: _json_text(make_doc())} if opts.get("out") else {}
+
+
+def _lottery(opts: dict, mechanism: str, instance: Instance,
+             profile: list[Strategy]) -> lotteries.MechanismResult:
+    """RP, exact unless --samples; or RRP, RRP_SAMPLES draws unless --samples."""
+    samples = opts.get("samples")
+    if mechanism == "rp":
+        return lotteries.random_priority(instance, profile, samples,
+                                         None if samples is None else opts["seed"])
+    return lotteries.repeated_random_priority(instance, profile, samples or RRP_SAMPLES,
+                                              opts["seed"])
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -287,13 +304,13 @@ def _cmd_simulate(opts: dict) -> CliResult:
     instance, generated = _resolve_instance(opts)
     profile = _resolve_profile(opts, instance, generated)
     policy = _resolve_policy(opts, instance.m)
-    mechanism = opts.get("mechanism", "cps")
+    mechanism = opts["mechanism"]
     trace = equilibrium.run_profile(instance.n, instance.m, profile, mechanism, policy)
     payoffs = engine.expected_payoffs(trace, instance.valuations)
 
     out = io.StringIO()
     out.write(f"instance: n={instance.n} m={instance.m}\n")
-    out.write(f"mechanism: {mechanism}  zero-policy: {opts.get('zero_policy', 'lowest-index')}"
+    out.write(f"mechanism: {mechanism}  zero-policy: {opts['zero_policy']}"
               f"  kernel: {engine.kernel_name()}\n")
     out.write("depletion events:\n")
     for idx, (t, j) in enumerate(trace.depletion_events, start=1):
@@ -306,11 +323,8 @@ def _cmd_simulate(opts: dict) -> CliResult:
     for i, p in enumerate(payoffs):
         out.write(f"  {_agent_name(instance, i)}: {_both(p)}\n")
     out.write(f"welfare: {_both(sum(payoffs, Fraction(0)))}\n")
-
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text(engine.trace_to_json(trace, decimals=True))
-    return CliResult(EXIT_OK, out.getvalue(), files)
+    return CliResult(EXIT_OK, out.getvalue(), _out_file(
+        opts, lambda: engine.trace_to_json(trace, decimals=True)))
 
 
 def _cmd_opt(opts: dict) -> CliResult:
@@ -320,14 +334,11 @@ def _cmd_opt(opts: dict) -> CliResult:
     out.write(f"opt welfare: {_both(value)}\n")
     for j, agent in enumerate(assignment):
         out.write(f"  item {j + 1} -> {_agent_name(instance, agent)}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text({
-            "opt_welfare": format_rational(value),
-            "opt_welfare_approx": decimal_str(value),
-            "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
-        })
-    return CliResult(EXIT_OK, out.getvalue(), files)
+    return CliResult(EXIT_OK, out.getvalue(), _out_file(opts, lambda: {
+        "opt_welfare": format_rational(value),
+        "opt_welfare_approx": decimal_str(value),
+        "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
+    }))
 
 
 def _cmd_poa(opts: dict) -> CliResult:
@@ -335,7 +346,7 @@ def _cmd_poa(opts: dict) -> CliResult:
     default = "bad" if generated is not None and generated.bad_profile else "truthful"
     profile = _resolve_profile(opts, instance, generated, default=default)
     policy = _resolve_policy(opts, instance.m)
-    mechanism = opts.get("mechanism", "cps")
+    mechanism = opts["mechanism"]
     mechanisms = ["cps", "ps"] if mechanism == "both" else [mechanism]
     best = lotteries.opt(instance)[0]
 
@@ -344,17 +355,9 @@ def _cmd_poa(opts: dict) -> CliResult:
     writer.writerow(POA_CSV_COLUMNS)
     for mech in mechanisms:
         if mech in ("cps", "ps"):
-            report = equilibrium.ratio_report(instance, profile, mech, policy)
-            total = report.welfare
-        elif mech == "rp":
-            samples = opts.get("samples")
-            total = lotteries.random_priority(
-                instance, profile, samples,
-                None if samples is None else opts.get("seed", 0)).expected_welfare
+            total = equilibrium.ratio_report(instance, profile, mech, policy).welfare
         else:
-            total = lotteries.repeated_random_priority(
-                instance, profile, opts.get("samples", 10000),
-                opts.get("seed", 0)).expected_welfare
+            total = _lottery(opts, mech, instance, profile).expected_welfare
         ratio = best / total if total > 0 else None
         writer.writerow([
             instance.n, instance.m, mech,
@@ -378,8 +381,8 @@ def _cmd_best_response(opts: dict) -> CliResult:
     families = _resolve_families(opts, instance.m)
     report = equilibrium.best_response(
         profile, agent, instance.valuations[agent], families,
-        mechanism=opts.get("mechanism", "cps"), policy=policy,
-        collect_candidates=bool(opts.get("dump_candidates")))
+        mechanism=opts["mechanism"], policy=policy,
+        collect_candidates=opts["dump_candidates"])
     out = io.StringIO()
     out.write(f"{_agent_name(instance, agent)} over {report.families}\n")
     out.write(f"baseline payoff: {_both(report.baseline_payoff)}\n")
@@ -388,10 +391,8 @@ def _cmd_best_response(opts: dict) -> CliResult:
     if report.candidates:
         for label, payoff in report.candidates:
             out.write(f"  candidate {label}: {_both(payoff)}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text(equilibrium.deviation_report_to_json(report))
-    return CliResult(EXIT_OK, out.getvalue(), files)
+    return CliResult(EXIT_OK, out.getvalue(), _out_file(
+        opts, lambda: equilibrium.deviation_report_to_json(report)))
 
 
 def _cmd_verify_ne(opts: dict) -> CliResult:
@@ -399,11 +400,11 @@ def _cmd_verify_ne(opts: dict) -> CliResult:
     profile = _resolve_profile(opts, instance, generated)
     policy = _resolve_policy(opts, instance.m)
     families = _resolve_families(opts, instance.m)
-    epsilon = parse_rational(str(opts.get("epsilon", "0")))
+    epsilon = parse_rational(opts["epsilon"])
     cert = equilibrium.verify_ne(
         profile, instance, epsilon, families,
-        mechanism=opts.get("mechanism", "cps"), policy=policy,
-        collect_candidates=bool(opts.get("dump_candidates")))
+        mechanism=opts["mechanism"], policy=policy,
+        collect_candidates=opts["dump_candidates"])
     out = io.StringIO()
     out.write(f"verdict: {cert.verdict} (epsilon = {format_rational(cert.epsilon)},"
               f" families: {cert.families})\n")
@@ -416,11 +417,9 @@ def _cmd_verify_ne(opts: dict) -> CliResult:
         out.write(f"witness: {_agent_name(instance, cert.witness.agent)}"
                   f" deviates to {cert.witness.best_label}"
                   f" for a gain of {_both(cert.witness.gain)}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text(equilibrium.certificate_to_json(cert, profile))
     code = EXIT_REFUTED if cert.verdict == "refuted" else EXIT_OK
-    return CliResult(code, out.getvalue(), files)
+    return CliResult(code, out.getvalue(), _out_file(
+        opts, lambda: equilibrium.certificate_to_json(cert, profile)))
 
 
 def _mechanism_result_doc(result: lotteries.MechanismResult) -> dict:
@@ -438,25 +437,9 @@ def _mechanism_result_doc(result: lotteries.MechanismResult) -> dict:
     return doc
 
 
-def _cmd_rp(opts: dict) -> CliResult:
+def _cmd_lottery(mechanism: str, opts: dict) -> CliResult:
     instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    samples = opts.get("samples")
-    seed = opts.get("seed", 0)
-    result = lotteries.random_priority(instance, profile, samples,
-                                       None if samples is None else seed)
-    return _finish_mechanism(opts, result)
-
-
-def _cmd_rrp(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    result = lotteries.repeated_random_priority(
-        instance, profile, opts.get("samples", 10000), opts.get("seed", 0))
-    return _finish_mechanism(opts, result)
-
-
-def _finish_mechanism(opts: dict, result: lotteries.MechanismResult) -> CliResult:
+    result = _lottery(opts, mechanism, instance, _resolve_profile(opts, instance, generated))
     out = io.StringIO()
     out.write(f"{result.mechanism} ({result.method})\n")
     out.write(f"expected welfare: {_both(result.expected_welfare)}")
@@ -465,10 +448,8 @@ def _finish_mechanism(opts: dict, result: lotteries.MechanismResult) -> CliResul
     out.write("\n")
     for i, p in enumerate(result.per_agent):
         out.write(f"  agent {i + 1}: {_both(p)}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text(_mechanism_result_doc(result))
-    return CliResult(EXIT_OK, out.getvalue(), files)
+    return CliResult(EXIT_OK, out.getvalue(), _out_file(
+        opts, lambda: _mechanism_result_doc(result)))
 
 
 def _cmd_generate(opts: dict) -> CliResult:
@@ -480,10 +461,8 @@ def _cmd_generate(opts: dict) -> CliResult:
     out.write(f"generated {opts['generator']}: n={instance.n} m={instance.m}\n")
     for key, value in sorted(generated.notes.items()):
         out.write(f"  {key}: {value}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text(doc)
-    else:
+    files = _out_file(opts, lambda: doc)
+    if not files:
         out.write(_json_text(doc))
     if opts.get("profile_out"):
         if generated.bad_profile is None:
@@ -497,20 +476,17 @@ def _cmd_sample(opts: dict) -> CliResult:
     profile = _resolve_profile(opts, instance, generated)
     policy = _resolve_policy(opts, instance.m)
     trace = equilibrium.run_profile(instance.n, instance.m, profile,
-                                    opts.get("mechanism", "cps"), policy)
-    seed = opts.get("seed", 0)
+                                    opts["mechanism"], policy)
+    seed = opts["seed"]
     assignment = engine.sample_allocation(trace, seed)
     out = io.StringIO()
     out.write(f"seed {seed}\n")
     for j, agent in enumerate(assignment):
         out.write(f"  item {j + 1} -> {_agent_name(instance, agent)}\n")
-    files = {}
-    if opts.get("out"):
-        files[opts["out"]] = _json_text({
-            "seed": seed,
-            "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
-        })
-    return CliResult(EXIT_OK, out.getvalue(), files)
+    return CliResult(EXIT_OK, out.getvalue(), _out_file(opts, lambda: {
+        "seed": seed,
+        "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
+    }))
 
 
 _COMMANDS = {
@@ -519,8 +495,8 @@ _COMMANDS = {
     "poa": _cmd_poa,
     "best-response": _cmd_best_response,
     "verify-ne": _cmd_verify_ne,
-    "rp": _cmd_rp,
-    "rrp": _cmd_rrp,
+    "rp": functools.partial(_cmd_lottery, "rp"),
+    "rrp": functools.partial(_cmd_lottery, "rrp"),
     "generate": _cmd_generate,
     "sample": _cmd_sample,
 }
@@ -560,10 +536,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
+    try:
+        # files first, so a run whose output cannot be written prints only the error
+        for path, text in sorted(result.files.items()):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        sys.stdout.write(f"error: {exc}\n")
+        return EXIT_PARSE
     sys.stdout.write(result.stdout)
-    for path, text in sorted(result.files.items()):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return result.exit_code
 
 

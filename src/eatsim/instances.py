@@ -96,11 +96,15 @@ def _req(params: Mapping, key: str) -> int:
 
 
 def _require_square(n: int) -> int:
-    """sqrt(n) for the n x n square constructions, after the size check."""
+    """sqrt(n) for the n x n square constructions, which need a square n >= 4."""
+    if n < 0:
+        raise GeneratorError("needs n >= 4")
     root = math.isqrt(n)
     if root * root != n:
         raise GeneratorError(f"n = {n} must be a perfect square")
     _check_size(n, n)
+    if root < 2:
+        raise GeneratorError("needs n >= 4")
     return root
 
 
@@ -145,8 +149,6 @@ def sqrt_n_lb(n: int, eps: Fraction | None = None) -> Generated:
     bad profile) splits every item nearly uniformly.
     """
     root = _require_square(n)
-    if root < 2:
-        raise GeneratorError("needs n >= 4")
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 3), n)
     high = Fraction(1, n) + eps
     low = Fraction(1, n) - eps / (n - 1)
@@ -193,8 +195,6 @@ def log_m_lb(k: int, q: int) -> Generated:
 def stability_lb(n: int) -> Generated:
     """Best-equilibrium gap: sqrt(n) matched specialists vs a uniform crowd."""
     root = _require_square(n)
-    if root < 2:
-        raise GeneratorError("needs n >= 4")
     rows = []
     for i in range(n):
         if i < root:
@@ -226,8 +226,6 @@ def rp_lb(n: int, eps: Fraction | None = None) -> Generated:
 def ps_beats_cps(n: int) -> Generated:
     """Near-uniform values with a mild own-item tilt: splitting rates wastes it."""
     root = _require_square(n)
-    if root < 2:
-        raise GeneratorError("needs n >= 4")
     own = Fraction(1, root)
     other = (1 - own) / (n - 1)
     rows = [[own if j == i else other for j in range(n)] for i in range(n)]
@@ -242,8 +240,6 @@ def cps_beats_ps(n: int, eps: Fraction | None = None) -> Generated:
     starves the specialists; proportional eating barely perturbs them.
     """
     root = _require_square(n)
-    if root < 2:
-        raise GeneratorError("needs n >= 4")
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     high = Fraction(1, n) + eps
     low = Fraction(1, n) - eps / (root - 1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, Strategy
+from .model import Instance, Strategy, check_strategy
 from .strategies import as_ordinal
 
 
@@ -76,6 +76,16 @@ def opt(instance: Instance) -> tuple[Fraction, tuple[int, ...]]:
     agents = range(instance.n)
     assignment = tuple(max(agents, key=column.__getitem__) for column in zip(*rows))
     return Fraction(sum(rows[i][j] for j, i in enumerate(assignment)), d), assignment
+
+
+def _rankings(reports: Sequence[Strategy], n: int, m: int) -> list[tuple[int, ...]]:
+    """Each report's item ranking, after checking every report against m as
+    the eating mechanisms do."""
+    if len(reports) != n:
+        raise ValueError(f"expected {n} reports, got {len(reports)}")
+    for i, strat in enumerate(reports):
+        check_strategy(i, m, strat)
+    return [as_ordinal(s, m).order for s in reports]
 
 
 def _valued(rows: Sequence[Sequence[int]]) -> list[bool]:
@@ -136,13 +146,11 @@ def random_priority(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    if len(reports) != n:
-        raise ValueError(f"expected {n} reports, got {len(reports)}")
+    rankings = _rankings(reports, n, m)
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     if samples is not None and seed is None:
         raise ValueError("Monte Carlo mode requires a seed")
-    rankings = [as_ordinal(s, m).order for s in reports]
     denom, value_int = instance.value_table
     valued = _valued(value_int)
     valued_count = sum(valued)
@@ -217,9 +225,7 @@ def repeated_random_priority(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    if len(reports) != n:
-        raise ValueError(f"expected {n} reports, got {len(reports)}")
-    rankings = [as_ordinal(s, m).order for s in reports]
+    rankings = _rankings(reports, n, m)
     denom, value_int = instance.value_table
     valued = _valued(value_int)
     valued_count = sum(valued)

@@ -328,8 +328,11 @@ def instance_from_json(doc: dict) -> Instance:
         n = int(doc["n"])
         m = int(doc["m"])
         raw_rows = doc["valuations"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"instance document missing or malformed field: {exc}") from None
+    for key in ("n", "m"):
+        if type(doc[key]) is not int:  # int() above also takes 2.7, true and "2"
+            raise ParseError(f"{key!r} must be a JSON integer, got {json.dumps(doc[key])}")
     if not isinstance(raw_rows, list):
         raise ParseError("'valuations' must be a list of rows")
     rows = []
@@ -338,8 +341,9 @@ def instance_from_json(doc: dict) -> Instance:
             raise ParseError(f"agent {i + 1}: valuation row must be a list")
         rows.append(tuple(parse_rational(x) for x in raw))
     labels = doc.get("labels") or {}
-    agent_labels = tuple(labels["agents"]) if "agents" in labels else None
-    item_labels = tuple(labels["items"]) if "items" in labels else None
+    if not isinstance(labels, dict):
+        raise ParseError("'labels' must be an object")
+    agent_labels, item_labels = (_labels(labels, key) for key in ("agents", "items"))
     try:
         valuations = tuple(Valuation(r) for r in rows)
     except ValueError:
@@ -349,13 +353,22 @@ def instance_from_json(doc: dict) -> Instance:
     return Instance(n, m, valuations, agent_labels, item_labels)
 
 
-def load_instance(path: str) -> Instance:
+def _labels(labels: dict, key: str) -> tuple[str, ...] | None:
+    if key not in labels:
+        return None
+    names = labels[key]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ParseError(f"labels.{key} must be a list of strings")
+    return tuple(names)
+
+
+def load_json(path: str):
+    """The JSON document in an input file; invalid JSON is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return instance_from_json(doc)
 
 
 def strategy_to_json(strategy: Strategy) -> dict:
@@ -370,13 +383,18 @@ def strategy_from_json(doc: dict, m: int | None = None) -> Strategy:
         raise ParseError("strategy must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "proportional":
-        report = valuation_of(doc.get("report", []))
+        entries = doc.get("report", [])
+        # JSON true/false are Python ints, and null is no rational at all
+        if not isinstance(entries, list) or not all(
+                type(x) in (str, int, float) for x in entries):
+            raise ParseError("proportional report must be a list of rational strings")
+        report = valuation_of(entries)
         if m is not None and len(report) != m:
             raise ParseError(f"proportional report has length {len(report)}, expected {m}")
         return Proportional(report)
     if kind == "lexicographic":
         order = doc.get("order", [])
-        if any(not isinstance(j, int) or j < 1 for j in order):
+        if not isinstance(order, list) or any(type(j) is not int or j < 1 for j in order):
             raise ParseError("lexicographic order must contain 1-based item indices")
         if m is not None and any(j > m for j in order):
             raise ParseError(f"lexicographic order index out of range for m = {m}")

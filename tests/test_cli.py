@@ -391,6 +391,24 @@ _INPUT_FILES = {
     "floats.json": [{"kind": "proportional", "report": [0.5, 0.5]},
                     {"kind": "lexicographic", "order": [2]}],
     "profile-object.json": {"kind": "lexicographic", "order": [1]},
+    "labels-int.json": dict(_INSTANCE, labels=7),
+    "agent-labels-int.json": dict(_INSTANCE, labels={"agents": 5}),
+    "item-labels-null.json": dict(_INSTANCE, labels={"items": None}),
+    "agent-labels-ints.json": dict(_INSTANCE, labels={"agents": [1, 2]}),
+    # a str is written as it stands: json.dumps cannot write 1e400
+    "n-overflow.json": '{"n": 1e400, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"]]}',
+    "n-float.json": dict(_INSTANCE, n=2.7),
+    "n-bool.json": dict(_INSTANCE, n=True),
+    "report-int.json": [{"kind": "proportional", "report": 5},
+                        {"kind": "lexicographic", "order": [2]}],
+    "order-int.json": [{"kind": "lexicographic", "order": 5},
+                       {"kind": "lexicographic", "order": [2]}],
+    "report-null.json": [{"kind": "proportional", "report": [None, "1"]},
+                         {"kind": "lexicographic", "order": [2]}],
+    "order-bool.json": [{"kind": "lexicographic", "order": [True]},
+                        {"kind": "lexicographic", "order": [2]}],
+    "report-bools.json": [{"kind": "proportional", "report": [True, False]},
+                          {"kind": "lexicographic", "order": [2]}],
 }
 _EXAMPLE1 = ["--generator", "example1"]
 _EXAMPLE2 = ["--generator", "example2"]
@@ -435,13 +453,82 @@ MALFORMED = {
     "long-item-labels": ["simulate", "--instance", "{dir}/long-item-labels.json"],
     "seed-word": ["simulate", *_EXAMPLE1, "--seed", "x"],
     "sample-seed-word": ["sample", *_EXAMPLE1, "--seed", "x"],
+    "labels-not-object": ["simulate", "--instance", "{dir}/labels-int.json"],
+    "agent-labels-not-list": ["simulate", "--instance", "{dir}/agent-labels-int.json"],
+    "item-labels-null": ["simulate", "--instance", "{dir}/item-labels-null.json"],
+    "agent-labels-not-strings": ["opt", "--instance", "{dir}/agent-labels-ints.json"],
+    "n-overflow": ["simulate", "--instance", "{dir}/n-overflow.json"],
+    "n-float": ["opt", "--instance", "{dir}/n-float.json"],
+    "n-bool": ["simulate", "--instance", "{dir}/n-bool.json"],
+    "report-not-list": [*_ON_FILE, "{dir}/report-int.json"],
+    "order-not-list": [*_ON_FILE, "{dir}/order-int.json"],
+    "report-null-entry": [*_ON_FILE, "{dir}/report-null.json"],
+    "order-bool-entry": [*_ON_FILE, "{dir}/order-bool.json"],
+    "report-bool-entries": [*_ON_FILE, "{dir}/report-bools.json"],
+    "out-missing-dir": ["simulate", *_EXAMPLE1, "--out", "{dir}/missing/trace.json"],
+    "out-onto-dir": ["generate", *_EXAMPLE1, "--out", "{dir}"],
+    "profile-out-missing-dir": ["generate", "--generator", "log-m-lb", "--k", "2", "--q", "2",
+                                "--profile-out", "{dir}/missing/profile.json"],
+    "profile-out-onto-dir": ["generate", "--generator", "log-m-lb", "--k", "2", "--q", "2",
+                             "--profile-out", "{dir}"],
+    "sqrt-n-lb-negative-n": ["generate", "--generator", "sqrt-n-lb", "--n", "-4"],
+    "stability-lb-negative-n": ["generate", "--generator", "stability-lb", "--n", "-4"],
+    "ps-beats-cps-negative-n": ["generate", "--generator", "ps-beats-cps", "--n", "-4"],
+    "cps-beats-ps-negative-n": ["generate", "--generator", "cps-beats-ps", "--n", "-4"],
 }
+
+
+def _in_dir(argv, tmp_path):
+    """argv with {dir} set to tmp_path, which then holds every input file."""
+    for name, doc in _INPUT_FILES.items():
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return [arg.replace("{dir}", str(tmp_path)) for arg in argv]
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_gets_a_documented_exit_code(argv, tmp_path, capsys):
-    for name, doc in _INPUT_FILES.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    argv = _in_dir(argv, tmp_path)
     assert main(argv) in {EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_REFUTED,
                           EXIT_BUDGET, EXIT_USAGE}
+
+
+# Inputs that used to end in a traceback or be read as something else: each
+# exits with its code and prints its one error line, and nothing else.
+REJECTED = {
+    "labels-not-object": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "agent-labels-not-list": (EXIT_PARSE, "error: labels.agents must be a list of strings"),
+    "item-labels-null": (EXIT_PARSE, "error: labels.items must be a list of strings"),
+    "agent-labels-not-strings": (EXIT_PARSE, "error: labels.agents must be a list of strings"),
+    "n-overflow": (EXIT_PARSE, "error: instance document missing or malformed field: "
+                               "cannot convert float infinity to integer"),
+    "n-float": (EXIT_PARSE, "error: 'n' must be a JSON integer, got 2.7"),
+    "n-bool": (EXIT_PARSE, "error: 'n' must be a JSON integer, got true"),
+    "report-not-list": (EXIT_PARSE, "error: proportional report must be a list of "
+                                    "rational strings"),
+    "order-not-list": (EXIT_PARSE, "error: lexicographic order must contain 1-based "
+                                   "item indices"),
+    "report-null-entry": (EXIT_PARSE, "error: proportional report must be a list of "
+                                      "rational strings"),
+    "order-bool-entry": (EXIT_PARSE, "error: lexicographic order must contain 1-based "
+                                     "item indices"),
+    "report-bool-entries": (EXIT_PARSE, "error: proportional report must be a list of "
+                                        "rational strings"),
+    "out-missing-dir": (EXIT_PARSE, "error: [Errno 2] No such file or directory: "),
+    "out-onto-dir": (EXIT_PARSE, "error: [Errno 21] Is a directory: "),
+    "profile-out-missing-dir": (EXIT_PARSE, "error: [Errno 2] No such file or directory: "),
+    "profile-out-onto-dir": (EXIT_PARSE, "error: [Errno 21] Is a directory: "),
+    "sqrt-n-lb-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
+    "stability-lb-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
+    "ps-beats-cps-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
+    "cps-beats-ps-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
+}
+
+
+@pytest.mark.parametrize("key", REJECTED)
+def test_rejected_input_prints_only_its_error(key, tmp_path, capsys):
+    code, line = REJECTED[key]
+    argv = _in_dir(MALFORMED[key], tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(line) and captured.out.count("\n") == 1
+    assert captured.err == ""

@@ -66,6 +66,19 @@ class TestDomains:
         with pytest.raises(GeneratorError):
             generate(spec)
 
+    # the square constructions share one check of n: a square n >= 4,
+    # tested before math.isqrt sees a negative n
+    @pytest.mark.parametrize("name", ["sqrt-n-lb", "stability-lb", "ps-beats-cps",
+                                      "cps-beats-ps"])
+    @pytest.mark.parametrize("n, message", [
+        (-4, "needs n >= 4"), (-1, "needs n >= 4"), (0, "needs n >= 4"), (1, "needs n >= 4"),
+        (2, "n = 2 must be a perfect square"), (5, "n = 5 must be a perfect square"),
+    ])
+    def test_square_generators_check_n_once(self, name, n, message):
+        with pytest.raises(GeneratorError) as exc:
+            generate(GeneratorSpec(name, {"n": n}))
+        assert str(exc.value) == message
+
 
 class TestNamedConstructions:
     def test_example1_verbatim(self):

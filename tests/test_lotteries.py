@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from eatsim import run, valuation_of, welfare
+from eatsim.equilibrium import run_profile
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.lotteries import (
     ExactEnumerationRefused,
@@ -15,7 +16,7 @@ from eatsim.lotteries import (
     random_priority,
     repeated_random_priority,
 )
-from eatsim.model import Instance, Lexicographic
+from eatsim.model import Instance, Lexicographic, Proportional
 from eatsim.strategies import single_minded
 
 from helpers import random_profile, rng_for
@@ -342,6 +343,33 @@ class TestRepeatedRandomPriority:
         gen = generate(GeneratorSpec("log-m-lb", {"k": 4, "q": 3}))
         result = repeated_random_priority(gen.instance, list(gen.bad_profile), 2000, seed=11)
         assert float(result.expected_welfare) <= 4 + 3 * result.stderr
+
+
+class TestMalformedProfiles:
+    """RP and RRP check each report against m as the eating mechanisms do,
+    with the same error and message."""
+
+    @pytest.mark.parametrize("entry, message", [
+        (Proportional(valuation_of(["1/2", "1/2"])), "agent 2: report length 2 != m = 3"),
+        (Lexicographic((5,)), "agent 2: order index out of range for m = 3"),
+        ("x", "agent 2: not a strategy: 'x'"),
+    ], ids=["short-report", "order-past-m", "not-a-strategy"])
+    @pytest.mark.parametrize("call", [
+        lambda inst, profile: random_priority(inst, profile),
+        lambda inst, profile: random_priority(inst, profile, samples=20, seed=0),
+        lambda inst, profile: repeated_random_priority(inst, profile, 20, seed=0),
+    ], ids=["rp-exact", "rp-sampled", "rrp"])
+    def test_same_error_as_the_eating_mechanisms(self, call, entry, message):
+        inst = generate(GeneratorSpec("example1")).instance
+        profile = inst.truthful_profile()
+        profile[1] = entry
+        for mechanism in ("cps", "ps"):
+            with pytest.raises(ValueError) as exc:
+                run_profile(3, 3, profile, mechanism)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            call(inst, profile)
+        assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 class TestSampleCountsAndErrorBars:
