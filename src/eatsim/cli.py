@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -467,6 +468,9 @@ def _cmd_generate(opts: dict) -> CliResult:
     if opts.get("profile_out"):
         if generated.bad_profile is None:
             raise _UsageError(f"generator {opts['generator']!r} has no designated bad profile")
+        if opts.get("out") and os.path.realpath(opts["out"]) == os.path.realpath(
+                opts["profile_out"]):
+            raise _UsageError("--out and --profile-out name the same file")
         files[opts["profile_out"]] = _json_text(profile_to_json(generated.bad_profile))
     return CliResult(EXIT_OK, out.getvalue(), files)
 

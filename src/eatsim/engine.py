@@ -142,13 +142,19 @@ def _slot(args: tuple, i: int) -> tuple:
     return kinds[i], weights[i], orders[i]
 
 
-def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
-    """The kernel's arguments for a profile and a zero policy, after checking
-    both: ``(n, m, kinds, weights, orders, zero_order)``."""
+def _check_shape(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> None:
+    """Reject a profile of the wrong length or a fixed zero policy that does
+    not order all m items; the strategies themselves are checked after this."""
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:
         raise ValueError(f"fixed zero policy must order all {m} items")
+
+
+def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
+    """The kernel's arguments for a profile and a zero policy, after checking
+    both: ``(n, m, kinds, weights, orders, zero_order)``."""
+    _check_shape(n, m, profile, policy)
     zero_order = None if policy.kind == "uniform" else list(policy.order or range(m))
     args = (n, m, [0] * n, [()] * n, [()] * n, zero_order)
     for i, strat in enumerate(profile):

@@ -28,6 +28,7 @@ from .model import (
 )
 from .strategies import (
     StrategyFamily,
+    as_ordinal,
     describe_families,
     expand_families,
     family_size,
@@ -62,13 +63,16 @@ def configured_budget(budget: int | None = None) -> int:
     return budget
 
 
-def _mechanism_profile(profile: Sequence[Strategy], m: int, mechanism: str) -> list[Strategy]:
-    """The profile as the kernel runs it under ``mechanism``; under ps each
-    strategy is checked against m before it is converted, as the kernel
-    arguments check it under cps."""
+def _mechanism_profile(n: int, m: int, profile: Sequence[Strategy], mechanism: str,
+                       policy: ZeroPolicy) -> list[Strategy]:
+    """The profile as the kernel runs it under ``mechanism``. Under ps the
+    profile's length, the zero policy and then each strategy are checked
+    before the conversion, in the order the kernel arguments check them under
+    cps, so both mechanisms reject a malformed profile with the same error."""
     if mechanism == "cps":
         return list(profile)
     if mechanism == "ps":
+        engine._check_shape(n, m, profile, policy)
         for i, strat in enumerate(profile):
             check_strategy(i, m, strat)
         return ps_profile(profile, m)
@@ -83,7 +87,7 @@ def run_profile(
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
 ) -> engine.Trace:
     """Run a profile under the chosen eating mechanism (ordinal = converted orders)."""
-    return engine.run(n, m, _mechanism_profile(profile, m, mechanism), policy)
+    return engine.run(n, m, _mechanism_profile(n, m, profile, mechanism, policy), policy)
 
 
 def _check_families(families: Sequence[StrategyFamily], m: int) -> int:
@@ -156,8 +160,9 @@ def _sweep(
     same sweep, which runs once, for the first of them; the others get its
     report under their own index.
     """
-    strats = _mechanism_profile(profile, m, mechanism)
-    args = engine._kernel_args(len(profile), m, strats, policy)
+    n = len(profile)
+    strats = _mechanism_profile(n, m, profile, mechanism, policy)
+    args = engine._kernel_args(n, m, strats, policy)
     described = describe_families(families, m)
     swept: dict[tuple, DeviationReport] = {}
     reports = []
@@ -173,7 +178,8 @@ def _sweep(
         best = None
         collected: list[tuple[str, Fraction]] = []
         for label, candidate in expand_families(families, truth, m):
-            (strat,) = _mechanism_profile([candidate], m, mechanism)
+            # candidates fit m by construction; ps runs their ordinal shadows
+            strat = as_ordinal(candidate, m) if mechanism == "ps" else candidate
             engine._set_slot(args, agent, strat)
             slot = engine._slot(args, agent)
             value = payoffs.get(slot)
@@ -293,7 +299,8 @@ def ratio_report(
     value) is flagged as an infinite ratio rather than raised.
     """
     n, m = instance.n, instance.m
-    args = engine._kernel_args(n, m, _mechanism_profile(profile, m, mechanism), policy)
+    args = engine._kernel_args(n, m, _mechanism_profile(n, m, profile, mechanism, policy),
+                               policy)
     total = sum(engine._payoffs(args, range(n), instance.valuations), Fraction(0))
     best, _ = opt_welfare(instance)
     return RatioReport(

@@ -21,18 +21,33 @@ RP and RRP accumulate integers over the instance's cached value table
 order prefixes depth-first: a prefix's last turn is played once and weighted
 by the number of orders that extend it. It and sampling share one pick
 routine.
+
+Sampled runs use all usable CPUs. The sample indices are split into one
+contiguous block per CPU, of at least ``MIN_BLOCK`` samples each, and every
+block but the first runs in a forked child. A block returns integer sums
+only, merged by ``sum`` and ``gcd``, so results, error bars included, are
+bit-identical on any CPU count. Runs are serial on platforms without
+``os.fork`` and in callers with a second thread alive.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .model import Instance, Strategy, check_strategy
 from .strategies import as_ordinal
+
+
+# Fewest samples in a block of their own: a fork costs a few ms, the time of
+# a few hundred samples, so a block this size repays it several times over.
+MIN_BLOCK = 2048
 
 
 class ExactEnumerationRefused(ValueError):
@@ -121,13 +136,88 @@ def _stderr(total: int, total_sq: int, samples: int, scale: int) -> float:
     return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
 
 
-def _seeded_orders(n: int, seed: int, samples: int):
+def _seeded_orders(n: int, seed: int, start: int, stop: int):
     rng = random.Random()
-    for k in range(samples):
+    for k in range(start, stop):
         rng.seed(f"eatsim-rp:{seed}:{k}")  # the same state as a fresh Random(...)
         order = list(range(n))
         rng.shuffle(order)
         yield order
+
+
+def _bounds(samples: int) -> list[int]:
+    """Split points of ``range(samples)``: one contiguous block per usable CPU,
+    with at least ``MIN_BLOCK`` samples in each block."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blocks = max(1, min(cpus, samples // MIN_BLOCK))
+    return [samples * b // blocks for b in range(blocks + 1)]
+
+
+def _run_blocks(block, bounds: Sequence[int]) -> list:
+    """``block(start, stop)`` for each pair of adjacent split points, in order.
+
+    Every block after the first runs in a forked child, which sends its
+    result back through a pipe with :mod:`marshal`; meanwhile the parent
+    runs the first block. The parent runs a block itself when its child
+    cannot be forked or its result cannot be read, and it reaps every child
+    before it returns or raises. Where ``os.fork`` is missing, or another
+    thread is alive (a forked copy of a threaded process can deadlock), the
+    whole range runs here as one block.
+    """
+    spans = list(zip(bounds, bounds[1:]))
+    if len(spans) == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [block(bounds[0], bounds[-1])]
+    children = []  # (pid, read end of its pipe), one per forked block
+    try:
+        for start, stop in spans[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the child: send the block's result, then leave
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        marshal.dump(block(start, stop), out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [block(*spans[0])]
+        while children:
+            pid, pipe = children.pop(0)
+            try:
+                with pipe:
+                    data = pipe.read()
+            finally:
+                _reap(pid)
+            try:
+                result = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):  # no result, or a cut one
+                result = None
+            results.append(block(*spans[len(results)]) if result is None else result)
+        # any blocks left had no child: the fork failed
+        return results + [block(*span) for span in spans[len(results):]]
+    finally:
+        for pid, pipe in children:  # only when something raised
+            pipe.close()
+            _reap(pid)
+
+
+def _reap(pid: int) -> None:
+    """Wait for a child to exit; one that is already reaped (say, because
+    SIGCHLD is ignored) raises nothing."""
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
 
 def random_priority(
@@ -155,7 +245,6 @@ def random_priority(
     valued = _valued(value_int)
     valued_count = sum(valued)
     quotas = [m // n] * (n - 1) + [m // n + m % n]
-    per_agent_num = [0] * n
 
     def turn(agent: int, pos: int, available: list[bool]) -> tuple[list[int], int, int]:
         """The agent's pick at order position ``pos``: (items, gain, valued items)."""
@@ -168,6 +257,7 @@ def random_priority(
         # and stands for the (n-1-pos)! orders that extend it. A prefix that
         # leaves nothing of value is not extended, as every later turn gains 0.
         weights = [math.factorial(n - 1 - pos) for pos in range(n)]
+        per_agent_num = [0] * n
         available = [True] * m
         placed = [False] * n
 
@@ -190,21 +280,30 @@ def random_priority(
         # ``common`` is the gcd of denom and every order's welfare. The error
         # bar is taken over the welfares' least common denominator, so its
         # last bit does not depend on values that no order picked.
-        total_sq = 0
-        common = denom
-        for order in _seeded_orders(n, seed, samples):
-            available = [True] * m
-            left = valued_count
-            order_num = 0
-            for pos, agent in enumerate(order):
-                if not left:
-                    break  # nothing of value is left: every later turn gains 0
-                _, gain, worth = turn(agent, pos, available)
-                per_agent_num[agent] += gain
-                order_num += gain
-                left -= worth
-            total_sq += order_num * order_num
-            common = math.gcd(common, order_num)
+        def block(start: int, stop: int) -> tuple[list[int], int, int]:
+            """(per-agent sums, sum of squared welfares, common) over the block."""
+            per_agent_num = [0] * n
+            total_sq = 0
+            common = denom
+            for order in _seeded_orders(n, seed, start, stop):
+                available = [True] * m
+                left = valued_count
+                order_num = 0
+                for pos, agent in enumerate(order):
+                    if not left:
+                        break  # nothing of value is left: every later turn gains 0
+                    _, gain, worth = turn(agent, pos, available)
+                    per_agent_num[agent] += gain
+                    order_num += gain
+                    left -= worth
+                total_sq += order_num * order_num
+                common = math.gcd(common, order_num)
+            return per_agent_num, total_sq, common
+
+        blocks = _run_blocks(block, _bounds(samples))
+        per_agent_num = [sum(column) for column in zip(*(b[0] for b in blocks))]
+        total_sq = sum(b[1] for b in blocks)
+        common = math.gcd(*(b[2] for b in blocks))
         count = samples
     welfare = Fraction(sum(per_agent_num), count * denom)
     per_agent = tuple(Fraction(p, count * denom) for p in per_agent_num)
@@ -230,37 +329,43 @@ def repeated_random_priority(
     valued = _valued(value_int)
     valued_count = sum(valued)
 
-    total_num = 0
-    total_sq = 0
-    per_agent_num = [0] * n
-    rng = random.Random()
-    draw = rng.random
-    scale = float(n)
-    for k in range(samples):
-        # Each sample reseeds its own stream, so stopping one early leaves
-        # every other sample's draws as they were. A draw is
-        # int(random() * float(n)), the value choices(range(n), k=m) computes.
-        rng.seed(f"eatsim-rrp:{seed}:{k}")
-        available = [True] * m
-        pointers = [0] * n
-        sample_num = 0
-        left = valued_count
-        while left:  # once every valued item is taken, each later draw gains 0
-            agent = int(draw() * scale)
-            rank = rankings[agent]
-            p = pointers[agent]
-            while not available[rank[p]]:
-                p += 1
-            pointers[agent] = p + 1
-            item = rank[p]
-            available[item] = False
-            if valued[item]:
-                left -= 1
-                gain = value_int[agent][item]
-                sample_num += gain
-                per_agent_num[agent] += gain
-        total_num += sample_num
-        total_sq += sample_num * sample_num
+    def block(start: int, stop: int) -> tuple[list[int], int]:
+        """(per-agent sums, sum of squared welfares) over the block."""
+        per_agent_num = [0] * n
+        total_sq = 0
+        rng = random.Random()
+        draw = rng.random
+        scale = float(n)
+        for k in range(start, stop):
+            # Each sample reseeds its own stream, so stopping one early leaves
+            # every other sample's draws as they were. A draw is
+            # int(random() * float(n)), the value choices(range(n), k=m) computes.
+            rng.seed(f"eatsim-rrp:{seed}:{k}")
+            available = [True] * m
+            pointers = [0] * n
+            sample_num = 0
+            left = valued_count
+            while left:  # once every valued item is taken, each later draw gains 0
+                agent = int(draw() * scale)
+                rank = rankings[agent]
+                p = pointers[agent]
+                while not available[rank[p]]:
+                    p += 1
+                pointers[agent] = p + 1
+                item = rank[p]
+                available[item] = False
+                if valued[item]:
+                    left -= 1
+                    gain = value_int[agent][item]
+                    sample_num += gain
+                    per_agent_num[agent] += gain
+            total_sq += sample_num * sample_num
+        return per_agent_num, total_sq
+
+    blocks = _run_blocks(block, _bounds(samples))
+    per_agent_num = [sum(column) for column in zip(*(b[0] for b in blocks))]
+    total_num = sum(per_agent_num)
+    total_sq = sum(b[1] for b in blocks)
     mean = Fraction(total_num, samples * denom)
     stderr = _stderr(total_num, total_sq, samples, denom)
     return MechanismResult(

@@ -363,11 +363,13 @@ def _labels(labels: dict, key: str) -> tuple[str, ...] | None:
 
 
 def load_json(path: str):
-    """The JSON document in an input file; invalid JSON is a ParseError."""
+    """The JSON document in an input file. Invalid JSON is a ParseError, and
+    so are text that is not UTF-8, an integer too long for ``int`` and
+    nesting too deep for the decoder."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

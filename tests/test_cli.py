@@ -323,6 +323,17 @@ class TestGenerateAndSample:
                                     inst.n, inst.m)
         assert len(profile) == 4
 
+    def test_out_and_profile_out_naming_one_file_exit_64(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the instance used to be dropped: the profile overwrote it, exit 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["generate", "--generator", "log-m-lb", "--k", "2", "--q", "2",
+                     "--out", "same.json", "--profile-out", "sub/../same.json"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "usage error: --out and --profile-out name the same file\n")
+        assert not (tmp_path / "same.json").exists()
+
     def test_generator_domain_error_exit_2(self):
         result = run_cli(["generate", "--generator", "sqrt-n-lb", "--n", "10"])
         assert result.exit_code == EXIT_INVALID
@@ -409,6 +420,10 @@ _INPUT_FILES = {
                         {"kind": "lexicographic", "order": [2]}],
     "report-bools.json": [{"kind": "proportional", "report": [True, False]},
                           {"kind": "lexicographic", "order": [2]}],
+    "not-utf8.json": b'\xff{"n": 2, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"]]}',
+    # more digits than int() converts by default (4,300)
+    "n-5001-digits.json": '{"n": 1' + "0" * 5000 + ', "m": 2, "valuations": []}',
+    "deep.json": '{"n": 2, "m": 2, "valuations": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 _EXAMPLE1 = ["--generator", "example1"]
 _EXAMPLE2 = ["--generator", "example2"]
@@ -460,6 +475,9 @@ MALFORMED = {
     "n-overflow": ["simulate", "--instance", "{dir}/n-overflow.json"],
     "n-float": ["opt", "--instance", "{dir}/n-float.json"],
     "n-bool": ["simulate", "--instance", "{dir}/n-bool.json"],
+    "instance-not-utf8": ["simulate", "--instance", "{dir}/not-utf8.json"],
+    "n-5001-digits": ["simulate", "--instance", "{dir}/n-5001-digits.json"],
+    "nested-too-deep": ["simulate", "--instance", "{dir}/deep.json"],
     "report-not-list": [*_ON_FILE, "{dir}/report-int.json"],
     "order-not-list": [*_ON_FILE, "{dir}/order-int.json"],
     "report-null-entry": [*_ON_FILE, "{dir}/report-null.json"],
@@ -481,7 +499,10 @@ MALFORMED = {
 def _in_dir(argv, tmp_path):
     """argv with {dir} set to tmp_path, which then holds every input file."""
     for name, doc in _INPUT_FILES.items():
-        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+        else:
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return [arg.replace("{dir}", str(tmp_path)) for arg in argv]
 
 
@@ -503,6 +524,12 @@ REJECTED = {
                                "cannot convert float infinity to integer"),
     "n-float": (EXIT_PARSE, "error: 'n' must be a JSON integer, got 2.7"),
     "n-bool": (EXIT_PARSE, "error: 'n' must be a JSON integer, got true"),
+    "instance-not-utf8": (EXIT_PARSE, "error: {dir}/not-utf8.json: invalid JSON: 'utf-8' "
+                                      "codec can't decode byte 0xff in position 0"),
+    "n-5001-digits": (EXIT_PARSE, "error: {dir}/n-5001-digits.json: invalid JSON: "
+                                  "Exceeds the limit (4300 digits)"),
+    "nested-too-deep": (EXIT_PARSE, "error: {dir}/deep.json: invalid JSON: maximum "
+                                    "recursion depth exceeded"),
     "report-not-list": (EXIT_PARSE, "error: proportional report must be a list of "
                                     "rational strings"),
     "order-not-list": (EXIT_PARSE, "error: lexicographic order must contain 1-based "
@@ -527,6 +554,7 @@ REJECTED = {
 @pytest.mark.parametrize("key", REJECTED)
 def test_rejected_input_prints_only_its_error(key, tmp_path, capsys):
     code, line = REJECTED[key]
+    line = line.replace("{dir}", str(tmp_path))
     argv = _in_dir(MALFORMED[key], tmp_path)
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -442,6 +442,34 @@ class TestMalformedProfilesUnderBothMechanisms:
                 calls[call](mechanism)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("call", ["verify_ne", "best_response", "ratio_report",
+                                      "run_profile"])
+    def test_policy_is_checked_before_the_strategies(self, call):
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = instance.truthful_profile()
+        profile[1] = Proportional(valuation_of(["1/2", "1/2"]))
+        policy = fixed_order_policy((1, 0))
+        families = [Truthful(), SingleMinded()]
+        calls = {
+            "verify_ne": lambda mech: verify_ne(profile, instance, families=families,
+                                                mechanism=mech, policy=policy),
+            "best_response": lambda mech: best_response(
+                profile, 0, instance.valuations[0], families, mech, policy),
+            "ratio_report": lambda mech: ratio_report(instance, profile, mech, policy),
+            "run_profile": lambda mech: run_profile(3, 3, profile, mech, policy),
+        }
+        for mechanism in ("cps", "ps"):
+            with pytest.raises(ValueError, match="^fixed zero policy must order all 3 items$"):
+                calls[call](mechanism)
+
+    def test_length_is_checked_before_the_strategies(self):
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = instance.truthful_profile()
+        profile[1] = "x"
+        for mechanism in ("cps", "ps"):
+            with pytest.raises(ValueError, match="^profile has 3 strategies, expected 4$"):
+                run_profile(4, 3, profile, mechanism)
+
 
 class TestRatioReport:
     def test_example2_truthful_ratio(self, example2):

@@ -1,16 +1,22 @@
 import math
+import os
 import random
+import signal
+import threading
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from eatsim import run, valuation_of, welfare
+from eatsim import lotteries, run, valuation_of, welfare
 from eatsim.equilibrium import run_profile
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.lotteries import (
+    MIN_BLOCK,
     ExactEnumerationRefused,
     MechanismResult,
+    _bounds,
+    _run_blocks,
     _stderr,
     opt,
     random_priority,
@@ -400,3 +406,146 @@ class TestSampleCountsAndErrorBars:
         assert _stderr(10, 38, 3, 6) == pytest.approx(float(var_of_mean) ** 0.5, rel=1e-15)
         assert _stderr(7, 49, 1, 1) == float("inf")
         assert _stderr(6, 12, 3, 1) == 0.0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def uneven_splits(samples):
+    """1 to 4 blocks over range(samples): even, uneven and with empty blocks."""
+    yield [0, samples]
+    yield [0, samples // 3, samples]
+    yield [0, 1, samples - 1, samples]
+    yield [0, 0, 7, 7, samples]
+    yield [0, 11, 12, 50, samples]
+
+
+class TestSampleBlocks:
+    """The sample range split into blocks run in forked children: every result
+    is that of one serial pass, stderr included, and no child outlives a call."""
+
+    @pytest.mark.parametrize("bounds", [[0, 5], [0, 3, 7], [0, 1, 1, 9], [0, 2, 5, 6, 40]])
+    def test_runner_returns_each_block_in_order(self, bounds):
+        parent = os.getpid()
+        results = _run_blocks(lambda start, stop: [start, stop, os.getpid()], bounds)
+        if len(bounds) == 2:
+            assert results == [[0, bounds[1], parent]]
+        else:
+            assert [r[:2] for r in results] == [list(s) for s in zip(bounds, bounds[1:])]
+            assert results[0][2] == parent
+            assert all(r[2] != parent for r in results[1:])
+        assert_no_child_left()
+
+    def test_parent_runs_a_block_whose_child_fails(self):
+        parent = os.getpid()
+
+        def block(start, stop):
+            if os.getpid() != parent and start == 4:
+                raise RuntimeError("the child fails")
+            if os.getpid() != parent and start == 6:
+                os._exit(0)  # the child leaves without sending anything
+            return start * 10 + stop
+
+        assert _run_blocks(block, [0, 2, 4, 6, 9]) == [2, 24, 46, 69]
+        assert_no_child_left()
+
+    def test_children_reaped_by_an_ignored_sigchld(self):
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert _run_blocks(lambda start, stop: stop - start, [0, 2, 5, 9]) == [2, 3, 4]
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert_no_child_left()
+
+    def test_parent_runs_the_blocks_it_cannot_fork(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _run_blocks(lambda start, stop: stop - start, [0, 2, 5, 9]) == [2, 3, 4]
+
+    @pytest.mark.parametrize("cpus, samples, expected", [
+        (1, 10 ** 6, [0, 10 ** 6]),
+        (4, MIN_BLOCK - 1, [0, MIN_BLOCK - 1]),
+        (4, 2 * MIN_BLOCK + 1, [0, MIN_BLOCK, 2 * MIN_BLOCK + 1]),
+        (3, 10 ** 6, [0, 333333, 666666, 10 ** 6]),
+    ])
+    def test_one_block_per_cpu_with_enough_samples(self, monkeypatch, cpus, samples,
+                                                   expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _bounds(samples) == expected
+
+    @pytest.mark.parametrize("inst,reports", [
+        case for case in reference_cases()
+        if case.id in ("sparse-0", "sparse-mixed-1", "rp-lb-5", "m-below-n-0", "prefixes-2")])
+    def test_any_split_gives_the_serial_result(self, monkeypatch, inst, reports):
+        n = inst.n
+        rp_plain = plain_rp(inst, reports, seeded_orders(n, 3, 120))
+        rrp_plain = plain_rrp(inst, reports, 150, 4)
+        for samples, plain, call in (
+                (120, rp_plain, lambda: random_priority(inst, reports, samples=120, seed=3)),
+                (150, rrp_plain, lambda: repeated_random_priority(inst, reports, 150, 4))):
+            results = []
+            for bounds in uneven_splits(samples):
+                monkeypatch.setattr(lotteries, "_bounds", lambda samples, b=bounds: b)
+                results.append(call())
+            assert all(r == results[0] and repr(r.stderr) == repr(results[0].stderr)
+                       for r in results)
+            welfare, per_agent, stderr = plain
+            assert (results[0].expected_welfare, results[0].per_agent) == (welfare, per_agent)
+            assert repr(results[0].stderr) == repr(stderr)
+        assert_no_child_left()
+
+    def test_forks_above_the_threshold_and_leaves_no_child(self, monkeypatch):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3})).instance
+        reports = inst.truthful_profile()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = (random_priority(inst, reports, samples=2 * MIN_BLOCK, seed=1),
+                  repeated_random_priority(inst, reports, 2 * MIN_BLOCK, seed=1))
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        split = (random_priority(inst, reports, samples=2 * MIN_BLOCK, seed=1),
+                 repeated_random_priority(inst, reports, 2 * MIN_BLOCK, seed=1))
+        assert len(forks) == 2
+        assert split == serial
+        assert [repr(r.stderr) for r in split] == [repr(r.stderr) for r in serial]
+        assert_no_child_left()
+
+    def test_threaded_caller_runs_serially(self, monkeypatch):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3})).instance
+        reports = inst.truthful_profile()
+        expected = repeated_random_priority(inst, reports, 2 * MIN_BLOCK, seed=2)
+
+        def no_fork():
+            raise AssertionError("forked while another thread was alive")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result = repeated_random_priority(inst, reports, 2 * MIN_BLOCK, seed=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert result == expected
+
+    def test_runs_serially_without_fork(self, monkeypatch):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3})).instance
+        reports = inst.truthful_profile()
+        expected = random_priority(inst, reports, samples=2 * MIN_BLOCK, seed=2)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert random_priority(inst, reports, samples=2 * MIN_BLOCK, seed=2) == expected
