@@ -27,10 +27,8 @@ from . import engine, equilibrium, instances, lotteries
 from .model import (
     Instance,
     InvalidInstanceError,
-    LOWEST_INDEX_FIRST,
     ParseError,
     Strategy,
-    UNIFORM_OVER_REMAINING,
     ZeroPolicy,
     decimal_str,
     fixed_order_policy,
@@ -117,7 +115,9 @@ class CliResult:
     files: dict[str, str] = field(default_factory=dict)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process: parsing keeps no state between calls."""
     parser = _Parser(prog="eatsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
@@ -226,10 +226,8 @@ def _resolve_profile(opts: dict, instance: Instance,
 
 def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
     token = opts["zero_policy"]
-    if token == "uniform":
-        return UNIFORM_OVER_REMAINING
-    if token == "lowest-index":
-        return LOWEST_INDEX_FIRST
+    if token in ("uniform", "lowest-index"):
+        return ZeroPolicy(token)
     if token.startswith("fixed:"):
         try:
             order = [int(x) - 1 for x in token[len("fixed:"):].split(",")]
@@ -241,18 +239,16 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
     raise _UsageError(f"unknown zero policy {token!r}")
 
 
+_FAMILIES = {"truthful": Truthful, "single-minded": SingleMinded,
+             "sequential": Sequential, "uniform": Uniform}
+
+
 def _resolve_families(opts: dict, m: int):
     families = []
     for token in opts["families"].split(","):
         token = token.strip()
-        if token == "truthful":
-            families.append(Truthful())
-        elif token == "single-minded":
-            families.append(SingleMinded())
-        elif token == "sequential":
-            families.append(Sequential())
-        elif token == "uniform":
-            families.append(Uniform())
+        if token in _FAMILIES:
+            families.append(_FAMILIES[token]())
         elif token == "grid":
             families.append(GridProportional(default_grid_resolution(m)))
         elif token.startswith("grid:"):
@@ -328,17 +324,21 @@ def _cmd_simulate(opts: dict) -> CliResult:
         opts, lambda: engine.trace_to_json(trace, decimals=True)))
 
 
+def _assignment(instance: Instance, assignment: tuple[int, ...]) -> tuple[str, dict]:
+    """An item-to-agent assignment as printed lines and as its JSON map."""
+    lines = "".join(f"  item {j + 1} -> {_agent_name(instance, agent)}\n"
+                    for j, agent in enumerate(assignment))
+    return lines, {str(j + 1): agent + 1 for j, agent in enumerate(assignment)}
+
+
 def _cmd_opt(opts: dict) -> CliResult:
     instance, _ = _resolve_instance(opts)
     value, assignment = lotteries.opt(instance)
-    out = io.StringIO()
-    out.write(f"opt welfare: {_both(value)}\n")
-    for j, agent in enumerate(assignment):
-        out.write(f"  item {j + 1} -> {_agent_name(instance, agent)}\n")
-    return CliResult(EXIT_OK, out.getvalue(), _out_file(opts, lambda: {
+    lines, doc = _assignment(instance, assignment)
+    return CliResult(EXIT_OK, f"opt welfare: {_both(value)}\n{lines}", _out_file(opts, lambda: {
         "opt_welfare": format_rational(value),
         "opt_welfare_approx": decimal_str(value),
-        "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
+        "assignment": doc,
     }))
 
 
@@ -482,15 +482,9 @@ def _cmd_sample(opts: dict) -> CliResult:
     trace = equilibrium.run_profile(instance.n, instance.m, profile,
                                     opts["mechanism"], policy)
     seed = opts["seed"]
-    assignment = engine.sample_allocation(trace, seed)
-    out = io.StringIO()
-    out.write(f"seed {seed}\n")
-    for j, agent in enumerate(assignment):
-        out.write(f"  item {j + 1} -> {_agent_name(instance, agent)}\n")
-    return CliResult(EXIT_OK, out.getvalue(), _out_file(opts, lambda: {
-        "seed": seed,
-        "assignment": {str(j + 1): agent + 1 for j, agent in enumerate(assignment)},
-    }))
+    lines, doc = _assignment(instance, engine.sample_allocation(trace, seed))
+    return CliResult(EXIT_OK, f"seed {seed}\n{lines}", _out_file(
+        opts, lambda: {"seed": seed, "assignment": doc}))
 
 
 _COMMANDS = {

@@ -23,20 +23,6 @@ from .model import (
     parse_rational,
 )
 
-GENERATOR_NAMES = (
-    "example1",
-    "example2",
-    "sqrt-n-lb",
-    "log-m-lb",
-    "stability-lb",
-    "rp-lb",
-    "ps-beats-cps",
-    "cps-beats-ps",
-    "tightness",
-    "counterexample-safety",
-    "random",
-)
-
 
 class GeneratorError(ValueError):
     """Unknown generator or a parameter outside its documented domain."""
@@ -178,12 +164,9 @@ def log_m_lb(k: int, q: int) -> Generated:
     n = k + q
     m = _doubling(q + 1)
     _check_size(n, m)
-    rows = []
-    for _ in range(k):
-        rows.append([Fraction(1) if j == 0 else Fraction(0) for j in range(m)])
+    rows = [[Fraction(1) if j == 0 else Fraction(0) for j in range(m)] for _ in range(k)]
     for z in range(1, q + 1):
-        lo = 2 ** z - 1
-        hi = 2 ** (z + 1) - 1
+        lo, hi = 2 ** z - 1, 2 ** (z + 1) - 1
         value = Fraction(1, 2 ** z)
         rows.append([value if lo <= j < hi else Fraction(0) for j in range(m)])
     inst = _rows(rows)
@@ -212,12 +195,8 @@ def rp_lb(n: int, eps: Fraction | None = None) -> Generated:
     m = n * n
     _check_size(n, m)
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * m
-        for j in range(n):
-            row[j] = (1 - eps) if j == i else eps / (n - 1)
-        rows.append(row)
+    rows = [[(1 - eps) if j == i else eps / (n - 1) for j in range(n)] + [Fraction(0)] * (m - n)
+            for i in range(n)]
     inst = _rows(rows)
     bad = tuple(Proportional(v) for v in inst.valuations)
     return Generated(inst, bad, {"description": "random-priority lower bound", "eps": eps})
@@ -299,10 +278,8 @@ def tightness_bound(x: int, k: int | None = None) -> Fraction:
         raise GeneratorError("needs x >= 2")
     k = k if k is not None else default_tightness_k(x)
     n = (x * k) ** 2
-    total = Fraction(0)
-    for z in range(x):
-        total += k * Fraction(1, 2 ** z) * Fraction(2 ** (z + 1) * k, n)
-    return total
+    return sum((k * Fraction(1, 2 ** z) * Fraction(2 ** (z + 1) * k, n) for z in range(x)),
+               Fraction(0))
 
 
 def counterexample_safety(n: int, eps: Fraction | None = None) -> Generated:
@@ -350,30 +327,26 @@ def random_instance(n: int, m: int, weight_max: int = 20, seed: int = 0) -> Gene
                                   "seed": seed, "weight_max": weight_max})
 
 
+# name -> build(params, seed), in the order the unknown-name error lists them
+_GENERATORS = {
+    "example1": lambda p, seed: example1(),
+    "example2": lambda p, seed: example2(),
+    "sqrt-n-lb": lambda p, seed: sqrt_n_lb(_req(p, "n"), _frac(p, "eps")),
+    "log-m-lb": lambda p, seed: log_m_lb(_req(p, "k"), _req(p, "q")),
+    "stability-lb": lambda p, seed: stability_lb(_req(p, "n")),
+    "rp-lb": lambda p, seed: rp_lb(_req(p, "n"), _frac(p, "eps")),
+    "ps-beats-cps": lambda p, seed: ps_beats_cps(_req(p, "n")),
+    "cps-beats-ps": lambda p, seed: cps_beats_ps(_req(p, "n"), _frac(p, "eps")),
+    "tightness": lambda p, seed: tightness(_req(p, "x"), _int(p, "k")),
+    "counterexample-safety": lambda p, seed: counterexample_safety(_req(p, "n"),
+                                                                   _frac(p, "eps")),
+    "random": lambda p, seed: random_instance(_req(p, "n"), _req(p, "m"),
+                                              _int(p, "weight_max", 20), seed or 0),
+}
+
+
 def generate(spec: GeneratorSpec) -> Generated:
     """Dispatch a GeneratorSpec; deterministic given the spec."""
-    name, params = spec.name, spec.params
-    if name == "example1":
-        return example1()
-    if name == "example2":
-        return example2()
-    if name == "sqrt-n-lb":
-        return sqrt_n_lb(_req(params, "n"), _frac(params, "eps"))
-    if name == "log-m-lb":
-        return log_m_lb(_req(params, "k"), _req(params, "q"))
-    if name == "stability-lb":
-        return stability_lb(_req(params, "n"))
-    if name == "rp-lb":
-        return rp_lb(_req(params, "n"), _frac(params, "eps"))
-    if name == "ps-beats-cps":
-        return ps_beats_cps(_req(params, "n"))
-    if name == "cps-beats-ps":
-        return cps_beats_ps(_req(params, "n"), _frac(params, "eps"))
-    if name == "tightness":
-        return tightness(_req(params, "x"), _int(params, "k"))
-    if name == "counterexample-safety":
-        return counterexample_safety(_req(params, "n"), _frac(params, "eps"))
-    if name == "random":
-        return random_instance(_req(params, "n"), _req(params, "m"),
-                               _int(params, "weight_max", 20), spec.seed or 0)
-    raise GeneratorError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}")
+    if spec.name not in _GENERATORS:
+        raise GeneratorError(f"unknown generator {spec.name!r}; known: {', '.join(_GENERATORS)}")
+    return _GENERATORS[spec.name](spec.params, spec.seed)

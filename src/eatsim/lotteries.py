@@ -17,10 +17,10 @@ stream, skipping the tail of one sample leaves every other sample unchanged,
 so the results are those of playing every draw and turn to the end.
 
 RP and RRP accumulate integers over the instance's cached value table
-(:attr:`eatsim.model.Instance.value_table`). RP's exact enumeration walks
-order prefixes depth-first: a prefix's last turn is played once and weighted
-by the number of orders that extend it. It and sampling share one pick
-routine.
+(:attr:`eatsim.model.Instance.value_table`). Exact RP goes through order
+positions breadth-first: prefixes that place the same agents and take the
+same items share one state, whose next turns are each played once, weighted
+by the orders through it. It and sampling share one pick routine.
 
 Sampled runs use all usable CPUs. The sample indices are split into one
 contiguous block per CPU, of at least ``MIN_BLOCK`` samples each, and every
@@ -51,7 +51,7 @@ MIN_BLOCK = 2048
 
 
 class ExactEnumerationRefused(ValueError):
-    """Exact order enumeration is capped at n = 8 (n! engine sweeps)."""
+    """Exact Random Priority is capped at n = 8 (n! orders)."""
 
 
 @dataclass(frozen=True)
@@ -253,28 +253,30 @@ def random_priority(
                 sum(valued[j] for j in taken))
 
     if samples is None:
-        # Depth-first over order prefixes: a prefix's last turn is played once
-        # and stands for the (n-1-pos)! orders that extend it. A prefix that
-        # leaves nothing of value is not extended, as every later turn gains 0.
-        weights = [math.factorial(n - 1 - pos) for pos in range(n)]
+        # ``layer`` maps each state at ``pos`` (agents placed and items taken,
+        # as bit masks, and valued items left) to the number of order prefixes
+        # that reach it. A (state, agent) turn is played once and stands for
+        # reach * (n-1-pos)! orders. A state with nothing of value left is not
+        # extended, as every later turn gains 0.
         per_agent_num = [0] * n
-        available = [True] * m
-        placed = [False] * n
-
-        def extend(pos: int, left: int) -> None:
-            for agent in range(n):
-                if placed[agent]:
-                    continue
-                taken, gain, worth = turn(agent, pos, available)
-                per_agent_num[agent] += gain * weights[pos]
-                if left > worth:
-                    placed[agent] = True
-                    extend(pos + 1, left - worth)
-                    placed[agent] = False
-                for j in taken:
-                    available[j] = True
-
-        extend(0, valued_count)
+        layer = {(0, 0, valued_count): 1}
+        for pos in range(n):
+            weight = math.factorial(n - 1 - pos)
+            successors: dict[tuple[int, int, int], int] = {}
+            for (placed, taken, left), reach in layer.items():
+                available = [not taken >> j & 1 for j in range(m)]
+                for agent in range(n):
+                    if placed >> agent & 1:
+                        continue
+                    items, gain, worth = turn(agent, pos, available)
+                    per_agent_num[agent] += gain * reach * weight
+                    if left > worth:
+                        state = (placed | 1 << agent,
+                                 taken | sum(1 << j for j in items), left - worth)
+                        successors[state] = successors.get(state, 0) + reach
+                    for j in items:
+                        available[j] = True
+            layer = successors
         count = math.factorial(n)
     else:
         # ``common`` is the gcd of denom and every order's welfare. The error

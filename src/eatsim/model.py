@@ -39,16 +39,33 @@ class InvalidInstanceError(ValueError):
         self.defects = defects
 
 
+# CPython's default limit on the digits of an int converted from or to text
+MAX_DIGITS = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a finite decimal into an exact Fraction.
 
     Decimals convert exactly (power-of-ten denominator, then reduced):
-    ``"0.6"`` becomes 3/5, never a float.
+    ``"0.6"`` becomes 3/5, never a float. A decimal whose numerator or
+    denominator, before reduction, would pass ``MAX_DIGITS`` digits is
+    refused before it is built: ``"1e-99999999"`` would take minutes.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {type(text).__name__}")
+    literal = text.strip()
+    if "/" not in literal:  # int() already limits p and q
+        body, _, exponent = literal.lower().partition("e")
+        whole, _, decimals = body.partition(".")
+        try:
+            exp = int(exponent or 0)
+        except ValueError:
+            raise ParseError(f"malformed rational {text!r}") from None
+        digits = len((whole + decimals).lstrip("+-").replace("_", "").lstrip("0"))
+        if max(digits, 1) + exp > MAX_DIGITS or 1 + len(decimals) - exp > MAX_DIGITS:
+            raise ParseError(f"rational {text!r} needs more than {MAX_DIGITS} digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
     except ValueError:
@@ -122,21 +139,37 @@ class Valuation:
         return integer_form(self.values)
 
 
-def valuation_of(entries: Iterable[Union[Fraction, int, str]]) -> Valuation:
+def valuation_of(entries: Iterable[Union[Fraction, int, str]],
+                 memo: dict | None = None) -> Valuation:
     """Build a Valuation from Fractions, ints, or rational strings.
 
     Floats are rejected: 0.6 the float is 5404319552844595/2**53, not 3/5.
-    Quote decimals ("0.6") to get the exact value.
+    Quote decimals ("0.6") to get the exact value. ``memo``, one dict per
+    document, keeps each distinct string's value and each distinct raw row's
+    Valuation (rows key as written: hashing a Fraction is slow).
     """
+    memo = {} if memo is None else memo
+    entries = tuple(entries)
     vals = []
     for e in entries:
         if isinstance(e, str):
-            vals.append(parse_rational(e))
+            vals.append(_parsed(e, memo))
         elif isinstance(e, float):
             raise ParseError(f"float {e!r} is not exact; quote it as a string")
         else:
             vals.append(Fraction(e))
-    return Valuation(tuple(vals))
+    if entries not in memo:
+        memo[entries] = Valuation(tuple(vals))
+    return memo[entries]
+
+
+def _parsed(text, memo: dict) -> Fraction:
+    """:func:`parse_rational`, run once per distinct string in ``memo``."""
+    if type(text) is not str:  # not a key: 1, 1.0 and True are equal keys
+        return parse_rational(text)
+    if text not in memo:
+        memo[text] = parse_rational(text)
+    return memo[text]
 
 
 @dataclass(frozen=True)
@@ -307,12 +340,10 @@ def instance_to_json(instance: Instance) -> dict:
         "m": instance.m,
         "valuations": [[format_rational(v) for v in row.values] for row in instance.valuations],
     }
-    if instance.agent_labels or instance.item_labels:
-        doc["labels"] = {}
-        if instance.agent_labels:
-            doc["labels"]["agents"] = list(instance.agent_labels)
-        if instance.item_labels:
-            doc["labels"]["items"] = list(instance.item_labels)
+    labels = {key: list(names) for key, names in (
+        ("agents", instance.agent_labels), ("items", instance.item_labels)) if names}
+    if labels:
+        doc["labels"] = labels
     return doc
 
 
@@ -335,17 +366,18 @@ def instance_from_json(doc: dict) -> Instance:
             raise ParseError(f"{key!r} must be a JSON integer, got {json.dumps(doc[key])}")
     if not isinstance(raw_rows, list):
         raise ParseError("'valuations' must be a list of rows")
+    memo: dict = {}
     rows = []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise ParseError(f"agent {i + 1}: valuation row must be a list")
-        rows.append(tuple(parse_rational(x) for x in raw))
+        rows.append(tuple(_parsed(x, memo) for x in raw))
     labels = doc.get("labels") or {}
     if not isinstance(labels, dict):
         raise ParseError("'labels' must be an object")
     agent_labels, item_labels = (_labels(labels, key) for key in ("agents", "items"))
     try:
-        valuations = tuple(Valuation(r) for r in rows)
+        valuations = tuple(valuation_of(raw, memo) for raw in raw_rows)
     except ValueError:
         # a sign or sum defect: report every defect of the raw rows at once
         raise InvalidInstanceError(
@@ -380,7 +412,7 @@ def strategy_to_json(strategy: Strategy) -> dict:
     return {"kind": "lexicographic", "order": [j + 1 for j in strategy.order]}
 
 
-def strategy_from_json(doc: dict, m: int | None = None) -> Strategy:
+def strategy_from_json(doc: dict, m: int | None = None, memo: dict | None = None) -> Strategy:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("strategy must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -390,7 +422,7 @@ def strategy_from_json(doc: dict, m: int | None = None) -> Strategy:
         if not isinstance(entries, list) or not all(
                 type(x) in (str, int, float) for x in entries):
             raise ParseError("proportional report must be a list of rational strings")
-        report = valuation_of(entries)
+        report = valuation_of(entries, memo)
         if m is not None and len(report) != m:
             raise ParseError(f"proportional report has length {len(report)}, expected {m}")
         return Proportional(report)
@@ -413,4 +445,5 @@ def profile_from_json(doc, n: int | None = None, m: int | None = None) -> list[S
         raise ParseError("profile must be a JSON list of strategies")
     if n is not None and len(doc) != n:
         raise ParseError(f"profile has {len(doc)} strategies, expected {n}")
-    return [strategy_from_json(d, m) for d in doc]
+    memo: dict = {}
+    return [strategy_from_json(d, m, memo) for d in doc]

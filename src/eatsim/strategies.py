@@ -213,15 +213,13 @@ def expand_families(
     families: Sequence[StrategyFamily], truth: Valuation, m: int
 ) -> Iterator[tuple[str, Strategy]]:
     """Expand several families back to back, in canonical family order."""
-    ranked = sorted(families, key=_rank)
-    for family in ranked:
+    for family in sorted(families, key=_rank):
         yield from expand_family(family, truth, m)
 
 
 def describe_families(families: Sequence[StrategyFamily], m: int) -> str:
-    ranked = sorted(families, key=_rank)
     parts = []
-    for family in ranked:
+    for family in sorted(families, key=_rank):
         if isinstance(family, Truthful):
             parts.append("truthful")
         elif isinstance(family, SingleMinded):

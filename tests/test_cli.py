@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eatsim
 from eatsim.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -424,6 +429,10 @@ _INPUT_FILES = {
     # more digits than int() converts by default (4,300)
     "n-5001-digits.json": '{"n": 1' + "0" * 5000 + ', "m": 2, "valuations": []}',
     "deep.json": '{"n": 2, "m": 2, "valuations": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    # Fraction would build 10**999999 and 10**99999999 for these
+    "huge-exponent.json": dict(_INSTANCE, valuations=[["1e999999", "0"], ["1", "0"]]),
+    "report-huge-exponent.json": [{"kind": "proportional", "report": ["1e-99999999", "1"]},
+                                  {"kind": "lexicographic", "order": [2]}],
 }
 _EXAMPLE1 = ["--generator", "example1"]
 _EXAMPLE2 = ["--generator", "example2"]
@@ -493,6 +502,11 @@ MALFORMED = {
     "stability-lb-negative-n": ["generate", "--generator", "stability-lb", "--n", "-4"],
     "ps-beats-cps-negative-n": ["generate", "--generator", "ps-beats-cps", "--n", "-4"],
     "cps-beats-ps-negative-n": ["generate", "--generator", "cps-beats-ps", "--n", "-4"],
+    "instance-huge-exponent": ["simulate", "--instance", "{dir}/huge-exponent.json"],
+    "report-huge-exponent": [*_ON_FILE, "{dir}/report-huge-exponent.json"],
+    "eps-huge-exponent": ["poa", "--generator", "sqrt-n-lb", "--n", "4",
+                          "--eps", "1e-999999999"],
+    "epsilon-huge-exponent": ["verify-ne", *_EXAMPLE2, "--epsilon", "1e-99999999999"],
 }
 
 
@@ -548,6 +562,14 @@ REJECTED = {
     "stability-lb-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
     "ps-beats-cps-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
     "cps-beats-ps-negative-n": (EXIT_INVALID, "generator error: needs n >= 4"),
+    "instance-huge-exponent": (EXIT_PARSE, "error: rational '1e999999' needs more than "
+                                           "4300 digits"),
+    "report-huge-exponent": (EXIT_PARSE, "error: rational '1e-99999999' needs more than "
+                                         "4300 digits"),
+    "eps-huge-exponent": (EXIT_PARSE, "error: rational '1e-999999999' needs more than "
+                                      "4300 digits"),
+    "epsilon-huge-exponent": (EXIT_PARSE, "error: rational '1e-99999999999' needs more "
+                                          "than 4300 digits"),
 }
 
 
@@ -560,3 +582,30 @@ def test_rejected_input_prints_only_its_error(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(line) and captured.out.count("\n") == 1
     assert captured.err == ""
+
+
+def fresh_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new process."""
+    src = str(Path(eatsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from eatsim.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    """One process reuses its parser: each call still prints what a new process does."""
+    poa = ["poa", "--generator", "rp-lb", "--n", "4", "--mechanism", "both"]
+    calls = [poa, ["poa", *_EXAMPLE1, "--mechanism", "nope"],
+             ["verify-ne", *_EXAMPLE2, "--profile", "truthful"], poa]
+    seen = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+        assert seen[-1] == fresh_main(argv)
+    assert [code for code, _, _ in seen] == [EXIT_OK, EXIT_USAGE, EXIT_REFUTED, EXIT_OK]
+    assert seen[1][2].startswith("usage error: ") and "usage: eatsim" in seen[1][2]

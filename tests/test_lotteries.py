@@ -162,8 +162,43 @@ def reference_cases():
         yield pytest.param(inst, prefixes, id=f"prefixes-{trial}")
 
 
+def large_exact_cases():
+    """(instance, reports) cases at n = 7 and 8 for exact RP alone."""
+    rng = rng_for("lottery-reference-large")
+    for n, m, seed in ((7, 14, 0), (7, 17, 1), (8, 16, 2)):  # quota >= 2
+        inst = random_instance(n, m, 20, seed=seed).instance
+        yield pytest.param(inst, inst.truthful_profile(), id=f"random-{n}x{m}")
+    inst = random_instance(7, 5, 6, seed=3).instance
+    yield pytest.param(inst, random_profile(rng, 7, 5), id="m-below-n-7x5")
+    inst = random_instance(7, 10, 3, seed=4).instance
+    prefixes = [Lexicographic(tuple(rng.sample(range(10), rng.randint(1, 10))))
+                for _ in range(7)]
+    yield pytest.param(inst, prefixes, id="prefixes-7x10")
+    gen = generate(GeneratorSpec("rp-lb", {"n": 7}))
+    yield pytest.param(gen.instance, list(gen.bad_profile), id="rp-lb-7")
+
+
+def plain_exact_rp(instance, reports):
+    """(welfare, per-agent payoffs) of Random Priority averaged over all n!
+    orders, each played to the end; picks are counted, then valued once."""
+    n, m = instance.n, instance.m
+    rankings = plain_rankings(m, reports)
+    picks = [[0] * m for _ in range(n)]
+    for order in permutations(range(n)):
+        available = [True] * m
+        for pos, agent in enumerate(order):
+            count = m // n + (m % n if pos == n - 1 else 0)
+            for j in [j for j in rankings[agent] if available[j]][:count]:
+                available[j] = False
+                picks[agent][j] += 1
+    orders = math.factorial(n)
+    per_agent = tuple(sum((c * v for c, v in zip(picks[i], instance.valuations[i].values)),
+                          F(0)) / orders for i in range(n))
+    return sum(per_agent, F(0)), per_agent
+
+
 class TestAgainstPlainReference:
-    """Early stops and shared order prefixes change no result, stderr repr included."""
+    """Early stops and merged order prefixes change no result, stderr repr included."""
 
     @pytest.mark.parametrize("inst,reports", list(reference_cases()))
     def test_matches_plain_play(self, inst, reports):
@@ -180,6 +215,38 @@ class TestAgainstPlainReference:
         welfare, per_agent, stderr = plain_rrp(inst, reports, 150, 4)
         assert (rrp.expected_welfare, rrp.per_agent) == (welfare, per_agent)
         assert repr(rrp.stderr) == repr(stderr)
+
+    @pytest.mark.parametrize("inst,reports", list(large_exact_cases()))
+    def test_exact_matches_plain_play_at_seven_and_eight_agents(self, inst, reports):
+        exact = random_priority(inst, reports)
+        assert (exact.expected_welfare, exact.per_agent) == plain_exact_rp(inst, reports)
+
+    def test_one_turn_per_state_and_agent(self, monkeypatch):
+        inst = generate(GeneratorSpec("random", {"n": 7, "m": 14}, 0)).instance
+        reports = inst.truthful_profile()
+        grab = lotteries._grab
+        calls = []
+
+        def counted(ranking, available, count):
+            calls.append(1)
+            return grab(ranking, available, count)
+
+        monkeypatch.setattr(lotteries, "_grab", counted)
+        random_priority(inst, reports)
+        # the (agents placed, items taken, next agent) turns of plain play that
+        # start with something of value left, or at the first position
+        rankings = plain_rankings(inst.m, reports)
+        valued = {j for j in range(inst.m) if any(row[j] for row in inst.valuations)}
+        turns = set()
+        for order in permutations(range(inst.n)):
+            taken = set()
+            for pos, agent in enumerate(order):
+                if pos and valued <= taken:
+                    break
+                turns.add((frozenset(order[:pos]), frozenset(taken), agent))
+                count = inst.m // inst.n + (inst.m % inst.n if pos == inst.n - 1 else 0)
+                taken.update([j for j in rankings[agent] if j not in taken][:count])
+        assert len(calls) == len(turns) == 1037
 
 
 class TestOpt:
