@@ -46,8 +46,9 @@ inputs
     agents          None for the whole trace, or a list of agents for their
                     share rows only (no segments)
 
-``eatsim.engine._kernel_args`` builds and checks every input but ``agents``;
-the kernel itself checks nothing.
+``eatsim.engine._kernel_args`` builds and checks every input but ``agents``,
+and under the ordinal mechanism writes each report's ordinal shadow as a
+lexicographic order; the kernel itself checks nothing and knows no mechanism.
 
 outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
     segments        list of (t_start, t_end, rates) with rates an n x m

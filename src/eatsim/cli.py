@@ -349,21 +349,21 @@ def _cmd_poa(opts: dict) -> CliResult:
     policy = _resolve_policy(opts, instance.m)
     mechanism = opts["mechanism"]
     mechanisms = ["cps", "ps"] if mechanism == "both" else [mechanism]
-    best = lotteries.opt(instance)[0]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(POA_CSV_COLUMNS)
     for mech in mechanisms:
         if mech in ("cps", "ps"):
-            total = equilibrium.ratio_report(instance, profile, mech, policy).welfare
+            row = equilibrium.ratio_report(instance, profile, mech, policy)
         else:
-            total = _lottery(opts, mech, instance, profile).expected_welfare
-        ratio = best / total if total > 0 else None
+            welfare = _lottery(opts, mech, instance, profile).expected_welfare
+            row = equilibrium.RatioReport(welfare, lotteries.opt(instance)[0])
+        ratio = row.ratio
         writer.writerow([
             instance.n, instance.m, mech,
-            format_rational(total), decimal_str(total),
-            format_rational(best), decimal_str(best),
+            format_rational(row.welfare), decimal_str(row.welfare),
+            format_rational(row.opt), decimal_str(row.opt),
             "inf" if ratio is None else format_rational(ratio),
             "inf" if ratio is None else decimal_str(ratio),
         ])

@@ -1,10 +1,11 @@
 """Event-driven simulation of the simultaneous-consumption process.
 
-Both eating mechanisms are runs of the same engine: the cardinal mechanism is
-a profile of Proportional strategies, the ordinal one a profile of
-Lexicographic strategies (see :func:`eatsim.strategies.ps_profile`). Within a
-segment the remaining-item set is constant, so rates are constant and every
-depletion time is an exact rational.
+Both eating mechanisms are runs of the same engine: the cardinal mechanism
+(cps) runs each report as given, the ordinal one (ps) runs each report's
+ordinal shadow (:func:`eatsim.strategies.as_ordinal`). ``_kernel_args`` is the
+one place that checks a profile, and ``_set_slot`` the one place that applies
+the mechanism. Within a segment the remaining-item set is constant, so rates
+are constant and every depletion time is an exact rational.
 
 The inner loop lives in the kernel ``eatsim._kernel``, which works on raw
 integer pairs and builds the shares from per-agent prefix sums instead of
@@ -35,6 +36,7 @@ from .model import (
     format_rational,
     integer_form,
 )
+from .strategies import as_ordinal
 
 from . import _kernel as _kernel_impl
 
@@ -124,11 +126,14 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
-def _set_slot(args: tuple, i: int, strat: Strategy) -> None:
-    """Check agent i's strategy against m and write it into the kernel
-    arguments ``args`` (from :func:`_kernel_args`) in place."""
+def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
+    """Check agent i's strategy against m and write it, or under ps its
+    ordinal shadow, into the kernel arguments ``args`` (from
+    :func:`_kernel_args`) in place."""
     _, m, kinds, weights, orders, _ = args
     check_strategy(i, m, strat)
+    if mechanism == "ps":
+        strat = as_ordinal(strat, m)
     if isinstance(strat, Proportional):
         kinds[i], weights[i], orders[i] = 0, strat.report.integer_form[1], ()
     else:
@@ -142,23 +147,24 @@ def _slot(args: tuple, i: int) -> tuple:
     return kinds[i], weights[i], orders[i]
 
 
-def _check_shape(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> None:
-    """Reject a profile of the wrong length or a fixed zero policy that does
-    not order all m items; the strategies themselves are checked after this."""
+def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy,
+                 mechanism: str = "cps") -> tuple:
+    """The kernel's arguments for a profile under ``mechanism`` ("cps" or
+    "ps") and a zero policy: ``(n, m, kinds, weights, orders, zero_order)``.
+
+    Checks the mechanism name, the profile's length, that a fixed zero policy
+    orders all m items, and then each strategy, in that order, so every
+    caller rejects a malformed profile with the same error."""
+    if mechanism not in ("cps", "ps"):
+        raise ValueError(f"unknown eating mechanism {mechanism!r}")
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:
         raise ValueError(f"fixed zero policy must order all {m} items")
-
-
-def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy) -> tuple:
-    """The kernel's arguments for a profile and a zero policy, after checking
-    both: ``(n, m, kinds, weights, orders, zero_order)``."""
-    _check_shape(n, m, profile, policy)
     zero_order = None if policy.kind == "uniform" else list(policy.order or range(m))
     args = (n, m, [0] * n, [()] * n, [()] * n, zero_order)
     for i, strat in enumerate(profile):
-        _set_slot(args, i, strat)
+        _set_slot(args, i, strat, mechanism)
     return args
 
 
@@ -167,8 +173,10 @@ def run(
     m: int,
     profile: Sequence[Strategy],
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
+    mechanism: str = "cps",
 ) -> Trace:
-    """Run the eating process to completion and return its exact trace.
+    """Run the eating process under ``mechanism`` ("cps" or "ps") to
+    completion and return its exact trace.
 
     The loop advances segment by segment: rates are constant until the next
     depletion, all items hitting zero simultaneously deplete together, and
@@ -176,7 +184,7 @@ def run(
     segments, at time exactly m/n.
     """
     raw_segments, raw_events, raw_gamma = _kernel_impl.run_eating(
-        *_kernel_args(n, m, profile, policy))
+        *_kernel_args(n, m, profile, policy, mechanism))
 
     # Rates repeat across rows and segments, and segment ends repeat as
     # starts: build each distinct pair's Fraction once.

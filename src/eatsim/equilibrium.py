@@ -22,17 +22,14 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
-    check_strategy,
     format_rational,
     strategy_to_json,
 )
 from .strategies import (
     StrategyFamily,
-    as_ordinal,
     describe_families,
     expand_families,
     family_size,
-    ps_profile,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -63,22 +60,6 @@ def configured_budget(budget: int | None = None) -> int:
     return budget
 
 
-def _mechanism_profile(n: int, m: int, profile: Sequence[Strategy], mechanism: str,
-                       policy: ZeroPolicy) -> list[Strategy]:
-    """The profile as the kernel runs it under ``mechanism``. Under ps the
-    profile's length, the zero policy and then each strategy are checked
-    before the conversion, in the order the kernel arguments check them under
-    cps, so both mechanisms reject a malformed profile with the same error."""
-    if mechanism == "cps":
-        return list(profile)
-    if mechanism == "ps":
-        engine._check_shape(n, m, profile, policy)
-        for i, strat in enumerate(profile):
-            check_strategy(i, m, strat)
-        return ps_profile(profile, m)
-    raise ValueError(f"unknown eating mechanism {mechanism!r}")
-
-
 def run_profile(
     n: int,
     m: int,
@@ -86,8 +67,8 @@ def run_profile(
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
 ) -> engine.Trace:
-    """Run a profile under the chosen eating mechanism (ordinal = converted orders)."""
-    return engine.run(n, m, _mechanism_profile(n, m, profile, mechanism, policy), policy)
+    """Run a profile under the chosen eating mechanism (see :func:`engine.run`)."""
+    return engine.run(n, m, profile, policy, mechanism)
 
 
 def _check_families(families: Sequence[StrategyFamily], m: int) -> int:
@@ -147,7 +128,8 @@ def _sweep(
     order) over every family member, with ``profile[agent]`` as its baseline.
 
     The profile and the zero policy are checked and converted to kernel
-    arguments once. Each candidate costs at most one lean kernel run that
+    arguments once, and :func:`engine._set_slot` applies the mechanism to each
+    candidate. Each candidate costs at most one lean kernel run that
     writes only the deviating agent's shares: it replaces that agent's slot
     only, and the baseline slot is written back after the agent's sweep. The
     kernel sees a candidate only through that slot, so a candidate whose slot
@@ -160,9 +142,7 @@ def _sweep(
     same sweep, which runs once, for the first of them; the others get its
     report under their own index.
     """
-    n = len(profile)
-    strats = _mechanism_profile(n, m, profile, mechanism, policy)
-    args = engine._kernel_args(n, m, strats, policy)
+    args = engine._kernel_args(len(profile), m, profile, policy, mechanism)
     described = describe_families(families, m)
     swept: dict[tuple, DeviationReport] = {}
     reports = []
@@ -178,9 +158,7 @@ def _sweep(
         best = None
         collected: list[tuple[str, Fraction]] = []
         for label, candidate in expand_families(families, truth, m):
-            # candidates fit m by construction; ps runs their ordinal shadows
-            strat = as_ordinal(candidate, m) if mechanism == "ps" else candidate
-            engine._set_slot(args, agent, strat)
+            engine._set_slot(args, agent, candidate, mechanism)
             slot = engine._slot(args, agent)
             value = payoffs.get(slot)
             if value is None:
@@ -188,7 +166,7 @@ def _sweep(
             collected.append((label, value))
             if best is None or value > best[2]:
                 best = (label, candidate, value)
-        engine._set_slot(args, agent, strats[agent])
+        engine._set_slot(args, agent, profile[agent], mechanism)
         best_label, best_strategy, best_payoff = best
         report = swept[key] = DeviationReport(
             agent=agent,
@@ -280,7 +258,11 @@ def verify_ne(
 class RatioReport:
     welfare: Fraction
     opt: Fraction
-    ratio: Fraction | None  # None means infinite (zero welfare)
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """opt / welfare, or None for an infinite ratio (zero welfare)."""
+        return self.opt / self.welfare if self.welfare > 0 else None
 
     @property
     def infinite(self) -> bool:
@@ -298,16 +280,10 @@ def ratio_report(
     Zero welfare (possible when every agent's shares sit on items it does not
     value) is flagged as an infinite ratio rather than raised.
     """
-    n, m = instance.n, instance.m
-    args = engine._kernel_args(n, m, _mechanism_profile(n, m, profile, mechanism, policy),
-                               policy)
+    n = instance.n
+    args = engine._kernel_args(n, instance.m, profile, policy, mechanism)
     total = sum(engine._payoffs(args, range(n), instance.valuations), Fraction(0))
-    best, _ = opt_welfare(instance)
-    return RatioReport(
-        welfare=total,
-        opt=best,
-        ratio=(best / total) if total > 0 else None,
-    )
+    return RatioReport(total, opt_welfare(instance)[0])
 
 
 def sequential_payoff_floor(

@@ -5,6 +5,11 @@ quota of favorite available items; Repeated Random Priority draws an agent
 uniformly m times in a row, one item per draw. ``opt`` is the benchmark that
 hands every item to an agent that values it most.
 
+Each agent ranks items by its report's ordinal shadow, the order PS eats
+in: the rankings are the orders of the kernel arguments that
+``engine._kernel_args`` builds under ps, so a malformed profile gets the
+eating mechanisms' error.
+
 All tie-breaks are lowest-index. Monte Carlo paths use one child stream per
 sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
 reproducible bit for bit and samples could be drawn in any order. One
@@ -41,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, Strategy, check_strategy
-from .strategies import as_ordinal
+from . import engine
+from .model import LOWEST_INDEX_FIRST, Instance, Strategy
 
 
 # Fewest samples in a block of their own: a fork costs a few ms, the time of
@@ -91,16 +96,6 @@ def opt(instance: Instance) -> tuple[Fraction, tuple[int, ...]]:
     agents = range(instance.n)
     assignment = tuple(max(agents, key=column.__getitem__) for column in zip(*rows))
     return Fraction(sum(rows[i][j] for j, i in enumerate(assignment)), d), assignment
-
-
-def _rankings(reports: Sequence[Strategy], n: int, m: int) -> list[tuple[int, ...]]:
-    """Each report's item ranking, after checking every report against m as
-    the eating mechanisms do."""
-    if len(reports) != n:
-        raise ValueError(f"expected {n} reports, got {len(reports)}")
-    for i, strat in enumerate(reports):
-        check_strategy(i, m, strat)
-    return [as_ordinal(s, m).order for s in reports]
 
 
 def _valued(rows: Sequence[Sequence[int]]) -> list[bool]:
@@ -236,7 +231,7 @@ def random_priority(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = _rankings(reports, n, m)
+    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[4]
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     if samples is not None and seed is None:
@@ -326,7 +321,7 @@ def repeated_random_priority(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = _rankings(reports, n, m)
+    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[4]
     denom, value_int = instance.value_table
     valued = _valued(value_int)
     valued_count = sum(valued)

@@ -73,10 +73,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/q`` (or ``p`` when integral); parse round-trips."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as ``p/q`` (or ``p`` when integral); parse round-trips
+    up to ``MAX_DIGITS``.
+
+    A result can have twice the digits of its inputs. An integer past
+    CPython's ``MAX_DIGITS`` limit on ``str`` is rendered by ``Decimal``,
+    which is exact and has no limit but is slower, so only on that path."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)!s}"
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:

@@ -109,6 +109,38 @@ class TestOpt:
         result = run_cli(["opt", "--generator", "example1"])
         assert "8/5" in result.stdout
 
+    def test_main_writes_the_out_file(self, tmp_path, capsys):
+        out = tmp_path / "opt.json"
+        assert main(["opt", "--generator", "example1", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("opt welfare: 8/5 (~1.6)\n")
+        assert json.loads(out.read_text()) == {
+            "assignment": {"1": 1, "2": 2, "3": 3},
+            "opt_welfare": "8/5",
+            "opt_welfare_approx": "1.6",
+        }
+
+    def test_results_past_the_int_digit_limit_print_exactly(self, tmp_path, capsys):
+        # each value fits CPython's 4,300-digit str limit; the welfare
+        # (2pq - p - q) / (pq) has about 8,600 digits in each part
+        p, q = 10 ** 4299 + 1, 10 ** 4299 + 3
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "valuations": [
+            [f"1/{p}", f"{p - 1}/{p}"], [f"{q - 1}/{q}", f"1/{q}"]]}))
+        assert main(["opt", "--instance", str(path)]) == EXIT_OK
+        opt_line = capsys.readouterr().out.splitlines()[0]
+        assert main(["poa", "--instance", str(path), "--mechanism", "rp"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            exact = f"{2 * p * q - p - q}/{p * q}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert opt_line == f"opt welfare: {exact} (~2.00000)"
+        # each agent gets its favorite item in either order: RP welfare = opt
+        assert row[:3] == ["2", "2", "rp"] and row[3] == row[5] == exact
+        assert row[7:] == ["1", "1"]
+
 
 class TestPoa:
     def test_csv_header_is_stable(self):
@@ -225,6 +257,25 @@ class TestVerifyAndBestResponse:
         assert result.exit_code == EXIT_OK
         assert "best: single-minded(1) payoff 7/12" in result.stdout
         assert "candidate grid(" in result.stdout
+
+
+class TestDefaultGridResolution:
+    @pytest.mark.parametrize("generator, shown", [
+        ("example2", "grid[d=12, 13 points]"),
+        ("example1", "grid[d=6, 28 points]"),
+    ], ids=["m=2", "m=3"])
+    def test_grid_without_a_resolution(self, generator, shown):
+        result = run_cli(["best-response", "--generator", generator, "--profile", "truthful",
+                          "--agent", "1", "--families", "grid"])
+        assert result.exit_code == EXIT_OK
+        assert result.stdout.splitlines()[0].endswith(f" over {shown}")
+
+    def test_no_default_beyond_three_items(self, capsys):
+        assert main(["best-response", "--generator", "random", "--n", "2", "--m", "4",
+                     "--seed", "0", "--profile", "truthful", "--agent", "1",
+                     "--families", "grid"]) == EXIT_INVALID
+        assert capsys.readouterr().out == \
+            "error: no default grid resolution beyond m = 3; pass one explicitly\n"
 
 
 class TestLotteryCommands:

@@ -102,6 +102,20 @@ def test_proportional_rows_that_run_dry_mid_run():
             _check(n, m, profile, _policy(rng, name, m))
 
 
+def test_empty_order_agents_start_in_zero_mode():
+    """A lexicographic agent with an empty order has nothing to chase from
+    time 0, so it follows the zero policy from the first segment."""
+    rng = rng_for("kernel-empty-orders")
+    for name in POLICIES:
+        for _ in range(40):
+            n, m, instance, profile, _ = random_run_case(rng)
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                profile[i] = Lexicographic(())
+            policy = _policy(rng, name, m)
+            _check(n, m, profile, policy)
+            _assert_lean_payoffs(n, m, profile, policy, instance.valuations)
+
+
 def test_tied_depletions():
     rng = rng_for("kernel-ties")
     ties = 0
@@ -266,6 +280,7 @@ def test_lowest_index_is_the_identity_order_property(case):
 ], ids=["short-report", "long-report", "order-past-m", "not-a-strategy"])
 def test_set_slot_rejects_a_strategy_that_does_not_fit_m(strategy):
     args = _kernel_args(2, 3, [Lexicographic((0,)), Lexicographic((1,))], LOWEST_INDEX_FIRST)
-    with pytest.raises(ValueError, match="agent 2"):
-        _set_slot(args, 1, strategy)
-    assert args == (2, 3, [1, 1], [(), ()], [(0,), (1,)], [0, 1, 2])
+    for mechanism in ("cps", "ps"):
+        with pytest.raises(ValueError, match="agent 2"):
+            _set_slot(args, 1, strategy, mechanism)
+        assert args == (2, 3, [1, 1], [(), ()], [(0,), (1,)], [0, 1, 2])

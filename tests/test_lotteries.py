@@ -290,6 +290,11 @@ class TestMechanismResult:
 
 
 class TestRandomPriority:
+    def test_monte_carlo_mode_requires_a_seed(self):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": "1/100"})).instance
+        with pytest.raises(ValueError, match="^Monte Carlo mode requires a seed$"):
+            random_priority(inst, inst.truthful_profile(), samples=10)
+
     def test_single_agent_takes_everything(self):
         inst = Instance(1, 3, (valuation_of(["1/2", "1/4", "1/4"]),))
         result = random_priority(inst, inst.truthful_profile())
@@ -426,7 +431,8 @@ class TestMalformedProfiles:
         (Proportional(valuation_of(["1/2", "1/2"])), "agent 2: report length 2 != m = 3"),
         (Lexicographic((5,)), "agent 2: order index out of range for m = 3"),
         ("x", "agent 2: not a strategy: 'x'"),
-    ], ids=["short-report", "order-past-m", "not-a-strategy"])
+        (None, "profile has 2 strategies, expected 3"),
+    ], ids=["short-report", "order-past-m", "not-a-strategy", "missing-report"])
     @pytest.mark.parametrize("call", [
         lambda inst, profile: random_priority(inst, profile),
         lambda inst, profile: random_priority(inst, profile, samples=20, seed=0),
@@ -435,7 +441,7 @@ class TestMalformedProfiles:
     def test_same_error_as_the_eating_mechanisms(self, call, entry, message):
         inst = generate(GeneratorSpec("example1")).instance
         profile = inst.truthful_profile()
-        profile[1] = entry
+        profile[1:2] = [] if entry is None else [entry]  # None: agent 2 is missing
         for mechanism in ("cps", "ps"):
             with pytest.raises(ValueError) as exc:
                 run_profile(3, 3, profile, mechanism)
