@@ -36,10 +36,11 @@ one when the item runs out.
 
 inputs
     n, m            problem size
-    kinds           per agent: 0 = proportional, 1 = lexicographic
     weights         per proportional agent: m nonnegative ints (a scaled
-                    report; only ratios matter), else an empty list
-    orders          per lexicographic agent: 0-based item indices, else []
+                    report; only ratios matter); empty for a lexicographic
+                    agent, so an agent is proportional exactly when its
+                    weights are non-empty
+    orders          per lexicographic agent: 0-based item indices, else empty
     zero_order      None for the uniform zero policy, else the permutation of
                     range(m) whose first remaining item an agent with nothing
                     left to chase eats (range(m) for lowest-index)
@@ -92,12 +93,12 @@ def _zero_target(zero_order, alive, k):
     return k, zero_order[k]
 
 
-def agent_mode(kind, weights, order, zero_order, remaining, alive):
+def agent_mode(weights, order, zero_order, remaining, alive):
     """(mode, value) of one agent given the remaining items.
 
     ``value`` is W_i(S) for PROPORTIONAL and the item for TARGET.
     """
-    if kind == 0:
+    if weights:
         total = 0
         for j in remaining:
             total += weights[j]
@@ -131,7 +132,7 @@ def rate_row(mode, value, weights, remaining, m):
     return row
 
 
-def rates(n, m, kinds, weights, orders, zero_order, remaining):
+def rates(n, m, weights, orders, zero_order, remaining):
     """The n x m rate matrix, as reduced pairs, for a nonempty set of distinct
     remaining items."""
     alive = [False] * m
@@ -139,12 +140,12 @@ def rates(n, m, kinds, weights, orders, zero_order, remaining):
         alive[j] = True
     matrix = []
     for i in range(n):
-        mode, value = agent_mode(kinds[i], weights[i], orders[i], zero_order, remaining, alive)
+        mode, value = agent_mode(weights[i], orders[i], zero_order, remaining, alive)
         matrix.append(rate_row(mode, value, weights[i], remaining, m))
     return matrix
 
 
-def run_eating(n, m, kinds, weights, orders, zero_order, agents=None):
+def run_eating(n, m, weights, orders, zero_order, agents=None):
     """Run the eating loop: the whole trace, or with ``agents`` only those
     agents' share rows (every other row of ``gamma`` stays empty) and no
     segments."""
@@ -184,14 +185,13 @@ def run_eating(n, m, kinds, weights, orders, zero_order, agents=None):
     uniform = 0
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
     for i in range(n):
-        mode[i], value[i] = agent_mode(kinds[i], weights[i], orders[i], zero_order,
-                                       remaining, alive)
+        mode[i], value[i] = agent_mode(weights[i], orders[i], zero_order, remaining, alive)
         if mode[i] == PROPORTIONAL:
             support[i] = [j for j in remaining if weights[i][j]]
             proportional.append(i)
         elif mode[i] == UNIFORM:
             uniform += 1
-        elif kinds[i] and orders[i]:
+        elif orders[i]:
             eaters.append(i)
         else:
             chasers.append(i)

@@ -130,27 +130,27 @@ def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
     """Check agent i's strategy against m and write it, or under ps its
     ordinal shadow, into the kernel arguments ``args`` (from
     :func:`_kernel_args`) in place."""
-    _, m, kinds, weights, orders, _ = args
+    _, m, weights, orders, _ = args
     check_strategy(i, m, strat)
     if mechanism == "ps":
         strat = as_ordinal(strat, m)
     if isinstance(strat, Proportional):
-        kinds[i], weights[i], orders[i] = 0, strat.report.integer_form[1], ()
+        weights[i], orders[i] = strat.report.integer_form[1], ()
     else:
-        kinds[i], weights[i], orders[i] = 1, (), strat.order
+        weights[i], orders[i] = (), strat.order
 
 
 def _slot(args: tuple, i: int) -> tuple:
     """Agent i's slot in the kernel arguments ``args`` as a hashable key:
     strategies with equal keys are the same kernel input."""
-    _, _, kinds, weights, orders, _ = args
-    return kinds[i], weights[i], orders[i]
+    _, _, weights, orders, _ = args
+    return weights[i], orders[i]
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy,
                  mechanism: str = "cps") -> tuple:
     """The kernel's arguments for a profile under ``mechanism`` ("cps" or
-    "ps") and a zero policy: ``(n, m, kinds, weights, orders, zero_order)``.
+    "ps") and a zero policy: ``(n, m, weights, orders, zero_order)``.
 
     Checks the mechanism name, the profile's length, that a fixed zero policy
     orders all m items, and then each strategy, in that order, so every
@@ -162,7 +162,7 @@ def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy
     if policy.kind == "fixed" and len(policy.order) != m:
         raise ValueError(f"fixed zero policy must order all {m} items")
     zero_order = None if policy.kind == "uniform" else list(policy.order or range(m))
-    args = (n, m, [0] * n, [()] * n, [()] * n, zero_order)
+    args = (n, m, [()] * n, [()] * n, zero_order)
     for i, strat in enumerate(profile):
         _set_slot(args, i, strat, mechanism)
     return args

@@ -37,7 +37,7 @@ BUDGET_ENV_VAR = "ALLOC_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """The family expansion would exceed the configured engine-run budget."""
+    """A sweep would exceed the configured engine-run budget."""
 
 
 class BudgetConfigError(ValueError):
@@ -69,16 +69,6 @@ def run_profile(
 ) -> engine.Trace:
     """Run a profile under the chosen eating mechanism (see :func:`engine.run`)."""
     return engine.run(n, m, profile, policy, mechanism)
-
-
-def _check_families(families: Sequence[StrategyFamily], m: int) -> int:
-    """The number of candidates the families expand to, at least one."""
-    if not families:
-        raise ValueError("need at least one strategy family")
-    count = sum(family_size(f, m) for f in families)
-    if not count:
-        raise ValueError("the strategy families have no members")
-    return count
 
 
 @dataclass(frozen=True)
@@ -116,18 +106,23 @@ class EquilibriumCertificate:
 
 def _sweep(
     profile: Sequence[Strategy],
+    n: int,
     m: int,
-    agents: Iterable[int],
+    agents: Sequence[int],
     truths: Iterable[Valuation],
     families: Sequence[StrategyFamily],
     mechanism: str,
     policy: ZeroPolicy,
+    budget: int,
     collect_candidates: bool,
 ) -> list[DeviationReport]:
     """Sweep each of ``agents`` (true valuations ``truths``, in the same
     order) over every family member, with ``profile[agent]`` as its baseline.
 
-    The profile and the zero policy are checked and converted to kernel
+    This is the one place that checks and costs a sweep, in this order: each
+    agent index, the families, and then the budget against
+    ``len(agents) * (candidates + 1)`` engine runs. The profile, whose length
+    must be n, and the zero policy are then checked and converted to kernel
     arguments once, and :func:`engine._set_slot` applies the mechanism to each
     candidate. Each candidate costs at most one lean kernel run that
     writes only the deviating agent's shares: it replaces that agent's slot
@@ -142,7 +137,18 @@ def _sweep(
     same sweep, which runs once, for the first of them; the others get its
     report under their own index.
     """
-    args = engine._kernel_args(len(profile), m, profile, policy, mechanism)
+    for agent in agents:
+        if not 0 <= agent < n:
+            raise ValueError(f"agent {agent} out of range for {n} agents")
+    if not families:
+        raise ValueError("need at least one strategy family")
+    candidates = sum(family_size(f, m) for f in families)
+    if not candidates:
+        raise ValueError("the strategy families have no members")
+    total = len(agents) * (candidates + 1)
+    if total > budget:
+        raise BudgetExceededError(f"sweep needs {total} engine runs, budget is {budget}")
+    args = engine._kernel_args(n, m, profile, policy, mechanism)
     described = describe_families(families, m)
     swept: dict[tuple, DeviationReport] = {}
     reports = []
@@ -199,16 +205,9 @@ def best_response(
     ``profile[agent]`` is the baseline. Ties keep the first candidate in
     canonical enumeration order.
     """
-    n, m = len(profile), len(true_valuation)
-    if not 0 <= agent < n:
-        raise ValueError(f"agent {agent} out of range for {n} agents")
-    total = _check_families(families, m) + 1
-    budget = configured_budget(budget)
-    if total > budget:
-        raise BudgetExceededError(
-            f"family expansion needs {total} engine runs, budget is {budget}")
-    (report,) = _sweep(profile, m, [agent], [true_valuation], families,
-                       mechanism, policy, collect_candidates)
+    (report,) = _sweep(profile, len(profile), len(true_valuation), [agent],
+                       [true_valuation], families, mechanism, policy,
+                       configured_budget(budget), collect_candidates)
     return report
 
 
@@ -228,20 +227,14 @@ def verify_ne(
     is a refutation whenever some agent gains more than epsilon, and a
     certificate otherwise.
     """
-    n, m = instance.n, instance.m
-    if len(profile) != n:
-        raise ValueError(f"profile has {len(profile)} strategies, instance has {n} agents")
     if isinstance(epsilon, float):
         raise ValueError("floats are not exact; pass Fraction, int, or a rational string")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    per_agent = _check_families(families, m) + 1
     budget = configured_budget(budget)
-    if n * per_agent > budget:
-        raise BudgetExceededError(
-            f"verification needs {n * per_agent} engine runs, budget is {budget}")
-    reports = _sweep(profile, m, range(n), instance.valuations, families,
-                     mechanism, policy, collect_candidates)
+    reports = _sweep(profile, instance.n, instance.m, range(instance.n),
+                     instance.valuations, families, mechanism, policy, budget,
+                     collect_candidates)
     witness = next((r for r in reports if r.gain > epsilon), None)
     return EquilibriumCertificate(
         epsilon=epsilon,

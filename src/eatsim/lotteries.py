@@ -231,7 +231,7 @@ def random_priority(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[4]
+    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[3]
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     if samples is not None and seed is None:
@@ -321,7 +321,7 @@ def repeated_random_priority(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[4]
+    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[3]
     denom, value_int = instance.value_table
     valued = _valued(value_int)
     valued_count = sum(valued)

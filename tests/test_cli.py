@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -633,6 +634,88 @@ def test_rejected_input_prints_only_its_error(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(line) and captured.out.count("\n") == 1
     assert captured.err == ""
+
+
+_ON_INSTANCE = ["simulate", "--instance", "{dir}/instance.json", "--profile", "{dir}/p.json"]
+
+# Documented exits of inputs that no other test feeds in: (the file p.json
+# written next to instance.json, argv, exit code, what the run prints first).
+# Exits 1 and 2 print to stdout, a usage error (64) to stderr.
+DOCUMENTED_EXITS = {
+    "instance-is-a-list": ([_INSTANCE], ["simulate", "--instance", "{dir}/p.json"],
+                           EXIT_PARSE, "error: instance document must be a JSON object\n"),
+    "row-not-a-list": (dict(_INSTANCE, valuations=["1/2", ["1", "0"]]),
+                       ["simulate", "--instance", "{dir}/p.json"],
+                       EXIT_PARSE, "error: agent 1: valuation row must be a list\n"),
+    "float-value": (dict(_INSTANCE, valuations=[[0.5, "1/2"], ["1", "0"]]),
+                    ["simulate", "--instance", "{dir}/p.json"],
+                    EXIT_PARSE, "error: expected a rational string, got float\n"),
+    "malformed-exponent": (dict(_INSTANCE, valuations=[["1e+x", "1/2"], ["1", "0"]]),
+                           ["simulate", "--instance", "{dir}/p.json"],
+                           EXIT_PARSE, "error: malformed rational '1e+x'\n"),
+    "labels-a-list": (dict(_INSTANCE, labels=["a", "b"]),
+                      ["simulate", "--instance", "{dir}/p.json"],
+                      EXIT_PARSE, "error: 'labels' must be an object\n"),
+    "strategy-without-kind": ([{"order": [1]}, {"kind": "lexicographic", "order": [2]}],
+                              _ON_INSTANCE, EXIT_PARSE,
+                              "error: strategy must be an object with a 'kind' field\n"),
+    "kind-greedy": ([{"kind": "greedy"}, {"kind": "lexicographic", "order": [2]}],
+                    _ON_INSTANCE, EXIT_PARSE, "error: unknown strategy kind 'greedy'\n"),
+    "report-wrong-length": ([{"kind": "proportional", "report": ["1"]},
+                             {"kind": "lexicographic", "order": [2]}], _ON_INSTANCE,
+                            EXIT_PARSE, "error: proportional report has length 1, expected 2\n"),
+    "order-past-m": ([{"kind": "lexicographic", "order": [3]},
+                      {"kind": "lexicographic", "order": [2]}], _ON_INSTANCE, EXIT_PARSE,
+                     "error: lexicographic order index out of range for m = 2\n"),
+    "profile-wrong-length": ([{"kind": "lexicographic", "order": [1]}], _ON_INSTANCE,
+                             EXIT_PARSE, "error: profile has 1 strategies, expected 2\n"),
+    "no-agents": (dict(_INSTANCE, n=0, valuations=[]), ["simulate", "--instance", "{dir}/p.json"],
+                  EXIT_INVALID, "invalid instance:\n  n = 0 must be at least 1\n"),
+    "no-instance": (None, ["simulate"], EXIT_USAGE,
+                    "usage error: an --instance file or a --generator is required\n"),
+    "zero-policy-random": (None, ["simulate", *_EXAMPLE1, "--zero-policy", "random"],
+                           EXIT_USAGE, "usage error: unknown zero policy 'random'\n"),
+    "generate-from-file": (None, ["generate", "--instance", "{dir}/instance.json"], EXIT_USAGE,
+                           "usage error: generate requires --generator\n"),
+    "random-too-large": (None, ["poa", "--generator", "random", "--n", "2000", "--m", "1000"],
+                         EXIT_INVALID, "generator error: n * m = 2000 * 1000 is over the "
+                                       "bound of 1000000\n"),
+    "eps-not-rational": (None, ["poa", "--generator", "sqrt-n-lb", "--n", "4", "--eps", "abc"],
+                         EXIT_PARSE, "error: malformed rational 'abc'\n"),
+    "tightness-k-0": (None, ["poa", "--generator", "tightness", "--x", "3", "--k", "0"],
+                      EXIT_INVALID, "generator error: needs k >= 1\n"),
+    "counterexample-safety-n-1": (None, ["poa", "--generator", "counterexample-safety",
+                                         "--n", "1"],
+                                  EXIT_INVALID, "generator error: needs n >= 2\n"),
+}
+
+
+@pytest.mark.parametrize("key", DOCUMENTED_EXITS)
+def test_documented_exit_without_traceback(key, tmp_path, capsys):
+    doc, argv, code, text = DOCUMENTED_EXITS[key]
+    (tmp_path / "instance.json").write_text(json.dumps(_INSTANCE))
+    if doc is not None:
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert captured.out == "" and captured.err.startswith(text)
+    else:
+        assert captured.out == text and captured.err == ""
+
+
+def test_readme_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 6 and all(line.startswith("eatsim ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        expected = EXIT_REFUTED if argv[0] == "verify-ne" else EXIT_OK
+        assert main(argv) == expected, line
+    capsys.readouterr()
+    assert (tmp_path / "inst.json").is_file() and (tmp_path / "prof.json").is_file()
 
 
 def fresh_main(argv):

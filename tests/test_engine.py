@@ -148,6 +148,27 @@ class TestComputeRates:
             compute_rates([Lexicographic((0,))], [1, 2], fixed_order_policy((1, 0)), 3)
 
 
+class TestRejectedInputs:
+    def test_run_rejects_a_lottery_name_as_mechanism(self, example1):
+        with pytest.raises(ValueError, match="unknown eating mechanism 'rp'"):
+            run(3, 3, example1.truthful_profile(), mechanism="rp")
+
+    def test_expected_payoffs_needs_one_valuation_per_agent(self, example1):
+        trace = run(3, 3, example1.truthful_profile())
+        with pytest.raises(ValueError, match="valuation count does not match trace"):
+            expected_payoffs(trace, example1.valuations[:2])
+
+    def test_payoff_needs_a_valuation_of_the_row_length(self, example1):
+        trace = run(3, 3, example1.truthful_profile())
+        with pytest.raises(ValueError, match="valuation length does not match trace"):
+            payoff(trace.shares[0], valuation_of(["1/2", "1/2"]))
+
+    def test_consumption_time_of_a_missing_item(self, example1):
+        trace = run(3, 3, example1.truthful_profile())
+        with pytest.raises(IndexError, match="item 3 not in trace"):
+            trace.consumption_time(3)
+
+
 def plain_trace_json(trace, decimals):
     # the export format, one format_rational or decimal_str call per cell
     doc = {

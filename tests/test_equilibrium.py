@@ -295,6 +295,46 @@ class TestSweepsShareWorkAcrossAgents:
         assert len(calls) == 44
 
 
+class TestOneCheckedSweep:
+    """best_response and verify_ne share one sweep that checks the agents, the
+    families and the budget, in that order, and only then the profile."""
+
+    def test_both_entries_refuse_with_one_message(self, example2):
+        # m = 2: truthful plus two single-minded candidates, so each swept
+        # agent costs 4 engine runs with its baseline
+        families = [Truthful(), SingleMinded()]
+        with pytest.raises(BudgetExceededError,
+                           match="^sweep needs 4 engine runs, budget is 3$"):
+            best_response(example2.truthful_profile(), 0, example2.valuations[0],
+                          families, budget=3)
+        with pytest.raises(BudgetExceededError,
+                           match="^sweep needs 8 engine runs, budget is 7$"):
+            verify_ne(example2.truthful_profile(), example2, families=families, budget=7)
+
+    def test_certificate_records_the_configured_budget(self, example2, monkeypatch):
+        monkeypatch.setenv("ALLOC_BUDGET", "8")
+        cert = verify_ne(example2.truthful_profile(), example2,
+                         families=[Truthful(), SingleMinded()])
+        assert cert.budget == 8
+        assert sum(r.runs for r in cert.reports) == 8
+
+    def test_agent_checked_before_the_families(self, example2):
+        with pytest.raises(ValueError, match="agent 2 out of range for 2 agents"):
+            best_response(example2.truthful_profile(), 2, example2.valuations[0], [])
+
+    def test_profile_length_checked_last(self):
+        example1 = generate(GeneratorSpec("example1")).instance
+        short = list(example1.truthful_profile())[:-1]
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            verify_ne(short, example1, F(-1), families=[])
+        with pytest.raises(ValueError, match="need at least one strategy family"):
+            verify_ne(short, example1, families=[])
+        with pytest.raises(BudgetExceededError):
+            verify_ne(short, example1, families=[Truthful()], budget=5)
+        with pytest.raises(ValueError, match="profile has 2 strategies, expected 3"):
+            verify_ne(short, example1, families=[Truthful()], budget=6)
+
+
 class TestVerifyNe:
     @pytest.mark.parametrize("extra", [1, -1], ids=["n+1", "n-1"])
     def test_profile_length_must_match_instance(self, extra):
@@ -302,7 +342,7 @@ class TestVerifyNe:
         profile = list(instance.truthful_profile())
         profile = profile + profile[:1] if extra > 0 else profile[:-1]
         with pytest.raises(ValueError,
-                           match=f"profile has {3 + extra} strategies, instance has 3 agents"):
+                           match=f"profile has {3 + extra} strategies, expected 3"):
             verify_ne(profile, instance, families=[Truthful(), SingleMinded()])
 
     def test_float_epsilon_rejected(self, example2):

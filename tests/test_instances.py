@@ -174,6 +174,10 @@ class TestTightnessBound:
         values = [tightness_bound(x) for x in range(2, 9)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_needs_two_groups(self):
+        with pytest.raises(GeneratorError, match="needs x >= 2"):
+            tightness_bound(1)
+
     def test_oversized_layout_rejected_before_any_row(self):
         with pytest.raises(GeneratorError, match="over the bound"):
             generate(GeneratorSpec("tightness", {"x": 40}))

@@ -283,4 +283,4 @@ def test_set_slot_rejects_a_strategy_that_does_not_fit_m(strategy):
     for mechanism in ("cps", "ps"):
         with pytest.raises(ValueError, match="agent 2"):
             _set_slot(args, 1, strategy, mechanism)
-        assert args == (2, 3, [1, 1], [(), ()], [(0,), (1,)], [0, 1, 2])
+        assert args == (2, 3, [(), ()], [(0,), (1,)], [0, 1, 2])

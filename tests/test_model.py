@@ -201,6 +201,10 @@ class TestStrategies:
         with pytest.raises(ValueError, match="must be int item indices"):
             Lexicographic(order)
 
+    def test_lexicographic_rejects_negative_indices(self):
+        with pytest.raises(ValueError, match="negative index"):
+            Lexicographic((-1,))
+
     def test_profile_arity_checked(self):
         with pytest.raises(ValueError):
             run(2, 2, [Proportional(valuation_of(["1", "0"]))])
@@ -234,3 +238,11 @@ class TestZeroPolicy:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ZeroPolicy("random-ish")
+
+    def test_fixed_needs_an_order(self):
+        with pytest.raises(ValueError, match="fixed zero policy requires a permutation"):
+            ZeroPolicy("fixed", ())
+
+    def test_uniform_takes_no_order(self):
+        with pytest.raises(ValueError, match="uniform zero policy takes no order"):
+            ZeroPolicy("uniform", (0,))

@@ -80,6 +80,10 @@ class TestEpsilonStrategy:
         with pytest.raises(ValueError):
             epsilon_strategy((0, 0), F(1, 4), 2)
 
+    def test_order_past_m_rejected(self):
+        with pytest.raises(ValueError, match="item out of range for m = 2"):
+            epsilon_strategy((0, 2), F(1, 4), 2)
+
     def test_payoff_gap_shrinks_as_eps_halves(self):
         # the proportional approximation converges to the sequential bid
         rng = rng_for("eps-convergence-unit")
@@ -146,6 +150,10 @@ class TestUniformBids:
         with pytest.raises(ValueError):
             uniform((), 3)
 
+    def test_item_past_m_rejected(self):
+        with pytest.raises(ValueError, match="item out of range for m = 3"):
+            uniform([5], 3)
+
 
 class TestFamilies:
     def test_canonical_enumeration_order(self):
@@ -180,6 +188,12 @@ class TestFamilies:
             list(expand_families([Truthful(), family], truth, 2))
         with pytest.raises(TypeError, match="not a strategy family"):
             describe_families([family], 2)
+        with pytest.raises(TypeError, match="not a strategy family"):
+            list(expand_family(family, truth, 2))
+
+    def test_grid_resolution_must_be_positive(self):
+        with pytest.raises(ValueError, match="grid resolution must be positive"):
+            GridProportional(0)
 
     def test_greedy_defaults_follow_the_agent(self):
         truth = valuation_of(["1/10", "7/10", "1/5"])
