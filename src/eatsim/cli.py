@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import engine, equilibrium, instances, lotteries
+from . import engine, equilibrium, instances, lotteries, strategies
 from .model import (
     Instance,
     InvalidInstanceError,
@@ -63,7 +63,13 @@ POA_CSV_COLUMNS = [
     "ratio", "ratio_approx",
 ]
 
-DEFAULT_FAMILIES = "truthful,single-minded,sequential"
+_FAMILIES = {"truthful": Truthful, "single-minded": SingleMinded,
+             "sequential": Sequential, "uniform": Uniform}
+
+# --families default: the names of the library's default families
+DEFAULT_FAMILIES = ",".join(
+    next(name for name, kind in _FAMILIES.items() if isinstance(family, kind))
+    for family in strategies.DEFAULT_FAMILIES)
 
 RRP_SAMPLES = 10000
 
@@ -237,10 +243,6 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
             raise _UsageError("fixed policy must be a permutation of all items")
         return fixed_order_policy(order)
     raise _UsageError(f"unknown zero policy {token!r}")
-
-
-_FAMILIES = {"truthful": Truthful, "single-minded": SingleMinded,
-             "sequential": Sequential, "uniform": Uniform}
 
 
 def _resolve_families(opts: dict, m: int):

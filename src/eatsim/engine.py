@@ -142,9 +142,24 @@ def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
 
 def _slot(args: tuple, i: int) -> tuple:
     """Agent i's slot in the kernel arguments ``args`` as a hashable key:
-    strategies with equal keys are the same kernel input."""
-    _, _, weights, orders, _ = args
-    return weights[i], orders[i]
+    strategies with equal keys eat identically against any other agents.
+
+    The key is the slot ``(weights, order)`` with two exact rewrites. A
+    report with one positive weight, on item j, keys as the order ``(j,)``:
+    both eat j at rate 1 until it is gone, then follow the zero policy.
+    Under the lowest-index or fixed policy, an order keys as its completion,
+    itself followed by the items of ``zero_order`` it lacks: once the order
+    runs out, the agent eats the first remaining item of ``zero_order``,
+    which is the next remaining item of the completion. Under ps every slot
+    is already a full order, so its key is the slot itself."""
+    _, m, weights, orders, zero_order = args
+    w, order = weights[i], orders[i]
+    if w and w.count(0) == m - 1:
+        w, order = (), (w.index(max(w)),)
+    if w or zero_order is None or len(order) == m:
+        return w, order
+    taken = set(order)
+    return w, order + tuple(j for j in zero_order if j not in taken)
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy,

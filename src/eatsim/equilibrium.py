@@ -26,6 +26,7 @@ from .model import (
     strategy_to_json,
 )
 from .strategies import (
+    DEFAULT_FAMILIES,
     StrategyFamily,
     describe_families,
     expand_families,
@@ -126,14 +127,15 @@ def _sweep(
     arguments once, and :func:`engine._set_slot` applies the mechanism to each
     candidate. Each candidate costs at most one lean kernel run that
     writes only the deviating agent's shares: it replaces that agent's slot
-    only, and the baseline slot is written back after the agent's sweep. The
-    kernel sees a candidate only through that slot, so a candidate whose slot
-    equals the baseline's or an earlier candidate's reuses that payoff.
-    ``runs`` still counts every candidate and the baseline.
+    only, and the baseline slot is written back after the agent's sweep. A
+    slot is keyed by :func:`engine._slot`, and equal keys eat identically, so
+    a candidate whose key equals the baseline's or an earlier candidate's
+    reuses that payoff. ``runs`` still counts every candidate and the
+    baseline.
 
     The mechanism treats agents symmetrically: rates, zero policies and
     depletion ties depend on items and an agent's own strategy, never on its
-    index. So agents with the same true valuation and the same slot have the
+    index. So agents with the same true valuation and the same key have the
     same sweep, which runs once, for the first of them; the others get its
     report under their own index.
     """
@@ -215,7 +217,7 @@ def verify_ne(
     profile: Sequence[Strategy],
     instance: Instance,
     epsilon: Fraction = Fraction(0),
-    families: Sequence[StrategyFamily] = (),
+    families: Sequence[StrategyFamily] = DEFAULT_FAMILIES,
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
     budget: int | None = None,
@@ -223,9 +225,9 @@ def verify_ne(
 ) -> EquilibriumCertificate:
     """Sweep every agent; certify or return the refutation.
 
-    The verdict is an epsilon-Nash statement *within the given families*: it
-    is a refutation whenever some agent gains more than epsilon, and a
-    certificate otherwise.
+    The verdict is an epsilon-Nash statement *within the given families*
+    (by default truthful, single-minded and sequential): it is a refutation
+    whenever some agent gains more than epsilon, and a certificate otherwise.
     """
     if isinstance(epsilon, float):
         raise ValueError("floats are not exact; pass Fraction, int, or a rational string")

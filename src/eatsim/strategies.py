@@ -135,6 +135,10 @@ class GridProportional:
 
 StrategyFamily = Truthful | SingleMinded | Sequential | Uniform | GridProportional
 
+# The families a certificate sweeps when the caller names none: the default
+# of ``equilibrium.verify_ne`` and of the CLI's ``--families``.
+DEFAULT_FAMILIES = (Truthful(), SingleMinded(), Sequential())
+
 _FAMILY_RANK = {Truthful: 0, SingleMinded: 1, Sequential: 2, Uniform: 3, GridProportional: 4}
 
 

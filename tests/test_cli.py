@@ -19,11 +19,13 @@ from eatsim.cli import (
     EXIT_USAGE,
     ExperimentConfig,
     POA_CSV_COLUMNS,
+    _resolve_families,
     config_from_argv,
     execute,
     main,
 )
 from eatsim.model import instance_from_json, profile_from_json
+from eatsim.strategies import DEFAULT_FAMILIES
 
 F = Fraction
 
@@ -245,6 +247,13 @@ class TestVerifyAndBestResponse:
         assert result.exit_code == EXIT_OK
         assert "verdict: certified" in result.stdout
 
+    @pytest.mark.parametrize("argv", [["verify-ne"], ["best-response", "--agent", "1"]],
+                             ids=["verify-ne", "best-response"])
+    def test_default_families_are_the_library_default(self, argv):
+        # one set of default families, for --families and for verify_ne
+        opts = config_from_argv(argv + ["--generator", "example2"]).options
+        assert _resolve_families(opts, 2) == list(DEFAULT_FAMILIES)
+
     def test_negative_epsilon_exit_2(self, capsys):
         assert main(["verify-ne", "--generator", "example2", "--profile", "truthful",
                      "--families", "truthful", "--epsilon=-1/2"]) == EXIT_INVALID
@@ -349,6 +358,20 @@ class TestSweepOutputBytes:
         result = run_cli(["verify-ne", "--generator", "log-m-lb", "--k", "8", "--q", "4",
                           "--mechanism", mechanism, "--out", "cert.json"])
         assert result.exit_code == EXIT_OK
+        assert hashlib.sha256(result.files["cert.json"].encode("utf-8")).hexdigest() == digest
+
+    # the zero policy decides which candidates eat alike under CPS: under the
+    # uniform policy an order prefix is not its completion, under a fixed
+    # one it is the completion in the policy's order
+    @pytest.mark.parametrize("policy, digest", [
+        ("uniform", "cb59a69615600b35c84d91c2ba42c880910b7e52a8d49103abb6099d80883f6d"),
+        ("fixed:3,1,4,15,9,2,6,5,8,7,10,14,13,11,12",
+         "b811ecfc5886dc1a24c73bf16910d85e8f4392d7003960070526566cdbd32a64"),
+    ], ids=["uniform", "fixed"])
+    def test_log_m_q3_candidates_digest_under_zero_policy(self, policy, digest):
+        result = run_cli(["verify-ne", "--generator", "log-m-lb", "--k", "8", "--q", "3",
+                          "--dump-candidates", "--zero-policy", policy, "--out", "cert.json"])
+        assert result.exit_code == EXIT_REFUTED
         assert hashlib.sha256(result.files["cert.json"].encode("utf-8")).hexdigest() == digest
 
     def test_sqrt_n_certificate_stdout_digest(self):
@@ -572,11 +595,53 @@ def _in_dir(argv, tmp_path):
     return [arg.replace("{dir}", str(tmp_path)) for arg in argv]
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_gets_a_documented_exit_code(argv, tmp_path, capsys):
-    argv = _in_dir(argv, tmp_path)
-    assert main(argv) in {EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_REFUTED,
-                          EXIT_BUDGET, EXIT_USAGE}
+# The exit code of each malformed input that REJECTED does not pin with its
+# printed line; every MALFORMED key is in exactly one of the two.
+MALFORMED_EXITS = {
+    "fixed-repeat": EXIT_USAGE,
+    "fixed-words": EXIT_USAGE,
+    "fixed-empty": EXIT_USAGE,
+    "fixed-short": EXIT_USAGE,
+    "agent-0": EXIT_USAGE,
+    "agent-past-n": EXIT_USAGE,
+    "agent-word": EXIT_USAGE,
+    "families-empty": EXIT_USAGE,
+    "families-comma": EXIT_USAGE,
+    "epsilon-word": EXIT_PARSE,
+    "epsilon-zero-den": EXIT_PARSE,
+    "eps-word": EXIT_PARSE,
+    "eps-zero-den": EXIT_PARSE,
+    "eps-above": EXIT_INVALID,
+    "eps-zero": EXIT_INVALID,
+    # argparse reads "-1/2" as an option, so --eps has no value: a usage
+    # error, where --eps 0 out of the same range exits 2
+    "eps-negative": EXIT_USAGE,
+    "n-not-square": EXIT_INVALID,
+    "rp-n-9": EXIT_BUDGET,
+    "poa-rp-n-9": EXIT_BUDGET,
+    "weight-max-0": EXIT_INVALID,
+    "unknown-generator": EXIT_INVALID,
+    "no-bad-profile": EXIT_USAGE,
+    "missing-instance": EXIT_PARSE,
+    "missing-profile": EXIT_PARSE,
+    "profile-duplicates": EXIT_INVALID,
+    "profile-floats": EXIT_PARSE,
+    "profile-not-list": EXIT_PARSE,
+    "short-row": EXIT_INVALID,
+    "n-word": EXIT_PARSE,
+    "n-half": EXIT_PARSE,
+    "rows-not-list": EXIT_PARSE,
+    "short-agent-labels": EXIT_INVALID,
+    "long-item-labels": EXIT_INVALID,
+    "seed-word": EXIT_USAGE,
+    "sample-seed-word": EXIT_USAGE,
+}
+
+
+@pytest.mark.parametrize("key", MALFORMED)
+def test_malformed_input_gets_a_documented_exit_code(key, tmp_path, capsys):
+    code = REJECTED[key][0] if key in REJECTED else MALFORMED_EXITS[key]
+    assert main(_in_dir(MALFORMED[key], tmp_path)) == code
 
 
 # Inputs that used to end in a traceback or be read as something else: each

@@ -18,7 +18,7 @@ from eatsim import (
     valuation_of,
     welfare,
 )
-from eatsim.engine import payoff
+from eatsim.engine import _kernel_args, _slot, payoff
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.model import decimal_str, fixed_order_policy, format_rational
 from eatsim.strategies import as_ordinal, ps_profile, single_minded
@@ -297,6 +297,59 @@ class TestStructuralInvariants:
                     favorite = max(remaining, key=lambda j: (reports[i][j], -j))
                     expected = [F(1) if j == favorite else F(0) for j in range(m)]
                     assert list(seg.rates[i]) == expected
+
+
+class TestEquivalentStrategies:
+    """A sweep keys each candidate by ``engine._slot`` and runs each key once,
+    so two strategies with one key must give the same whole trace, segments
+    included, against any other agents."""
+
+    @staticmethod
+    def _assert_same_run(n, m, profile, agent, first, second, policy):
+        traces, keys = [], []
+        for strat in (first, second):
+            deviated = profile[:agent] + [strat] + profile[agent + 1:]
+            traces.append(run(n, m, deviated, policy))
+            keys.append(_slot(_kernel_args(n, m, deviated, policy), agent))
+        assert traces[0] == traces[1]
+        assert keys[0] == keys[1]
+
+    @pytest.mark.parametrize("policy_name", ["lowest-index", "fixed"])
+    def test_prefix_runs_as_its_completion(self, policy_name):
+        # an order that runs out falls to the zero policy, which eats the
+        # first remaining item of zero_order: the completion's next item
+        rng = rng_for(f"engine-prefix-completion:{policy_name}")
+        for _ in range(150):
+            n, m, _, profile, _ = random_run_case(rng, max_n=6, max_m=6)
+            policy = (LOWEST_INDEX_FIRST if policy_name == "lowest-index"
+                      else fixed_order_policy(rng.sample(range(m), m)))
+            prefix = tuple(rng.sample(range(m), rng.randint(0, m)))
+            completed = prefix + tuple(j for j in policy.order or range(m) if j not in prefix)
+            self._assert_same_run(n, m, profile, rng.randrange(n), Lexicographic(prefix),
+                                  Lexicographic(completed), policy)
+
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_single_minded_runs_as_the_one_item_order(self, policy_name):
+        rng = rng_for(f"engine-single-minded-order:{policy_name}")
+        for _ in range(150):
+            n, m, _, profile, _ = random_run_case(rng, max_n=6, max_m=6)
+            policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
+                      "fixed": fixed_order_policy(rng.sample(range(m), m))}[policy_name]
+            j = rng.randrange(m)
+            self._assert_same_run(n, m, profile, rng.randrange(n), single_minded(j, m),
+                                  Lexicographic((j,)), policy)
+
+    def test_uniform_policy_keeps_a_prefix_apart_from_its_completion(self):
+        # under the uniform policy a spent order spreads over every remaining
+        # item: a lone agent with the prefix (2) eats items 1 and 3 together
+        # from t = 1, with the completion (2, 1, 3) one after the other
+        prefix, completed = [Lexicographic((1,))], [Lexicographic((1, 0, 2))]
+        times = [run(1, 3, p, UNIFORM_OVER_REMAINING).consumption_times()
+                 for p in (prefix, completed)]
+        assert times == [(F(3), F(1), F(3)), (F(2), F(1), F(3))]
+        keys = [_slot(_kernel_args(1, 3, p, UNIFORM_OVER_REMAINING), 0)
+                for p in (prefix, completed)]
+        assert keys[0] != keys[1]
 
 
 class TestQuarterRuleSurvey:

@@ -60,6 +60,20 @@ def _plain_reports(profile, instance, families, mechanism, policy):
         for agent in range(instance.n))
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per kernel run made while the test runs."""
+    calls = []
+    run_eating = _kernel.run_eating
+
+    def counted(*args):
+        calls.append(None)
+        return run_eating(*args)
+
+    monkeypatch.setattr(_kernel, "run_eating", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def example2():
     return generate(GeneratorSpec("example2")).instance
@@ -163,40 +177,62 @@ class TestBestResponse:
 
 
 class TestSweepMatchesPlainRuns:
-    """Each distinct candidate of a sweep costs one lean kernel run on the
-    deviator's slot, and a repeated slot reuses its payoff; every payoff must
-    be the one a full run of the whole profile gives."""
+    """Each candidate of a sweep is keyed by how it eats (``engine._slot``),
+    each distinct key costs one lean kernel run on the deviator's slot, and a
+    repeated key reuses its payoff; every payoff must be the one a full run
+    of the whole profile gives."""
 
     @pytest.mark.parametrize("mechanism", ["cps", "ps"])
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
     def test_candidate_payoffs_equal_full_runs(self, mechanism, policy_name):
         self._check_sweeps(rng_for(f"sweep-plain-runs:{mechanism}:{policy_name}"),
-                           mechanism, policy_name, coincide=False)
+                           mechanism, policy_name, baseline="random")
 
     @pytest.mark.parametrize("mechanism", ["cps", "ps"])
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
     def test_coinciding_candidate_payoffs_equal_full_runs(self, mechanism, policy_name):
         # the deviator is single-minded on item j and truthful: the baseline,
-        # truthful, single-minded(j) and uniform({j}) are one kernel input
-        # under CPS, and under PS so is every candidate with the same ordinal
-        # shadow, so most payoffs are reused
+        # truthful, single-minded(j), uniform({j}) and sequential(j) eat alike
+        # under CPS, and under PS so does every candidate with the same
+        # ordinal shadow, so most payoffs are reused
         self._check_sweeps(rng_for(f"sweep-coinciding-runs:{mechanism}:{policy_name}"),
-                           mechanism, policy_name, coincide=True)
+                           mechanism, policy_name, baseline="single-minded")
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_prefix_baseline_payoffs_equal_full_runs(self, mechanism, policy_name):
+        # the deviator plays an order prefix, and its completion is one of the
+        # candidates: under the lowest-index and fixed policies the two eat
+        # alike and share the baseline's payoff
+        self._check_sweeps(rng_for(f"sweep-prefix-runs:{mechanism}:{policy_name}"),
+                           mechanism, policy_name, baseline="prefix")
 
     @staticmethod
-    def _check_sweeps(rng, mechanism, policy_name, coincide):
+    def _check_sweeps(rng, mechanism, policy_name, baseline):
         for _ in range(12):
             n, m, instance, profile, _ = random_run_case(rng, max_n=5, max_m=5)
             policy = _policy(rng, policy_name, m)
             agent = rng.randrange(n)
-            if coincide:
+            zero_order = policy.order or range(m)
+
+            def completion(order):
+                return order + tuple(j for j in zero_order if j not in order)
+
+            # random prefixes of every length, the empty one included, and
+            # their completions; one-item orders fall to the zero policy
+            prefixes = [tuple(rng.sample(range(m), k)) for k in range(m + 1)]
+            orders = tuple((j,) for j in range(m)) + tuple(prefixes) + tuple(
+                map(completion, prefixes))
+            if baseline == "single-minded":
                 rows = list(instance.valuations)
                 rows[agent] = single_minded(rng.randrange(m), m).report
                 instance = Instance(n, m, tuple(rows))
                 profile[agent] = Proportional(rows[agent])
+            elif baseline == "prefix":
+                own = tuple(rng.sample(range(m), rng.randint(0, m)))
+                profile[agent] = Lexicographic(own)
+                orders += (completion(own),)
             truth = instance.valuations[agent]
-            # one-item prefix orders make the deviator fall to the zero policy
-            orders = tuple((j,) for j in range(m)) + (tuple(rng.sample(range(m), m)),)
             families = [Truthful(), SingleMinded(), Sequential(orders), Uniform()]
             report = best_response(profile, agent, truth, families, mechanism, policy,
                                    collect_candidates=True)
@@ -245,6 +281,46 @@ class TestSweepsShareWorkAcrossAgents:
         witness = next((r for r in plain if r.gain > 0), None)
         assert cert.witness == witness
 
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_agents_with_strategies_that_eat_alike_share_a_sweep(
+            self, mechanism, policy_name, kernel_calls):
+        # each copy has its source's valuation and plays the source's order in
+        # another form that eats alike: a single-minded report for a one-item
+        # order, and for any other the completion that the agent eats once
+        # the order runs out (in index order under PS, in the policy's order
+        # under CPS with the lowest-index or fixed policy); the certificate
+        # and its kernel calls must be those of the profile whose copies play
+        # the source's order as written
+        rng = rng_for(f"sweeps-on-eating-keys:{mechanism}:{policy_name}")
+        for _ in range(10):
+            m, sources = rng.randint(1, 4), rng.randint(1, 3)
+            policy = _policy(rng, policy_name, m)
+            valuations = [random_valuation(rng, m) for _ in range(sources)]
+            orders = [tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(sources)]
+            rewritten = []
+            for order in orders:
+                if len(order) == 1:
+                    rewritten.append(single_minded(order[0], m))
+                elif mechanism == "cps" and policy_name == "uniform":
+                    rewritten.append(Lexicographic(order))
+                else:
+                    zero_order = range(m) if mechanism == "ps" else policy.order or range(m)
+                    rewritten.append(Lexicographic(
+                        order + tuple(j for j in zero_order if j not in order)))
+            perm = rng.sample(range(2 * sources), 2 * sources)
+            instance = Instance(2 * sources, m, tuple((valuations * 2)[c] for c in perm))
+            certs = []
+            for copies in (rewritten, [Lexicographic(order) for order in orders]):
+                profile = [(list(map(Lexicographic, orders)) + copies)[c] for c in perm]
+                kernel_calls.clear()
+                cert = verify_ne(profile, instance, families=SWEEP_FAMILIES,
+                                 mechanism=mechanism, policy=policy, collect_candidates=True)
+                certs.append((cert.reports, len(kernel_calls)))
+                assert cert.reports == _plain_reports(profile, instance, SWEEP_FAMILIES,
+                                                      mechanism, policy)
+            assert certs[0] == certs[1]
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_only_agents_equal_in_valuation_and_strategy_are_merged(self, data):
@@ -275,24 +351,30 @@ class TestSweepsShareWorkAcrossAgents:
         assert cert.reports == _plain_reports(profile, instance, SWEEP_FAMILIES,
                                               mechanism, policy)
 
-    def test_kernel_calls_on_the_dyadic_certificate(self, monkeypatch):
-        # the 10 agents of log-m-lb k=8 q=2 fall into 3 classes, and a
-        # candidate equal to the baseline or an earlier candidate is not run
-        # again; engine_runs still counts every candidate of every agent
-        calls = []
-        run_eating = _kernel.run_eating
-
-        def counted(*args):
-            calls.append(None)
-            return run_eating(*args)
-
-        monkeypatch.setattr(_kernel, "run_eating", counted)
-        gen = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": 2}))
-        cert = verify_ne(list(gen.bad_profile), gen.instance,
+    @staticmethod
+    def _dyadic_certificate(q, mechanism):
+        gen = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": q}))
+        return verify_ne(list(gen.bad_profile), gen.instance, mechanism=mechanism,
                          families=[Truthful(), SingleMinded(), Sequential()])
+
+    def test_kernel_calls_on_the_dyadic_certificate(self, kernel_calls):
+        # the 10 agents of log-m-lb k=8 q=2 fall into 3 classes, and a
+        # candidate that eats like the baseline or an earlier candidate is not
+        # run again: single-minded(j) like sequential(j), and each greedy
+        # prefix like its completion; engine_runs still counts every
+        # candidate of every agent
+        cert = self._dyadic_certificate(2, "cps")
         assert cert.verdict == "certified"
         assert sum(r.runs for r in cert.reports) == 160
-        assert len(calls) == 44
+        assert len(kernel_calls) == 27
+
+    @pytest.mark.parametrize("mechanism, calls", [("cps", 74), ("ps", 71)])
+    def test_kernel_calls_on_the_q3_certificate(self, kernel_calls, mechanism, calls):
+        # PS slots are full orders already, so only CPS runs fewer
+        cert = self._dyadic_certificate(3, mechanism)
+        assert cert.verdict == "certified"
+        assert sum(r.runs for r in cert.reports) == 352
+        assert len(kernel_calls) == calls
 
 
 class TestOneCheckedSweep:
@@ -362,6 +444,14 @@ class TestVerifyNe:
         assert cert.witness.agent == 0
         assert cert.witness.best_label == "single-minded(1)"
         assert cert.witness.gain == F(1, 36)
+
+    def test_default_families_equal_the_explicit_call(self, example2):
+        # the default used to be no family at all, which the sweep rejects
+        cert = verify_ne(example2.truthful_profile(), example2)
+        assert cert == verify_ne(example2.truthful_profile(), example2,
+                                 families=[Truthful(), SingleMinded(), Sequential()])
+        assert cert.families == "truthful + single-minded[all 2 items] + sequential[greedy orders]"
+        assert cert.verdict == "refuted"
 
     def test_mutually_single_minded_profile_certified(self):
         n = 3
