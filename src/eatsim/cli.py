@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,8 +192,12 @@ def _build_parser() -> _Parser:
 
 
 def config_from_argv(argv: list[str]) -> ExperimentConfig:
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
+    # argparse reads a value such as "-1/2" as an option: attach it as "--eps=-1/2"
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\.?\d", argv[i]) and argv[i - 1][:2] == "--" and "=" not in argv[i - 1]:
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    namespace = _build_parser().parse_args(argv)
     if namespace.command is None:
         raise _UsageError("a subcommand is required")
     options = {k: v for k, v in vars(namespace).items() if k != "command" and v is not None}

@@ -72,13 +72,6 @@ class Trace:
     shares: tuple[tuple[Fraction, ...], ...]
     horizon: Fraction
 
-    def consumption_time(self, item: int) -> Fraction:
-        """First instant the item's remaining quantity hits zero."""
-        for time, j in self.depletion_events:
-            if j == item:
-                return time
-        raise IndexError(f"item {item} not in trace")
-
     def consumption_times(self) -> tuple[Fraction, ...]:
         """Depletion time per item, indexed by item."""
         times = [None] * self.m
@@ -129,37 +122,36 @@ def _coprime(num: int, den: int) -> Fraction:
 def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
     """Check agent i's strategy against m and write it, or under ps its
     ordinal shadow, into the kernel arguments ``args`` (from
-    :func:`_kernel_args`) in place."""
-    _, m, weights, orders, _ = args
+    :func:`_kernel_args`) in place, as the shortest form that eats the same:
+    a report with one positive weight, on item j, as the order ``(j,)``;
+    under the lowest-index or fixed policy an order as the shortest prefix of
+    its completion (the items of ``zero_order`` it lacks appended in that
+    order) with the same completion; under the uniform policy a full order
+    without its last item, which the policy eats alone at rate 1."""
+    _, m, weights, orders, zero_order = args
     check_strategy(i, m, strat)
     if mechanism == "ps":
         strat = as_ordinal(strat, m)
     if isinstance(strat, Proportional):
-        weights[i], orders[i] = strat.report.integer_form[1], ()
+        w = strat.report.integer_form[1]
+        if w.count(0) != m - 1:
+            weights[i], orders[i] = w, ()
+            return
+        order = (w.index(max(w)),)
     else:
-        weights[i], orders[i] = (), strat.order
-
-
-def _slot(args: tuple, i: int) -> tuple:
-    """Agent i's slot in the kernel arguments ``args`` as a hashable key:
-    strategies with equal keys eat identically against any other agents.
-
-    The key is the slot ``(weights, order)`` with two exact rewrites. A
-    report with one positive weight, on item j, keys as the order ``(j,)``:
-    both eat j at rate 1 until it is gone, then follow the zero policy.
-    Under the lowest-index or fixed policy, an order keys as its completion,
-    itself followed by the items of ``zero_order`` it lacks: once the order
-    runs out, the agent eats the first remaining item of ``zero_order``,
-    which is the next remaining item of the completion. Under ps every slot
-    is already a full order, so its key is the slot itself."""
-    _, m, weights, orders, zero_order = args
-    w, order = weights[i], orders[i]
-    if w and w.count(0) == m - 1:
-        w, order = (), (w.index(max(w)),)
-    if w or zero_order is None or len(order) == m:
-        return w, order
-    taken = set(order)
-    return w, order + tuple(j for j in zero_order if j not in taken)
+        order = strat.order
+    if zero_order is None:
+        order = order[:m - 1]
+    else:
+        # cut the completion before its longest tail in zero_order's order
+        taken = set(order)
+        order += tuple(j for j in zero_order if j not in taken)
+        k = m
+        for j in reversed(zero_order):
+            if order[k - 1] == j:
+                k -= 1
+        order = order[:k]
+    weights[i], orders[i] = (), order
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy,

@@ -127,15 +127,15 @@ def _sweep(
     arguments once, and :func:`engine._set_slot` applies the mechanism to each
     candidate. Each candidate costs at most one lean kernel run that
     writes only the deviating agent's shares: it replaces that agent's slot
-    only, and the baseline slot is written back after the agent's sweep. A
-    slot is keyed by :func:`engine._slot`, and equal keys eat identically, so
-    a candidate whose key equals the baseline's or an earlier candidate's
-    reuses that payoff. ``runs`` still counts every candidate and the
-    baseline.
+    only, and the baseline slot is written back after the agent's sweep.
+    ``_set_slot`` writes the shortest form that eats the same, so equal slots
+    eat identically, and a candidate whose slot ``(weights[agent],
+    orders[agent])`` equals the baseline's or an earlier candidate's reuses
+    that payoff. ``runs`` still counts every candidate and the baseline.
 
     The mechanism treats agents symmetrically: rates, zero policies and
     depletion ties depend on items and an agent's own strategy, never on its
-    index. So agents with the same true valuation and the same key have the
+    index. So agents with the same true valuation and the same slot have the
     same sweep, which runs once, for the first of them; the others get its
     report under their own index.
     """
@@ -151,11 +151,12 @@ def _sweep(
     if total > budget:
         raise BudgetExceededError(f"sweep needs {total} engine runs, budget is {budget}")
     args = engine._kernel_args(n, m, profile, policy, mechanism)
+    _, _, weights, orders, _ = args
     described = describe_families(families, m)
     swept: dict[tuple, DeviationReport] = {}
     reports = []
     for agent, truth in zip(agents, truths):
-        baseline = engine._slot(args, agent)
+        baseline = weights[agent], orders[agent]
         key = (truth.integer_form, baseline)
         if key in swept:
             reports.append(replace(swept[key], agent=agent))
@@ -167,7 +168,7 @@ def _sweep(
         collected: list[tuple[str, Fraction]] = []
         for label, candidate in expand_families(families, truth, m):
             engine._set_slot(args, agent, candidate, mechanism)
-            slot = engine._slot(args, agent)
+            slot = weights[agent], orders[agent]
             value = payoffs.get(slot)
             if value is None:
                 value = payoffs[slot] = engine._payoffs(args, wanted, truth_row)[0]

@@ -5,10 +5,10 @@ quota of favorite available items; Repeated Random Priority draws an agent
 uniformly m times in a row, one item per draw. ``opt`` is the benchmark that
 hands every item to an agent that values it most.
 
-Each agent ranks items by its report's ordinal shadow, the order PS eats
-in: the rankings are the orders of the kernel arguments that
-``engine._kernel_args`` builds under ps, so a malformed profile gets the
-eating mechanisms' error.
+Each agent ranks items by its report's ordinal shadow
+(:func:`eatsim.strategies.as_ordinal`), the order PS eats in. The profile is
+first checked by ``engine._kernel_args`` under ps, so a malformed profile
+gets the eating mechanisms' error.
 
 All tie-breaks are lowest-index. Monte Carlo paths use one child stream per
 sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import engine
+from . import engine, strategies
 from .model import LOWEST_INDEX_FIRST, Instance, Strategy
 
 
@@ -231,7 +231,8 @@ def random_priority(
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[3]
+    engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
+    rankings = [strategies.as_ordinal(s, m).order for s in reports]
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     if samples is not None and seed is None:
@@ -321,7 +322,8 @@ def repeated_random_priority(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
-    rankings = engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")[3]
+    engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
+    rankings = [strategies.as_ordinal(s, m).order for s in reports]
     denom, value_int = instance.value_table
     valued = _valued(value_int)
     valued_count = sum(valued)

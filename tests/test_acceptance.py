@@ -134,8 +134,8 @@ def test_a05_single_minded_minimality_and_superset():
         deviated = list(profile)
         deviated[agent] = single_minded(item, m)
         switched = run(n, m, deviated, policy)
-        t_hat = switched.consumption_time(item)
-        assert t_hat <= baseline.consumption_time(item)
+        t_hat = switched.consumption_times()[item]
+        assert t_hat <= baseline.consumption_times()[item]
         for ell in range(16):
             t = t_hat * ell / 16
             assert baseline.remaining_at(t) <= switched.remaining_at(t)

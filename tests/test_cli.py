@@ -531,6 +531,7 @@ MALFORMED = {
     "eps-above": ["generate", *_RP_LB, "--eps", "2"],
     "eps-zero": ["generate", *_RP_LB, "--eps", "0"],
     "eps-negative": ["generate", *_RP_LB, "--eps", "-1/2"],
+    "epsilon-negative": ["verify-ne", *_EXAMPLE2, "--epsilon", "-1/10"],
     "n-not-square": ["generate", "--generator", "sqrt-n-lb", "--n", "5"],
     "rp-n-9": ["rp", "--generator", "random", "--n", "9", "--m", "9"],
     "poa-rp-n-9": ["poa", "--generator", "random", "--n", "9", "--m", "9",
@@ -613,9 +614,6 @@ MALFORMED_EXITS = {
     "eps-zero-den": EXIT_PARSE,
     "eps-above": EXIT_INVALID,
     "eps-zero": EXIT_INVALID,
-    # argparse reads "-1/2" as an option, so --eps has no value: a usage
-    # error, where --eps 0 out of the same range exits 2
-    "eps-negative": EXIT_USAGE,
     "n-not-square": EXIT_INVALID,
     "rp-n-9": EXIT_BUDGET,
     "poa-rp-n-9": EXIT_BUDGET,
@@ -683,6 +681,10 @@ REJECTED = {
                                            "4300 digits"),
     "report-huge-exponent": (EXIT_PARSE, "error: rational '1e-99999999' needs more than "
                                          "4300 digits"),
+    # a negative rational after its option is that option's value, as with
+    # --eps=-1/2, not an unknown option
+    "eps-negative": (EXIT_INVALID, "generator error: eps = -1/2 must lie in (0, 1/3)"),
+    "epsilon-negative": (EXIT_INVALID, "error: epsilon must be nonnegative, got -1/10"),
     "eps-huge-exponent": (EXIT_PARSE, "error: rational '1e-999999999' needs more than "
                                       "4300 digits"),
     "epsilon-huge-exponent": (EXIT_PARSE, "error: rational '1e-99999999999' needs more "

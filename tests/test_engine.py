@@ -18,7 +18,7 @@ from eatsim import (
     valuation_of,
     welfare,
 )
-from eatsim.engine import _kernel_args, _slot, payoff
+from eatsim.engine import _kernel_args, payoff
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.model import decimal_str, fixed_order_policy, format_rational
 from eatsim.strategies import as_ordinal, ps_profile, single_minded
@@ -54,9 +54,8 @@ class TestGoldenRuns:
     def test_example1_depletion_order_and_times(self, example1):
         trace = run(3, 3, example1.truthful_profile())
         assert [j for _, j in trace.depletion_events] == [1, 0, 2]
-        assert trace.consumption_time(1) == EXAMPLE1_TIMES[0]
-        assert trace.consumption_time(0) == EXAMPLE1_TIMES[1]
-        assert trace.consumption_time(2) == EXAMPLE1_TIMES[2]
+        times = trace.consumption_times()
+        assert (times[1], times[0], times[2]) == EXAMPLE1_TIMES
 
     def test_example1_exact_shares(self, example1):
         trace = run(3, 3, example1.truthful_profile())
@@ -81,7 +80,7 @@ class TestGoldenRuns:
     def test_example2_single_minded_deviation(self, example2):
         profile = [single_minded(0, 2), example2.truthful_profile()[1]]
         trace = run(2, 2, profile)
-        assert trace.consumption_time(0) == F(3, 4)
+        assert trace.consumption_times()[0] == F(3, 4)
         assert trace.shares[0] == (F(3, 4), F(1, 4))
         assert expected_payoffs(trace, example2.valuations)[0] == F(7, 12)
 
@@ -89,7 +88,7 @@ class TestGoldenRuns:
         n = 4
         profile = [single_minded(i, n) for i in range(n)]
         trace = run(n, n, profile)
-        assert all(trace.consumption_time(j) == 1 for j in range(n))
+        assert all(trace.consumption_times()[j] == 1 for j in range(n))
         assert trace.shares == tuple(
             tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n))
 
@@ -162,11 +161,6 @@ class TestRejectedInputs:
         trace = run(3, 3, example1.truthful_profile())
         with pytest.raises(ValueError, match="valuation length does not match trace"):
             payoff(trace.shares[0], valuation_of(["1/2", "1/2"]))
-
-    def test_consumption_time_of_a_missing_item(self, example1):
-        trace = run(3, 3, example1.truthful_profile())
-        with pytest.raises(IndexError, match="item 3 not in trace"):
-            trace.consumption_time(3)
 
 
 def plain_trace_json(trace, decimals):
@@ -279,8 +273,7 @@ class TestStructuralInvariants:
             Proportional(valuation_of(["1/2", "1/2", "0"])),
         ]
         trace = run(2, 3, profile)
-        assert trace.consumption_time(2) == F(3, 2)
-        assert trace.consumption_time(0) == 1 and trace.consumption_time(1) == 1
+        assert trace.consumption_times() == (1, 1, F(3, 2))
 
     def test_ordinal_profile_reproduces_favorite_first_eating(self):
         rng = rng_for("engine-ps")
@@ -290,29 +283,46 @@ class TestStructuralInvariants:
             reports = [random_valuation(rng, m) for _ in range(n)]
             profile = [as_ordinal(Proportional(v), m) for v in reports]
             trace = run(n, m, profile)
+            times = trace.consumption_times()
             for seg in trace.segments:
-                remaining = [j for j in range(m)
-                             if trace.consumption_time(j) > seg.start]
+                remaining = [j for j in range(m) if times[j] > seg.start]
                 for i in range(n):
                     favorite = max(remaining, key=lambda j: (reports[i][j], -j))
                     expected = [F(1) if j == favorite else F(0) for j in range(m)]
                     assert list(seg.rates[i]) == expected
 
 
+def _slot(n, m, profile, policy, agent):
+    """Agent's slot ``(weights, order)`` in the kernel arguments of a profile."""
+    _, _, weights, orders, _ = _kernel_args(n, m, profile, policy)
+    return weights[agent], orders[agent]
+
+
+def _completion(order, policy, m):
+    """The order followed by the items it lacks in the zero policy's order."""
+    return order + tuple(j for j in policy.order or range(m) if j not in order)
+
+
+def _random_policy(rng, name, m):
+    return {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
+            "fixed": fixed_order_policy(rng.sample(range(m), m))}[name]
+
+
 class TestEquivalentStrategies:
-    """A sweep keys each candidate by ``engine._slot`` and runs each key once,
-    so two strategies with one key must give the same whole trace, segments
-    included, against any other agents."""
+    """``_kernel_args`` writes each strategy as the shortest form that eats
+    the same, and a sweep keys each candidate by that slot and runs each slot
+    once, so two strategies with one slot must give the same whole trace,
+    segments included, against any other agents."""
 
     @staticmethod
     def _assert_same_run(n, m, profile, agent, first, second, policy):
-        traces, keys = [], []
+        traces, slots = [], []
         for strat in (first, second):
             deviated = profile[:agent] + [strat] + profile[agent + 1:]
             traces.append(run(n, m, deviated, policy))
-            keys.append(_slot(_kernel_args(n, m, deviated, policy), agent))
+            slots.append(_slot(n, m, deviated, policy, agent))
         assert traces[0] == traces[1]
-        assert keys[0] == keys[1]
+        assert slots[0] == slots[1]
 
     @pytest.mark.parametrize("policy_name", ["lowest-index", "fixed"])
     def test_prefix_runs_as_its_completion(self, policy_name):
@@ -321,20 +331,27 @@ class TestEquivalentStrategies:
         rng = rng_for(f"engine-prefix-completion:{policy_name}")
         for _ in range(150):
             n, m, _, profile, _ = random_run_case(rng, max_n=6, max_m=6)
-            policy = (LOWEST_INDEX_FIRST if policy_name == "lowest-index"
-                      else fixed_order_policy(rng.sample(range(m), m)))
+            policy = _random_policy(rng, policy_name, m)
             prefix = tuple(rng.sample(range(m), rng.randint(0, m)))
-            completed = prefix + tuple(j for j in policy.order or range(m) if j not in prefix)
             self._assert_same_run(n, m, profile, rng.randrange(n), Lexicographic(prefix),
-                                  Lexicographic(completed), policy)
+                                  Lexicographic(_completion(prefix, policy, m)), policy)
+
+    def test_uniform_policy_runs_an_order_of_m_minus_1_items_as_its_completion(self):
+        # once the m - 1 items are gone the uniform policy spreads over the
+        # one item left, at rate 1, as the completion eats it
+        rng = rng_for("engine-uniform-completion")
+        for _ in range(150):
+            n, m, _, profile, _ = random_run_case(rng, max_n=6, max_m=6)
+            order = tuple(rng.sample(range(m), m))
+            self._assert_same_run(n, m, profile, rng.randrange(n), Lexicographic(order[:-1]),
+                                  Lexicographic(order), UNIFORM_OVER_REMAINING)
 
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
     def test_single_minded_runs_as_the_one_item_order(self, policy_name):
         rng = rng_for(f"engine-single-minded-order:{policy_name}")
         for _ in range(150):
             n, m, _, profile, _ = random_run_case(rng, max_n=6, max_m=6)
-            policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
-                      "fixed": fixed_order_policy(rng.sample(range(m), m))}[policy_name]
+            policy = _random_policy(rng, policy_name, m)
             j = rng.randrange(m)
             self._assert_same_run(n, m, profile, rng.randrange(n), single_minded(j, m),
                                   Lexicographic((j,)), policy)
@@ -347,9 +364,29 @@ class TestEquivalentStrategies:
         times = [run(1, 3, p, UNIFORM_OVER_REMAINING).consumption_times()
                  for p in (prefix, completed)]
         assert times == [(F(3), F(1), F(3)), (F(2), F(1), F(3))]
-        keys = [_slot(_kernel_args(1, 3, p, UNIFORM_OVER_REMAINING), 0)
-                for p in (prefix, completed)]
-        assert keys[0] != keys[1]
+        slots = [_slot(1, 3, p, UNIFORM_OVER_REMAINING, 0) for p in (prefix, completed)]
+        assert slots == [((), (1,)), ((), (1, 0))]
+
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_orders_are_written_in_their_shortest_form(self, policy_name):
+        rng = rng_for(f"engine-shortest-slots:{policy_name}")
+        for _ in range(100):
+            m = rng.randint(1, 7)
+            policy = _random_policy(rng, policy_name, m)
+            for k in range(m + 1):
+                order = tuple(rng.sample(range(m), k))
+                completion = _completion(order, policy, m)
+                (_, written), full = (_slot(1, m, [Lexicographic(o)], policy, 0)
+                                      for o in (order, completion))
+                if policy_name == "uniform":
+                    # only a full order has a shorter form that eats the same
+                    assert written == order[:m - 1]
+                    assert (full == ((), written)) == (k >= m - 1)
+                    continue
+                assert full == ((), written)
+                assert completion[:len(written)] == written
+                assert all(_completion(completion[:i], policy, m) != completion
+                           for i in range(len(written)))
 
 
 class TestQuarterRuleSurvey:
@@ -366,15 +403,15 @@ class TestQuarterRuleSurvey:
             n, m, _, profile, policy = random_run_case(rng, max_n=6, max_m=6)
             if n < 2:
                 continue
-            base = run(n, m, profile, policy)
+            base = run(n, m, profile, policy).consumption_times()
             agent, item = rng.randrange(n), rng.randrange(m)
-            if base.consumption_time(item) > 1:
+            if base[item] > 1:
                 continue
             deviated = list(profile)
             deviated[agent] = single_minded(item, m)
-            devtrace = run(n, m, deviated, policy)
+            devtimes = run(n, m, deviated, policy).consumption_times()
             checked += 1
-            if devtrace.consumption_time(item) < base.consumption_time(item) / 4:
+            if devtimes[item] < base[item] / 4:
                 violated += 1
         print(f"quarter-rule survey: {violated} violations in {checked} off-equilibrium runs")
         assert checked > 50

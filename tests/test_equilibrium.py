@@ -177,10 +177,11 @@ class TestBestResponse:
 
 
 class TestSweepMatchesPlainRuns:
-    """Each candidate of a sweep is keyed by how it eats (``engine._slot``),
-    each distinct key costs one lean kernel run on the deviator's slot, and a
-    repeated key reuses its payoff; every payoff must be the one a full run
-    of the whole profile gives."""
+    """Each candidate of a sweep is keyed by its slot, which
+    ``engine._set_slot`` writes in the shortest form that eats the same; each
+    distinct slot costs one lean kernel run, and a repeated slot reuses its
+    payoff. Every payoff must be the one a full run of the whole profile
+    gives."""
 
     @pytest.mark.parametrize("mechanism", ["cps", "ps"])
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
@@ -289,9 +290,10 @@ class TestSweepsShareWorkAcrossAgents:
         # another form that eats alike: a single-minded report for a one-item
         # order, and for any other the completion that the agent eats once
         # the order runs out (in index order under PS, in the policy's order
-        # under CPS with the lowest-index or fixed policy); the certificate
-        # and its kernel calls must be those of the profile whose copies play
-        # the source's order as written
+        # under CPS with the lowest-index or fixed policy, and under CPS with
+        # the uniform policy for an order of m - 1 items only); the
+        # certificate and its kernel calls must be those of the profile whose
+        # copies play the source's order as written
         rng = rng_for(f"sweeps-on-eating-keys:{mechanism}:{policy_name}")
         for _ in range(10):
             m, sources = rng.randint(1, 4), rng.randint(1, 3)
@@ -302,7 +304,7 @@ class TestSweepsShareWorkAcrossAgents:
             for order in orders:
                 if len(order) == 1:
                     rewritten.append(single_minded(order[0], m))
-                elif mechanism == "cps" and policy_name == "uniform":
+                elif mechanism == "cps" and policy_name == "uniform" and len(order) < m - 1:
                     rewritten.append(Lexicographic(order))
                 else:
                     zero_order = range(m) if mechanism == "ps" else policy.order or range(m)
@@ -352,10 +354,11 @@ class TestSweepsShareWorkAcrossAgents:
                                               mechanism, policy)
 
     @staticmethod
-    def _dyadic_certificate(q, mechanism):
+    def _dyadic_certificate(q, mechanism, policy=LOWEST_INDEX_FIRST):
         gen = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": q}))
         return verify_ne(list(gen.bad_profile), gen.instance, mechanism=mechanism,
-                         families=[Truthful(), SingleMinded(), Sequential()])
+                         families=[Truthful(), SingleMinded(), Sequential()],
+                         policy=policy)
 
     def test_kernel_calls_on_the_dyadic_certificate(self, kernel_calls):
         # the 10 agents of log-m-lb k=8 q=2 fall into 3 classes, and a
@@ -370,11 +373,21 @@ class TestSweepsShareWorkAcrossAgents:
 
     @pytest.mark.parametrize("mechanism, calls", [("cps", 74), ("ps", 71)])
     def test_kernel_calls_on_the_q3_certificate(self, kernel_calls, mechanism, calls):
-        # PS slots are full orders already, so only CPS runs fewer
+        # PS runs each candidate as its ordinal shadow, a full order, and
+        # distinct full orders keep distinct slots, so only CPS runs fewer
         cert = self._dyadic_certificate(3, mechanism)
         assert cert.verdict == "certified"
         assert sum(r.runs for r in cert.reports) == 352
         assert len(kernel_calls) == calls
+
+    def test_kernel_calls_on_the_dyadic_certificate_under_the_uniform_policy(
+            self, kernel_calls):
+        # the full greedy order of each agent eats like its prefix of m - 1
+        # items: under the uniform policy the last item is then eaten alone
+        cert = self._dyadic_certificate(2, "cps", UNIFORM_OVER_REMAINING)
+        assert cert.verdict == "refuted"
+        assert sum(r.runs for r in cert.reports) == 160
+        assert len(kernel_calls) == 38
 
 
 class TestOneCheckedSweep:

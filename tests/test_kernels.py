@@ -283,4 +283,7 @@ def test_set_slot_rejects_a_strategy_that_does_not_fit_m(strategy):
     for mechanism in ("cps", "ps"):
         with pytest.raises(ValueError, match="agent 2"):
             _set_slot(args, 1, strategy, mechanism)
-        assert args == (2, 3, [(), ()], [(0,), (1,)], [0, 1, 2])
+        # the profile's slots, each in its shortest form: under the
+        # lowest-index policy the order (0,) eats as (), the items in index
+        # order
+        assert args == (2, 3, [(), ()], [(), (1,)], [0, 1, 2])

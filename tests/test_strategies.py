@@ -53,7 +53,7 @@ class TestSingleMinded:
         # item 1 finishes it at 3/4
         inst = generate(GeneratorSpec("example2")).instance
         profile = [single_minded(0, 2), inst.truthful_profile()[1]]
-        assert run(2, 2, profile).consumption_time(0) == F(3, 4)
+        assert run(2, 2, profile).consumption_times()[0] == F(3, 4)
 
 
 class TestEpsilonStrategy:
