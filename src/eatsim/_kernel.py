@@ -30,9 +30,16 @@ rule applies to each (i, j):
 
 An agent's target changes only when the target depletes, and an agent that
 runs out of items to chase stays in zero mode, so no other case arises. Every
-agent under the lowest-index or fixed zero policy eats the same item, the
-first remaining one in the policy's order, so the loop moves that group as
-one when the item runs out.
+agent under the lowest-index or fixed zero policy (a chaser) eats the same
+item, the first remaining one in the policy's order. So the chasers are one
+group with one target and one start time for it, plus a join time for each
+agent that went idle while the target stood; a chaser's share of the target
+is t - (its join time, else the start), and a new target costs O(1).
+
+L and the proportional part of the item totals are kept from one segment to
+the next while no W_i(S) changes and no agent follows the uniform policy,
+whose share 1 / |S| changes every segment; the eaters and the chasers are
+added onto a copy.
 
 inputs
     n, m            problem size
@@ -70,6 +77,7 @@ KERNEL_NAME = "pure-python"
 PROPORTIONAL = 0  # rate w_ij / W_i(S) on each remaining item
 TARGET = 1        # rate 1 on one item
 UNIFORM = 2       # rate 1 / |S| on each remaining item
+CHASE = 3         # in run_eating: rate 1 on the chasers' shared target
 
 _ZERO = (0, 1)
 _ONE = (1, 1)
@@ -97,6 +105,7 @@ def agent_mode(weights, order, zero_order, remaining, alive):
     """(mode, value) of one agent given the remaining items.
 
     ``value`` is W_i(S) for PROPORTIONAL and the item for TARGET.
+    ``run_eating``'s setup applies the same rule, at S = all items.
     """
     if weights:
         total = 0
@@ -168,11 +177,13 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
     pn = [0] * n
     t = _ZERO
 
-    # Per agent: its mode and W_i(S) or target (see agent_mode). A target or
+    # Per agent: its mode and W_i(S) or target (see agent_mode). An eater or
     # uniform agent also keeps a mark: the time it started eating its target,
     # or Z when it entered the uniform zero policy. The agents fall into four
     # groups: proportional, eating down a lexicographic order, chasing the
-    # shared lowest-index or fixed zero-policy target, and uniform (a count).
+    # shared lowest-index or fixed zero-policy target, and uniform. The last
+    # two are counts; the chasers share a target, its start and join times.
+    # Every item is alive at t = 0, so agent_mode's rule reads off the slot.
     mode = [0] * n
     value = [0] * n
     mark = [_ZERO] * n
@@ -181,40 +192,47 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
     rows = [None] * n  # cached rate rows, only for the whole trace
     proportional = []
     eaters = []
-    chasers = []
-    uniform = 0
+    uniform = chasers = 0
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
+    target = zero_order[0] if zero_order else -1
+    begun, joined, chase_row = _ZERO, {}, None  # chase_row: whole trace only
     for i in range(n):
-        mode[i], value[i] = agent_mode(weights[i], orders[i], zero_order, remaining, alive)
-        if mode[i] == PROPORTIONAL:
+        if W := sum(weights[i]):
+            mode[i], value[i] = PROPORTIONAL, W
             support[i] = [j for j in remaining if weights[i][j]]
             proportional.append(i)
-        elif mode[i] == UNIFORM:
-            uniform += 1
         elif orders[i]:
+            mode[i], value[i] = TARGET, orders[i][0]
             eaters.append(i)
+        elif zero_order is None:
+            mode[i] = UNIFORM
+            uniform += 1
         else:
-            chasers.append(i)
+            mode[i] = CHASE
+            chasers += 1
 
+    base = None  # tot without the eaters and chasers; None once a W_i(S) changes
     while remaining:
         size = len(remaining)
 
         # The total rate of item j is tot[j] / L.
-        L = lcm(*(value[i] for i in proportional), size if uniform else 1)
-        tot = [0] * m
-        for i in proportional:
-            w = weights[i]
-            f = L // value[i]
-            for j in support[i]:
-                tot[j] += w[j] * f
-        if uniform:
-            f = uniform * (L // size)
-            for j in remaining:
-                tot[j] += f
+        if base is None or uniform:
+            L = lcm(*(value[i] for i in proportional), size if uniform else 1)
+            base = [0] * m
+            for i in proportional:
+                w = weights[i]
+                f = L // value[i]
+                for j in support[i]:
+                    base[j] += w[j] * f
+            if uniform:
+                f = uniform * (L // size)
+                for j in remaining:
+                    base[j] += f
+        tot = base.copy()
         for i in eaters:
             tot[value[i]] += L
         if chasers:
-            tot[value[chasers[0]]] += L * len(chasers)
+            tot[target] += L * chasers
 
         # The first item to run out minimises q_j / tot[j]; some remaining
         # item is always eaten, as each agent eats at total rate exactly 1.
@@ -246,11 +264,16 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
 
         if whole:
             shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
+            if chasers and chase_row is None:
+                chase_row = rate_row(TARGET, target, None, None, m)
             for i in range(n):
-                if mode[i] == UNIFORM:
+                k = mode[i]
+                if k == UNIFORM:
                     rows[i] = shared
+                elif k == CHASE:
+                    rows[i] = chase_row
                 elif rows[i] is None:
-                    rows[i] = rate_row(mode[i], value[i], weights[i], support[i], m)
+                    rows[i] = rate_row(k, value[i], weights[i], support[i], m)
             segments.append((t, t_next, list(rows)))
         t = t_next
         for j in gone:
@@ -274,20 +297,19 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
                             p = prefix[i] = _reduce(pn[i], D)
                         g = gcd(w, p[1])
                         gamma[i][j] = (w // g * p[0], p[1] // g)
-                elif k == TARGET:
-                    if value[i] == j:
-                        start = mark[i]
-                        share = eaten.get(start)
-                        if share is None:
-                            share = eaten[start] = _sub(t, start)
-                        gamma[i][j] = share
-                else:
+                elif k == UNIFORM:
                     entry = mark[i]
                     share = spread.get(entry)
                     if share is None:
                         if z is None:
                             z = _reduce(zn, D)
                         share = spread[entry] = _sub(z, entry)
+                    gamma[i][j] = share
+                elif (value[i] if k == TARGET else target) == j:
+                    start = mark[i] if k == TARGET else joined.get(i, begun)
+                    share = eaten.get(start)
+                    if share is None:
+                        share = eaten[start] = _sub(t, start)
                     gamma[i][j] = share
         if not remaining:
             break
@@ -302,7 +324,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
                 W -= w[j]
             if W == value[i]:
                 continue
-            rows[i] = None
+            rows[i] = base = None
             value[i] = W
             if W:
                 support[i] = [j for j in support[i] if alive[j]]
@@ -336,15 +358,14 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
                     mode[i] = UNIFORM
                     mark[i] = z
                 uniform += len(idle)
-        elif idle or (chasers and not alive[value[chasers[0]]]):
-            zero_cursor, target = _zero_target(zero_order, alive, zero_cursor)
-            for i in chasers:
-                if value[i] != target:
-                    rows[i] = None
-                    value[i] = target
-                    mark[i] = t
+        else:
+            if alive[target]:
+                joined.update(dict.fromkeys(idle, t))
+            else:
+                zero_cursor, target = _zero_target(zero_order, alive, zero_cursor)
+                begun, joined, chase_row = t, {}, None
             for i in idle:
-                mode[i], value[i], mark[i] = TARGET, target, t
-            chasers += idle
+                mode[i] = CHASE
+            chasers += len(idle)
 
     return segments, events, gamma

@@ -17,6 +17,7 @@ from eatsim.engine import (
     kernel_name,
     run,
 )
+from eatsim.instances import log_m_lb
 from eatsim.model import (
     LOWEST_INDEX_FIRST,
     UNIFORM_OVER_REMAINING,
@@ -43,13 +44,16 @@ def _policy(rng, name, m):
     return fixed_order_policy(rng.sample(range(m), m))
 
 
+def _report(m, weights):
+    """A proportional report with integer ``weights`` ({item: weight})."""
+    row = [weights.get(j, 0) for j in range(m)]
+    return Proportional(Valuation(tuple(Fraction(w, sum(row)) for w in row)))
+
+
 def _sparse_proportional(rng, m):
     """A report that values one or two items only, so it runs dry mid-run."""
-    weights = [0] * m
-    for j in rng.sample(range(m), min(m, rng.randint(1, 2))):
-        weights[j] = rng.randint(1, 5)
-    total = sum(weights)
-    return Proportional(Valuation(tuple(Fraction(w, total) for w in weights)))
+    return _report(m, {j: rng.randint(1, 5)
+                       for j in rng.sample(range(m), min(m, rng.randint(1, 2)))})
 
 
 def _check(n, m, profile, policy):
@@ -248,6 +252,90 @@ def _payoff_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_lean_payoffs_match_full_trace_property(case):
     _assert_lean_payoffs(*case)
+
+
+def _items_of(strat):
+    if isinstance(strat, Proportional):
+        return [j for j, v in enumerate(strat.report.values) if v]
+    return list(strat.order)
+
+
+def test_chasers_that_join_mid_target():
+    """k chasers eat the zero policy's first item from time 0, while k + 2
+    one-item orders on each of two other items run those out by time
+    1 / (k + 2). The crowd and a joiner (a one-item order, or a report on
+    both items) then join the chasers, whose target has lost at most
+    (k + 1) / (k + 2) of itself, so it still stands."""
+    rng = rng_for("kernel-chasers-join")
+    for name in ("lowest-index", "fixed"):
+        for kind in ("order", "report"):
+            for _ in range(15):
+                m = rng.randint(3, 7)
+                policy = _policy(rng, name, m)
+                first, *rest = policy.order or range(m)
+                k = rng.randint(1, 4)
+                items = rng.sample(rest, 2)
+                profile = [Lexicographic(())] * k + \
+                    [Lexicographic((j,)) for j in items for _ in range(k + 2)]
+                joiner = rng.randint(0, len(profile))
+                profile.insert(joiner, Lexicographic((items[0],)) if kind == "order"
+                               else _report(m, {j: rng.randint(1, 5) for j in items}))
+                n = len(profile)
+                trace = _check(n, m, profile, policy)
+
+                times = {j: t for t, j in trace.depletion_events}
+                joined = {i: max(times[j] for j in _items_of(strat))
+                          for i, strat in enumerate(profile) if _items_of(strat)}
+                assert joiner in joined
+                for i, t in joined.items():
+                    assert t < times[first]
+                    assert trace.shares[i][first] == times[first] - t
+
+                # in a whole trace every chaser's rate row is one object
+                segments, _, _ = _kernel.run_eating(*_kernel_args(n, m, profile, policy))
+                for t0, _, rates in segments:
+                    group = [i for i in range(n) if joined.get(i, 0) <= Fraction(*t0)]
+                    assert all(rates[i] is rates[group[0]] for i in group)
+
+                valuations = [random_valuation(rng, m) for _ in range(n)]
+                _assert_lean_payoffs(n, m, profile, policy, valuations)
+
+
+def test_reused_item_totals():
+    """Profiles in which items outside every proportional support run out,
+    so no W_i(S) changes and the kernel keeps its item totals, and items
+    inside some supports run out too; log-m-lb's chasers' target lies in no
+    support. Under the uniform policy the kernel must rebuild the totals."""
+    rng = rng_for("kernel-reused-totals")
+    cases = []
+    for name in POLICIES:
+        for _ in range(40):
+            m = rng.randint(3, 7)
+            policy = _policy(rng, name, m)
+            first, *rest = policy.order or range(m)  # the chasers' first target, if any
+            outside = [first] + rng.sample(rest, rng.randint(0, m - 3))
+            inside = [j for j in range(m) if j not in outside]
+            profile = [_report(m, {j: rng.randint(1, 5)
+                                   for j in rng.sample(inside, rng.randint(2, len(inside)))})
+                       for _ in range(rng.randint(1, 3))]
+            profile += [Lexicographic(tuple(rng.sample(outside, rng.randint(1, len(outside)))))
+                        for _ in range(rng.randint(1, 4))]
+            profile += [Lexicographic(())] * rng.randint(0, 3)
+            rng.shuffle(profile)
+            cases.append((m, policy, profile, set(outside)))
+        for k in (1, 2, 3):
+            for q in (1, 2, 3):
+                generated = log_m_lb(k, q)
+                m = generated.instance.m
+                cases.append((m, _policy(rng, name, m), list(generated.bad_profile), {0}))
+    reused = 0
+    for m, policy, profile, outside in cases:
+        n = len(profile)
+        trace = _check(n, m, profile, policy)
+        reused += sum(j in outside for _, j in trace.depletion_events[:-1])
+        valuations = [random_valuation(rng, m) for _ in range(n)]
+        _assert_lean_payoffs(n, m, profile, policy, valuations)
+    assert reused > len(cases)
 
 
 def _assert_lowest_index_is_the_identity_order(n, m, profile):
