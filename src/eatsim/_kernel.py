@@ -53,18 +53,26 @@ inputs
                     left to chase eats (range(m) for lowest-index)
     agents          None for the whole trace, or a list of agents for their
                     share rows only (no segments)
+    valued          given only with ``agents``: one bool per item, true for
+                    an item some of those agents value; the run stops after
+                    the segment in which the last such item runs out, as
+                    later eating adds exactly 0 to their payoffs. Without it
+                    every item counts, so the run goes on to t = m/n
 
-``eatsim.engine._kernel_args`` builds and checks every input but ``agents``,
-and under the ordinal mechanism writes each report's ordinal shadow as a
-lexicographic order; the kernel itself checks nothing and knows no mechanism.
+``eatsim.engine._kernel_args`` builds and checks every input but ``agents``
+and ``valued``, and under the ordinal mechanism writes each report's ordinal
+shadow as a lexicographic order; the kernel itself checks nothing and knows
+no mechanism.
 
 outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
     segments        list of (t_start, t_end, rates) with rates an n x m
                     matrix; empty when the caller names ``agents``
-    events          list of (num, den, item), chronological, ties by item
+    events          list of (num, den, item), chronological, ties by item;
+                    a run that stops early ends them at the stop
     gamma           n x m matrix of total consumption shares; when the
                     caller names ``agents``, only their rows are written and
-                    every other row is empty
+                    every other row is empty; in a run that stops early, the
+                    items still alive at the stop keep share 0
 """
 
 from __future__ import annotations
@@ -154,15 +162,18 @@ def rates(n, m, weights, orders, zero_order, remaining):
     return matrix
 
 
-def run_eating(n, m, weights, orders, zero_order, agents=None):
+def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None):
     """Run the eating loop: the whole trace, or with ``agents`` only those
     agents' share rows (every other row of ``gamma`` stays empty) and no
-    segments."""
+    segments, up to the last depletion of a ``valued`` item."""
     alive = [True] * m
     remaining = list(range(m))
     whole = agents is None
     if whole:
         agents = range(n)
+    if valued is None:
+        valued = [True] * m
+    left = sum(valued)  # valued items still alive
     gamma = [[] for _ in range(n)]
     for i in agents:
         gamma[i] = [_ZERO] * m
@@ -212,7 +223,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
             chasers += 1
 
     base = None  # tot without the eaters and chasers; None once a W_i(S) changes
-    while remaining:
+    while left:
         size = len(remaining)
 
         # The total rate of item j is tot[j] / L.
@@ -280,6 +291,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
             alive[j] = False
             events.append((t[0], t[1], j))
             remaining.remove(j)
+            left -= valued[j]
 
         # Shares of the items that just ran out.
         prefix = {}  # agent -> reduced P_i
@@ -311,7 +323,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None):
                     if share is None:
                         share = eaten[start] = _sub(t, start)
                     gamma[i][j] = share
-        if not remaining:
+        if not left:
             break
 
         # Move each agent past the depleted items. An agent that runs out of

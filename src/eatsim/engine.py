@@ -12,9 +12,10 @@ integer pairs and builds the shares from per-agent prefix sums instead of
 integrating the share matrix segment by segment. Its pairs come back reduced,
 and ``_coprime`` is the one place where they become ``Fraction`` values.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
-that step: ``_payoffs`` asks the kernel for the share rows of some agents only
-and takes each payoff as one integer dot product over the pairs (``_dot``,
-which ``payoff`` shares).
+that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
+up to the depletion of the last item one of them values, and takes each
+payoff as one integer dot product over the pairs (``_dot``, which ``payoff``
+shares).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .model import (
     decimal_str,
     format_rational,
     integer_form,
+    valued_items,
 )
 from .strategies import as_ordinal
 
@@ -259,9 +261,14 @@ def _payoffs(args: tuple, agents: Sequence[int],
     lean kernel run on arguments from :func:`_kernel_args`.
 
     The kernel writes only those agents' share rows, and each row goes
-    straight into :func:`_dot`: no ``Trace`` and no ``Fraction`` matrix.
+    straight into :func:`_dot`: no ``Trace`` and no ``Fraction`` matrix. The
+    run stops once every item that one of the agents values (each
+    valuation's cached ``valued`` mask) has run out: the items left are worth
+    0 to all of them, so later eating adds exactly 0 to their payoffs.
     """
-    _, _, gamma = _kernel_impl.run_eating(*args, agents)
+    valued = valuations[0].valued if len(valuations) == 1 else \
+        valued_items(v.valued for v in valuations)
+    _, _, gamma = _kernel_impl.run_eating(*args, agents, valued)
     return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import engine, strategies
-from .model import LOWEST_INDEX_FIRST, Instance, Strategy
+from .model import LOWEST_INDEX_FIRST, Instance, Strategy, valued_items
 
 
 # Fewest samples in a block of their own: a fork costs a few ms, the time of
@@ -96,11 +96,6 @@ def opt(instance: Instance) -> tuple[Fraction, tuple[int, ...]]:
     agents = range(instance.n)
     assignment = tuple(max(agents, key=column.__getitem__) for column in zip(*rows))
     return Fraction(sum(rows[i][j] for j, i in enumerate(assignment)), d), assignment
-
-
-def _valued(rows: Sequence[Sequence[int]]) -> list[bool]:
-    """Per item: does some agent's true value for it exceed 0?"""
-    return [any(column) for column in zip(*rows)]
 
 
 def _grab(ranking: Sequence[int], available: list[bool], count: int) -> list[int]:
@@ -238,7 +233,7 @@ def random_priority(
     if samples is not None and seed is None:
         raise ValueError("Monte Carlo mode requires a seed")
     denom, value_int = instance.value_table
-    valued = _valued(value_int)
+    valued = valued_items(value_int)
     valued_count = sum(valued)
     quotas = [m // n] * (n - 1) + [m // n + m % n]
 
@@ -325,7 +320,7 @@ def repeated_random_priority(
     engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
     rankings = [strategies.as_ordinal(s, m).order for s in reports]
     denom, value_int = instance.value_table
-    valued = _valued(value_int)
+    valued = valued_items(value_int)
     valued_count = sum(valued)
 
     def block(start: int, stop: int) -> tuple[list[int], int]:

@@ -106,6 +106,12 @@ def integer_form(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
+def valued_items(rows: Iterable[Sequence[int]]) -> list[bool]:
+    """Per item: does some row's value for it exceed 0? Rows hold nonnegative
+    integers, or are masks that this returned."""
+    return [any(column) for column in zip(*rows)]
+
+
 @dataclass(frozen=True)
 class Valuation:
     """A unit-sum valuation: one nonnegative Fraction per item, summing to 1.
@@ -146,6 +152,11 @@ class Valuation:
     def integer_form(self) -> tuple[int, tuple[int, ...]]:
         """:func:`integer_form` of the values, computed once on first use."""
         return integer_form(self.values)
+
+    @cached_property
+    def valued(self) -> tuple[bool, ...]:
+        """:func:`valued_items` of the values alone, computed once on first use."""
+        return tuple(valued_items([self.integer_form[1]]))
 
 
 def valuation_of(entries: Iterable[Union[Fraction, int, str]],

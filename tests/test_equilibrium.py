@@ -62,16 +62,23 @@ def _plain_reports(profile, instance, families, mechanism, policy):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """One entry per kernel run made while the test runs."""
+    """The depletion events of each kernel run made while the test runs."""
     calls = []
     run_eating = _kernel.run_eating
 
     def counted(*args):
-        calls.append(None)
-        return run_eating(*args)
+        result = run_eating(*args)
+        calls.append(result[1])
+        return result
 
     monkeypatch.setattr(_kernel, "run_eating", counted)
     return calls
+
+
+def _segments(calls):
+    """The kernel segments of the recorded runs: each run's distinct
+    depletion times."""
+    return sum(len({(num, den) for num, den, _ in events}) for events in calls)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +377,16 @@ class TestSweepsShareWorkAcrossAgents:
         assert cert.verdict == "certified"
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 27
+        # each lean run stops once the deviator's valued items have run out
+        # (189 segments when every run went on to m / n)
+        assert _segments(kernel_calls) == 111
+
+    def test_kernel_calls_on_the_ps_dyadic_certificate(self, kernel_calls):
+        cert = self._dyadic_certificate(2, "ps")
+        assert cert.verdict == "certified"
+        assert sum(r.runs for r in cert.reports) == 160
+        assert len(kernel_calls) == 25
+        assert _segments(kernel_calls) == 101  # 175 without the early stop
 
     @pytest.mark.parametrize("mechanism, calls", [("cps", 74), ("ps", 71)])
     def test_kernel_calls_on_the_q3_certificate(self, kernel_calls, mechanism, calls):
@@ -388,6 +405,7 @@ class TestSweepsShareWorkAcrossAgents:
         assert cert.verdict == "refuted"
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 38
+        assert _segments(kernel_calls) == 115  # 168 without the early stop
 
 
 class TestOneCheckedSweep:

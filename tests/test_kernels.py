@@ -254,6 +254,66 @@ def test_lean_payoffs_match_full_trace_property(case):
     _assert_lean_payoffs(*case)
 
 
+def _valuing(rng, m, items):
+    """A valuation that values exactly ``items``."""
+    return _report(m, {j: rng.randint(1, 5) for j in items}).report
+
+
+def test_lean_runs_stop_after_the_last_valued_item():
+    """Agents value one to three items, among them an item that runs out
+    first, last, or together with another. A lean run stops once every item
+    one of its agents values has run out: its rows equal the whole trace's on
+    those items, its events are the trace's up to that point, and its payoffs
+    are those of the whole trace."""
+    rng = rng_for("kernel-valued-stop")
+    cases = early = 0
+    for name in POLICIES:
+        for mechanism in ("cps", "ps"):
+            for _ in range(25):
+                n, m = rng.randint(1, 6), rng.randint(2, 7)
+                # repeated strategies make items run out together
+                pool = [rng.choice([_sparse_proportional(rng, m), random_strategy(rng, m)])
+                        for _ in range(rng.randint(1, 3))]
+                profile = [rng.choice(pool) for _ in range(n)]
+                if mechanism == "ps":
+                    profile = ps_profile(profile, m)
+                policy = _policy(rng, name, m)
+                args = _kernel_args(n, m, profile, policy)
+                trace = run(n, m, profile, policy)
+                times = {j: t for t, j in trace.depletion_events}
+                anchors = {
+                    "first": [j for j in range(m) if times[j] == trace.depletion_events[0][0]],
+                    "last": [j for j in range(m) if times[j] == trace.horizon],
+                    "tie": [j for j in range(m)
+                            if sum(t == times[j] for t in times.values()) > 1],
+                }
+                valuations = []
+                for _ in range(n):
+                    kind = rng.choice([k for k, items in anchors.items() if items])
+                    items = {rng.choice(anchors[kind])}
+                    items.update(rng.sample(range(m), rng.randint(0, min(2, m - 1))))
+                    valuations.append(_valuing(rng, m, sorted(items)[:3]))
+                cases += 1
+
+                groups = [[i] for i in range(n)] + [list(range(n))]
+                for agents in groups:
+                    valued = [any(valuations[i].valued[j] for i in agents) for j in range(m)]
+                    _, events, gamma = _kernel.run_eating(*args, agents, valued)
+                    stop = max(times[j] for j in range(m) if valued[j])
+                    assert [(Fraction(num, den), j) for num, den, j in events] == \
+                        [(t, j) for t, j in trace.depletion_events if t <= stop]
+                    for i in agents:
+                        assert [Fraction(*gamma[i][j]) for j in range(m) if valued[j]] == \
+                            [trace.shares[i][j] for j in range(m) if valued[j]]
+                    early += stop < trace.horizon
+
+                expected = list(expected_payoffs(trace, valuations))
+                assert _payoffs(args, range(n), valuations) == expected
+                for agent in range(n):
+                    assert _payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
+    assert early > cases
+
+
 def _items_of(strat):
     if isinstance(strat, Proportional):
         return [j for j, v in enumerate(strat.report.values) if v]
