@@ -18,7 +18,7 @@ from eatsim import (
     valuation_of,
     welfare,
 )
-from eatsim.engine import _kernel_args, payoff
+from eatsim.engine import Segment, Trace, _kernel_args, payoff
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.model import decimal_str, fixed_order_policy, format_rational
 from eatsim.strategies import as_ordinal, ps_profile, single_minded
@@ -129,8 +129,8 @@ class TestComputeRates:
         with pytest.raises(ValueError):
             compute_rates([Lexicographic((0,))], [], LOWEST_INDEX_FIRST, 1)
 
-    @pytest.mark.parametrize("remaining", [[1, 1], [-1, 1], [0, 3]],
-                             ids=["repeated", "negative", "past-m"])
+    @pytest.mark.parametrize("remaining", [[1, 1], [-1, 1], [0, 3], [1.0, 2]],
+                             ids=["repeated", "negative", "past-m", "float"])
     def test_remaining_must_be_distinct_items_in_range(self, remaining):
         profile = [Proportional(valuation_of(["1/2", "1/2", "0"]))]
         with pytest.raises(ValueError, match="distinct items"):
@@ -163,6 +163,9 @@ class TestRejectedInputs:
             payoff(trace.shares[0], valuation_of(["1/2", "1/2"]))
 
 
+REVERSED_20 = fixed_order_policy(tuple(reversed(range(20))))
+
+
 def plain_trace_json(trace, decimals):
     # the export format, one format_rational or decimal_str call per cell
     doc = {
@@ -191,6 +194,50 @@ def fraction_payoffs(shares, valuations):
     # the definition, one Fraction product at a time
     return tuple(sum((g * v for g, v in zip(row, val.values)), F(0))
                  for row, val in zip(shares, valuations))
+
+
+class TestExpectedPayoffs:
+    """``expected_payoffs`` folds one common multiple of every share
+    denominator; each payoff must still be the plain ``Fraction`` sum."""
+
+    def test_fuzz_corpus_under_every_policy_and_mechanism(self):
+        rng = rng_for("engine-expected-payoffs")
+        for _ in range(60):
+            n, m, instance, profile, _ = random_run_case(rng)
+            for mechanism in ("cps", "ps"):
+                for name in ("lowest-index", "uniform", "fixed"):
+                    trace = run(n, m, profile, _random_policy(rng, name, m), mechanism)
+                    assert expected_payoffs(trace, instance.valuations) == fraction_payoffs(
+                        trace.shares, instance.valuations)
+
+    def test_denominators_that_divide_no_other(self):
+        # folded largest first, 10 and then 4 divide no multiple so far, so
+        # both take the lcm branch and rescale the factors found before them
+        shares = ((F(1, 6), F(1, 10), F(1, 15)), (F(1, 4), F(0), F(2, 3)))
+        trace = Trace(2, 3, (), (), shares, F(3, 2))
+        valuations = [valuation_of(["1/2", "1/3", "1/6"]), valuation_of(["1/5", "3/5", "1/5"])]
+        payoffs = expected_payoffs(trace, valuations)
+        assert payoffs == fraction_payoffs(shares, valuations)
+        assert payoffs == (F(1, 12) + F(1, 30) + F(1, 90), F(1, 20) + F(2, 15))
+
+    def test_an_all_zero_row_and_a_valuation_zero_on_every_share(self):
+        shares = ((F(0), F(0), F(0)), (F(1, 3), F(2, 7), F(0)), (F(2, 3), F(5, 7), F(1)))
+        trace = Trace(3, 3, (), (), shares, F(1))
+        valuations = [valuation_of(["1/3", "1/3", "1/3"]), valuation_of(["0", "0", "1"]),
+                      valuation_of(["1/2", "1/4", "1/4"])]
+        payoffs = expected_payoffs(trace, valuations)
+        assert payoffs == fraction_payoffs(shares, valuations)
+        assert payoffs[:2] == (F(0), F(0))
+
+    def test_returns_a_tuple(self, example1):
+        trace = run(3, 3, example1.truthful_profile())
+        assert type(expected_payoffs(trace, example1.valuations)) is tuple
+
+    def test_a_short_valuation_is_rejected(self, example1):
+        trace = run(3, 3, example1.truthful_profile())
+        valuations = list(example1.valuations[:2]) + [valuation_of(["1/2", "1/2"])]
+        with pytest.raises(ValueError, match="valuation length does not match trace"):
+            expected_payoffs(trace, valuations)
 
 
 class TestConservation:
@@ -466,18 +513,36 @@ class TestTraceExport:
                    in zip(trace.shares, inst.valuations, payoffs))
 
     @pytest.mark.parametrize("mechanism,policy", [
-        ("cps", LOWEST_INDEX_FIRST), ("ps", LOWEST_INDEX_FIRST), ("cps", UNIFORM_OVER_REMAINING)],
-        ids=["cps", "ps", "cps-uniform"])
+        ("cps", LOWEST_INDEX_FIRST), ("ps", LOWEST_INDEX_FIRST), ("cps", UNIFORM_OVER_REMAINING),
+        ("ps", UNIFORM_OVER_REMAINING), ("cps", REVERSED_20), ("ps", REVERSED_20)],
+        ids=["cps", "ps", "cps-uniform", "ps-uniform", "cps-fixed", "ps-fixed"])
     def test_export_bytes_match_a_cell_by_cell_rendering(self, mechanism, policy):
         inst = random_instance(20, 20, 20, seed=4).instance
         profile = inst.truthful_profile()
-        if mechanism == "ps":
-            profile = ps_profile(profile, 20)
-        elif policy is UNIFORM_OVER_REMAINING:
+        if policy is not LOWEST_INDEX_FIRST:
             # single-minded reports run dry early, so the zero policy fires
             profile[:5] = [single_minded(j % 3, 20) for j in range(5)]
+        if mechanism == "ps":
+            profile = ps_profile(profile, 20)
         trace = run(20, 20, profile, policy)
         assert len(trace.segments) > 10
         for decimals in (False, True):
-            expected = json.dumps(plain_trace_json(trace, decimals))
-            assert json.dumps(trace_to_json(trace, decimals=decimals)) == expected
+            doc = trace_to_json(trace, decimals=decimals)
+            expected = plain_trace_json(trace, decimals)
+            assert json.dumps(doc) == json.dumps(expected)
+            # each segment gets its own rate lists, even where rows repeat
+            rows = [row for seg in doc["segments"] for row in seg["rates"]]
+            assert len({id(row) for row in rows}) == len(rows)
+
+    def test_a_reused_row_and_equal_values_render_as_each_cell(self):
+        # one row object in both segments, and equal but distinct Fractions
+        row = (F(1, 2), F(1, 2))
+        segments = (Segment(F(0), F(1, 2), (row, (F(1, 2), F(1, 2)))),
+                    Segment(F(1, 2), F(1), (row, (F(0), F(1)))))
+        shares = ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
+        trace = Trace(2, 2, segments, ((F(1, 2), 0), (F(1), 1)), shares, F(1))
+        for decimals in (False, True):
+            doc = trace_to_json(trace, decimals=decimals)
+            assert doc == plain_trace_json(trace, decimals)
+            first, second = (seg["rates"][0] for seg in doc["segments"])
+            assert first == second == ["1/2", "1/2"] and first is not second
