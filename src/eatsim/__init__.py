@@ -12,7 +12,6 @@ command line tool.
 from .engine import (
     Segment,
     Trace,
-    compute_rates,
     expected_payoffs,
     kernel_name,
     run,
@@ -36,7 +35,6 @@ from .model import (
     format_rational,
     parse_rational,
     valuation_of,
-    validate_instance,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "UNIFORM_OVER_REMAINING",
     "Valuation",
     "ZeroPolicy",
-    "compute_rates",
     "decimal_str",
     "expected_payoffs",
     "fixed_order_policy",
@@ -64,7 +61,6 @@ __all__ = [
     "run",
     "sample_allocation",
     "trace_to_json",
-    "validate_instance",
     "valuation_of",
     "welfare",
 ]

@@ -59,6 +59,10 @@ inputs
                     later eating adds exactly 0 to their payoffs. Without it
                     every item counts, so the run goes on to t = m/n
 
+This module holds the one copy of the eating rule: ``run_eating`` classifies
+each agent at t = 0 and moves it on as its items run out (the one mode rule),
+and ``rate_row`` writes the rates of one mode (the one rate formula).
+
 ``eatsim.engine._kernel_args`` builds and checks every input but ``agents``
 and ``valued``, and under the ordinal mechanism writes each report's ordinal
 shadow as a lexicographic order; the kernel itself checks nothing and knows
@@ -85,7 +89,7 @@ KERNEL_NAME = "pure-python"
 PROPORTIONAL = 0  # rate w_ij / W_i(S) on each remaining item
 TARGET = 1        # rate 1 on one item
 UNIFORM = 2       # rate 1 / |S| on each remaining item
-CHASE = 3         # in run_eating: rate 1 on the chasers' shared target
+CHASE = 3         # rate 1 on the chasers' shared target
 
 _ZERO = (0, 1)
 _ONE = (1, 1)
@@ -109,57 +113,22 @@ def _zero_target(zero_order, alive, k):
     return k, zero_order[k]
 
 
-def agent_mode(weights, order, zero_order, remaining, alive):
-    """(mode, value) of one agent given the remaining items.
-
-    ``value`` is W_i(S) for PROPORTIONAL and the item for TARGET.
-    ``run_eating``'s setup applies the same rule, at S = all items.
-    """
-    if weights:
-        total = 0
-        for j in remaining:
-            total += weights[j]
-        if total:
-            return PROPORTIONAL, total
-    else:
-        for j in order:
-            if alive[j]:
-                return TARGET, j
-    # nothing left to chase: the zero policy
-    if zero_order is None:
-        return UNIFORM, 0
-    return TARGET, _zero_target(zero_order, alive, 0)[1]
-
-
-def rate_row(mode, value, weights, remaining, m):
-    """One agent's rates as reduced pairs; the row sums to exactly 1."""
+def rate_row(mode, value, weights, items, m):
+    """One agent's rates as reduced pairs; the row sums to exactly 1. ``items``
+    is a proportional agent's support, or S for the uniform policy."""
     row = [_ZERO] * m
     if mode == PROPORTIONAL:
-        for j in remaining:
+        for j in items:
             w = weights[j]
-            if w:
-                g = gcd(w, value)
-                row[j] = (w // g, value // g)
+            g = gcd(w, value)
+            row[j] = (w // g, value // g)
     elif mode == TARGET:
         row[value] = _ONE
     else:
-        share = (1, len(remaining))
-        for j in remaining:
+        share = (1, len(items))
+        for j in items:
             row[j] = share
     return row
-
-
-def rates(n, m, weights, orders, zero_order, remaining):
-    """The n x m rate matrix, as reduced pairs, for a nonempty set of distinct
-    remaining items."""
-    alive = [False] * m
-    for j in remaining:
-        alive[j] = True
-    matrix = []
-    for i in range(n):
-        mode, value = agent_mode(weights[i], orders[i], zero_order, remaining, alive)
-        matrix.append(rate_row(mode, value, weights[i], remaining, m))
-    return matrix
 
 
 def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None):
@@ -188,13 +157,15 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None):
     pn = [0] * n
     t = _ZERO
 
-    # Per agent: its mode and W_i(S) or target (see agent_mode). An eater or
-    # uniform agent also keeps a mark: the time it started eating its target,
-    # or Z when it entered the uniform zero policy. The agents fall into four
-    # groups: proportional, eating down a lexicographic order, chasing the
-    # shared lowest-index or fixed zero-policy target, and uniform. The last
-    # two are counts; the chasers share a target, its start and join times.
-    # Every item is alive at t = 0, so agent_mode's rule reads off the slot.
+    # Per agent: its mode and W_i(S) or target. An eater or uniform agent
+    # also keeps a mark: the time it started eating its target, or Z when it
+    # entered the uniform zero policy. The agents fall into four groups:
+    # proportional, eating down a lexicographic order, chasing the shared
+    # lowest-index or fixed zero-policy target, and uniform. The last two are
+    # counts; the chasers share a target, its start and join times.
+    # At t = 0 every item is alive, so W_i(S) is the sum of the weights: an
+    # agent with a positive sum is proportional, one with an order eats its
+    # first item, and any other follows the zero policy from the start.
     mode = [0] * n
     value = [0] * n
     mark = [_ZERO] * n

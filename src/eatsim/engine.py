@@ -14,9 +14,9 @@ and ``_coprime`` is the one place where they become ``Fraction`` values.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
 that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
 up to the depletion of the last item one of them values, and takes each
-payoff as one integer dot product over the pairs (``_dot``, which ``payoff``
-shares). ``expected_payoffs`` hands ``_dot`` one common multiple of every
-share denominator of a trace, folded once with the largest first, and
+payoff as one integer dot product over the pairs (``_dot``).
+``expected_payoffs`` hands ``_dot`` one common multiple of every share
+denominator of a trace, folded once with the largest first, and
 ``trace_to_json`` renders each distinct value and rate row once.
 """
 
@@ -88,29 +88,6 @@ class Trace:
         return frozenset(j for time, j in self.depletion_events if time > t)
 
 
-def compute_rates(
-    profile: Sequence[Strategy],
-    remaining: Sequence[int] | frozenset[int],
-    policy: ZeroPolicy,
-    m: int,
-) -> list[list[Fraction]]:
-    """Instantaneous consumption rates given the remaining-item set.
-
-    A Proportional agent with positive value on some remaining item splits
-    rate 1 over the remaining items in proportion to its report; a
-    Lexicographic agent puts rate 1 on the first item of its order that is
-    still remaining. Agents with nothing left to chase follow the zero policy.
-    Every row sums to exactly 1. This is the kernel's own rate rule.
-    ``remaining`` must hold one or more distinct items of ``range(m)``.
-    """
-    items = set(remaining)
-    if (not items or len(items) < len(remaining) or not items <= set(range(m))
-            or not all(isinstance(j, int) for j in items)):
-        raise ValueError(f"remaining must hold one or more distinct items of range({m})")
-    matrix = _kernel_impl.rates(*_kernel_args(len(profile), m, profile, policy), remaining)
-    return [[_coprime(num, den) for num, den in row] for row in matrix]
-
-
 def _coprime(num: int, den: int) -> Fraction:
     """``Fraction(num, den)`` for a pair already in lowest terms with den > 0.
 
@@ -164,11 +141,14 @@ def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy
     """The kernel's arguments for a profile under ``mechanism`` ("cps" or
     "ps") and a zero policy: ``(n, m, weights, orders, zero_order)``.
 
-    Checks the mechanism name, the profile's length, that a fixed zero policy
-    orders all m items, and then each strategy, in that order, so every
-    caller rejects a malformed profile with the same error."""
+    Checks the mechanism name, that there is an agent, the profile's length,
+    that a fixed zero policy orders all m items, and then each strategy, in
+    that order, so every caller rejects a malformed profile with the same
+    error."""
     if mechanism not in ("cps", "ps"):
         raise ValueError(f"unknown eating mechanism {mechanism!r}")
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:
@@ -240,6 +220,8 @@ def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tupl
     """
     if len(true_valuations) != len(trace.shares):
         raise ValueError("valuation count does not match trace")
+    if any(len(v) != len(row) for row, v in zip(trace.shares, true_valuations)):
+        raise ValueError("valuation length does not match trace")
     scale, factor = 1, {}
     for den in sorted({g.denominator for row in trace.shares for g in row}, reverse=True):
         quotient, rest = divmod(scale, den)
@@ -250,19 +232,8 @@ def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tupl
             scale *= grow
             quotient = scale // den
         factor[den] = quotient
-    return tuple(_dot(_pairs(row, v), v, scale, factor)
+    return tuple(_dot([(g.numerator, g.denominator) for g in row], v, scale, factor)
                  for row, v in zip(trace.shares, true_valuations))
-
-
-def payoff(shares_row: Sequence[Fraction], valuation: Valuation) -> Fraction:
-    """One agent's expected payoff sum_j shares_row[j] * valuation[j]."""
-    return _dot(_pairs(shares_row, valuation), valuation)
-
-
-def _pairs(shares_row: Sequence[Fraction], valuation: Valuation) -> list[tuple[int, int]]:
-    if len(valuation) != len(shares_row):
-        raise ValueError("valuation length does not match trace")
-    return [(g.numerator, g.denominator) for g in shares_row]
 
 
 def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:

@@ -23,6 +23,7 @@ from .model import (
     Valuation,
     ZeroPolicy,
     format_rational,
+    parse_rational,
     strategy_to_json,
 )
 from .strategies import (
@@ -232,6 +233,7 @@ def verify_ne(
     """
     if isinstance(epsilon, float):
         raise ValueError("floats are not exact; pass Fraction, int, or a rational string")
+    epsilon = parse_rational(epsilon) if isinstance(epsilon, str) else Fraction(epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     budget = configured_budget(budget)

@@ -261,15 +261,6 @@ def instance_defects(
     return defects
 
 
-def validate_instance(instance: Instance) -> Instance:
-    """Return the instance iff every invariant holds (construction re-checks)."""
-    defects = instance_defects(instance.n, instance.m, instance.valuations,
-                               instance.agent_labels, instance.item_labels)
-    if defects:
-        raise InvalidInstanceError(defects)
-    return instance
-
-
 @dataclass(frozen=True)
 class Proportional:
     """Report a unit-sum valuation; consumption splits in proportion to it."""

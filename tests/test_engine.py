@@ -10,7 +10,6 @@ from eatsim import (
     Lexicographic,
     Proportional,
     UNIFORM_OVER_REMAINING,
-    compute_rates,
     expected_payoffs,
     run,
     sample_allocation,
@@ -18,7 +17,8 @@ from eatsim import (
     valuation_of,
     welfare,
 )
-from eatsim.engine import Segment, Trace, _kernel_args, payoff
+from eatsim.engine import Segment, Trace, _kernel_args
+from eatsim.equilibrium import run_profile
 from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.model import decimal_str, fixed_order_policy, format_rational
 from eatsim.strategies import as_ordinal, ps_profile, single_minded
@@ -102,49 +102,36 @@ class TestGoldenRuns:
             valuations[i][i] for i in range(n))
 
 
-class TestComputeRates:
+class TestSegmentRates:
+    """The rate rule, read off the segments of a run."""
+
     def test_truthful_rates_at_start(self, example1):
-        rates = compute_rates(example1.truthful_profile(), range(3), LOWEST_INDEX_FIRST, 3)
-        assert rates[0] == [F(3, 5), F(3, 10), F(1, 10)]
+        seg = run(3, 3, example1.truthful_profile()).segments[0]
+        assert seg.start == 0
+        assert seg.rates[0] == (F(3, 5), F(3, 10), F(1, 10))
 
     def test_renormalized_after_depletion(self, example1):
-        rates = compute_rates(example1.truthful_profile(), [0, 2], LOWEST_INDEX_FIRST, 3)
-        assert rates[1] == [F(1, 3), F(0), F(2, 3)]
+        # item 2 runs out first; agent 2 splits over items 1 and 3 as 1/10 : 1/5
+        trace = run(3, 3, example1.truthful_profile())
+        seg = trace.segments[1]
+        assert trace.remaining_at(seg.start) == {0, 2}
+        assert seg.rates[1] == (F(1, 3), F(0), F(2, 3))
 
-    def test_zero_report_uniform_policy(self):
-        profile = [Proportional(valuation_of(["1", "0", "0"]))]
-        rates = compute_rates(profile, [1, 2], UNIFORM_OVER_REMAINING, 3)
-        assert rates[0] == [F(0), F(1, 2), F(1, 2)]
-
-    def test_zero_report_lowest_index_policy(self):
-        profile = [Proportional(valuation_of(["1", "0", "0"]))]
-        rates = compute_rates(profile, [1, 2], LOWEST_INDEX_FIRST, 3)
-        assert rates[0] == [F(0), F(1), F(0)]
+    @pytest.mark.parametrize("policy, rates", [
+        (UNIFORM_OVER_REMAINING, (F(0), F(1, 2), F(1, 2))),
+        (LOWEST_INDEX_FIRST, (F(0), F(1), F(0))),
+    ], ids=["uniform", "lowest-index"])
+    def test_zero_report_after_its_item_runs_out(self, policy, rates):
+        trace = run(1, 3, [Proportional(valuation_of(["1", "0", "0"]))], policy)
+        first, after = trace.segments[:2]
+        assert first.rates[0] == (F(1), F(0), F(0))
+        assert after.start == 1
+        assert after.rates[0] == rates
 
     def test_lexicographic_picks_first_remaining(self):
-        rates = compute_rates([Lexicographic((2, 1))], [0, 1], LOWEST_INDEX_FIRST, 3)
-        assert rates[0] == [F(0), F(1), F(0)]
-
-    def test_empty_remaining_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rates([Lexicographic((0,))], [], LOWEST_INDEX_FIRST, 1)
-
-    @pytest.mark.parametrize("remaining", [[1, 1], [-1, 1], [0, 3], [1.0, 2]],
-                             ids=["repeated", "negative", "past-m", "float"])
-    def test_remaining_must_be_distinct_items_in_range(self, remaining):
-        profile = [Proportional(valuation_of(["1/2", "1/2", "0"]))]
-        with pytest.raises(ValueError, match="distinct items"):
-            compute_rates(profile, remaining, LOWEST_INDEX_FIRST, 3)
-
-    def test_report_must_fit_m(self):
-        profile = [Proportional(valuation_of(["1/2", "1/2"]))]
-        with pytest.raises(ValueError, match="report length 2 != m = 3"):
-            compute_rates(profile, range(3), LOWEST_INDEX_FIRST, 3)
-
-    def test_fixed_policy_must_order_every_item(self):
-        # the agent's order runs out, so the two-item policy would be read
-        with pytest.raises(ValueError, match="must order all 3 items"):
-            compute_rates([Lexicographic((0,))], [1, 2], fixed_order_policy((1, 0)), 3)
+        trace = run(1, 3, [Lexicographic((2, 1))])
+        assert [seg.rates[0] for seg in trace.segments[:2]] == [
+            (F(0), F(0), F(1)), (F(0), F(1), F(0))]
 
 
 class TestRejectedInputs:
@@ -152,15 +139,17 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="unknown eating mechanism 'rp'"):
             run(3, 3, example1.truthful_profile(), mechanism="rp")
 
+    @pytest.mark.parametrize("call", [run, run_profile], ids=["run", "run_profile"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_run_needs_an_agent(self, call, n):
+        # with no eaters every item would run out at t = 3/0
+        with pytest.raises(ValueError, match=f"^n = {n} must be at least 1$"):
+            call(n, 3, [])
+
     def test_expected_payoffs_needs_one_valuation_per_agent(self, example1):
         trace = run(3, 3, example1.truthful_profile())
         with pytest.raises(ValueError, match="valuation count does not match trace"):
             expected_payoffs(trace, example1.valuations[:2])
-
-    def test_payoff_needs_a_valuation_of_the_row_length(self, example1):
-        trace = run(3, 3, example1.truthful_profile())
-        with pytest.raises(ValueError, match="valuation length does not match trace"):
-            payoff(trace.shares[0], valuation_of(["1/2", "1/2"]))
 
 
 REVERSED_20 = fixed_order_policy(tuple(reversed(range(20))))
@@ -509,8 +498,6 @@ class TestTraceExport:
         assert max(g.denominator.bit_length() for row in trace.shares for g in row) > 1200
         payoffs = expected_payoffs(trace, inst.valuations)
         assert payoffs == fraction_payoffs(trace.shares, inst.valuations)
-        assert all(payoff(row, val) == p for row, val, p
-                   in zip(trace.shares, inst.valuations, payoffs))
 
     @pytest.mark.parametrize("mechanism,policy", [
         ("cps", LOWEST_INDEX_FIRST), ("ps", LOWEST_INDEX_FIRST), ("cps", UNIFORM_OVER_REMAINING),

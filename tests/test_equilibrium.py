@@ -26,8 +26,10 @@ from eatsim.instances import GeneratorSpec, generate, random_instance
 from eatsim.model import (
     Instance,
     LOWEST_INDEX_FIRST,
+    ParseError,
     UNIFORM_OVER_REMAINING,
     fixed_order_policy,
+    format_rational,
 )
 from eatsim.strategies import (
     GridProportional,
@@ -463,6 +465,21 @@ class TestVerifyNe:
         # certificate then failed to render
         with pytest.raises(ValueError, match="floats are not exact"):
             verify_ne(example2.truthful_profile(), example2, 0.1, [Truthful()])
+
+    @pytest.mark.parametrize("epsilon, exact", [
+        ("1/10", F(1, 10)), (" 0.5 ", F(1, 2)), (1, F(1)), (True, F(1)), (False, F(0))],
+        ids=["string", "decimal-string", "int", "true", "false"])
+    def test_epsilon_is_stored_as_a_fraction(self, example2, epsilon, exact):
+        cert = verify_ne(example2.truthful_profile(), example2, epsilon, [Truthful()])
+        assert type(cert.epsilon) is Fraction and cert.epsilon == exact
+        assert certificate_to_json(cert, example2.truthful_profile())["epsilon"] == \
+            format_rational(exact)
+
+    def test_string_epsilon_is_parsed_before_the_range_check(self, example2):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative, got -1/10"):
+            verify_ne(example2.truthful_profile(), example2, "-1/10", [Truthful()])
+        with pytest.raises(ParseError, match="malformed rational 'abc'"):
+            verify_ne(example2.truthful_profile(), example2, "abc", [Truthful()])
 
     def test_negative_epsilon_rejected(self, example2):
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):

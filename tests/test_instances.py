@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eatsim import validate_instance, valuation_of
+from eatsim import valuation_of
 from eatsim.instances import (
     GeneratorError,
     GeneratorSpec,
@@ -11,7 +11,7 @@ from eatsim.instances import (
     tightness_bound,
 )
 from eatsim.lotteries import opt
-from eatsim.model import Proportional
+from eatsim.model import Proportional, instance_defects
 
 F = Fraction
 
@@ -35,7 +35,8 @@ VALID_SPECS = [
 @pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda s: s.name)
 def test_every_generated_instance_is_valid(spec):
     generated = generate(spec)
-    assert validate_instance(generated.instance) is generated.instance
+    inst = generated.instance
+    assert instance_defects(inst.n, inst.m, inst.valuations) == []
     if generated.bad_profile is not None:
         assert len(generated.bad_profile) == generated.instance.n
 

@@ -28,7 +28,6 @@ from eatsim.model import (
     profile_to_json,
     strategy_from_json,
     strategy_to_json,
-    validate_instance,
     valuation_of,
 )
 
@@ -123,7 +122,7 @@ class TestInstance:
     def test_example1_table_is_valid(self):
         rows = [["3/5", "3/10", "1/10"], ["1/10", "7/10", "1/5"], ["1/5", "1/2", "3/10"]]
         inst = Instance(3, 3, tuple(valuation_of(r) for r in rows))
-        assert validate_instance(inst) is inst
+        assert instance_defects(inst.n, inst.m, inst.valuations) == []
 
     def test_single_agent(self):
         inst = Instance(1, 1, (valuation_of(["1"]),))
