@@ -3,7 +3,7 @@
 Both eating mechanisms are runs of the same engine: the cardinal mechanism
 (cps) runs each report as given, the ordinal one (ps) runs each report's
 ordinal shadow (:func:`eatsim.strategies.as_ordinal`). ``_kernel_args`` is the
-one place that checks a profile, and ``_set_slot`` the one place that applies
+one place that checks a profile, and ``_slot`` the one place that applies
 the mechanism. Within a segment the remaining-item set is constant, so rates
 are constant and every depletion time is an exact rational.
 
@@ -14,7 +14,9 @@ and ``_coprime`` is the one place where they become ``Fraction`` values.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
 that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
 up to the depletion of the last item one of them values, and takes each
-payoff as one integer dot product over the pairs (``_dot``).
+payoff as one integer dot product over the pairs (``_dot``), left as an
+unreduced ``(num, den)`` pair: a sweep compares such pairs by
+cross-multiplication, and only the values it reports become ``Fraction``.
 ``expected_payoffs`` hands ``_dot`` one common multiple of every share
 denominator of a trace, folded once with the largest first, and
 ``trace_to_json`` renders each distinct value and rate row once.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .model import (
@@ -40,7 +42,7 @@ from .model import (
     integer_form,
     valued_items,
 )
-from .strategies import as_ordinal
+from .strategies import _ordinal_order
 
 from . import _kernel as _kernel_impl
 
@@ -101,39 +103,43 @@ def _coprime(num: int, den: int) -> Fraction:
     return value
 
 
-def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
-    """Check agent i's strategy against m and write it, or under ps its
-    ordinal shadow, into the kernel arguments ``args`` (from
-    :func:`_kernel_args`) in place, as the shortest form that eats the same:
-    a report with one positive weight, on item j, as the order ``(j,)``;
-    under the lowest-index or fixed policy an order as the shortest prefix of
-    its completion (the items of ``zero_order`` it lacks appended in that
-    order) with the same completion; under the uniform policy a full order
-    without its last item, which the policy eats alone at rate 1."""
-    _, m, weights, orders, zero_order = args
-    check_strategy(i, m, strat)
+def _slot(strat: Strategy, m: int, mechanism: str,
+          zero_order: list[int] | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(weights, order)``: the slot of a strategy that fits m, or under ps
+    of its ordinal shadow, in the kernel arguments with ``zero_order`` (from
+    :func:`_kernel_args`), as the shortest form that eats the same: a report
+    with one positive weight, on item j, as the order ``(j,)``; under the
+    lowest-index or fixed policy an order as the shortest prefix of its
+    completion (the items of ``zero_order`` it lacks appended in that order)
+    with the same completion; under the uniform policy a full order without
+    its last item, which the policy eats alone at rate 1."""
     if mechanism == "ps":
-        strat = as_ordinal(strat, m)
-    if isinstance(strat, Proportional):
+        order = _ordinal_order(strat, m)
+    elif isinstance(strat, Proportional):
         w = strat.report.integer_form[1]
         if w.count(0) != m - 1:
-            weights[i], orders[i] = w, ()
-            return
+            return w, ()
         order = (w.index(max(w)),)
     else:
         order = strat.order
     if zero_order is None:
-        order = order[:m - 1]
-    else:
-        # cut the completion before its longest tail in zero_order's order
-        taken = set(order)
-        order += tuple(j for j in zero_order if j not in taken)
-        k = m
-        for j in reversed(zero_order):
-            if order[k - 1] == j:
-                k -= 1
-        order = order[:k]
-    weights[i], orders[i] = (), order
+        return (), order[:m - 1]
+    # cut the completion before its longest tail in zero_order's order
+    taken = set(order)
+    order += tuple(j for j in zero_order if j not in taken)
+    k = m
+    for j in reversed(zero_order):
+        if order[k - 1] == j:
+            k -= 1
+    return (), order[:k]
+
+
+def _set_slot(args: tuple, i: int, strat: Strategy, mechanism: str) -> None:
+    """Check agent i's strategy against m and write its :func:`_slot` into
+    the kernel arguments ``args`` (from :func:`_kernel_args`) in place."""
+    _, m, weights, orders, zero_order = args
+    check_strategy(i, m, strat)
+    weights[i], orders[i] = _slot(strat, m, mechanism, zero_order)
 
 
 def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy,
@@ -141,14 +147,16 @@ def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy
     """The kernel's arguments for a profile under ``mechanism`` ("cps" or
     "ps") and a zero policy: ``(n, m, weights, orders, zero_order)``.
 
-    Checks the mechanism name, that there is an agent, the profile's length,
-    that a fixed zero policy orders all m items, and then each strategy, in
-    that order, so every caller rejects a malformed profile with the same
-    error."""
+    Checks the mechanism name, that there is an agent and an item, the
+    profile's length, that a fixed zero policy orders all m items, and then
+    each strategy, in that order, so every caller rejects a malformed profile
+    with the same error."""
     if mechanism not in ("cps", "ps"):
         raise ValueError(f"unknown eating mechanism {mechanism!r}")
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
+    if m < 1:
+        raise ValueError(f"m = {m} must be at least 1")
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:
@@ -232,7 +240,7 @@ def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tupl
             scale *= grow
             quotient = scale // den
         factor[den] = quotient
-    return tuple(_dot([(g.numerator, g.denominator) for g in row], v, scale, factor)
+    return tuple(Fraction(*_dot([(g.numerator, g.denominator) for g in row], v, scale, factor))
                  for row, v in zip(trace.shares, true_valuations))
 
 
@@ -241,29 +249,38 @@ def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:
 
 
 def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation,
-         scale: int = 0, factor: dict[int, int] | None = None) -> Fraction:
-    """sum_j (num_j / den_j) * valuation[j] for reduced share pairs, as one
-    integer dot product over the items where the share and the value are
-    nonzero, over ``scale``, a common multiple of the denominators with
-    ``factor[den] == scale // den``, or without ``factor`` over their lcm."""
+         scale: int = 0, factor: dict[int, int] | None = None) -> tuple[int, int]:
+    """sum_j (num_j / den_j) * valuation[j] for reduced share pairs, as an
+    unreduced pair ``(num, den)`` with den > 0: one integer dot product over
+    the items where the share and the value are nonzero, over ``scale``, a
+    common multiple of the denominators with ``factor[den] == scale // den``,
+    or without ``factor`` over their lcm, grown in the same pass."""
     d, values = valuation.integer_form
-    terms = [(num, den, v) for (num, den), v in zip(pairs, values) if num and v]
-    if factor is None:
-        scale = lcm(*[den for _, den, _ in terms])
-        return Fraction(sum(num * v * (scale // den) for num, den, v in terms), scale * d)
-    return Fraction(sum(num * v * factor[den] for num, den, v in terms), scale * d)
+    if factor is not None:
+        return sum(num * v * factor[den] for (num, den), v in zip(pairs, values)
+                   if num and v), scale * d
+    total, scale = 0, 1
+    for (num, den), v in zip(pairs, values):
+        if num and v:
+            if scale % den:
+                grow = den // gcd(scale, den)
+                total *= grow
+                scale *= grow
+            total += num * v * (scale // den)
+    return total, scale * d
 
 
 def _payoffs(args: tuple, agents: Sequence[int],
-             valuations: Sequence[Valuation]) -> list[Fraction]:
-    """Exact payoffs of ``agents`` (``valuations`` in the same order) from one
-    lean kernel run on arguments from :func:`_kernel_args`.
+             valuations: Sequence[Valuation]) -> list[tuple[int, int]]:
+    """The payoffs of ``agents`` (``valuations`` in the same order) as
+    :func:`_dot` pairs, from one lean kernel run on arguments from
+    :func:`_kernel_args`.
 
     The kernel writes only those agents' share rows, and each row goes
-    straight into :func:`_dot`: no ``Trace`` and no ``Fraction`` matrix. The
-    run stops once every item that one of the agents values (each
-    valuation's cached ``valued`` mask) has run out: the items left are worth
-    0 to all of them, so later eating adds exactly 0 to their payoffs.
+    straight into :func:`_dot`: no ``Trace`` and no ``Fraction``. The run
+    stops once every item that one of the agents values (each valuation's
+    cached ``valued`` mask) has run out: the items left are worth 0 to all of
+    them, so later eating adds exactly 0 to their payoffs.
     """
     valued = valuations[0].valued if len(valuations) == 1 else \
         valued_items(v.valued for v in valuations)

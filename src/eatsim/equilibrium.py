@@ -10,7 +10,7 @@ the search is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,9 +19,11 @@ from .lotteries import opt as opt_welfare
 from .model import (
     Instance,
     LOWEST_INDEX_FIRST,
+    Lexicographic,
     Strategy,
     Valuation,
     ZeroPolicy,
+    check_strategy,
     format_rational,
     parse_rational,
     strategy_to_json,
@@ -125,20 +127,27 @@ def _sweep(
     agent index, the families, and then the budget against
     ``len(agents) * (candidates + 1)`` engine runs. The profile, whose length
     must be n, and the zero policy are then checked and converted to kernel
-    arguments once, and :func:`engine._set_slot` applies the mechanism to each
-    candidate. Each candidate costs at most one lean kernel run that
-    writes only the deviating agent's shares: it replaces that agent's slot
-    only, and the baseline slot is written back after the agent's sweep.
-    ``_set_slot`` writes the shortest form that eats the same, so equal slots
-    eat identically, and a candidate whose slot ``(weights[agent],
-    orders[agent])`` equals the baseline's or an earlier candidate's reuses
-    that payoff. ``runs`` still counts every candidate and the baseline.
+    arguments once. :func:`engine._slot` writes each candidate in the
+    shortest form that eats the same, so equal slots eat identically. A
+    member's slot depends only on its order (a ``Lexicographic``) or its
+    report's integer weights (a ``Proportional``) once m, the mechanism and
+    the policy are fixed, so it is checked and computed once per call, at the
+    member's first appearance, and each distinct slot gets a small id.
+
+    So a candidate costs one lookup of its slot and one of that slot's
+    payoff. Only a slot new to the agent's sweep costs more: one lean kernel
+    run with the agent's slot replaced (the baseline is written back after
+    the sweep), and one comparison of :func:`engine._dot` pairs by
+    cross-multiplication; only the reported values become ``Fraction``. The
+    baseline payoff, run first, is compared at the first candidate with the
+    baseline's slot, and ties keep the first candidate. ``runs`` counts
+    every candidate and the baseline.
 
     The mechanism treats agents symmetrically: rates, zero policies and
     depletion ties depend on items and an agent's own strategy, never on its
     index. So agents with the same true valuation and the same slot have the
-    same sweep, which runs once, for the first of them; the others get its
-    report under their own index.
+    same sweep, which runs once, for the first of them; the others get a
+    copy of its report under their own index.
     """
     for agent in agents:
         if not 0 <= agent < n:
@@ -152,43 +161,61 @@ def _sweep(
     if total > budget:
         raise BudgetExceededError(f"sweep needs {total} engine runs, budget is {budget}")
     args = engine._kernel_args(n, m, profile, policy, mechanism)
-    _, _, weights, orders, _ = args
+    _, _, weights, orders, zero_order = args
     described = describe_families(families, m)
+    # a member's order or its report's integer form (never equal, as an
+    # order holds no tuple) -> (slot id, slot), and slot -> slot id
+    members: dict[tuple, tuple[int, tuple]] = {}
+    slot_ids: dict[tuple, int] = {}
     swept: dict[tuple, DeviationReport] = {}
     reports = []
     for agent, truth in zip(agents, truths):
         baseline = weights[agent], orders[agent]
         key = (truth.integer_form, baseline)
-        if key in swept:
-            reports.append(replace(swept[key], agent=agent))
+        shared = swept.get(key)
+        if shared is not None:
+            reports.append(DeviationReport(
+                agent, shared.baseline_payoff, shared.best_label, shared.best_strategy,
+                shared.best_payoff, shared.gain, shared.families, shared.runs, shared.candidates))
             continue
+        baseline_id = slot_ids.setdefault(baseline, len(slot_ids))
         wanted, truth_row = [agent], [truth]
-        baseline_payoff = engine._payoffs(args, wanted, truth_row)[0]
-        payoffs = {baseline: baseline_payoff}
-        best = None
-        collected: list[tuple[str, Fraction]] = []
+        baseline_pair = engine._payoffs(args, wanted, truth_row)[0]
+        payoffs: dict[int, tuple[int, int]] = {}
+        best_num, best_den = -1, 1  # below every payoff
+        runs = 1
+        collected = [] if collect_candidates else None
         for label, candidate in expand_families(families, truth, m):
-            engine._set_slot(args, agent, candidate, mechanism)
-            slot = weights[agent], orders[agent]
-            value = payoffs.get(slot)
-            if value is None:
-                value = payoffs[slot] = engine._payoffs(args, wanted, truth_row)[0]
-            collected.append((label, value))
-            if best is None or value > best[2]:
-                best = (label, candidate, value)
-        engine._set_slot(args, agent, profile[agent], mechanism)
-        best_label, best_strategy, best_payoff = best
+            runs += 1
+            member = candidate.order if isinstance(candidate, Lexicographic) \
+                else candidate.report.integer_form
+            entry = members.get(member)
+            if entry is None:
+                check_strategy(agent, m, candidate)
+                slot = engine._slot(candidate, m, mechanism, zero_order)
+                entry = members[member] = slot_ids.setdefault(slot, len(slot_ids)), slot
+            slot_id, slot = entry
+            if collected is not None:
+                collected.append((label, slot_id))
+            if slot_id in payoffs:
+                continue
+            if slot_id == baseline_id:
+                num, den = payoffs[slot_id] = baseline_pair
+            else:
+                weights[agent], orders[agent] = slot
+                num, den = payoffs[slot_id] = engine._payoffs(args, wanted, truth_row)[0]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best_label, best_strategy = label, candidate
+        weights[agent], orders[agent] = baseline
+        baseline_payoff = Fraction(*baseline_pair)
+        best_payoff = Fraction(best_num, best_den)
+        if collected is not None:
+            exact = {slot_id: Fraction(*pair) for slot_id, pair in payoffs.items()}
+            collected = tuple((label, exact[slot_id]) for label, slot_id in collected)
         report = swept[key] = DeviationReport(
-            agent=agent,
-            baseline_payoff=baseline_payoff,
-            best_label=best_label,
-            best_strategy=best_strategy,
-            best_payoff=best_payoff,
-            gain=best_payoff - baseline_payoff,
-            families=described,
-            runs=len(collected) + 1,
-            candidates=tuple(collected) if collect_candidates else None,
-        )
+            agent, baseline_payoff, best_label, best_strategy, best_payoff,
+            best_payoff - baseline_payoff, described, runs, collected)
         reports.append(report)
     return reports
 
@@ -203,11 +230,13 @@ def best_response(
     budget: int | None = None,
     collect_candidates: bool = False,
 ) -> DeviationReport:
-    """Exhaustively evaluate every family member for ``agent`` against the
-    rest of ``profile`` and return the payoff argmax.
+    """Sweep every family member for ``agent`` against the rest of
+    ``profile`` and return the payoff argmax.
 
-    ``profile[agent]`` is the baseline. Ties keep the first candidate in
-    canonical enumeration order.
+    Members that eat alike share one slot, and each distinct slot is
+    evaluated once (see :func:`_sweep`); the report still lists and counts
+    every member. ``profile[agent]`` is the baseline. Ties keep the first
+    candidate in canonical enumeration order.
     """
     (report,) = _sweep(profile, len(profile), len(true_valuation), [agent],
                        [true_valuation], families, mechanism, policy,
@@ -280,7 +309,8 @@ def ratio_report(
     """
     n = instance.n
     args = engine._kernel_args(n, instance.m, profile, policy, mechanism)
-    total = sum(engine._payoffs(args, range(n), instance.valuations), Fraction(0))
+    total = sum((Fraction(*pair) for pair in engine._payoffs(args, range(n), instance.valuations)),
+                Fraction(0))
     return RatioReport(total, opt_welfare(instance)[0])
 
 
@@ -331,6 +361,20 @@ def deviation_report_to_json(report: DeviationReport) -> dict:
 
 
 def certificate_to_json(cert: EquilibriumCertificate, profile: Sequence[Strategy]) -> dict:
+    # the reports of a class of agents hold one report's field values (see
+    # _sweep), and the certificate keeps them alive for the call, so each
+    # class renders once and each member's doc is a copy with its own agent
+    rendered: dict[tuple, dict] = {}
+
+    def render(report: DeviationReport) -> dict:
+        key = tuple(map(id, (report.baseline_payoff, report.best_label, report.best_strategy,
+                             report.best_payoff, report.gain, report.families, report.runs,
+                             report.candidates)))
+        doc = rendered.get(key)
+        if doc is None:
+            doc = rendered[key] = deviation_report_to_json(report)
+        return {**doc, "agent": report.agent + 1}
+
     return {
         "epsilon": format_rational(cert.epsilon),
         "verdict": cert.verdict,
@@ -338,6 +382,6 @@ def certificate_to_json(cert: EquilibriumCertificate, profile: Sequence[Strategy
         "families": cert.families,
         "budget": cert.budget,
         "profile": [strategy_to_json(s) for s in profile],
-        "reports": [deviation_report_to_json(r) for r in cert.reports],
-        "witness": deviation_report_to_json(cert.witness) if cert.witness else None,
+        "reports": [render(r) for r in cert.reports],
+        "witness": render(cert.witness) if cert.witness else None,
     }

@@ -67,17 +67,26 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
     return Proportional(Valuation(tuple(values)))
 
 
+def _ordinal_order(strategy: Strategy, m: int) -> tuple[int, ...]:
+    """The order of :func:`as_ordinal`, as a plain tuple, for a strategy that
+    fits m (see :func:`eatsim.model.check_strategy`)."""
+    if isinstance(strategy, Lexicographic):
+        taken = set(strategy.order)
+        return strategy.order + tuple(j for j in range(m) if j not in taken)
+    return strategy.report.preference_order()
+
+
 def as_ordinal(strategy: Strategy, m: int) -> Lexicographic:
     """The ordinal shadow of a strategy: a full preference order over all items.
 
     Proportional reports rank items by decreasing value, ties by lowest
     index; zero-valued items sort last, so the order never exhausts and the
-    ordinal mechanism never consults the zero policy.
+    ordinal mechanism never consults the zero policy. An order keeps its
+    items and appends the others in index order. The ordinal mechanism's
+    kernel arguments take the same order from :func:`_ordinal_order`,
+    without building the ``Lexicographic``.
     """
-    if isinstance(strategy, Lexicographic):
-        taken = set(strategy.order)
-        return Lexicographic(strategy.order + tuple(j for j in range(m) if j not in taken))
-    return Lexicographic(strategy.report.preference_order())
+    return Lexicographic(_ordinal_order(strategy, m))
 
 
 def ps_profile(profile: Sequence[Strategy], m: int) -> list[Lexicographic]:

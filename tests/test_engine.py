@@ -146,6 +146,18 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match=f"^n = {n} must be at least 1$"):
             call(n, 3, [])
 
+    @pytest.mark.parametrize("call", [
+        run, run_profile, lambda n, m, profile: _kernel_args(n, m, profile, LOWEST_INDEX_FIRST)],
+        ids=["run", "run_profile", "kernel_args"])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_a_run_needs_an_item(self, call, m):
+        # a run used to return a trace with m = -1 and horizon -1, or with
+        # horizon 0; the item count is checked right after the agent count
+        with pytest.raises(ValueError, match=f"^m = {m} must be at least 1$"):
+            call(1, m, [Lexicographic(())])
+        with pytest.raises(ValueError, match="^n = 0 must be at least 1$"):
+            call(0, m, [])
+
     def test_expected_payoffs_needs_one_valuation_per_agent(self, example1):
         trace = run(3, 3, example1.truthful_profile())
         with pytest.raises(ValueError, match="valuation count does not match trace"):

@@ -1,11 +1,13 @@
+import json
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatsim import _kernel
+from eatsim import _kernel, engine
 from eatsim import (
     Lexicographic,
     Proportional,
@@ -17,6 +19,7 @@ from eatsim.equilibrium import (
     best_response,
     certificate_to_json,
     configured_budget,
+    deviation_report_to_json,
     ratio_report,
     run_profile,
     sequential_payoff_floor,
@@ -30,6 +33,7 @@ from eatsim.model import (
     UNIFORM_OVER_REMAINING,
     fixed_order_policy,
     format_rational,
+    strategy_to_json,
 )
 from eatsim.strategies import (
     GridProportional,
@@ -41,6 +45,7 @@ from eatsim.strategies import (
     single_minded,
 )
 
+from eatsim.engine import _kernel_args, _set_slot
 from helpers import (
     random_profile, random_run_case, random_strategy, random_valuation, rng_for)
 
@@ -143,6 +148,28 @@ class TestBestResponse:
             assert report.best_label == "truthful"
             assert report.best_payoff == 1
 
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_baseline_slot_reached_late_is_the_best(self, policy_name):
+        # the baseline payoff, 1/2, is known before any candidate runs, but
+        # single-minded(2) is the first candidate with the baseline's slot:
+        # truthful (7/15) and single-minded(1) (1/3) before it pay less, so
+        # it is the best response
+        truth = valuation_of(["1/3", "2/3"])
+        profile = [single_minded(1, 2), Lexicographic((1, 0))]
+        policy = _policy(rng_for(f"br-baseline-trap:{policy_name}"), policy_name, 2)
+        for collect in (True, False):
+            report = best_response(profile, 0, truth, [Truthful(), SingleMinded()],
+                                   policy=policy, collect_candidates=collect)
+            assert report.best_label == "single-minded(2)"
+            assert report.best_strategy == single_minded(1, 2)
+            assert report.best_payoff == report.baseline_payoff == F(1, 2)
+            assert report.gain == 0
+        assert report.candidates is None
+        assert best_response(profile, 0, truth, [Truthful(), SingleMinded()], policy=policy,
+                             collect_candidates=True).candidates == (
+            ("truthful", F(7, 15)), ("single-minded(1)", F(1, 3)),
+            ("single-minded(2)", F(1, 2)))
+
     def test_budget_enforced(self, example2):
         with pytest.raises(BudgetExceededError):
             best_response(example2.truthful_profile(), 0, example2.valuations[0],
@@ -186,11 +213,11 @@ class TestBestResponse:
 
 
 class TestSweepMatchesPlainRuns:
-    """Each candidate of a sweep is keyed by its slot, which
-    ``engine._set_slot`` writes in the shortest form that eats the same; each
-    distinct slot costs one lean kernel run, and a repeated slot reuses its
+    """Each candidate of a sweep is keyed by its slot, which ``engine._slot``
+    writes in the shortest form that eats the same; each distinct slot costs
+    one lean kernel run and one comparison, and a repeated slot reuses its
     payoff. Every payoff must be the one a full run of the whole profile
-    gives."""
+    gives, and the report must name the first maximiser."""
 
     @pytest.mark.parametrize("mechanism", ["cps", "ps"])
     @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
@@ -258,6 +285,14 @@ class TestSweepMatchesPlainRuns:
             assert [value for _, value in report.candidates] == \
                 [full_run_payoff(strategy) for _, strategy in candidates]
             assert report.runs == len(candidates) + 1
+            # the report names the first maximiser among the candidates
+            first_best = max(range(len(candidates)),
+                             key=lambda c: (report.candidates[c][1], -c))
+            assert report.best_label == report.candidates[first_best][0]
+            assert report.best_strategy == candidates[first_best][1]
+            assert report.best_payoff == report.candidates[first_best][1]
+            assert best_response(profile, agent, truth, families, mechanism, policy) == \
+                replace(report, candidates=None)
 
 
 class TestSweepsShareWorkAcrossAgents:
@@ -408,6 +443,100 @@ class TestSweepsShareWorkAcrossAgents:
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 38
         assert _segments(kernel_calls) == 115  # 168 without the early stop
+
+
+class TestMemberSlotsAndClassCopies:
+    """A sweep computes each member's slot once per call, at the member's
+    first appearance, and the other agents of a class get a copy of its
+    representative's report; certificate_to_json renders each class once."""
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("policy_name", ["uniform", "lowest-index", "fixed"])
+    def test_every_member_gets_the_slot_of_a_fresh_set_slot(
+            self, mechanism, policy_name, monkeypatch):
+        # each payoff is an id of the slot the deviator held in its run, so
+        # every candidate's payoff names the slot the sweep gave it, whether
+        # computed then or remembered from an earlier member or agent
+        ids = {}
+
+        def slot_ids(args, agents, valuations):
+            _, _, weights, orders, _ = args
+            return [(ids.setdefault((weights[i], orders[i]), len(ids)), 1) for i in agents]
+
+        monkeypatch.setattr(engine, "_payoffs", slot_ids)
+        rng = rng_for(f"sweep-member-slots:{mechanism}:{policy_name}")
+        for _ in range(15):
+            n, m, instance, profile, _ = random_run_case(rng, max_n=4, max_m=3)
+            policy = _policy(rng, policy_name, m)
+            sequences = tuple(tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(4))
+            families = [Truthful(), SingleMinded(), Sequential(sequences), Uniform(),
+                        GridProportional(3)]
+            cert = verify_ne(profile, instance, families=families, mechanism=mechanism,
+                             policy=policy, collect_candidates=True)
+            slots = {slot: F(slot_id) for slot, slot_id in ids.items()}
+            for report, truth in zip(cert.reports, instance.valuations):
+                args = _kernel_args(n, m, profile, policy, mechanism)
+                _, _, weights, orders, _ = args
+                agent = report.agent
+                assert report.baseline_payoff == slots[weights[agent], orders[agent]]
+                members = list(expand_families(families, truth, m))
+                assert [label for label, _ in report.candidates] == \
+                    [label for label, _ in members]
+                for (_, value), (_, member) in zip(report.candidates, members):
+                    _set_slot(args, agent, member, mechanism)
+                    assert value == slots[weights[agent], orders[agent]]
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    def test_a_member_that_does_not_fit_m_is_rejected_at_its_first_appearance(
+            self, mechanism):
+        instance = generate(GeneratorSpec("example1")).instance
+        profile = instance.truthful_profile()
+        families = [Truthful(), Sequential(((0,), (0, 3), (1,)))]
+        with pytest.raises(ValueError, match="^agent 2: order index out of range for m = 3$"):
+            best_response(profile, 1, instance.valuations[1], families, mechanism)
+        with pytest.raises(ValueError, match="^agent 1: order index out of range for m = 3$"):
+            verify_ne(profile, instance, families=families, mechanism=mechanism)
+
+    @staticmethod
+    def _sqrt_n_certificate(mechanism, collect_candidates=False):
+        gen = generate(GeneratorSpec("sqrt-n-lb", {"n": 16}))
+        profile = list(gen.bad_profile)
+        return gen.instance, profile, verify_ne(
+            profile, gen.instance, families=SWEEP_FAMILIES, mechanism=mechanism,
+            collect_candidates=collect_candidates)
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    def test_class_members_copy_their_representatives_report(self, mechanism):
+        instance, profile, cert = self._sqrt_n_certificate(mechanism, True)
+        representatives, copies = {}, 0
+        for report, truth, strategy in zip(cert.reports, instance.valuations, profile):
+            first = representatives.setdefault((truth, strategy), report)
+            copies += first is not report
+            for field in fields(report):
+                if field.name != "agent":
+                    assert getattr(report, field.name) == getattr(first, field.name)
+        assert copies > 0
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    @pytest.mark.parametrize("collect", [False, True], ids=["plain", "candidates"])
+    def test_certificate_json_equals_per_report_rendering(self, mechanism, collect):
+        _, profile, cert = self._sqrt_n_certificate(mechanism, collect)
+        doc = certificate_to_json(cert, profile)
+        witness = deviation_report_to_json(cert.witness) if cert.witness else None
+        assert json.dumps(doc) == json.dumps({
+            "epsilon": format_rational(cert.epsilon),
+            "verdict": cert.verdict,
+            "mechanism": cert.mechanism,
+            "families": cert.families,
+            "budget": cert.budget,
+            "profile": [strategy_to_json(s) for s in profile],
+            "reports": [deviation_report_to_json(r) for r in cert.reports],
+            "witness": witness,
+        })
+        # every report doc is its own dict, so relabelling the agent of one
+        # in place changes no other
+        docs = doc["reports"] + ([doc["witness"]] if witness else [])
+        assert len({id(d) for d in docs}) == len(docs)
 
 
 class TestOneCheckedSweep:

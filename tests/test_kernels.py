@@ -202,15 +202,22 @@ def test_coprime_fraction_behaves_like_fraction():
         assert (value < 1) == (reference < 1)
 
 
+def _exact_payoffs(args, agents, valuations):
+    """``_payoffs`` as Fractions; each of its unreduced pairs has den > 0."""
+    pairs = _payoffs(args, agents, valuations)
+    assert all(den > 0 for _, den in pairs)
+    return [Fraction(*pair) for pair in pairs]
+
+
 def _assert_lean_payoffs(n, m, profile, policy, valuations):
     """One kernel run per asked-for agent set writes exactly those share rows,
     and the payoffs built from them equal the full trace's payoffs."""
     trace = run(n, m, profile, policy)
     expected = list(expected_payoffs(trace, valuations))
     args = _kernel_args(n, m, profile, policy)
-    assert _payoffs(args, range(n), valuations) == expected
+    assert _exact_payoffs(args, range(n), valuations) == expected
     for agent in range(n):
-        assert _payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
+        assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
         _, _, gamma = _kernel.run_eating(*args, [agent])
         assert [Fraction(*pair) for pair in gamma[agent]] == list(trace.shares[agent])
         assert all(row == [] for i, row in enumerate(gamma) if i != agent)
@@ -308,9 +315,9 @@ def test_lean_runs_stop_after_the_last_valued_item():
                     early += stop < trace.horizon
 
                 expected = list(expected_payoffs(trace, valuations))
-                assert _payoffs(args, range(n), valuations) == expected
+                assert _exact_payoffs(args, range(n), valuations) == expected
                 for agent in range(n):
-                    assert _payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
+                    assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
     assert early > cases
 
 
