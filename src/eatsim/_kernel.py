@@ -58,10 +58,17 @@ inputs
                     the segment in which the last such item runs out, as
                     later eating adds exactly 0 to their payoffs. Without it
                     every item counts, so the run goes on to t = m/n
+    opening         None, or the t = 0 state of ``build_opening``: each
+                    agent's mode, W_i(S) or target, and support, with one
+                    agent left unplaced. A best-response sweep builds it once
+                    per swept agent from the opponents' slots, and each run
+                    copies it and places only the deviator; without it the
+                    run builds its own
 
-This module holds the one copy of the eating rule: ``run_eating`` classifies
-each agent at t = 0 and moves it on as its items run out (the one mode rule),
-and ``rate_row`` writes the rates of one mode (the one rate formula).
+This module holds the one copy of the eating rule: ``_place`` gives an agent
+its mode at t = 0, for ``build_opening`` and for a run's unplaced agent, and
+``run_eating`` moves each agent on as its items run out (the one mode rule);
+``rate_row`` writes the rates of one mode (the one rate formula).
 
 ``eatsim.engine._kernel_args`` builds and checks every input but ``agents``
 and ``valued``, and under the ordinal mechanism writes each report's ordinal
@@ -131,10 +138,52 @@ def rate_row(mode, value, weights, items, m):
     return row
 
 
-def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None):
+def _place(i, w, order, zero_order, mode, value, support, proportional, eaters):
+    """Give agent i (weights ``w``, order ``order``) its mode at t = 0, when
+    every item is alive, so W_i(S) is the sum of the weights: an agent with a
+    positive sum is proportional, one with an order eats its first item, and
+    any other follows the zero policy from the start. Returns the mode."""
+    if W := sum(w):
+        mode[i], value[i] = PROPORTIONAL, W
+        support[i] = [j for j, x in enumerate(w) if x]
+        proportional.append(i)
+    elif order:
+        mode[i], value[i] = TARGET, order[0]
+        eaters.append(i)
+    else:
+        mode[i] = UNIFORM if zero_order is None else CHASE
+    return mode[i]
+
+
+def build_opening(weights, orders, zero_order, unplaced=None):
+    """The state at t = 0 of every agent but ``unplaced``: ``(unplaced, mode,
+    value, support, proportional, eaters, uniform, chasers)``, with each
+    agent's mode and W_i(S) or target, a proportional agent's support, the
+    proportional agents and the eaters, and the counts of uniform agents and
+    chasers. A run copies what it changes, so one opening serves any number
+    of runs that differ only in agent ``unplaced``'s slot."""
+    n = len(weights)
+    mode = [0] * n
+    value = [0] * n
+    support = [None] * n  # a proportional agent's remaining items with w_ij > 0
+    proportional = []
+    eaters = []
+    uniform = chasers = 0
+    for i in range(n):
+        if i != unplaced:
+            k = _place(i, weights[i], orders[i], zero_order,
+                       mode, value, support, proportional, eaters)
+            uniform += k == UNIFORM
+            chasers += k == CHASE
+    return unplaced, mode, value, support, proportional, eaters, uniform, chasers
+
+
+def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, opening=None):
     """Run the eating loop: the whole trace, or with ``agents`` only those
     agents' share rows (every other row of ``gamma`` stays empty) and no
-    segments, up to the last depletion of a ``valued`` item."""
+    segments, up to the last depletion of a ``valued`` item. ``opening`` is a
+    :func:`build_opening` of the same weights, orders and zero order but the
+    unplaced agent's slot, else the run builds its own."""
     alive = [True] * m
     remaining = list(range(m))
     whole = agents is None
@@ -162,36 +211,24 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None):
     # entered the uniform zero policy. The agents fall into four groups:
     # proportional, eating down a lexicographic order, chasing the shared
     # lowest-index or fixed zero-policy target, and uniform. The last two are
-    # counts; the chasers share a target, its start and join times.
-    # At t = 0 every item is alive, so W_i(S) is the sum of the weights: an
-    # agent with a positive sum is proportional, one with an order eats its
-    # first item, and any other follows the zero policy from the start.
-    mode = [0] * n
-    value = [0] * n
+    # counts; the chasers share a target, its start and join times. The run
+    # starts from a copy of the opening's lists, never changing the opening.
+    if opening is None:
+        opening = build_opening(weights, orders, zero_order)
+    unplaced, mode, value, support, proportional, eaters, uniform, chasers = opening
+    mode, value, support = mode.copy(), value.copy(), support.copy()
+    proportional, eaters = proportional.copy(), eaters.copy()
+    if unplaced is not None:
+        k = _place(unplaced, weights[unplaced], orders[unplaced], zero_order,
+                   mode, value, support, proportional, eaters)
+        uniform += k == UNIFORM
+        chasers += k == CHASE
     mark = [_ZERO] * n
-    support = [None] * n  # a proportional agent's remaining items with w_ij > 0
     cursor = [0] * n  # position of the target in a lexicographic order
     rows = [None] * n  # cached rate rows, only for the whole trace
-    proportional = []
-    eaters = []
-    uniform = chasers = 0
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
     target = zero_order[0] if zero_order else -1
     begun, joined, chase_row = _ZERO, {}, None  # chase_row: whole trace only
-    for i in range(n):
-        if W := sum(weights[i]):
-            mode[i], value[i] = PROPORTIONAL, W
-            support[i] = [j for j in remaining if weights[i][j]]
-            proportional.append(i)
-        elif orders[i]:
-            mode[i], value[i] = TARGET, orders[i][0]
-            eaters.append(i)
-        elif zero_order is None:
-            mode[i] = UNIFORM
-            uniform += 1
-        else:
-            mode[i] = CHASE
-            chasers += 1
 
     base = None  # tot without the eaters and chasers; None once a W_i(S) changes
     while left:

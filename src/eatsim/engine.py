@@ -16,7 +16,9 @@ that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
 up to the depletion of the last item one of them values, and takes each
 payoff as one integer dot product over the pairs (``_dot``), left as an
 unreduced ``(num, den)`` pair: a sweep compares such pairs by
-cross-multiplication, and only the values it reports become ``Fraction``.
+cross-multiplication, and only the values it reports become ``Fraction``. A
+sweep also hands ``_payoffs`` its opening: the t = 0 state of the fixed
+opponents, built once per swept agent, which each run copies.
 ``expected_payoffs`` hands ``_dot`` one common multiple of every share
 denominator of a trace, folded once with the largest first, and
 ``trace_to_json`` renders each distinct value and rate row once.
@@ -270,11 +272,12 @@ def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation,
     return total, scale * d
 
 
-def _payoffs(args: tuple, agents: Sequence[int],
-             valuations: Sequence[Valuation]) -> list[tuple[int, int]]:
+def _payoffs(args: tuple, agents: Sequence[int], valuations: Sequence[Valuation],
+             opening: tuple | None = None) -> list[tuple[int, int]]:
     """The payoffs of ``agents`` (``valuations`` in the same order) as
     :func:`_dot` pairs, from one lean kernel run on arguments from
-    :func:`_kernel_args`.
+    :func:`_kernel_args`, starting from ``opening`` (see
+    :func:`eatsim._kernel.build_opening`) when one is given.
 
     The kernel writes only those agents' share rows, and each row goes
     straight into :func:`_dot`: no ``Trace`` and no ``Fraction``. The run
@@ -284,7 +287,7 @@ def _payoffs(args: tuple, agents: Sequence[int],
     """
     valued = valuations[0].valued if len(valuations) == 1 else \
         valued_items(v.valued for v in valuations)
-    _, _, gamma = _kernel_impl.run_eating(*args, agents, valued)
+    _, _, gamma = _kernel_impl.run_eating(*args, agents, valued, opening)
     return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 

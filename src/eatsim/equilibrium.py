@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import engine
+from . import _kernel, engine
 from .lotteries import opt as opt_welfare
 from .model import (
     Instance,
@@ -134,14 +134,21 @@ def _sweep(
     the policy are fixed, so it is checked and computed once per call, at the
     member's first appearance, and each distinct slot gets a small id.
 
+    The opponents' slots do not change within an agent's sweep, so their
+    t = 0 kernel state (:func:`eatsim._kernel.build_opening`) is built once
+    per swept agent, and every run of the sweep, the baseline's too, copies
+    it and places only the agent. The greedy sequential members are built
+    once per swept agent without re-checking (see
+    :func:`eatsim.strategies.expand_family`).
+
     So a candidate costs one lookup of its slot and one of that slot's
     payoff. Only a slot new to the agent's sweep costs more: one lean kernel
-    run with the agent's slot replaced (the baseline is written back after
-    the sweep), and one comparison of :func:`engine._dot` pairs by
-    cross-multiplication; only the reported values become ``Fraction``. The
-    baseline payoff, run first, is compared at the first candidate with the
-    baseline's slot, and ties keep the first candidate. ``runs`` counts
-    every candidate and the baseline.
+    run from the opening with the agent's slot replaced (the baseline is
+    written back after the sweep), and one comparison of :func:`engine._dot`
+    pairs by cross-multiplication; only the reported values become
+    ``Fraction``. The baseline payoff, run first, is compared at the first
+    candidate with the baseline's slot, and ties keep the first candidate.
+    ``runs`` counts every candidate and the baseline.
 
     The mechanism treats agents symmetrically: rates, zero policies and
     depletion ties depend on items and an agent's own strategy, never on its
@@ -180,7 +187,8 @@ def _sweep(
             continue
         baseline_id = slot_ids.setdefault(baseline, len(slot_ids))
         wanted, truth_row = [agent], [truth]
-        baseline_pair = engine._payoffs(args, wanted, truth_row)[0]
+        opening = _kernel.build_opening(weights, orders, zero_order, agent)
+        baseline_pair = engine._payoffs(args, wanted, truth_row, opening)[0]
         payoffs: dict[int, tuple[int, int]] = {}
         best_num, best_den = -1, 1  # below every payoff
         runs = 1
@@ -203,7 +211,8 @@ def _sweep(
                 num, den = payoffs[slot_id] = baseline_pair
             else:
                 weights[agent], orders[agent] = slot
-                num, den = payoffs[slot_id] = engine._payoffs(args, wanted, truth_row)[0]
+                num, den = payoffs[slot_id] = engine._payoffs(
+                    args, wanted, truth_row, opening)[0]
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
                 best_label, best_strategy = label, candidate
@@ -375,13 +384,28 @@ def certificate_to_json(cert: EquilibriumCertificate, profile: Sequence[Strategy
             doc = rendered[key] = deviation_report_to_json(report)
         return {**doc, "agent": report.agent + 1}
 
+    # a profile repeats few distinct strategies: render each once, keyed on
+    # an order or a report's integer form (a Fraction hashes slowly), and
+    # give every entry its own dict and list
+    strategies: dict[tuple, dict] = {}
+
+    def render_strategy(strategy: Strategy) -> dict:
+        if isinstance(strategy, Lexicographic):
+            key, field = strategy.order, "order"
+        else:
+            key, field = strategy.report.integer_form, "report"
+        doc = strategies.get(key)
+        if doc is None:
+            doc = strategies[key] = strategy_to_json(strategy)
+        return {"kind": doc["kind"], field: doc[field].copy()}
+
     return {
         "epsilon": format_rational(cert.epsilon),
         "verdict": cert.verdict,
         "mechanism": cert.mechanism,
         "families": cert.families,
         "budget": cert.budget,
-        "profile": [strategy_to_json(s) for s in profile],
+        "profile": [render_strategy(s) for s in profile],
         "reports": [render(r) for r in cert.reports],
         "witness": render(cert.witness) if cert.witness else None,
     }

@@ -26,9 +26,29 @@ def single_minded(item: int, m: int) -> Proportional:
         Fraction(1) if j == item else Fraction(0) for j in range(m))))
 
 
+@cache
+def _single_minded_members(m: int) -> tuple[tuple[str, Proportional], ...]:
+    """The single-minded family's (label, member) pairs; built once per m."""
+    return tuple((f"single-minded({j + 1})", single_minded(j, m)) for j in range(m))
+
+
 def sequential(order: Sequence[int]) -> Lexicographic:
     """Consume the items of ``order`` one at a time, skipping finished ones."""
     return Lexicographic(tuple(order))
+
+
+def _greedy_members(truth: Valuation) -> Iterator[tuple[str, Lexicographic]]:
+    """The sequential family's default (label, member) pairs: each prefix of
+    the preference order, shortest first. A prefix is a tuple of distinct
+    nonnegative ints by construction, so its ``Lexicographic`` skips the
+    checks of ``__post_init__``, and each label extends the previous one."""
+    full = truth.preference_order()
+    shown = ""
+    for k, j in enumerate(full, 1):
+        shown = f"{shown},{j + 1}" if shown else f"{j + 1}"
+        member = object.__new__(Lexicographic)
+        object.__setattr__(member, "order", full[:k])
+        yield f"sequential({shown})", member
 
 
 def uniform(items: Iterable[int], m: int) -> Proportional:
@@ -196,17 +216,25 @@ def family_size(family: StrategyFamily, m: int) -> int:
 def expand_family(
     family: StrategyFamily, truth: Valuation, m: int
 ) -> Iterator[tuple[str, Strategy]]:
-    """Yield (label, candidate strategy) pairs in canonical order."""
+    """Yield (label, candidate strategy) pairs in canonical order.
+
+    The default sequential members, the prefixes of the agent's preference
+    order, are valid by construction and are built without re-checking;
+    orders the caller names in ``Sequential(orders)`` are still checked. A
+    member that does not fit m is left to the sweep's strategy check.
+    """
     if isinstance(family, Truthful):
         yield "truthful", Proportional(truth)
     elif isinstance(family, SingleMinded):
-        for j in range(m):
-            yield f"single-minded({j + 1})", single_minded(j, m)
+        yield from _single_minded_members(m)
     elif isinstance(family, Sequential):
-        orders = greedy_orders(truth) if family.orders is None else family.orders
-        for order in sorted(orders):
-            shown = ",".join(str(j + 1) for j in order)
-            yield f"sequential({shown})", sequential(order)
+        if family.orders is None:
+            # sorted, the greedy prefixes come shortest first: in prefix order
+            yield from _greedy_members(truth)
+        else:
+            for order in sorted(family.orders):
+                shown = ",".join(str(j + 1) for j in order)
+                yield f"sequential({shown})", sequential(order)
     elif isinstance(family, Uniform):
         sets = top_value_sets(truth) if family.sets is None else family.sets
         for items in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
@@ -249,7 +277,8 @@ def describe_families(families: Sequence[StrategyFamily], m: int) -> str:
 
 
 def greedy_orders(truth: Valuation) -> tuple[tuple[int, ...], ...]:
-    """The agent's decreasing-true-value order and all its nonempty prefixes."""
+    """The agent's decreasing-true-value order and all its nonempty prefixes:
+    the orders of the members :func:`expand_family` builds for ``Sequential()``."""
     full = truth.preference_order()
     return tuple(full[:k] for k in range(1, len(full) + 1))
 

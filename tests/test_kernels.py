@@ -1,5 +1,6 @@
 """The prefix-sum kernel against the independent trace oracle."""
 
+import copy
 from itertools import chain
 from math import gcd
 
@@ -13,6 +14,7 @@ from eatsim.engine import (
     _kernel_args,
     _payoffs,
     _set_slot,
+    _slot,
     expected_payoffs,
     kernel_name,
     run,
@@ -27,7 +29,16 @@ from eatsim.model import (
     fixed_order_policy,
     valuation_of,
 )
-from eatsim.strategies import ps_profile
+from eatsim.strategies import (
+    GridProportional,
+    Sequential,
+    SingleMinded,
+    Truthful,
+    Uniform,
+    default_grid_resolution,
+    expand_families,
+    ps_profile,
+)
 from fractions import Fraction
 
 from helpers import random_run_case, random_strategy, random_valuation, rng_for
@@ -442,3 +453,52 @@ def test_set_slot_rejects_a_strategy_that_does_not_fit_m(strategy):
         # lowest-index policy the order (0,) eats as (), the items in index
         # order
         assert args == (2, 3, [(), ()], [(), (1,)], [0, 1, 2])
+
+
+def _families(m, resolution=None):
+    """All five families, with the empty order and the reversed full order
+    besides the greedy ones; the grid only at m <= 3."""
+    families = [Truthful(), SingleMinded(), Sequential(), Sequential(((), tuple(range(m))[::-1])),
+                Uniform()]
+    if m <= 3:
+        families.append(GridProportional(resolution or default_grid_resolution(m)))
+    return families
+
+
+def _assert_runs_from_the_opening(n, m, profile, policy, mechanism, truths, families):
+    """As a sweep runs them: for each agent, one opening of the others' slots,
+    then one lean run per family member with the member's slot. Each run
+    equals a fresh run on the same arguments (events and share rows), and
+    leaves the opening as it was; so does a whole trace from the opening."""
+    args = _kernel_args(n, m, profile, policy, mechanism)
+    _, _, weights, orders, zero_order = args
+    for agent, truth in enumerate(truths):
+        opening = _kernel.build_opening(weights, orders, zero_order, agent)
+        snapshot = copy.deepcopy(opening)
+        baseline = weights[agent], orders[agent]
+        for _, member in expand_families(families, truth, m):
+            weights[agent], orders[agent] = _slot(member, m, mechanism, zero_order)
+            fresh = _kernel.run_eating(*args, [agent], truth.valued)
+            assert _kernel.run_eating(*args, [agent], truth.valued, opening) == fresh
+            assert opening == snapshot
+        weights[agent], orders[agent] = baseline
+        assert _kernel.run_eating(*args, None, None, opening) == _kernel.run_eating(*args)
+        assert opening == snapshot
+
+
+def test_runs_from_a_sweep_opening_match_fresh_runs_on_the_fuzz_corpus():
+    rng = rng_for("kernel-opening")
+    for name in POLICIES:
+        for mechanism in ("cps", "ps"):
+            for _ in range(8):
+                n, m, instance, profile, _ = random_run_case(rng, max_n=6, max_m=6)
+                _assert_runs_from_the_opening(n, m, profile, _policy(rng, name, m), mechanism,
+                                              instance.valuations, _families(m))
+
+
+@given(_payoff_cases(), st.sampled_from(["cps", "ps"]))
+@settings(max_examples=60, deadline=None)
+def test_runs_from_a_sweep_opening_match_fresh_runs_property(case, mechanism):
+    n, m, profile, policy, valuations = case
+    _assert_runs_from_the_opening(n, m, profile, policy, mechanism,
+                                  valuations, _families(m, 3))

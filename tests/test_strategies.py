@@ -201,3 +201,30 @@ class TestFamilies:
         assert top_value_sets(truth) == ((1,), (1, 2), (0, 1, 2))
         labels = [label for label, _ in expand_family(Sequential(), truth, 3)]
         assert "sequential(2)" in labels and "sequential(2,3,1)" in labels
+
+    def test_greedy_members_equal_their_checked_twins(self):
+        # the greedy members skip Lexicographic's checks and extend each
+        # label from the last; with tied values they must still be the
+        # checked members of the sorted greedy orders, labelled as before
+        rng = rng_for("greedy-members")
+        ties = 0
+        for _ in range(200):
+            m = rng.randint(1, 9)
+            truth = random_valuation(rng, m, weight_max=3)
+            ties += len(set(truth.values)) < m
+            members = list(expand_family(Sequential(), truth, m))
+            twins = [(f"sequential({','.join(str(j + 1) for j in order)})", Lexicographic(order))
+                     for order in sorted(greedy_orders(truth))]
+            assert members == twins
+            for (_, member), (_, twin) in zip(members, twins):
+                assert type(member) is Lexicographic and type(member.order) is tuple
+                assert hash(member) == hash(twin)
+                assert {member: 0}[twin] == 0
+        assert ties > 100
+
+    def test_named_orders_are_still_checked(self):
+        truth = valuation_of(["1/2", "1/2"])
+        with pytest.raises(ValueError, match="duplicates"):
+            list(expand_family(Sequential(((0, 0),)), truth, 2))
+        with pytest.raises(ValueError, match="negative index"):
+            list(expand_family(Sequential(((-1,),)), truth, 2))
