@@ -15,18 +15,21 @@ Per segment it does O(n + m) big-rational operations:
 Item rate totals are small-integer sums over the common denominator
 L = lcm(W_i(S), |S|); a proportional agent adds only over its support, the
 remaining items it weights above 0. The time, the quantities and the prefix
-sums are kept as numerators over one shared denominator D. If item f runs out
-first, then dt = q_f * L / tot_f, and moving every value to the denominator
-D * tot_f takes only products of a big numerator with a small integer;
-dividing q_f and tot_f by their gcd first keeps D within a few bits of
-lowest. A share is written once, when its item j depletes, and exactly one
-rule applies to each (i, j):
+sums are numerators over one shared denominator D: t = tn / D, P_i = pn_i / D,
+Z = zn / D. If item f runs out first, then dt = q_f * L / tot_f, and moving
+every value to the denominator D * tot_f takes only products of a big
+numerator with a small integer; dividing q_f and tot_f by their gcd first
+keeps D within a few bits of lowest, and nothing else is reduced. D only
+grows (D *= rate, rate >= 1), so the D of an earlier moment divides the
+current one, and a mark (s, d) stored then is s * (D // d) over D now, with
+no remainder. A share is written once, when its item j depletes, over the
+current D, and exactly one rule applies to each (i, j):
 
-* proportional agent with w_ij > 0: gamma_ij = w_ij * P_i;
+* proportional agent with w_ij > 0: w_ij * P_i, the pair (w_ij * pn_i, D);
 * agent eating j at rate 1 (its lexicographic target, or the lowest-index or
-  fixed zero-policy target): gamma_ij = t - the time it started eating j;
-* agent under the uniform zero policy: gamma_ij = Z - Z at its entry into
-  zero mode.
+  fixed zero-policy target) since time (s, d): t - s/d, (tn - s * (D // d), D);
+* agent under the uniform zero policy since Z was (e, d): Z - e/d,
+  (zn - e * (D // d), D).
 
 An agent's target changes only when the target depletes, and an agent that
 runs out of items to chase stays in zero mode, so no other case arises. Every
@@ -75,7 +78,10 @@ and ``valued``, and under the ordinal mechanism writes each report's ordinal
 shadow as a lexicographic order; the kernel itself checks nothing and knows
 no mechanism.
 
-outputs (all rationals as reduced ``(num, den)`` int pairs, den > 0)
+outputs (all rationals as ``(num, den)`` int pairs, den > 0; a rate is
+reduced, and every time, event and share is a numerator over the D the run
+had when it wrote the value, not reduced: ``eatsim.engine.run`` reduces each
+distinct pair once as it builds its ``Fraction``)
     segments        list of (t_start, t_end, rates) with rates an n x m
                     matrix; empty when the caller names ``agents``
     events          list of (num, den, item), chronological, ties by item;
@@ -100,16 +106,6 @@ CHASE = 3         # rate 1 on the chasers' shared target
 
 _ZERO = (0, 1)
 _ONE = (1, 1)
-
-
-def _reduce(num, den):
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _sub(a, b):
-    """a - b for pairs, as a reduced pair."""
-    return _reduce(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
 
 
 def _zero_target(zero_order, alive, k):
@@ -278,8 +274,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
         zn = zn * rate + q * (L // size) if uniform else zn * rate
         tn = tn * rate + q * L
         D *= rate
-        g = gcd(tn, D)
-        t_next = (tn // g, D // g)
+        t_next = (tn, D)
 
         if whole:
             shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
@@ -301,36 +296,20 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
             remaining.remove(j)
             left -= valued[j]
 
-        # Shares of the items that just ran out.
-        prefix = {}  # agent -> reduced P_i
-        eaten = {}   # start time -> t - start
-        spread = {}  # Z at entry -> Z - entry
-        z = None
+        # Shares of the items that just ran out, over D.
         for j in gone:
             for i in agents:
                 k = mode[i]
                 if k == PROPORTIONAL:
                     w = weights[i][j]
                     if w:
-                        p = prefix.get(i)
-                        if p is None:
-                            p = prefix[i] = _reduce(pn[i], D)
-                        g = gcd(w, p[1])
-                        gamma[i][j] = (w // g * p[0], p[1] // g)
+                        gamma[i][j] = (w * pn[i], D)
                 elif k == UNIFORM:
-                    entry = mark[i]
-                    share = spread.get(entry)
-                    if share is None:
-                        if z is None:
-                            z = _reduce(zn, D)
-                        share = spread[entry] = _sub(z, entry)
-                    gamma[i][j] = share
+                    e, d = mark[i]
+                    gamma[i][j] = (zn - e * (D // d), D)
                 elif (value[i] if k == TARGET else target) == j:
-                    start = mark[i] if k == TARGET else joined.get(i, begun)
-                    share = eaten.get(start)
-                    if share is None:
-                        share = eaten[start] = _sub(t, start)
-                    gamma[i][j] = share
+                    s, d = mark[i] if k == TARGET else joined.get(i, begun)
+                    gamma[i][j] = (tn - s * (D // d), D)
         if not left:
             break
 
@@ -371,13 +350,10 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
         if len(idle) > dry:
             eaters = [i for i in eaters if alive[value[i]]]
         if zero_order is None:
-            if idle:
-                if z is None:
-                    z = _reduce(zn, D)
-                for i in idle:
-                    mode[i] = UNIFORM
-                    mark[i] = z
-                uniform += len(idle)
+            for i in idle:
+                mode[i] = UNIFORM
+                mark[i] = (zn, D)
+            uniform += len(idle)
         else:
             if alive[target]:
                 joined.update(dict.fromkeys(idle, t))

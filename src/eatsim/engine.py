@@ -9,8 +9,11 @@ are constant and every depletion time is an exact rational.
 
 The inner loop lives in the kernel ``eatsim._kernel``, which works on raw
 integer pairs and builds the shares from per-agent prefix sums instead of
-integrating the share matrix segment by segment. Its pairs come back reduced,
-and ``_coprime`` is the one place where they become ``Fraction`` values.
+integrating the share matrix segment by segment. Its times, events and
+shares come back unreduced, each a numerator over the kernel's running
+denominator, and ``run`` is the one place where kernel pairs become
+``Fraction`` values: it builds each distinct pair once, and the constructor
+reduces it.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
 that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
 up to the depletion of the last item one of them values, and takes each
@@ -90,19 +93,6 @@ class Trace:
     def remaining_at(self, t: Fraction) -> frozenset[int]:
         """Items with positive remaining quantity at time t."""
         return frozenset(j for time, j in self.depletion_events if time > t)
-
-
-def _coprime(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for a pair already in lowest terms with den > 0.
-
-    Skips the gcd that the constructor would run again: every pair the kernel
-    returns is reduced. ``Fraction`` stores exactly these two slots on
-    Python 3.10 to 3.13.
-    """
-    value = object.__new__(Fraction)
-    value._numerator = num
-    value._denominator = den
-    return value
 
 
 def _slot(strat: Strategy, m: int, mechanism: str,
@@ -195,7 +185,7 @@ def run(
     def exact(pair: tuple[int, int]) -> Fraction:
         value = fractions.get(pair)
         if value is None:
-            value = fractions[pair] = _coprime(*pair)
+            value = fractions[pair] = Fraction(*pair)
         return value
 
     # The kernel reuses a row list while an agent's rates do not change;
@@ -252,7 +242,7 @@ def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:
 
 def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation,
          scale: int = 0, factor: dict[int, int] | None = None) -> tuple[int, int]:
-    """sum_j (num_j / den_j) * valuation[j] for reduced share pairs, as an
+    """sum_j (num_j / den_j) * valuation[j] for share pairs with den > 0, as an
     unreduced pair ``(num, den)`` with den > 0: one integer dot product over
     the items where the share and the value are nonzero, over ``scale``, a
     common multiple of the denominators with ``factor[den] == scale // den``,

@@ -114,7 +114,7 @@ def _sweep(
     m: int,
     agents: Sequence[int],
     truths: Iterable[Valuation],
-    families: Sequence[StrategyFamily],
+    families: Iterable[StrategyFamily],
     mechanism: str,
     policy: ZeroPolicy,
     budget: int,
@@ -156,6 +156,7 @@ def _sweep(
     same sweep, which runs once, for the first of them; the others get a
     copy of its report under their own index.
     """
+    families = tuple(families)  # read for the sizes, the description and each agent
     for agent in agents:
         if not 0 <= agent < n:
             raise ValueError(f"agent {agent} out of range for {n} agents")
@@ -233,7 +234,7 @@ def best_response(
     profile: Sequence[Strategy],
     agent: int,
     true_valuation: Valuation,
-    families: Sequence[StrategyFamily],
+    families: Iterable[StrategyFamily],
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
     budget: int | None = None,
@@ -257,7 +258,7 @@ def verify_ne(
     profile: Sequence[Strategy],
     instance: Instance,
     epsilon: Fraction = Fraction(0),
-    families: Sequence[StrategyFamily] = DEFAULT_FAMILIES,
+    families: Iterable[StrategyFamily] = DEFAULT_FAMILIES,
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
     budget: int | None = None,

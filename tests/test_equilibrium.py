@@ -36,11 +36,13 @@ from eatsim.model import (
     strategy_to_json,
 )
 from eatsim.strategies import (
+    DEFAULT_FAMILIES,
     GridProportional,
     Sequential,
     SingleMinded,
     Truthful,
     Uniform,
+    describe_families,
     expand_families,
     single_minded,
 )
@@ -590,6 +592,26 @@ class TestOneCheckedSweep:
     def test_agent_checked_before_the_families(self, example2):
         with pytest.raises(ValueError, match="agent 2 out of range for 2 agents"):
             best_response(example2.truthful_profile(), 2, example2.valuations[0], [])
+
+    @pytest.mark.parametrize("mechanism", ["cps", "ps"])
+    def test_families_from_a_generator_equal_the_tuple(self, mechanism):
+        """The sweep reads the families for their sizes, their description and
+        each agent's members, so a one-shot iterable must give the same
+        certificate and reports as the tuple."""
+        instance = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": 2})).instance
+        profile = instance.truthful_profile()
+        families = (*DEFAULT_FAMILIES, Uniform())
+        cert = verify_ne(profile, instance, 0, families, mechanism,
+                         collect_candidates=True)
+        assert verify_ne(profile, instance, 0, (f for f in families), mechanism,
+                         collect_candidates=True) == cert
+        assert cert.families == describe_families(families, instance.m)
+        for agent in (0, instance.n - 1):
+            report = best_response(profile, agent, instance.valuations[agent],
+                                   families, mechanism, collect_candidates=True)
+            assert best_response(profile, agent, instance.valuations[agent],
+                                 iter(families), mechanism,
+                                 collect_candidates=True) == report
 
     def test_profile_length_checked_last(self):
         example1 = generate(GeneratorSpec("example1")).instance

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from eatsim import _kernel
 from eatsim.engine import (
-    _coprime,
     _kernel_args,
     _payoffs,
     _set_slot,
@@ -19,7 +18,7 @@ from eatsim.engine import (
     kernel_name,
     run,
 )
-from eatsim.instances import log_m_lb
+from eatsim.instances import GeneratorSpec, generate, log_m_lb
 from eatsim.model import (
     LOWEST_INDEX_FIRST,
     UNIFORM_OVER_REMAINING,
@@ -146,16 +145,16 @@ def test_tied_depletions():
     assert ties > 0
 
 
-def _assert_reduced_pairs(n, m, profile, policy):
-    """Every kernel pair is reduced with den > 0, and the trace holds exactly
-    the Fraction of each pair, so building it without a gcd is sound."""
+def _assert_kernel_pairs(n, m, profile, policy):
+    """Every kernel pair has den > 0, and the trace holds one value per pair,
+    equal to and hashing like ``Fraction(num, den)``: ``run`` is where the
+    unreduced pairs are reduced, so every value in the trace is normalised."""
     args = _kernel_args(n, m, profile, policy)
     segments, events, gamma = _kernel.run_eating(*args)
     pairs = [pair for t0, t1, rates in segments for pair in (t0, t1, *chain(*rates))]
     pairs += [(num, den) for num, den, _ in events]
     pairs += chain(*gamma)
-    for num, den in pairs:
-        assert den > 0 and gcd(num, den) == 1, (num, den)
+    assert all(den > 0 for _, den in pairs)
     trace = run(n, m, profile, policy)
     values = [v for seg in trace.segments for v in (seg.start, seg.end, *chain(*seg.rates))]
     values += [t for t, _ in trace.depletion_events]
@@ -164,15 +163,15 @@ def _assert_reduced_pairs(n, m, profile, policy):
     for value, (num, den) in zip(values, pairs):
         reference = Fraction(num, den)
         assert value == reference and hash(value) == hash(reference)
-        assert (value.numerator, value.denominator) == (num, den)
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
 
 
-def test_kernel_pairs_are_reduced_on_the_fuzz_corpus():
+def test_kernel_pairs_become_normalised_fractions_on_the_fuzz_corpus():
     rng = rng_for("kernel-reduced-pairs")
     for name in POLICIES:
         for _ in range(60):
             n, m, _, profile, _ = random_run_case(rng)
-            _assert_reduced_pairs(n, m, profile, _policy(rng, name, m))
+            _assert_kernel_pairs(n, m, profile, _policy(rng, name, m))
 
 
 def _unit_sum(m):
@@ -198,19 +197,8 @@ def _run_cases(draw):
 
 @given(_run_cases())
 @settings(max_examples=80, deadline=None)
-def test_kernel_pairs_are_reduced_property(case):
-    _assert_reduced_pairs(*case)
-
-
-def test_coprime_fraction_behaves_like_fraction():
-    for num, den in [(0, 1), (1, 1), (-7, 3), (5, 12), (3 ** 200, 2 ** 301)]:
-        value, reference = _coprime(num, den), Fraction(num, den)
-        assert type(value) is Fraction
-        assert value == reference and hash(value) == hash(reference)
-        assert (repr(value), str(value)) == (repr(reference), str(reference))
-        assert value + Fraction(1, 3) == reference + Fraction(1, 3)
-        assert value * 2 - reference == reference
-        assert (value < 1) == (reference < 1)
+def test_kernel_pairs_become_normalised_fractions_property(case):
+    _assert_kernel_pairs(*case)
 
 
 def _exact_payoffs(args, agents, valuations):
@@ -502,3 +490,45 @@ def test_runs_from_a_sweep_opening_match_fresh_runs_property(case, mechanism):
     n, m, profile, policy, valuations = case
     _assert_runs_from_the_opening(n, m, profile, policy, mechanism,
                                   valuations, _families(m, 3))
+
+
+def _assert_whole_and_lean_runs(n, m, profile, policy, mechanism, valuations):
+    """The whole trace passes the oracle, and the lean payoffs of all agents
+    together and of each agent alone equal the whole trace's payoffs."""
+    trace = run(n, m, profile, policy, mechanism)
+    shadow = ps_profile(profile, m) if mechanism == "ps" else profile
+    assert_valid_trace(n, m, shadow, policy, trace)
+    expected = list(expected_payoffs(trace, valuations))
+    args = _kernel_args(n, m, profile, policy, mechanism)
+    assert _exact_payoffs(args, range(n), valuations) == expected
+    for agent in range(n):
+        assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
+    return trace
+
+
+@pytest.mark.parametrize("mechanism", ["cps", "ps"])
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_share_rules_on_log_m_lb_at_ci_size(mechanism, policy_name):
+    """log-m-lb k=8 q=3 (11 agents, 15 items) under the zero policies the CI
+    simulate digests use, the fixed one reversed. Under the uniform policy
+    CPS runs the 15 items out in 4 segments, with agents entering zero mode
+    together, so each share rule reads marks written over a smaller D."""
+    instance = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": 3})).instance
+    n, m = instance.n, instance.m
+    policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
+              "fixed": fixed_order_policy(range(m - 1, -1, -1))}[policy_name]
+    trace = _assert_whole_and_lean_runs(n, m, instance.truthful_profile(), policy,
+                                        mechanism, instance.valuations)
+    if (mechanism, policy_name) == ("cps", "uniform"):
+        assert len(trace.segments) == 4
+
+
+def test_share_rules_on_sqrt_n_lb_at_ci_size():
+    """sqrt-n-lb n=16 from its bad profile runs its 16 items out in 2
+    segments, so most shares are written at one tied depletion."""
+    generated = generate(GeneratorSpec("sqrt-n-lb", {"n": 16}))
+    instance = generated.instance
+    trace = _assert_whole_and_lean_runs(
+        instance.n, instance.m, list(generated.bad_profile), LOWEST_INDEX_FIRST, "cps",
+        instance.valuations)
+    assert len(trace.segments) == 2
