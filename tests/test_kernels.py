@@ -492,20 +492,6 @@ def test_runs_from_a_sweep_opening_match_fresh_runs_property(case, mechanism):
                                   valuations, _families(m, 3))
 
 
-def _assert_whole_and_lean_runs(n, m, profile, policy, mechanism, valuations):
-    """The whole trace passes the oracle, and the lean payoffs of all agents
-    together and of each agent alone equal the whole trace's payoffs."""
-    trace = run(n, m, profile, policy, mechanism)
-    shadow = ps_profile(profile, m) if mechanism == "ps" else profile
-    assert_valid_trace(n, m, shadow, policy, trace)
-    expected = list(expected_payoffs(trace, valuations))
-    args = _kernel_args(n, m, profile, policy, mechanism)
-    assert _exact_payoffs(args, range(n), valuations) == expected
-    for agent in range(n):
-        assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
-    return trace
-
-
 @pytest.mark.parametrize("mechanism", ["cps", "ps"])
 @pytest.mark.parametrize("policy_name", POLICIES)
 def test_share_rules_on_log_m_lb_at_ci_size(mechanism, policy_name):
@@ -515,10 +501,13 @@ def test_share_rules_on_log_m_lb_at_ci_size(mechanism, policy_name):
     together, so each share rule reads marks written over a smaller D."""
     instance = generate(GeneratorSpec("log-m-lb", {"k": 8, "q": 3})).instance
     n, m = instance.n, instance.m
+    profile = instance.truthful_profile()
+    if mechanism == "ps":
+        profile = ps_profile(profile, m)
     policy = {"uniform": UNIFORM_OVER_REMAINING, "lowest-index": LOWEST_INDEX_FIRST,
               "fixed": fixed_order_policy(range(m - 1, -1, -1))}[policy_name]
-    trace = _assert_whole_and_lean_runs(n, m, instance.truthful_profile(), policy,
-                                        mechanism, instance.valuations)
+    trace = _check(n, m, profile, policy)
+    _assert_lean_payoffs(n, m, profile, policy, instance.valuations)
     if (mechanism, policy_name) == ("cps", "uniform"):
         assert len(trace.segments) == 4
 
@@ -527,8 +516,8 @@ def test_share_rules_on_sqrt_n_lb_at_ci_size():
     """sqrt-n-lb n=16 from its bad profile runs its 16 items out in 2
     segments, so most shares are written at one tied depletion."""
     generated = generate(GeneratorSpec("sqrt-n-lb", {"n": 16}))
-    instance = generated.instance
-    trace = _assert_whole_and_lean_runs(
-        instance.n, instance.m, list(generated.bad_profile), LOWEST_INDEX_FIRST, "cps",
-        instance.valuations)
+    n, m = generated.instance.n, generated.instance.m
+    profile = list(generated.bad_profile)
+    trace = _check(n, m, profile, LOWEST_INDEX_FIRST)
+    _assert_lean_payoffs(n, m, profile, LOWEST_INDEX_FIRST, generated.instance.valuations)
     assert len(trace.segments) == 2
