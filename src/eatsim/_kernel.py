@@ -42,7 +42,10 @@ is t - (its join time, else the start), and a new target costs O(1).
 L and the proportional part of the item totals are kept from one segment to
 the next while no W_i(S) changes and no agent follows the uniform policy,
 whose share 1 / |S| changes every segment; the eaters and the chasers are
-added onto a copy.
+added onto a copy. The rate rows of the whole trace are shared the same way:
+every agent eating item j at rate 1, an eater or a chaser, gets the one row
+of j, built when j is first eaten; a proportional agent keeps its row while
+its W_i(S) stands, and the uniform agents share one row per segment.
 
 inputs
     n, m            problem size
@@ -106,14 +109,6 @@ CHASE = 3         # rate 1 on the chasers' shared target
 
 _ZERO = (0, 1)
 _ONE = (1, 1)
-
-
-def _zero_target(zero_order, alive, k):
-    """(position, item): the first remaining item of the zero policy's order,
-    scanned from position ``k``."""
-    while not alive[zero_order[k]]:
-        k += 1
-    return k, zero_order[k]
 
 
 def rate_row(mode, value, weights, items, m):
@@ -221,10 +216,11 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
         chasers += k == CHASE
     mark = [_ZERO] * n
     cursor = [0] * n  # position of the target in a lexicographic order
-    rows = [None] * n  # cached rate rows, only for the whole trace
+    rows = [None] * n  # rate rows of the last segment, only for the whole trace
+    eat_rows = [None] * m  # the one rate-1 row of each item, built when first eaten
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
     target = zero_order[0] if zero_order else -1
-    begun, joined, chase_row = _ZERO, {}, None  # chase_row: whole trace only
+    begun, joined = _ZERO, {}
 
     base = None  # tot without the eaters and chasers; None once a W_i(S) changes
     while left:
@@ -278,16 +274,18 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
 
         if whole:
             shared = rate_row(UNIFORM, 0, None, remaining, m) if uniform else None
-            if chasers and chase_row is None:
-                chase_row = rate_row(TARGET, target, None, None, m)
             for i in range(n):
                 k = mode[i]
                 if k == UNIFORM:
                     rows[i] = shared
-                elif k == CHASE:
-                    rows[i] = chase_row
-                elif rows[i] is None:
-                    rows[i] = rate_row(k, value[i], weights[i], support[i], m)
+                elif k == PROPORTIONAL:
+                    if rows[i] is None:
+                        rows[i] = rate_row(k, value[i], weights[i], support[i], m)
+                else:
+                    j = value[i] if k == TARGET else target
+                    if eat_rows[j] is None:
+                        eat_rows[j] = rate_row(TARGET, j, None, None, m)
+                    rows[i] = eat_rows[j]
             segments.append((t, t_next, list(rows)))
         t = t_next
         for j in gone:
@@ -336,7 +334,6 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
         for i in eaters:
             if alive[value[i]]:
                 continue
-            rows[i] = None
             order = orders[i]
             c = cursor[i]
             while c < len(order) and not alive[order[c]]:
@@ -358,8 +355,10 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
             if alive[target]:
                 joined.update(dict.fromkeys(idle, t))
             else:
-                zero_cursor, target = _zero_target(zero_order, alive, zero_cursor)
-                begun, joined, chase_row = t, {}, None
+                while not alive[zero_order[zero_cursor]]:
+                    zero_cursor += 1
+                target = zero_order[zero_cursor]
+                begun, joined = t, {}
             for i in idle:
                 mode[i] = CHASE
             chasers += len(idle)

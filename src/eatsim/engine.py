@@ -13,16 +13,18 @@ integrating the share matrix segment by segment. Its times, events and
 shares come back unreduced, each a numerator over the kernel's running
 denominator, and ``run`` is the one place where kernel pairs become
 ``Fraction`` values: it builds each distinct pair once, and the constructor
-reduces it.
+reduces it. It also converts each rate row object once; every agent eating
+item j at rate 1 shares one row object of the kernel's.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
 that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
 up to the depletion of the last item one of them values, and takes each
-payoff as one integer dot product over the pairs (``_dot``), left as an
-unreduced ``(num, den)`` pair: a sweep compares such pairs by
+payoff as one integer dot product over the pairs (``_dot``), over the row's
+largest denominator, which every other one divides. The payoff is left as
+an unreduced ``(num, den)`` pair: a sweep compares such pairs by
 cross-multiplication, and only the values it reports become ``Fraction``. A
 sweep also hands ``_payoffs`` its opening: the t = 0 state of the fixed
 opponents, built once per swept agent, which each run copies.
-``expected_payoffs`` hands ``_dot`` one common multiple of every share
+``expected_payoffs`` sums each row over one common multiple of every share
 denominator of a trace, folded once with the largest first, and
 ``trace_to_json`` renders each distinct value and rate row once.
 """
@@ -188,8 +190,10 @@ def run(
             value = fractions[pair] = Fraction(*pair)
         return value
 
-    # The kernel reuses a row list while an agent's rates do not change;
-    # raw_segments keeps every row alive for the call, so its id is unique.
+    # The kernel reuses row lists: an item's one rate-1 row for every agent
+    # eating it, a proportional agent's row while its rates stand, and the
+    # uniform agents' row of a segment. raw_segments keeps every row alive
+    # for the call, so its id is unique.
     converted: dict[int, tuple[Fraction, ...]] = {}
 
     def exact_row(row: list[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -211,12 +215,12 @@ def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tupl
     """Per-agent expected payoff sum_j shares[i][j] * v'_i(j).
 
     Valuations are additive, so the share matrix (the lottery's marginals)
-    fully determines the expected payoff. Every row is one :func:`_dot` over
-    one common multiple of all the share denominators, folded once from the
-    largest down: a denominator that divides the multiple so far costs one
-    ``divmod``, whose quotient is its factor (727 of the 730 distinct ones of
-    a random 30 x 30 CPS trace); only the others take an lcm and rescale the
-    factors found so far.
+    fully determines the expected payoff. Every row is one integer dot
+    product over one common multiple of all the share denominators, folded
+    once from the largest down: a denominator that divides the multiple so
+    far costs one ``divmod``, whose quotient is its factor (727 of the 730
+    distinct ones of a random 30 x 30 CPS trace); only the others take an lcm
+    and rescale the factors found so far.
     """
     if len(true_valuations) != len(trace.shares):
         raise ValueError("valuation count does not match trace")
@@ -232,32 +236,36 @@ def expected_payoffs(trace: Trace, true_valuations: Sequence[Valuation]) -> tupl
             scale *= grow
             quotient = scale // den
         factor[den] = quotient
-    return tuple(Fraction(*_dot([(g.numerator, g.denominator) for g in row], v, scale, factor))
-                 for row, v in zip(trace.shares, true_valuations))
+    payoffs = []
+    for row, v in zip(trace.shares, true_valuations):
+        d, values = v.integer_form
+        payoffs.append(Fraction(sum(g.numerator * x * factor[g.denominator]
+                                    for g, x in zip(row, values) if x), scale * d))
+    return tuple(payoffs)
 
 
 def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:
     return sum(expected_payoffs(trace, true_valuations), Fraction(0))
 
 
-def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation,
-         scale: int = 0, factor: dict[int, int] | None = None) -> tuple[int, int]:
-    """sum_j (num_j / den_j) * valuation[j] for share pairs with den > 0, as an
+def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation) -> tuple[int, int]:
+    """sum_j (num_j / den_j) * valuation[j] for a kernel share row, as an
     unreduced pair ``(num, den)`` with den > 0: one integer dot product over
-    the items where the share and the value are nonzero, over ``scale``, a
-    common multiple of the denominators with ``factor[den] == scale // den``,
-    or without ``factor`` over their lcm, grown in the same pass."""
+    the items where the share and the value are nonzero, over the largest
+    denominator among them, grown in the same pass.
+
+    Exact without a gcd because the row's denominators form a divisibility
+    chain: each nonzero share is a numerator over the kernel's running D at
+    the depletion that wrote it, an earlier D divides every later one (D only
+    grows by integer factors), so of two denominators in a row the smaller
+    divides the larger."""
     d, values = valuation.integer_form
-    if factor is not None:
-        return sum(num * v * factor[den] for (num, den), v in zip(pairs, values)
-                   if num and v), scale * d
     total, scale = 0, 1
     for (num, den), v in zip(pairs, values):
         if num and v:
-            if scale % den:
-                grow = den // gcd(scale, den)
-                total *= grow
-                scale *= grow
+            if den > scale:
+                total *= den // scale
+                scale = den
             total += num * v * (scale // den)
     return total, scale * d
 

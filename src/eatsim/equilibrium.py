@@ -148,7 +148,8 @@ def _sweep(
     pairs by cross-multiplication; only the reported values become
     ``Fraction``. The baseline payoff, run first, is compared at the first
     candidate with the baseline's slot, and ties keep the first candidate.
-    ``runs`` counts every candidate and the baseline.
+    ``runs`` counts every candidate and the baseline: ``candidates + 1``,
+    as each family expands to exactly ``family_size`` members.
 
     The mechanism treats agents symmetrically: rates, zero policies and
     depletion ties depend on items and an agent's own strategy, never on its
@@ -192,10 +193,8 @@ def _sweep(
         baseline_pair = engine._payoffs(args, wanted, truth_row, opening)[0]
         payoffs: dict[int, tuple[int, int]] = {}
         best_num, best_den = -1, 1  # below every payoff
-        runs = 1
         collected = [] if collect_candidates else None
         for label, candidate in expand_families(families, truth, m):
-            runs += 1
             member = candidate.order if isinstance(candidate, Lexicographic) \
                 else candidate.report.integer_form
             entry = members.get(member)
@@ -225,7 +224,7 @@ def _sweep(
             collected = tuple((label, exact[slot_id]) for label, slot_id in collected)
         report = swept[key] = DeviationReport(
             agent, baseline_payoff, best_label, best_strategy, best_payoff,
-            best_payoff - baseline_payoff, described, runs, collected)
+            best_payoff - baseline_payoff, described, candidates + 1, collected)
         reports.append(report)
     return reports
 

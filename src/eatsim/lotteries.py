@@ -227,7 +227,7 @@ def random_priority(
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
     engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
-    rankings = [strategies.as_ordinal(s, m).order for s in reports]
+    rankings = [strategies._ordinal_order(s, m) for s in reports]
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     if samples is not None and seed is None:
@@ -318,7 +318,7 @@ def repeated_random_priority(
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, m = instance.n, instance.m
     engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
-    rankings = [strategies.as_ordinal(s, m).order for s in reports]
+    rankings = [strategies._ordinal_order(s, m) for s in reports]
     denom, value_int = instance.value_table
     valued = valued_items(value_int)
     valued_count = sum(valued)

@@ -367,6 +367,63 @@ def test_chasers_that_join_mid_target():
                 _assert_lean_payoffs(n, m, profile, policy, valuations)
 
 
+def _rows_by_item(segments):
+    """{item: row} for a whole trace in which every rate row is rate 1 on one
+    item, checking that each item's rows are one object across agents and
+    segments."""
+    rows = {}
+    for _, _, rates in segments:
+        for row in rates:
+            (j,) = [j for j, rate in enumerate(row) if rate == (1, 1)]
+            assert rows.setdefault(j, row) is row
+    return rows
+
+
+def test_agents_eating_an_item_at_rate_one_share_its_row():
+    """Under ps with the lowest-index or fixed zero policy every agent eats
+    down its order or chases the policy's target, so every rate row of a
+    whole trace is rate 1 on one item, and the eaters and chasers of an item
+    share its one row object."""
+    rng = rng_for("kernel-shared-rows")
+    for name in ("lowest-index", "fixed"):
+        for _ in range(300):
+            n, m, _, profile, _ = random_run_case(rng)
+            args = _kernel_args(n, m, profile, _policy(rng, name, m), "ps")
+            segments, _, _ = _kernel.run_eating(*args)
+            _rows_by_item(segments)
+    instance = generate(GeneratorSpec("random", {"n": 30, "m": 30}, 0)).instance
+    args = _kernel_args(30, 30, instance.truthful_profile(), LOWEST_INDEX_FIRST, "ps")
+    segments, _, _ = _kernel.run_eating(*args)
+    assert len(_rows_by_item(segments)) == len({id(row) for *_, rates in segments
+                                                for row in rates}) == 30
+
+
+def _assert_divisibility_chain(dens):
+    dens = sorted(set(dens))
+    assert all(later % den == 0 for den, later in zip(dens, dens[1:]))
+
+
+def test_share_and_event_denominators_form_a_divisibility_chain():
+    """The kernel writes every event and share over its running D, which
+    only grows by integer factors, so the distinct denominators of the events
+    and of each share row divide one another in sorted order; ``_dot`` sums a
+    row over its largest denominator on that basis. Whole runs and lean runs
+    of each agent alone, stopped after its last valued item."""
+    rng = rng_for("kernel-denominator-chain")
+    for name in POLICIES:
+        for mechanism in ("cps", "ps"):
+            for _ in range(25):
+                n, m, instance, profile, _ = random_run_case(rng)
+                args = _kernel_args(n, m, profile, _policy(rng, name, m), mechanism)
+                runs = [_kernel.run_eating(*args)]
+                runs += [_kernel.run_eating(*args, [i], v.valued)
+                         for i, v in enumerate(instance.valuations)]
+                for _, events, gamma in runs:
+                    _assert_divisibility_chain(den for _, den, _ in events)
+                    for row in gamma:
+                        _assert_divisibility_chain(den for _, den in row)
+
+
 def test_reused_item_totals():
     """Profiles in which items outside every proportional support run out,
     so no W_i(S) changes and the kernel keeps its item totals, and items
