@@ -294,8 +294,7 @@ def _lottery(opts: dict, mechanism: str, instance: Instance,
     """RP, exact unless --samples; or RRP, RRP_SAMPLES draws unless --samples."""
     samples = opts.get("samples")
     if mechanism == "rp":
-        return lotteries.random_priority(instance, profile, samples,
-                                         None if samples is None else opts["seed"])
+        return lotteries.random_priority(instance, profile, samples, opts["seed"])
     return lotteries.repeated_random_priority(instance, profile, samples or RRP_SAMPLES,
                                               opts["seed"])
 

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from . import _kernel, engine
 from .lotteries import opt as opt_welfare
 from .model import (
+    FLOATS_NOT_EXACT,
     Instance,
     LOWEST_INDEX_FIRST,
     Lexicographic,
@@ -270,7 +271,7 @@ def verify_ne(
     whenever some agent gains more than epsilon, and a certificate otherwise.
     """
     if isinstance(epsilon, float):
-        raise ValueError("floats are not exact; pass Fraction, int, or a rational string")
+        raise ValueError(FLOATS_NOT_EXACT)
     epsilon = parse_rational(epsilon) if isinstance(epsilon, str) else Fraction(epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import (
+    FLOATS_NOT_EXACT,
     Instance,
     Proportional,
     Strategy,
@@ -63,6 +64,8 @@ def _frac(params: Mapping, key: str, default: Fraction | None = None) -> Fractio
     if key not in params or params[key] is None:
         return default
     raw = params[key]
+    if isinstance(raw, float):
+        raise GeneratorError(FLOATS_NOT_EXACT)
     if isinstance(raw, str):
         return parse_rational(raw)
     return Fraction(raw)
@@ -71,6 +74,8 @@ def _frac(params: Mapping, key: str, default: Fraction | None = None) -> Fractio
 def _int(params: Mapping, key: str, default: int | None = None) -> int | None:
     if key not in params or params[key] is None:
         return default
+    if isinstance(params[key], float):
+        raise GeneratorError(FLOATS_NOT_EXACT)
     return int(params[key])
 
 

@@ -6,9 +6,11 @@ uniformly m times in a row, one item per draw. ``opt`` is the benchmark that
 hands every item to an agent that values it most.
 
 Each agent ranks items by its report's ordinal shadow
-(:func:`eatsim.strategies.as_ordinal`), the order PS eats in. The profile is
-first checked by ``engine._kernel_args`` under ps, so a malformed profile
-gets the eating mechanisms' error.
+(:func:`eatsim.strategies.as_ordinal`), the order PS eats in. RP and RRP
+share one checked setup, ``_setup``: a sample count below 1 is refused
+first, then the profile is checked by ``engine._kernel_args`` under ps, so a
+malformed profile gets the eating mechanisms' error, and then a sampled run
+without a seed is refused, before any sample is played.
 
 All tie-breaks are lowest-index. Monte Carlo paths use one child stream per
 sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
@@ -27,12 +29,15 @@ positions breadth-first: prefixes that place the same agents and take the
 same items share one state, whose next turns are each played once, weighted
 by the orders through it. It and sampling share one pick routine.
 
-Sampled runs use all usable CPUs. The sample indices are split into one
-contiguous block per CPU, of at least ``MIN_BLOCK`` samples each, and every
-block but the first runs in a forked child. A block returns integer sums
-only, merged by ``sum`` and ``gcd``, so results, error bars included, are
-bit-identical on any CPU count. Runs are serial on platforms without
-``os.fork`` and in callers with a second thread alive.
+Sampled RP and RRP differ only in how a block of samples is played; one
+Monte Carlo driver, ``_monte_carlo``, runs the blocks, merges them and
+builds the result with its error bar. Sampled runs use all usable CPUs. The
+sample indices are split into one contiguous block per CPU, of at least
+``MIN_BLOCK`` samples each, and every block but the first runs in a forked
+child. A block returns integer sums only, merged by ``sum`` and ``gcd``, so
+results, error bars included, are bit-identical on any CPU count. Runs are
+serial on platforms without ``os.fork`` and in callers with a second thread
+alive.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ MIN_BLOCK = 2048
 
 
 class ExactEnumerationRefused(ValueError):
-    """Exact Random Priority is capped at n = 8 (n! orders)."""
+    """Exact Random Priority is refused for more than 8 agents; sample instead."""
 
 
 @dataclass(frozen=True)
@@ -124,15 +129,6 @@ def _stderr(total: int, total_sq: int, samples: int, scale: int) -> float:
     den = samples * samples * (samples - 1) * scale * scale
     shift = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
     return math.ldexp(math.isqrt((num << 2 * shift) // den), -shift)
-
-
-def _seeded_orders(n: int, seed: int, start: int, stop: int):
-    rng = random.Random()
-    for k in range(start, stop):
-        rng.seed(f"eatsim-rp:{seed}:{k}")  # the same state as a fresh Random(...)
-        order = list(range(n))
-        rng.shuffle(order)
-        yield order
 
 
 def _bounds(samples: int) -> list[int]:
@@ -210,6 +206,50 @@ def _reap(pid: int) -> None:
         pass
 
 
+def _setup(
+    instance: Instance,
+    reports: Sequence[Strategy],
+    samples: int | None,
+    seed: int | None,
+) -> tuple[list[tuple[int, ...]], int, tuple[tuple[int, ...], ...], list[bool]]:
+    """The checks RP and RRP make, in this order, and what both play over.
+
+    ``samples`` is None for exact RP only. A sample count must be at least
+    1; then the profile must pass the eating mechanisms' check under ps;
+    then a sampled run needs a seed. Returns each report's ranking, the
+    value table's denominator and integer rows, and the valued-item mask.
+    """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    engine._kernel_args(instance.n, instance.m, reports, LOWEST_INDEX_FIRST, "ps")
+    if samples is not None and seed is None:
+        raise ValueError("Monte Carlo mode requires a seed")
+    denom, value_int = instance.value_table
+    rankings = [strategies._ordinal_order(s, instance.m) for s in reports]
+    return rankings, denom, value_int, valued_items(value_int)
+
+
+def _monte_carlo(mechanism: str, denom: int, samples: int, seed: int, block) -> MechanismResult:
+    """The Monte Carlo result of ``block`` over ``range(samples)``.
+
+    ``block(start, stop)`` plays samples start to stop - 1 and returns
+    (per-agent sums, sum of squared welfares, common), all numerators over
+    ``denom``, where ``common`` divides ``denom`` and every welfare it
+    played. The error bar is taken over ``denom // common`` for the gcd of
+    the blocks' commons.
+    """
+    blocks = _run_blocks(block, _bounds(samples))
+    per_agent_num = [sum(column) for column in zip(*(b[0] for b in blocks))]
+    total = sum(per_agent_num)
+    total_sq = sum(b[1] for b in blocks)
+    common = math.gcd(*(b[2] for b in blocks))
+    count = samples * denom
+    return MechanismResult(
+        mechanism, Fraction(total, count), tuple(Fraction(p, count) for p in per_agent_num),
+        f"monte-carlo(samples={samples}, seed={seed})", samples, seed,
+        _stderr(total // common, total_sq // common ** 2, samples, denom // common))
+
+
 def random_priority(
     instance: Instance,
     reports: Sequence[Strategy],
@@ -223,17 +263,10 @@ def random_priority(
     the result is the exact average over all n! orders (refused for n > 8);
     otherwise ``samples`` seeded orders are drawn.
     """
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    rankings, denom, value_int, valued = _setup(instance, reports, samples, seed)
     n, m = instance.n, instance.m
-    engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
-    rankings = [strategies._ordinal_order(s, m) for s in reports]
     if samples is None and n > 8:
         raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
-    if samples is not None and seed is None:
-        raise ValueError("Monte Carlo mode requires a seed")
-    denom, value_int = instance.value_table
-    valued = valued_items(value_int)
     valued_count = sum(valued)
     quotas = [m // n] * (n - 1) + [m // n + m % n]
 
@@ -243,42 +276,19 @@ def random_priority(
         return (taken, sum(value_int[agent][j] for j in taken),
                 sum(valued[j] for j in taken))
 
-    if samples is None:
-        # ``layer`` maps each state at ``pos`` (agents placed and items taken,
-        # as bit masks, and valued items left) to the number of order prefixes
-        # that reach it. A (state, agent) turn is played once and stands for
-        # reach * (n-1-pos)! orders. A state with nothing of value left is not
-        # extended, as every later turn gains 0.
-        per_agent_num = [0] * n
-        layer = {(0, 0, valued_count): 1}
-        for pos in range(n):
-            weight = math.factorial(n - 1 - pos)
-            successors: dict[tuple[int, int, int], int] = {}
-            for (placed, taken, left), reach in layer.items():
-                available = [not taken >> j & 1 for j in range(m)]
-                for agent in range(n):
-                    if placed >> agent & 1:
-                        continue
-                    items, gain, worth = turn(agent, pos, available)
-                    per_agent_num[agent] += gain * reach * weight
-                    if left > worth:
-                        state = (placed | 1 << agent,
-                                 taken | sum(1 << j for j in items), left - worth)
-                        successors[state] = successors.get(state, 0) + reach
-                    for j in items:
-                        available[j] = True
-            layer = successors
-        count = math.factorial(n)
-    else:
+    if samples is not None:
         # ``common`` is the gcd of denom and every order's welfare. The error
         # bar is taken over the welfares' least common denominator, so its
         # last bit does not depend on values that no order picked.
         def block(start: int, stop: int) -> tuple[list[int], int, int]:
-            """(per-agent sums, sum of squared welfares, common) over the block."""
             per_agent_num = [0] * n
             total_sq = 0
             common = denom
-            for order in _seeded_orders(n, seed, start, stop):
+            rng = random.Random()
+            for k in range(start, stop):
+                rng.seed(f"eatsim-rp:{seed}:{k}")  # the same state as a fresh Random(...)
+                order = list(range(n))
+                rng.shuffle(order)
                 available = [True] * m
                 left = valued_count
                 order_num = 0
@@ -293,18 +303,35 @@ def random_priority(
                 common = math.gcd(common, order_num)
             return per_agent_num, total_sq, common
 
-        blocks = _run_blocks(block, _bounds(samples))
-        per_agent_num = [sum(column) for column in zip(*(b[0] for b in blocks))]
-        total_sq = sum(b[1] for b in blocks)
-        common = math.gcd(*(b[2] for b in blocks))
-        count = samples
-    welfare = Fraction(sum(per_agent_num), count * denom)
-    per_agent = tuple(Fraction(p, count * denom) for p in per_agent_num)
-    if samples is None:
-        return MechanismResult("rp", welfare, per_agent, "exact-enumeration")
-    return MechanismResult(
-        "rp", welfare, per_agent, f"monte-carlo(samples={samples}, seed={seed})", samples, seed,
-        _stderr(sum(per_agent_num) // common, total_sq // common ** 2, samples, denom // common))
+        return _monte_carlo("rp", denom, samples, seed, block)
+
+    # ``layer`` maps each state at ``pos`` (agents placed and items taken, as
+    # bit masks, and valued items left) to the number of order prefixes that
+    # reach it. A (state, agent) turn is played once and stands for
+    # reach * (n-1-pos)! orders. A state with nothing of value left is not
+    # extended, as every later turn gains 0.
+    per_agent_num = [0] * n
+    layer = {(0, 0, valued_count): 1}
+    for pos in range(n):
+        weight = math.factorial(n - 1 - pos)
+        successors: dict[tuple[int, int, int], int] = {}
+        for (placed, taken, left), reach in layer.items():
+            available = [not taken >> j & 1 for j in range(m)]
+            for agent in range(n):
+                if placed >> agent & 1:
+                    continue
+                items, gain, worth = turn(agent, pos, available)
+                per_agent_num[agent] += gain * reach * weight
+                if left > worth:
+                    state = (placed | 1 << agent,
+                             taken | sum(1 << j for j in items), left - worth)
+                    successors[state] = successors.get(state, 0) + reach
+                for j in items:
+                    available[j] = True
+        layer = successors
+    count = math.factorial(n) * denom
+    return MechanismResult("rp", Fraction(sum(per_agent_num), count),
+                           tuple(Fraction(p, count) for p in per_agent_num), "exact-enumeration")
 
 
 def repeated_random_priority(
@@ -314,17 +341,13 @@ def repeated_random_priority(
     seed: int,
 ) -> MechanismResult:
     """Repeated Random Priority: m i.i.d. uniform draws, one favorite item each."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    rankings, denom, value_int, valued = _setup(instance, reports, samples, seed)
     n, m = instance.n, instance.m
-    engine._kernel_args(n, m, reports, LOWEST_INDEX_FIRST, "ps")
-    rankings = [strategies._ordinal_order(s, m) for s in reports]
-    denom, value_int = instance.value_table
-    valued = valued_items(value_int)
     valued_count = sum(valued)
 
-    def block(start: int, stop: int) -> tuple[list[int], int]:
-        """(per-agent sums, sum of squared welfares) over the block."""
+    def block(start: int, stop: int) -> tuple[list[int], int, int]:
+        """(per-agent sums, sum of squared welfares, 1) over the block: the
+        error bar is taken over denom."""
         per_agent_num = [0] * n
         total_sq = 0
         rng = random.Random()
@@ -354,20 +377,6 @@ def repeated_random_priority(
                     sample_num += gain
                     per_agent_num[agent] += gain
             total_sq += sample_num * sample_num
-        return per_agent_num, total_sq
+        return per_agent_num, total_sq, 1
 
-    blocks = _run_blocks(block, _bounds(samples))
-    per_agent_num = [sum(column) for column in zip(*(b[0] for b in blocks))]
-    total_num = sum(per_agent_num)
-    total_sq = sum(b[1] for b in blocks)
-    mean = Fraction(total_num, samples * denom)
-    stderr = _stderr(total_num, total_sq, samples, denom)
-    return MechanismResult(
-        mechanism="rrp",
-        expected_welfare=mean,
-        per_agent=tuple(Fraction(p, samples * denom) for p in per_agent_num),
-        method=f"monte-carlo(samples={samples}, seed={seed})",
-        samples=samples,
-        seed=seed,
-        stderr=stderr,
-    )
+    return _monte_carlo("rrp", denom, samples, seed, block)

@@ -42,6 +42,9 @@ class InvalidInstanceError(ValueError):
 # CPython's default limit on the digits of an int converted from or to text
 MAX_DIGITS = 4300
 
+# what every library entry that takes an exact number says to a float
+FLOATS_NOT_EXACT = "floats are not exact; pass Fraction, int, or a rational string"
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a finite decimal into an exact Fraction.
@@ -123,8 +126,7 @@ class Valuation:
 
     def __post_init__(self):
         if any(isinstance(v, float) for v in self.values):
-            raise ValueError(
-                "floats are not exact; pass Fraction, int, or a rational string")
+            raise ValueError(FLOATS_NOT_EXACT)
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         d, nums = self.integer_form
@@ -341,8 +343,12 @@ def fixed_order_policy(order: Sequence[int]) -> ZeroPolicy:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange. External formats are 1-based; all indices are shifted at
-# this boundary and nowhere else.
+# JSON interchange. External formats are 1-based and the library is 0-based.
+# Indices are shifted where text leaves or enters the library: here for
+# instances and profiles, in engine.trace_to_json, in
+# equilibrium.deviation_report_to_json, in the strategies' labels, in error
+# messages that name an agent or item, and in cli for its arguments and
+# printed lines.
 # ---------------------------------------------------------------------------
 
 def instance_to_json(instance: Instance) -> dict:

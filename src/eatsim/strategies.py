@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .model import Lexicographic, Proportional, Strategy, Valuation
+from .model import FLOATS_NOT_EXACT, Lexicographic, Proportional, Strategy, Valuation
 
 
 @cache
@@ -71,6 +71,8 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
     for l >= 2, so the report is unit-sum by construction. (The l-th power is
     taken with exponent l-1, the only convention that sums to one.)
     """
+    if isinstance(eps, float):
+        raise ValueError(FLOATS_NOT_EXACT)
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError("eps must lie strictly between 0 and 1/2")
@@ -158,6 +160,8 @@ class GridProportional:
     resolution: int
 
     def __post_init__(self):
+        if isinstance(self.resolution, float):
+            raise ValueError(FLOATS_NOT_EXACT)
         if self.resolution < 1:
             raise ValueError("grid resolution must be positive")
 

@@ -391,6 +391,152 @@ class TestSweepOutputBytes:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+_LOG_M_Q3 = ["--generator", "log-m-lb", "--k", "8", "--q", "3"]
+_FIXED_15 = "fixed:15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"
+
+
+def _certificate(k, q, mechanism, policy):
+    return ["verify-ne", "--generator", "log-m-lb", "--k", str(k), "--q", str(q),
+            "--mechanism", mechanism, "--zero-policy", policy]
+
+
+def _simulate_30x30(mechanism, policy):
+    return ["simulate", "--generator", "random", "--n", "30", "--m", "30", "--weight-max", "20",
+            "--seed", "0", "--mechanism", mechanism, "--zero-policy", policy]
+
+
+# sha256 of whole CLI outputs at sizes no other test reaches: (argv, exit
+# code, digest of --out or None for no --out, digest of stdout or None when
+# it is not checked).
+#  - log-m-lb k=8 q=5 and q=6 and k=512 q=4 certificates: a sweep runs the
+#    kernel once per way of eating, and the bytes must be those of one run
+#    per candidate; under the uniform policy k=8 q=5 CPS is refuted; at
+#    k=512 the kernel moves the 512 zero-policy chasers as one group; each
+#    lean run stops once the items its deviator values have run out, and
+#    q=6 (3,584 runs) checks that stop on a larger sweep.
+#  - random 30x30 simulate: the --out export with its decimal block, and the
+#    payoffs on stdout; every agent values every item, so the zero policy
+#    never fires and changes only the stdout header.
+#  - candidate dumps of best-response and verify-ne, and the sqrt-n-lb n=16
+#    certificates, whose agents fall into classes of proportional reports
+#    that share one sweep (CPS refuted, PS certified).
+#  - certificates under the fixed zero policy and uniform-policy candidates:
+#    each sweep builds the opponents' opening kernel state and the greedy
+#    members once per swept agent, and the bytes must be those of a fresh
+#    kernel run per candidate.
+#  - log-m-lb k=8 q=3 and sqrt-n-lb simulate, which fire the zero policy at
+#    tied depletions, so most shares are written over a running denominator;
+#    under PS the bad profiles' repeated shadows put many eaters on one item.
+CLI_DIGESTS = {
+    "cert-k8-q5-cps-lowest": (
+        _certificate(8, 5, "cps", "lowest-index"), EXIT_OK,
+        "1ac68c12d5b9781681713567bb90f37d4377fc1219d7e18f78728b0b63b9e7ab", None),
+    "cert-k8-q5-ps-lowest": (
+        _certificate(8, 5, "ps", "lowest-index"), EXIT_OK,
+        "f8223fac3f951aa8fc93dcd5a9c5aaab1977164df204cef5fa3af3e92f615bb8", None),
+    "cert-k8-q5-cps-uniform": (
+        _certificate(8, 5, "cps", "uniform"), EXIT_REFUTED,
+        "1646f705bda8df29133d836ac47e4ada503013db90c33c63279aff8b519c888f", None),
+    "cert-k512-q4-cps-lowest": (
+        _certificate(512, 4, "cps", "lowest-index"), EXIT_OK,
+        "c103547c6470174cb78bdc21d15bdef92a795c3cd6d3b4aa40b62cec8fea869e", None),
+    "cert-k512-q4-ps-lowest": (
+        _certificate(512, 4, "ps", "lowest-index"), EXIT_OK,
+        "981ecbb87c132af033ede078fafbfc2c5c0bebf2150138ce81dd324e962ed954", None),
+    "cert-k8-q6-cps-lowest": (
+        _certificate(8, 6, "cps", "lowest-index"), EXIT_OK,
+        "c474054928d9002bdf7e03d20539b95b9fd1783aed311f5d99c7e36a767710f1", None),
+    "sim-30x30-cps-lowest": (
+        _simulate_30x30("cps", "lowest-index"), EXIT_OK,
+        "345fa58a782621dd83c52fc457a7397f9f5bbec4f4dcd39dcbbae54847d4e377",
+        "b8aa079779bbc3810fba3f2f79de544a91494ee8b6d4f2037dcd3649df7de717"),
+    "sim-30x30-cps-uniform": (
+        _simulate_30x30("cps", "uniform"), EXIT_OK,
+        "345fa58a782621dd83c52fc457a7397f9f5bbec4f4dcd39dcbbae54847d4e377",
+        "c96a44c887a51f48b35bd93f8ad5834e0926071577d3b8e0421236ffb0349674"),
+    "sim-30x30-ps-lowest": (
+        _simulate_30x30("ps", "lowest-index"), EXIT_OK,
+        "55fa698388f8682b544669d60bb6aa314a61fa1502a24201e803f8195faf4529",
+        "05015b883a052ce677c154190d6e2b28b2109dd1f47eb044a0b65879ba7afa46"),
+    "sim-30x30-ps-uniform": (
+        _simulate_30x30("ps", "uniform"), EXIT_OK,
+        "55fa698388f8682b544669d60bb6aa314a61fa1502a24201e803f8195faf4529",
+        "a6f796843571c0ca7ee9f800254a427fae9af111399c0e1344c564d9fea9a90a"),
+    "br-k8-q3-cps": (
+        ["best-response", *_LOG_M_Q3, "--agent", "9", "--dump-candidates", "--mechanism", "cps"],
+        EXIT_OK, None, "fcbdea2fff07984e0415c15125c57da05a870d51a87dea6584eaa2821e0bc842"),
+    "br-k8-q3-ps": (
+        ["best-response", *_LOG_M_Q3, "--agent", "9", "--dump-candidates", "--mechanism", "ps"],
+        EXIT_OK, None, "fcbdea2fff07984e0415c15125c57da05a870d51a87dea6584eaa2821e0bc842"),
+    "cert-k8-q3-candidates": (
+        ["verify-ne", *_LOG_M_Q3, "--dump-candidates"], EXIT_OK,
+        "367c8c1d0dc187e15568d9329d143b9abb1b3cc71a513ffa0709d5b0d034b85d", None),
+    "cert-sqrt-n16-cps": (
+        ["verify-ne", "--generator", "sqrt-n-lb", "--n", "16", "--profile", "bad",
+         "--mechanism", "cps"], EXIT_REFUTED,
+        "cdd2de8630fd4b65a05b901767e563d89b758ab9ebae4a0552cf78279cb83d2f", None),
+    "cert-sqrt-n16-ps": (
+        ["verify-ne", "--generator", "sqrt-n-lb", "--n", "16", "--profile", "bad",
+         "--mechanism", "ps"], EXIT_OK,
+        "e3e7a0330a2462f00edef1f2675b5dc9f07a25ede859c90d46a7604432250edd", None),
+    "cert-k8-q3-fixed-cps": (
+        ["verify-ne", *_LOG_M_Q3, "--mechanism", "cps", "--zero-policy", _FIXED_15], EXIT_OK,
+        "a896ca4ae324312faa6c7cf40f4cf9216b89879f769e65a001d737dc53457d28", None),
+    "cert-k8-q3-fixed-ps": (
+        ["verify-ne", *_LOG_M_Q3, "--mechanism", "ps", "--zero-policy", _FIXED_15], EXIT_OK,
+        "a254f2dfb1e81e9d5e5f6850fb5e547f53edce312acc789b8448e00c2391c6c7", None),
+    "cert-k8-q3-uniform-cps": (
+        ["verify-ne", *_LOG_M_Q3, "--mechanism", "cps", "--zero-policy", "uniform"],
+        EXIT_REFUTED, "1ab5f123c08e5ae8d2d34929ae24b301585b816fe8ceb8a33bd3c52e640c4386", None),
+    "br-k8-q3-uniform-cps": (
+        ["best-response", *_LOG_M_Q3, "--agent", "9", "--zero-policy", "uniform",
+         "--dump-candidates", "--mechanism", "cps"],
+        EXIT_OK, None, "0a706758bb49911b0f66933b24a2c0f0ad74953033f56b4eede6fabc2fd1fa5a"),
+    "sim-k8-q3-cps-uniform": (
+        ["simulate", *_LOG_M_Q3, "--mechanism", "cps", "--zero-policy", "uniform"], EXIT_OK,
+        "9bee191006ddaad843436512136f5a4a1e2fa71d4b0c562d52a32551a3491909",
+        "679c204be03adf1701877cf0d0e194aa3c6fbbae373c867d1bd9991bc00d1f4c"),
+    "sim-k8-q3-cps-lowest": (
+        ["simulate", *_LOG_M_Q3, "--mechanism", "cps", "--zero-policy", "lowest-index"], EXIT_OK,
+        "b2d52ce81e95dc64ee1b156d7f7df7df7eb4250e64889b8d902c256352df4755",
+        "747dafa102fec69e478f681bade830a494179940950ffac59984b501c2d0feb4"),
+    "sim-k8-q3-cps-fixed": (
+        ["simulate", *_LOG_M_Q3, "--mechanism", "cps", "--zero-policy", _FIXED_15], EXIT_OK,
+        "0cc8a23e2a38c5487ea180548517e71cfa8905876423c023b6c4c6536221f6c7",
+        "adc76c6b293e843e79d70d0214d410647742450eece37aa09300f0e9361176c6"),
+    "sim-k8-q3-ps-lowest": (
+        ["simulate", *_LOG_M_Q3, "--mechanism", "ps", "--zero-policy", "lowest-index"], EXIT_OK,
+        "f79104e7dff59a2b1d390f1f81fe73247abb65d291a19ee1fe4a144b54e43c7e",
+        "78bade5a00d1a5f22f29756df290b296dc50f3418585cccaf061206340241544"),
+    "sim-sqrt-n16": (
+        ["simulate", "--generator", "sqrt-n-lb", "--n", "16", "--profile", "bad"], EXIT_OK,
+        "ad2e0c14537b931c8e37b809ce83ba8f0d79b6c6da5394f17c357e0273e65926",
+        "e0e81a40e334ee7e2757e4d01f12b5b3a6d745d10f5d2b9806fa6c062c88fd40"),
+    "sim-sqrt-n16-ps": (
+        ["simulate", "--generator", "sqrt-n-lb", "--n", "16", "--profile", "bad",
+         "--mechanism", "ps"], EXIT_OK,
+        "a5b34a6ae60eb493f6165d791a05a802de108a7ad301c43194c4719f3bbf6e45",
+        "1866295700de27c0b5b4d7d55502df85ab2d2ebe3717f189ea0dbb35d0151b3c"),
+    "sim-sqrt-n64-ps": (
+        ["simulate", "--generator", "sqrt-n-lb", "--n", "64", "--profile", "bad",
+         "--mechanism", "ps"], EXIT_OK,
+        "7ff6631614a6206fedaeaedf1c57caed9223435c33f5480f5d1a38da7af504cc",
+        "34e68492930d41768e4259c347f74e795470161f3d2b263f6edd8bddfeaddd01"),
+}
+
+
+@pytest.mark.parametrize("key", CLI_DIGESTS)
+def test_cli_output_digest(key, tmp_path, capsys):
+    argv, code, out_digest, stdout_digest = CLI_DIGESTS[key]
+    out = tmp_path / "out"
+    assert main(argv + (["--out", str(out)] if out_digest else [])) == code
+    stdout = capsys.readouterr().out
+    if out_digest:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    if stdout_digest:
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_digest
+
+
 class TestGenerateAndSample:
     def test_generate_writes_instance_and_profile(self, tmp_path):
         inst_path = tmp_path / "inst.json"

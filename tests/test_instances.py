@@ -80,6 +80,19 @@ class TestDomains:
             generate(GeneratorSpec(name, {"n": n}))
         assert str(exc.value) == message
 
+    # a float would enter as its binary value (0.01 is 5764607523034235/2**59)
+    # or be truncated (2.7 agents would be 2)
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec("sqrt-n-lb", {"n": 4, "eps": 0.01}),
+        GeneratorSpec("rp-lb", {"n": 3, "eps": 0.25}),
+        GeneratorSpec("random", {"n": 2.7, "m": 3}),
+        GeneratorSpec("random", {"n": 2, "m": 3.0}),
+    ], ids=lambda s: f"{s.name}:{dict(s.params)}")
+    def test_float_parameters_are_refused(self, spec):
+        with pytest.raises(GeneratorError) as exc:
+            generate(spec)
+        assert str(exc.value) == "floats are not exact; pass Fraction, int, or a rational string"
+
 
 class TestNamedConstructions:
     def test_example1_verbatim(self):

@@ -344,6 +344,8 @@ class TestRandomPriority:
         gen = random_instance(9, 9, 10, seed=1)
         with pytest.raises(ExactEnumerationRefused):
             random_priority(gen.instance, gen.instance.truthful_profile())
+        with pytest.raises(ExactEnumerationRefused):  # exact RP ignores a seed
+            random_priority(gen.instance, gen.instance.truthful_profile(), seed=0)
 
     def test_collapse_instance_exact_value(self):
         gen = generate(GeneratorSpec("rp-lb", {"n": 4, "eps": "1/100"}))
@@ -449,6 +451,44 @@ class TestMalformedProfiles:
         with pytest.raises(ValueError) as exc:
             call(inst, profile)
         assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+class TestCheckOrder:
+    """RP and RRP report a sample count below 1 before a malformed profile,
+    and a malformed profile before a missing seed; no sample is played
+    before every check has passed."""
+
+    SAMPLED = [random_priority, repeated_random_priority]
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(block, bounds):
+            raise AssertionError("a sample was played before the checks passed")
+        monkeypatch.setattr(lotteries, "_run_blocks", refuse)
+
+    @pytest.mark.parametrize("call", SAMPLED, ids=["rp", "rrp"])
+    def test_missing_seed_is_refused_before_sampling(self, call):
+        inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": "1/100"})).instance
+        with pytest.raises(ValueError, match="^Monte Carlo mode requires a seed$"):
+            call(inst, inst.truthful_profile(), 4096, None)
+
+    @pytest.mark.parametrize("call", SAMPLED, ids=["rp", "rrp"])
+    @pytest.mark.parametrize("samples, message", [
+        (0, "samples must be at least 1, got 0"),
+        (10, "profile has 2 strategies, expected 3"),
+    ])
+    def test_samples_then_profile_then_seed(self, call, samples, message):
+        inst = generate(GeneratorSpec("example1")).instance
+        with pytest.raises(ValueError) as exc:
+            call(inst, inst.truthful_profile()[:2], samples, None)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_exact_rp_checks_the_profile_before_the_agent_cap(self):
+        inst = random_instance(9, 9, 10, seed=1).instance
+        with pytest.raises(ValueError) as exc:
+            random_priority(inst, inst.truthful_profile()[:8])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "profile has 8 strategies, expected 9"
 
 
 class TestSampleCountsAndErrorBars:

@@ -80,6 +80,11 @@ class TestEpsilonStrategy:
         with pytest.raises(ValueError):
             epsilon_strategy((0, 0), F(1, 4), 2)
 
+    def test_float_eps_is_refused(self):
+        with pytest.raises(ValueError, match="^floats are not exact; pass Fraction, int, or a "
+                                             "rational string$"):
+            epsilon_strategy((0, 1), 0.1, 2)
+
     def test_order_past_m_rejected(self):
         with pytest.raises(ValueError, match="item out of range for m = 2"):
             epsilon_strategy((0, 2), F(1, 4), 2)
@@ -194,6 +199,11 @@ class TestFamilies:
     def test_grid_resolution_must_be_positive(self):
         with pytest.raises(ValueError, match="grid resolution must be positive"):
             GridProportional(0)
+
+    def test_grid_resolution_must_not_be_a_float(self):
+        with pytest.raises(ValueError, match="^floats are not exact; pass Fraction, int, or a "
+                                             "rational string$"):
+            GridProportional(2.5)
 
     def test_greedy_defaults_follow_the_agent(self):
         truth = valuation_of(["1/10", "7/10", "1/5"])
