@@ -131,13 +131,11 @@ def _build_parser() -> _Parser:
     def add_common(p, profile=True, mechanism=None, policy=True):
         p.add_argument("--instance", help="instance JSON file")
         p.add_argument("--generator", help="named instance generator")
-        p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--x", type=int)
-        p.add_argument("--eps", help="rational, e.g. 1/4096")
-        p.add_argument("--weight-max", type=int, dest="weight_max")
+        for key in instances.PARAMETERS:
+            if key == "eps":
+                p.add_argument("--eps", help="rational, e.g. 1/4096")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
         if profile:
             p.add_argument("--profile", help="profile JSON file, 'truthful', or 'bad'")
         if mechanism:
@@ -214,8 +212,7 @@ def _resolve_instance(opts: dict) -> tuple[Instance, instances.Generated | None]
     if opts.get("instance"):
         return instance_from_json(load_json(opts["instance"])), None
     if opts.get("generator"):
-        params = {key: opts[key] for key in ("n", "m", "k", "q", "x", "eps", "weight_max")
-                  if key in opts}
+        params = {key: opts[key] for key in instances.PARAMETERS if key in opts}
         generated = instances.generate(
             instances.GeneratorSpec(opts["generator"], params, opts["seed"]))
         return generated.instance, generated

@@ -5,6 +5,13 @@ GeneratorSpec always yields a bit-identical instance. Several constructions
 also designate a "bad profile", the reported strategies that drive the
 mechanism's welfare down; generators attach it so the ratio harness can run
 the construction end to end.
+
+One table, ``_GENERATORS``, names each generator's builder and its required
+and optional parameters, drawn from ``PARAMETERS``. :func:`generate` binds a
+spec against it: a parameter the generator does not take is refused, ``eps``
+must be exact (a Fraction, an int or a rational string), and every other
+parameter is a count, an int that is not a bool. The builders check the
+domains. The CLI makes one flag per entry of ``PARAMETERS``.
 """
 
 from __future__ import annotations
@@ -58,32 +65,6 @@ class Generated:
     instance: Instance
     bad_profile: tuple[Strategy, ...] | None
     notes: dict
-
-
-def _frac(params: Mapping, key: str, default: Fraction | None = None) -> Fraction | None:
-    if key not in params or params[key] is None:
-        return default
-    raw = params[key]
-    if isinstance(raw, float):
-        raise GeneratorError(FLOATS_NOT_EXACT)
-    if isinstance(raw, str):
-        return parse_rational(raw)
-    return Fraction(raw)
-
-
-def _int(params: Mapping, key: str, default: int | None = None) -> int | None:
-    if key not in params or params[key] is None:
-        return default
-    if isinstance(params[key], float):
-        raise GeneratorError(FLOATS_NOT_EXACT)
-    return int(params[key])
-
-
-def _req(params: Mapping, key: str) -> int:
-    value = _int(params, key)
-    if value is None:
-        raise GeneratorError(f"missing required parameter {key!r}")
-    return value
 
 
 def _require_square(n: int) -> int:
@@ -332,26 +313,56 @@ def random_instance(n: int, m: int, weight_max: int = 20, seed: int = 0) -> Gene
                                   "seed": seed, "weight_max": weight_max})
 
 
-# name -> build(params, seed), in the order the unknown-name error lists them
+# name -> (builder, required parameters, optional parameters), in the order
+# the unknown-name error lists them; an absent optional parameter takes the
+# builder's default
 _GENERATORS = {
-    "example1": lambda p, seed: example1(),
-    "example2": lambda p, seed: example2(),
-    "sqrt-n-lb": lambda p, seed: sqrt_n_lb(_req(p, "n"), _frac(p, "eps")),
-    "log-m-lb": lambda p, seed: log_m_lb(_req(p, "k"), _req(p, "q")),
-    "stability-lb": lambda p, seed: stability_lb(_req(p, "n")),
-    "rp-lb": lambda p, seed: rp_lb(_req(p, "n"), _frac(p, "eps")),
-    "ps-beats-cps": lambda p, seed: ps_beats_cps(_req(p, "n")),
-    "cps-beats-ps": lambda p, seed: cps_beats_ps(_req(p, "n"), _frac(p, "eps")),
-    "tightness": lambda p, seed: tightness(_req(p, "x"), _int(p, "k")),
-    "counterexample-safety": lambda p, seed: counterexample_safety(_req(p, "n"),
-                                                                   _frac(p, "eps")),
-    "random": lambda p, seed: random_instance(_req(p, "n"), _req(p, "m"),
-                                              _int(p, "weight_max", 20), seed or 0),
+    "example1": (example1, (), ()),
+    "example2": (example2, (), ()),
+    "sqrt-n-lb": (sqrt_n_lb, ("n",), ("eps",)),
+    "log-m-lb": (log_m_lb, ("k", "q"), ()),
+    "stability-lb": (stability_lb, ("n",), ()),
+    "rp-lb": (rp_lb, ("n",), ("eps",)),
+    "ps-beats-cps": (ps_beats_cps, ("n",), ()),
+    "cps-beats-ps": (cps_beats_ps, ("n",), ("eps",)),
+    "tightness": (tightness, ("x",), ("k",)),
+    "counterexample-safety": (counterexample_safety, ("n",), ("eps",)),
+    "random": (random_instance, ("n", "m"), ("weight_max",)),
 }
+
+# every generator parameter, in the order the CLI lists its flags
+PARAMETERS = ("n", "m", "k", "q", "x", "eps", "weight_max")
+
+
+def _bind(key: str, raw) -> int | Fraction:
+    """One parameter value, checked: eps is exact, and every other parameter is a count."""
+    if isinstance(raw, float):
+        raise GeneratorError(FLOATS_NOT_EXACT)
+    if key == "eps" and isinstance(raw, str):
+        return parse_rational(raw)
+    # True, Fraction(5, 2) and "2" are no counts; an int eps is outside every range
+    if type(raw) is int or key == "eps" and isinstance(raw, Fraction):
+        return raw
+    kind = "a Fraction, an int or a rational string" if key == "eps" else "an int"
+    raise GeneratorError(f"{key} must be {kind}, got {type(raw).__name__}")
 
 
 def generate(spec: GeneratorSpec) -> Generated:
-    """Dispatch a GeneratorSpec; deterministic given the spec."""
+    """Bind a GeneratorSpec's parameters and build it; deterministic given the spec.
+
+    A parameter the generator does not take is refused, and None means absent.
+    """
     if spec.name not in _GENERATORS:
         raise GeneratorError(f"unknown generator {spec.name!r}; known: {', '.join(_GENERATORS)}")
-    return _GENERATORS[spec.name](spec.params, spec.seed)
+    build, required, optional = _GENERATORS[spec.name]
+    params = {key: raw for key, raw in spec.params.items() if raw is not None}
+    if unknown := [key for key in params if key not in required + optional]:
+        where = "; the seed is GeneratorSpec.seed" if unknown[0] == "seed" else ""
+        raise GeneratorError(f"{spec.name} takes no parameter {unknown[0]!r}; its parameters: "
+                             f"{', '.join(required + optional) or 'none'}{where}")
+    kwargs = {key: _bind(key, raw) for key, raw in params.items()}
+    if missing := [key for key in required if key not in kwargs]:
+        raise GeneratorError(f"missing required parameter {missing[0]!r}")
+    if spec.name == "random":
+        kwargs["seed"] = spec.seed or 0
+    return build(**kwargs)

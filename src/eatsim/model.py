@@ -125,8 +125,9 @@ class Valuation:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(isinstance(v, float) for v in self.values):
-            raise ValueError(FLOATS_NOT_EXACT)
+        if any(isinstance(v, (float, bool)) for v in self.values):
+            raise ValueError("valuation has a bool entry; pass Fraction, int, or a rational string"
+                             if bool in map(type, self.values) else FLOATS_NOT_EXACT)
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         d, nums = self.integer_form
@@ -167,22 +168,22 @@ def valuation_of(entries: Iterable[Union[Fraction, int, str]],
 
     Floats are rejected: 0.6 the float is 5404319552844595/2**53, not 3/5.
     Quote decimals ("0.6") to get the exact value. ``memo``, one dict per
-    document, keeps each distinct string's value and each distinct raw row's
-    Valuation (rows key as written: hashing a Fraction is slow).
+    document, keeps each distinct string's value and each distinct row's
+    Valuation, looked up before the row is walked (rows key as written, with
+    their entries' types: hashing a Fraction is slow, and 1, 1.0 and True are
+    equal keys).
     """
     memo = {} if memo is None else memo
     entries = tuple(entries)
-    vals = []
-    for e in entries:
-        if isinstance(e, str):
-            vals.append(_parsed(e, memo))
-        elif isinstance(e, float):
-            raise ParseError(f"float {e!r} is not exact; quote it as a string")
-        else:
-            vals.append(Fraction(e))
-    if entries not in memo:
-        memo[entries] = Valuation(tuple(vals))
-    return memo[entries]
+    key = entries, tuple(map(type, entries))
+    if key not in memo:
+        for e in entries:
+            if isinstance(e, float):
+                raise ParseError(f"float {e!r} is not exact; quote it as a string")
+        # Valuation converts every other entry, and refuses a bool
+        memo[key] = Valuation(tuple(_parsed(e, memo) if isinstance(e, str) else e
+                                    for e in entries))
+    return memo[key]
 
 
 def _parsed(text, memo: dict) -> Fraction:
@@ -383,23 +384,30 @@ def instance_from_json(doc: dict) -> Instance:
             raise ParseError(f"{key!r} must be a JSON integer, got {json.dumps(doc[key])}")
     if not isinstance(raw_rows, list):
         raise ParseError("'valuations' must be a list of rows")
+    # each string's value, and the index of each distinct row's first copy:
+    # a repeated row is parsed and checked once
     memo: dict = {}
-    rows = []
+    rows, first = [], []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise ParseError(f"agent {i + 1}: valuation row must be a list")
-        rows.append(tuple(_parsed(x, memo) for x in raw))
+        try:
+            j = memo.setdefault(tuple(raw), i)
+        except TypeError:  # an unhashable entry, which _parsed names
+            j = i
+        rows.append(rows[j] if j < i else tuple(_parsed(x, memo) for x in raw))
+        first.append(j)
     labels = doc.get("labels") or {}
     if not isinstance(labels, dict):
         raise ParseError("'labels' must be an object")
     agent_labels, item_labels = (_labels(labels, key) for key in ("agents", "items"))
     try:
-        valuations = tuple(valuation_of(raw, memo) for raw in raw_rows)
+        made = {j: Valuation(rows[j]) for j in set(first)}
     except ValueError:
         # a sign or sum defect: report every defect of the raw rows at once
         raise InvalidInstanceError(
             instance_defects(n, m, rows, agent_labels, item_labels)) from None
-    return Instance(n, m, valuations, agent_labels, item_labels)
+    return Instance(n, m, tuple(made[j] for j in first), agent_labels, item_labels)
 
 
 def _labels(labels: dict, key: str) -> tuple[str, ...] | None:

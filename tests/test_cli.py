@@ -900,6 +900,22 @@ DOCUMENTED_EXITS = {
     "counterexample-safety-n-1": (None, ["poa", "--generator", "counterexample-safety",
                                          "--n", "1"],
                                   EXIT_INVALID, "generator error: needs n >= 2\n"),
+    # a flag the generator does not take used to be ignored, with exit 0
+    "flag-outside-generator": (None, ["poa", "--generator", "sqrt-n-lb", "--n", "4",
+                                      "--m", "3"], EXIT_INVALID,
+                               "generator error: sqrt-n-lb takes no parameter 'm'; "
+                               "its parameters: n, eps\n"),
+    "weight-max-for-log-m": (None, ["generate", "--generator", "log-m-lb", "--k", "2", "--q",
+                                    "2", "--weight-max", "5"], EXIT_INVALID,
+                             "generator error: log-m-lb takes no parameter 'weight_max'; "
+                             "its parameters: k, q\n"),
+    # an unhashable entry is named, whether or not its row repeats
+    "list-value": (dict(_INSTANCE, valuations=[["1/2", ["1"]], ["1/2", ["1"]]]),
+                   ["simulate", "--instance", "{dir}/p.json"],
+                   EXIT_PARSE, "error: expected a rational string, got list\n"),
+    "dict-value": (dict(_INSTANCE, valuations=[["1", "0"], [{}, "1"]]),
+                   ["simulate", "--instance", "{dir}/p.json"],
+                   EXIT_PARSE, "error: expected a rational string, got dict\n"),
 }
 
 

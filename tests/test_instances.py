@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from eatsim import valuation_of
 from eatsim.instances import (
+    _GENERATORS,
+    PARAMETERS,
     GeneratorError,
     GeneratorSpec,
     default_tightness_k,
@@ -44,6 +47,141 @@ def test_every_generated_instance_is_valid(spec):
 @pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda s: s.name)
 def test_generation_is_deterministic(spec):
     assert generate(spec) == generate(spec)
+
+
+# sha256 of repr(generate(spec)), which holds the instance, the bad profile and
+# the notes: VALID_SPECS, then the specs perfbench's workloads build, then
+# optional parameters that no other spec sets
+PINNED_SPECS = VALID_SPECS + [
+    GeneratorSpec("log-m-lb", {"k": 8, "q": 2}),
+    GeneratorSpec("log-m-lb", {"k": 2, "q": 2}),
+    GeneratorSpec("sqrt-n-lb", {"n": 64}, 0),
+    GeneratorSpec("rp-lb", {"n": 7}, 0),
+    GeneratorSpec("random", {"n": 7, "m": 14}, 0),
+    GeneratorSpec("sqrt-n-lb", {"n": 4, "eps": "1/64"}, 0),
+    GeneratorSpec("cps-beats-ps", {"n": 4}, 0),
+    GeneratorSpec("rp-lb", {"n": 3}, 0),
+    GeneratorSpec("random", {"n": 3, "m": 5}, 0),
+    GeneratorSpec("tightness", {"x": 4, "k": 2}),
+    GeneratorSpec("random", {"n": 3, "m": 4, "weight_max": 5}, seed=7),
+    GeneratorSpec("cps-beats-ps", {"n": 9, "eps": "1/200"}),
+    GeneratorSpec("counterexample-safety", {"n": 3}),
+]
+GENERATED_DIGESTS = [
+    "9a3f3c6086a85cbfb72424306fe62fdd077bb1f8d3a9b02dae3b0c9c0dbca581",
+    "c72035f441f28a1cf95d4430047fc31f31c5e827588a073535912d0073f2f4bc",
+    "f2f2ef6227724f978d76241e2b891e941b41af94c97517ebf81066a4648d1970",
+    "1dd3e819bcadaedbd7fafa638dbe35b524d45772f4da4b3dbf0a32331ebc9363",
+    "67c4947afb177ac289fd793a5cfa1b6b1e00b6050f68d7da90fafab9e7a006e0",
+    "672601c701e8d702ed3a04ed8a9b012fd5cd6eb25d04e8a271820fe629d5e73d",
+    "d8566ff5a5a46b0bed1859fe07f16b80d959eca4deb04a393889a4bcb75be671",
+    "cd831e9836eff6006173dad97780df178b03c9dd7089342ae698cb846eba94cd",
+    "f3c0077a9c89859f01a0264f6702bd39fda488576d5fc138f39821349368b43c",
+    "99d000af55a63ef885bacb5da03fb3aa182bf384f44b60e399780f1cd8928b8d",
+    "3db045d6402d3bf8ede5b12d2de69b07d418a58b0f2086c9c7a63caa0078fe8d",
+    "9ace29a037e6c4997264e3e5c2b5eb59de13488cdceeaac95035ea33eb0b0bf4",
+    "bc8547101b14364949b454d82d604e207f7bd8b51dc6697d2193e1cf87bc3674",
+    "6de3771d41e49dd680a365a493bcd0964985310c1daf1c7e37be3f7b6fcba5ac",
+    "256b22e3f93f57a176f77cfc5bf652ddb6256a51e084651157d48b559faa77cb",
+    "ba25d4eb773cf9a0e544499259ed4656cfcd35dd5dcf8e9bd695881d0c83512a",
+    "bdd0f35ed644d1a165344f868374a287d00e510594d8b5771ff61d5ac2a28a15",
+    "95ce0bc0b915de56d5ebeebf846b0688f2216a540b5a6f4eb1cc5c69d58bb68f",
+    "8e4bad1ea2c588db3c4031ddf4a6d5c63c7eb7c5b06ee4e515d54896c4787e25",
+    "138f2ba4fb6fa56f4ac85b5abb072487a2c3b04615243d14ba6f4692011cc211",
+    "e73bb7115e64b97e77c8d60b12920348c6b192d7b9084c2d539103d2a44a5866",
+    "c96b785bc210b5c78fa02ab5dc432bb2b8b67f1fb240781d27f89be086616a8c",
+    "c3b7ef1712f8aef67ca854e732e38976f8309d640798751da41908949ae6e060",
+    "16fe2e0a3e9a6cefd302116c51fd71d5fa02cf85d449bafec3e7995e2fda00b8",
+    "b0c86c955856df0d4aa105e0c4892f97afdf7ef9e98457d560399a18cf0b0855",
+    "de8b869e928c8b23da4263ecf61e75b10d8e97335b46e1ee9ec6fbc4ec35b7ea",
+]
+
+
+@pytest.mark.parametrize("spec, digest", zip(PINNED_SPECS, GENERATED_DIGESTS),
+                         ids=lambda x: f"{x.name}:{dict(x.params)}"
+                         if isinstance(x, GeneratorSpec) else "")
+def test_generated_bytes_are_pinned(spec, digest):
+    assert hashlib.sha256(repr(generate(spec)).encode()).hexdigest() == digest
+
+
+def test_none_means_absent():
+    assert generate(GeneratorSpec("sqrt-n-lb", {"n": 9, "eps": None, "m": None})) == \
+        generate(GeneratorSpec("sqrt-n-lb", {"n": 9}))
+    assert generate(GeneratorSpec("random", {"n": 2, "m": 3, "weight_max": None})) == \
+        generate(GeneratorSpec("random", {"n": 2, "m": 3, "weight_max": 20}))
+
+
+# the first valid spec of each generator, which the refusal tests extend
+FIRST_VALID = {spec.name: spec for spec in reversed(VALID_SPECS)}
+
+
+def test_the_table_draws_on_every_parameter_and_spec():
+    taken = {key for _, required, optional in _GENERATORS.values()
+             for key in required + optional}
+    assert taken == set(PARAMETERS)
+    assert set(FIRST_VALID) == set(_GENERATORS)
+
+
+def _unknown_keys():
+    for name, (_, required, optional) in _GENERATORS.items():
+        spec = FIRST_VALID[name]
+        for key in PARAMETERS + ("seed", "epsilon", "weight-max"):
+            if key not in required + optional:
+                yield GeneratorSpec(name, dict(spec.params, **{key: 2}), spec.seed)
+
+
+class TestBinding:
+    # an unknown key used to be dropped: sqrt-n-lb built its n = 4 instance
+    # beside m = 3, and random built seed 0 beside {"seed": 5}
+    @pytest.mark.parametrize("spec", list(_unknown_keys()),
+                             ids=lambda s: f"{s.name}:{list(s.params)[-1]}")
+    def test_every_key_outside_the_parameters_is_refused(self, spec):
+        key = list(spec.params)[-1]
+        with pytest.raises(GeneratorError, match=f"takes no parameter '{key}'"):
+            generate(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        (GeneratorSpec("sqrt-n-lb", {"n": 4, "m": 3}),
+         "sqrt-n-lb takes no parameter 'm'; its parameters: n, eps"),
+        (GeneratorSpec("example1", {"n": 3}),
+         "example1 takes no parameter 'n'; its parameters: none"),
+        (GeneratorSpec("random", {"n": 2, "m": 2, "seed": 5}),
+         "random takes no parameter 'seed'; its parameters: n, m, weight_max; "
+         "the seed is GeneratorSpec.seed"),
+        # the key is checked before its value or a missing parameter
+        (GeneratorSpec("log-m-lb", {"k": 0.5, "n": 3}),
+         "log-m-lb takes no parameter 'n'; its parameters: k, q"),
+    ], ids=lambda x: x.name if isinstance(x, GeneratorSpec) else "")
+    def test_unknown_key_message(self, spec, message):
+        with pytest.raises(GeneratorError) as exc:
+            generate(spec)
+        assert str(exc.value) == message
+
+    # int() used to truncate each of these: n = 2, 1 and 2
+    @pytest.mark.parametrize("key", ["n", "m", "weight_max"])
+    @pytest.mark.parametrize("raw", [True, F(5, 2), "2", F(2)], ids=repr)
+    def test_counts_must_be_ints(self, key, raw):
+        params = dict({"n": 2, "m": 3}, **{key: raw})
+        with pytest.raises(GeneratorError) as exc:
+            generate(GeneratorSpec("random", params))
+        assert str(exc.value) == f"{key} must be an int, got {type(raw).__name__}"
+
+    @pytest.mark.parametrize("raw", [True, [1, 100]], ids=repr)
+    def test_eps_must_be_exact(self, raw):
+        with pytest.raises(GeneratorError) as exc:
+            generate(GeneratorSpec("rp-lb", {"n": 3, "eps": raw}))
+        assert str(exc.value) == ("eps must be a Fraction, an int or a rational string, "
+                                  f"got {type(raw).__name__}")
+
+    @pytest.mark.parametrize("raw", ["1/100", F(1, 100), " 0.01 "], ids=repr)
+    def test_eps_forms_build_one_instance(self, raw):
+        assert generate(GeneratorSpec("rp-lb", {"n": 3, "eps": raw})) == \
+            generate(GeneratorSpec("rp-lb", {"n": 3, "eps": F(1, 100)}))
+
+    def test_missing_required_parameter(self):
+        with pytest.raises(GeneratorError) as exc:
+            generate(GeneratorSpec("log-m-lb", {"k": 4}))
+        assert str(exc.value) == "missing required parameter 'q'"
 
 
 class TestDomains:

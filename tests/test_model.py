@@ -73,6 +73,24 @@ class TestValuation:
         with pytest.raises(ParseError, match="quote"):
             valuation_of([0.6, "2/5"])
 
+    # both used to build (1, 0)
+    @pytest.mark.parametrize("build", [Valuation, valuation_of])
+    def test_bools_rejected(self, build):
+        with pytest.raises(ValueError) as exc:
+            build((True, False))
+        assert str(exc.value) == \
+            "valuation has a bool entry; pass Fraction, int, or a rational string"
+
+    def test_memo_keeps_only_rows_of_strings(self):
+        memo = {}
+        assert valuation_of(["1", "0"], memo) is valuation_of(["1", "0"], memo)
+        assert valuation_of([1, 0], memo) == valuation_of(["1", "0"], memo)
+        # an equal key of other types is no licence to skip the checks
+        with pytest.raises(ParseError, match="quote"):
+            valuation_of([1.0, 0], memo)
+        with pytest.raises(ValueError, match="bool"):
+            valuation_of([True, 0], memo)
+
     def test_single_item(self):
         assert Valuation((Fraction(1),))[0] == 1
 
@@ -166,6 +184,20 @@ class TestInstance:
             instance_from_json(doc)
         assert exc.value.defects == [
             "expected 2 valuation rows, got 1", "expected 2 agent labels, got 1"]
+
+    def test_repeated_rows_share_one_valuation(self):
+        doc = {"n": 3, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"], ["1/2", "1/2"]]}
+        inst = instance_from_json(doc)
+        assert inst.valuations[0] is inst.valuations[2]
+        assert inst.valuations == (valuation_of(["1/2", "1/2"]), valuation_of(["1", "0"]),
+                                   valuation_of(["1/2", "1/2"]))
+
+    def test_repeated_bad_rows_are_each_listed(self):
+        doc = {"n": 2, "m": 2, "valuations": [["1/2", "1/3"], ["1/2", "1/3"]]}
+        with pytest.raises(InvalidInstanceError) as exc:
+            instance_from_json(doc)
+        assert exc.value.defects == ["agent 1: values sum to 5/6, expected 1",
+                                     "agent 2: values sum to 5/6, expected 1"]
 
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
