@@ -59,11 +59,21 @@ inputs
                     left to chase eats (range(m) for lowest-index)
     agents          None for the whole trace, or a list of agents for their
                     share rows only (no segments)
-    valued          given only with ``agents``: one bool per item, true for
-                    an item some of those agents value; the run stops after
-                    the segment in which the last such item runs out, as
-                    later eating adds exactly 0 to their payoffs. Without it
-                    every item counts, so the run goes on to t = m/n
+    keys            given only with ``agents``: one hashable key per item,
+                    equal for two items exactly when each of those agents
+                    values them the same. The run stops after the segment
+                    that leaves every alive item with one key, or at t = 0
+                    when they all share one: every agent eats at total rate
+                    1 until t = m/n, when every item is gone, so each of
+                    those agents gets the m/n its written shares lack from
+                    items worth one value v_a to it, and the rest of its
+                    payoff is v_a times that (see ``eatsim.engine._dot``).
+                    Without it the run goes on to t = m/n
+    left            given with ``keys``: a dict of the number of items of
+                    each key, which the run counts down in place as items
+                    run out, so at return it holds the items still alive
+                    per key, and the key of the items left is the one whose
+                    count is above 0
     opening         None, or the t = 0 state of ``build_opening``: each
                     agent's mode, W_i(S) or target, and support, with one
                     agent left unplaced. A best-response sweep builds it once
@@ -76,10 +86,10 @@ its mode at t = 0, for ``build_opening`` and for a run's unplaced agent, and
 ``run_eating`` moves each agent on as its items run out (the one mode rule);
 ``rate_row`` writes the rates of one mode (the one rate formula).
 
-``eatsim.engine._kernel_args`` builds and checks every input but ``agents``
-and ``valued``, and under the ordinal mechanism writes each report's ordinal
-shadow as a lexicographic order; the kernel itself checks nothing and knows
-no mechanism.
+``eatsim.engine._kernel_args`` builds and checks every input but ``agents``,
+``keys`` and ``left``, and under the ordinal mechanism writes each report's
+ordinal shadow as a lexicographic order; the kernel itself checks nothing and
+knows no mechanism.
 
 outputs (all rationals as ``(num, den)`` int pairs, den > 0; a rate is
 reduced, and every time, event and share is a numerator over the D the run
@@ -91,8 +101,9 @@ distinct pair once as it builds its ``Fraction``)
                     a run that stops early ends them at the stop
     gamma           n x m matrix of total consumption shares; when the
                     caller names ``agents``, only their rows are written and
-                    every other row is empty; in a run that stops early, the
-                    items still alive at the stop keep share 0
+                    every other row is empty; a run that stops early writes
+                    shares only for the items that ran out, and the items
+                    still alive at the stop keep share 0
 """
 
 from __future__ import annotations
@@ -169,10 +180,11 @@ def build_opening(weights, orders, zero_order, unplaced=None):
     return unplaced, mode, value, support, proportional, eaters, uniform, chasers
 
 
-def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, opening=None):
+def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, opening=None,
+               left=None):
     """Run the eating loop: the whole trace, or with ``agents`` only those
     agents' share rows (every other row of ``gamma`` stays empty) and no
-    segments, up to the last depletion of a ``valued`` item. ``opening`` is a
+    segments, until the alive items share one of their ``keys``. ``opening`` is a
     :func:`build_opening` of the same weights, orders and zero order but the
     unplaced agent's slot, else the run builds its own."""
     alive = [True] * m
@@ -180,9 +192,12 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
     whole = agents is None
     if whole:
         agents = range(n)
-    if valued is None:
-        valued = [True] * m
-    left = sum(valued)  # valued items still alive
+    # alive items per key, and the number of keys some alive item has; a
+    # lean run stops at one key, a run without keys once every item is gone
+    floor = 1
+    if keys is None:
+        keys, left, floor = [0] * m, {0: m}, 0
+    kinds = len(left)
     gamma = [[] for _ in range(n)]
     for i in agents:
         gamma[i] = [_ZERO] * m
@@ -223,7 +238,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
     begun, joined = _ZERO, {}
 
     base = None  # tot without the eaters and chasers; None once a W_i(S) changes
-    while left:
+    while kinds > floor:
         size = len(remaining)
 
         # The total rate of item j is tot[j] / L.
@@ -292,7 +307,10 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
             alive[j] = False
             events.append((t[0], t[1], j))
             remaining.remove(j)
-            left -= valued[j]
+            key = keys[j]
+            left[key] -= 1
+            if not left[key]:
+                kinds -= 1
 
         # Shares of the items that just ran out, over D.
         for j in gone:
@@ -308,7 +326,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, valued=None, open
                 elif (value[i] if k == TARGET else target) == j:
                     s, d = mark[i] if k == TARGET else joined.get(i, begun)
                     gamma[i][j] = (tn - s * (D // d), D)
-        if not left:
+        if kinds <= floor:
             break
 
         # Move each agent past the depleted items. An agent that runs out of

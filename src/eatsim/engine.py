@@ -17,10 +17,16 @@ reduces it. It also converts each rate row object once; every agent eating
 item j at rate 1 shares one row object of the kernel's.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
 that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
-up to the depletion of the last item one of them values, and takes each
-payoff as one integer dot product over the pairs (``_dot``), over the row's
-largest denominator, which every other one divides. The payoff is left as
-an unreduced ``(num, den)`` pair: a sweep compares such pairs by
+keyed per item by those agents' values, and the run stops once the items
+still alive have one key, so each agent values them alike, at some v_a. As
+every agent eats at total rate 1 until t = m/n, its shares sum to m/n, and
+its payoff is v_a * m/n + sum_j share_j * (v_j - v_a) over the shares the
+kernel wrote, exactly: one integer dot product over the pairs (``_dot``),
+over the row's largest denominator, which every other one divides. A run
+that stops early writes shares only for the items that ran out: a reader
+of lean share rows gets 0 for the items left, whose shares only sum to
+what the row lacks of m/n. The payoff is left as an unreduced
+``(num, den)`` pair: a sweep compares such pairs by
 cross-multiplication, and only the values it reports become ``Fraction``. A
 sweep also hands ``_payoffs`` its opening: the t = 0 state of the fixed
 opponents, built once per swept agent, which each run copies.
@@ -32,6 +38,7 @@ denominator of a trace, folded once with the largest first, and
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,7 +54,6 @@ from .model import (
     decimal_str,
     format_rational,
     integer_form,
-    valued_items,
 )
 from .strategies import _ordinal_order
 
@@ -248,11 +254,20 @@ def welfare(trace: Trace, true_valuations: Sequence[Valuation]) -> Fraction:
     return sum(expected_payoffs(trace, true_valuations), Fraction(0))
 
 
-def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation) -> tuple[int, int]:
-    """sum_j (num_j / den_j) * valuation[j] for a kernel share row, as an
-    unreduced pair ``(num, den)`` with den > 0: one integer dot product over
-    the items where the share and the value are nonzero, over the largest
-    denominator among them, grown in the same pass.
+def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation, tail: int = 0,
+         n: int = 1) -> tuple[int, int]:
+    """The payoff of a kernel share row, as an unreduced pair ``(num, den)``
+    with den > 0, from a run that stopped with every item still alive worth
+    ``tail`` (an integer value of the valuation's :attr:`integer_form`) to
+    the agent, among n agents.
+
+    Every agent eats at total rate 1 until t = m/n, so its shares sum to
+    m/n, and the items alive at the stop take the m/n the row lacks. With
+    v_a = tail, the payoff is v_a * m/n + sum_j share_j * (v_j - v_a) over
+    the shares the kernel wrote, exactly. With ``tail`` 0, as when the run
+    went on to m/n, that is sum_j share_j * v_j, one integer dot product
+    over the items where the share and the value are nonzero, over the
+    largest denominator among them, grown in the same pass.
 
     Exact without a gcd because the row's denominators form a divisibility
     chain: each nonzero share is a numerator over the kernel's running D at
@@ -262,11 +277,13 @@ def _dot(pairs: Iterable[tuple[int, int]], valuation: Valuation) -> tuple[int, i
     d, values = valuation.integer_form
     total, scale = 0, 1
     for (num, den), v in zip(pairs, values):
-        if num and v:
+        if num and v != tail:
             if den > scale:
                 total *= den // scale
                 scale = den
-            total += num * v * (scale // den)
+            total += num * (v - tail) * (scale // den)
+    if tail:
+        return total * n + tail * len(values) * scale, n * scale * d
     return total, scale * d
 
 
@@ -278,14 +295,24 @@ def _payoffs(args: tuple, agents: Sequence[int], valuations: Sequence[Valuation]
     :func:`eatsim._kernel.build_opening`) when one is given.
 
     The kernel writes only those agents' share rows, and each row goes
-    straight into :func:`_dot`: no ``Trace`` and no ``Fraction``. The run
-    stops once every item that one of the agents values (each valuation's
-    cached ``valued`` mask) has run out: the items left are worth 0 to all of
-    them, so later eating adds exactly 0 to their payoffs.
+    straight into :func:`_dot`: no ``Trace`` and no ``Fraction``. Each item's
+    key is its value to the one agent (the valuation's cached
+    ``value_counts`` counts them), else the column of the agents' values,
+    and the run stops once every alive item has one key: each agent values
+    the items left alike, so the rest of its payoff is fixed, and
+    :func:`_dot` adds it from that key, the value v_a of the items left.
     """
-    valued = valuations[0].valued if len(valuations) == 1 else \
-        valued_items(v.valued for v in valuations)
-    _, _, gamma = _kernel_impl.run_eating(*args, agents, valued, opening)
+    if len(valuations) == 1:
+        keys, left = valuations[0].integer_form[1], valuations[0].value_counts.copy()
+    else:
+        keys = list(zip(*(v.integer_form[1] for v in valuations)))
+        left = Counter(keys)
+    _, _, gamma = _kernel_impl.run_eating(*args, agents, keys, opening, left)
+    for key, count in left.items():
+        if count:  # the one key of the items left: their value to each agent
+            tails = (key,) if len(valuations) == 1 else key
+            n = args[0]
+            return [_dot(gamma[i], v, tail, n) for i, v, tail in zip(agents, valuations, tails)]
     return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 

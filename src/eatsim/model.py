@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -111,8 +112,18 @@ def integer_form(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 def valued_items(rows: Iterable[Sequence[int]]) -> list[bool]:
     """Per item: does some row's value for it exceed 0? Rows hold nonnegative
-    integers, or are masks that this returned."""
+    integers."""
     return [any(column) for column in zip(*rows)]
+
+
+def _number(entry) -> Fraction:
+    """``Fraction(entry)``, with a ``ValueError`` for an entry that is no
+    number (``None``, a list), as for every other bad entry."""
+    try:
+        return Fraction(entry)
+    except TypeError:
+        raise ValueError(f"valuation entry {entry!r} is not a number; "
+                         "pass Fraction, int, or a rational string") from None
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ class Valuation:
         if any(isinstance(v, (float, bool)) for v in self.values):
             raise ValueError("valuation has a bool entry; pass Fraction, int, or a rational string"
                              if bool in map(type, self.values) else FLOATS_NOT_EXACT)
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else _number(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         d, nums = self.integer_form
         if any(x < 0 for x in nums):
@@ -157,9 +168,10 @@ class Valuation:
         return integer_form(self.values)
 
     @cached_property
-    def valued(self) -> tuple[bool, ...]:
-        """:func:`valued_items` of the values alone, computed once on first use."""
-        return tuple(valued_items([self.integer_form[1]]))
+    def value_counts(self) -> dict[int, int]:
+        """The number of items of each value of :attr:`integer_form`,
+        counted once on first use; a plain dict, which copies fast."""
+        return dict(Counter(self.integer_form[1]))
 
 
 def valuation_of(entries: Iterable[Union[Fraction, int, str]],
@@ -176,7 +188,11 @@ def valuation_of(entries: Iterable[Union[Fraction, int, str]],
     memo = {} if memo is None else memo
     entries = tuple(entries)
     key = entries, tuple(map(type, entries))
-    if key not in memo:
+    try:
+        known = key in memo
+    except TypeError:  # an unhashable entry, which Valuation refuses below
+        known = False
+    if not known:
         for e in entries:
             if isinstance(e, float):
                 raise ParseError(f"float {e!r} is not exact; quote it as a string")

@@ -416,16 +416,17 @@ class TestSweepsShareWorkAcrossAgents:
         assert cert.verdict == "certified"
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 27
-        # each lean run stops once the deviator's valued items have run out
-        # (189 segments when every run went on to m / n)
-        assert _segments(kernel_calls) == 111
+        # each lean run stops once the items left are worth the same to the
+        # deviator (111 segments when it stopped only at a tail worth 0, 189
+        # when every run went on to m / n)
+        assert _segments(kernel_calls) == 67
 
     def test_kernel_calls_on_the_ps_dyadic_certificate(self, kernel_calls):
         cert = self._dyadic_certificate(2, "ps")
         assert cert.verdict == "certified"
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 25
-        assert _segments(kernel_calls) == 101  # 175 without the early stop
+        assert _segments(kernel_calls) == 61  # 101 at a zero tail, 175 without a stop
 
     @pytest.mark.parametrize("mechanism, calls", [("cps", 74), ("ps", 71)])
     def test_kernel_calls_on_the_q3_certificate(self, kernel_calls, mechanism, calls):
@@ -444,7 +445,17 @@ class TestSweepsShareWorkAcrossAgents:
         assert cert.verdict == "refuted"
         assert sum(r.runs for r in cert.reports) == 160
         assert len(kernel_calls) == 38
-        assert _segments(kernel_calls) == 115  # 168 without the early stop
+        assert _segments(kernel_calls) == 86  # 115 at a zero tail, 168 without a stop
+
+    def test_kernel_segments_on_the_sqrt_n_certificate(self, kernel_calls):
+        # the bad profile's agents spread the rest of their value evenly, so
+        # a lean run stops once only that even tail is left (1,244 segments
+        # when it stopped only at a tail worth 0)
+        gen = generate(GeneratorSpec("sqrt-n-lb", {"n": 16}))
+        cert = verify_ne(list(gen.bad_profile), gen.instance)
+        assert cert.verdict == "refuted"
+        assert len(kernel_calls) == 136
+        assert _segments(kernel_calls) == 424
 
 
 class TestMemberSlotsAndClassCopies:

@@ -1,6 +1,7 @@
 """The prefix-sum kernel against the independent trace oracle."""
 
 import copy
+from collections import Counter
 from itertools import chain
 from math import gcd
 
@@ -208,12 +209,12 @@ def _exact_payoffs(args, agents, valuations):
     return [Fraction(*pair) for pair in pairs]
 
 
-def _assert_lean_payoffs(n, m, profile, policy, valuations):
+def _assert_lean_payoffs(n, m, profile, policy, valuations, mechanism="cps"):
     """One kernel run per asked-for agent set writes exactly those share rows,
     and the payoffs built from them equal the full trace's payoffs."""
-    trace = run(n, m, profile, policy)
+    trace = run(n, m, profile, policy, mechanism)
     expected = list(expected_payoffs(trace, valuations))
-    args = _kernel_args(n, m, profile, policy)
+    args = _kernel_args(n, m, profile, policy, mechanism)
     assert _exact_payoffs(args, range(n), valuations) == expected
     for agent in range(n):
         assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
@@ -265,12 +266,34 @@ def _valuing(rng, m, items):
     return _report(m, {j: rng.randint(1, 5) for j in items}).report
 
 
-def test_lean_runs_stop_after_the_last_valued_item():
+def _keys(valuations, agents, m):
+    """``_payoffs``'s stop keys for ``agents``: per item, the column of their
+    integer values."""
+    return [tuple(valuations[i].integer_form[1][j] for i in agents) for j in range(m)]
+
+
+def _lean_run(args, agents, keys, opening=None):
+    """A lean kernel run that stops once the alive items share one of their
+    ``keys``; it also returns the count of each key that the run left."""
+    left = Counter(keys)
+    return (*_kernel.run_eating(*args, agents, keys, opening, left), left)
+
+
+def _stop_time(trace, keys):
+    """When a lean run with ``keys`` stops: the first of t = 0 and the
+    depletion times after which every alive item has one key."""
+    for t in [Fraction(0)] + [t for t, _ in trace.depletion_events]:
+        if len({keys[j] for s, j in trace.depletion_events if s > t}) <= 1:
+            return t
+
+
+def test_lean_runs_stop_once_the_items_left_share_one_key():
     """Agents value one to three items, among them an item that runs out
-    first, last, or together with another. A lean run stops once every item
-    one of its agents values has run out: its rows equal the whole trace's on
-    those items, its events are the trace's up to that point, and its payoffs
-    are those of the whole trace."""
+    first, last, or together with another. A lean run stops once every alive
+    item has one key, the column of its agents' values: its events are the
+    trace's up to that point, its rows equal the whole trace's on the items
+    that ran out and are 0 on the others, and its payoffs are those of the
+    whole trace."""
     rng = rng_for("kernel-valued-stop")
     cases = early = 0
     for name in POLICIES:
@@ -303,14 +326,14 @@ def test_lean_runs_stop_after_the_last_valued_item():
 
                 groups = [[i] for i in range(n)] + [list(range(n))]
                 for agents in groups:
-                    valued = [any(valuations[i].valued[j] for i in agents) for j in range(m)]
-                    _, events, gamma = _kernel.run_eating(*args, agents, valued)
-                    stop = max(times[j] for j in range(m) if valued[j])
+                    keys = _keys(valuations, agents, m)
+                    _, events, gamma, _ = _lean_run(args, agents, keys)
+                    stop = _stop_time(trace, keys)
                     assert [(Fraction(num, den), j) for num, den, j in events] == \
                         [(t, j) for t, j in trace.depletion_events if t <= stop]
                     for i in agents:
-                        assert [Fraction(*gamma[i][j]) for j in range(m) if valued[j]] == \
-                            [trace.shares[i][j] for j in range(m) if valued[j]]
+                        assert [Fraction(*pair) for pair in gamma[i]] == \
+                            [g if times[j] <= stop else 0 for j, g in enumerate(trace.shares[i])]
                     early += stop < trace.horizon
 
                 expected = list(expected_payoffs(trace, valuations))
@@ -318,6 +341,50 @@ def test_lean_runs_stop_after_the_last_valued_item():
                 for agent in range(n):
                     assert _exact_payoffs(args, [agent], [valuations[agent]]) == [expected[agent]]
     assert early > cases
+
+
+def _tied_case(rng):
+    """(n, m, profile, valuations) with many ties: values and reports drawn
+    from a small pool of rows with weights in {0, 1, 2, 3}, so rows repeat;
+    at times the uniform valuation joins the pool, and at times m = 1."""
+    n, m = rng.randint(1, 6), rng.choice([1, 2, 3, 4, 5, 6, 7])
+    pool = [random_valuation(rng, m, 3) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        pool.append(Valuation((Fraction(1, m),) * m))
+    valuations = [rng.choice(pool) for _ in range(n)]
+    profile = [rng.choice([Proportional(v), Proportional(rng.choice(pool)),
+                           random_strategy(rng, m)]) for v in valuations]
+    return n, m, profile, valuations
+
+
+def test_lean_payoffs_with_tied_values_match_full_trace():
+    """Each lean run stops at the first of t = 0 and the depletions after
+    which the alive items share one key, and the payoffs of each agent alone
+    and of all agents together, with the tail added from the value of the
+    items left, equal the whole trace's. The corpus stops runs early, at
+    t = 0, and with a tail worth more than 0."""
+    rng = rng_for("kernel-tied-tails")
+    early = at_start = worth = 0
+    for name in POLICIES:
+        for mechanism in ("cps", "ps"):
+            for _ in range(50):
+                n, m, profile, valuations = _tied_case(rng)
+                policy = _policy(rng, name, m)
+                _assert_lean_payoffs(n, m, profile, policy, valuations, mechanism)
+                trace = run(n, m, profile, policy, mechanism)
+                args = _kernel_args(n, m, profile, policy, mechanism)
+                for agents in [[i] for i in range(n)] + [list(range(n))]:
+                    keys = _keys(valuations, agents, m)
+                    _, events, _, counts = _lean_run(args, agents, keys)
+                    stop = _stop_time(trace, keys)
+                    assert [(Fraction(num, den), j) for num, den, j in events] == \
+                        [(t, j) for t, j in trace.depletion_events if t <= stop]
+                    left = sorted(set(range(m)) - {j for *_, j in events})
+                    assert +counts == Counter(keys[j] for j in left)
+                    early += bool(left)
+                    at_start += not events
+                    worth += bool(left) and any(keys[left[0]])
+    assert min(early, at_start, worth) > 300
 
 
 def _items_of(strat):
@@ -408,7 +475,7 @@ def test_share_and_event_denominators_form_a_divisibility_chain():
     only grows by integer factors, so the distinct denominators of the events
     and of each share row divide one another in sorted order; ``_dot`` sums a
     row over its largest denominator on that basis. Whole runs and lean runs
-    of each agent alone, stopped after its last valued item."""
+    of each agent alone, stopped once the items left share one key."""
     rng = rng_for("kernel-denominator-chain")
     for name in POLICIES:
         for mechanism in ("cps", "ps"):
@@ -416,8 +483,8 @@ def test_share_and_event_denominators_form_a_divisibility_chain():
                 n, m, instance, profile, _ = random_run_case(rng)
                 args = _kernel_args(n, m, profile, _policy(rng, name, m), mechanism)
                 runs = [_kernel.run_eating(*args)]
-                runs += [_kernel.run_eating(*args, [i], v.valued)
-                         for i, v in enumerate(instance.valuations)]
+                runs += [_lean_run(args, [i], _keys(instance.valuations, [i], m))[:3]
+                         for i in range(n)]
                 for _, events, gamma in runs:
                     _assert_divisibility_chain(den for _, den, _ in events)
                     for row in gamma:
@@ -521,10 +588,12 @@ def _assert_runs_from_the_opening(n, m, profile, policy, mechanism, truths, fami
         opening = _kernel.build_opening(weights, orders, zero_order, agent)
         snapshot = copy.deepcopy(opening)
         baseline = weights[agent], orders[agent]
+        keys = truth.integer_form[1]
+        assert truth.value_counts == Counter(keys)
         for _, member in expand_families(families, truth, m):
             weights[agent], orders[agent] = _slot(member, m, mechanism, zero_order)
-            fresh = _kernel.run_eating(*args, [agent], truth.valued)
-            assert _kernel.run_eating(*args, [agent], truth.valued, opening) == fresh
+            fresh = _lean_run(args, [agent], keys)
+            assert _lean_run(args, [agent], keys, opening) == fresh
             assert opening == snapshot
         weights[agent], orders[agent] = baseline
         assert _kernel.run_eating(*args, None, None, opening) == _kernel.run_eating(*args)

@@ -81,6 +81,15 @@ class TestValuation:
         assert str(exc.value) == \
             "valuation has a bool entry; pass Fraction, int, or a rational string"
 
+    # both used to raise TypeError, from Fraction or from hashing the row
+    @pytest.mark.parametrize("entry", [None, [1], {}], ids=["none", "list", "dict"])
+    @pytest.mark.parametrize("build", [Valuation, valuation_of])
+    def test_non_number_entries_rejected(self, build, entry):
+        with pytest.raises(ValueError) as exc:
+            build((entry, "1"))
+        assert str(exc.value) == f"valuation entry {entry!r} is not a number; " \
+            "pass Fraction, int, or a rational string"
+
     def test_memo_keeps_only_rows_of_strings(self):
         memo = {}
         assert valuation_of(["1", "0"], memo) is valuation_of(["1", "0"], memo)
