@@ -27,6 +27,7 @@ from .model import (
     check_strategy,
     format_rational,
     parse_rational,
+    profile_to_json,
     strategy_to_json,
 )
 from .strategies import (
@@ -385,28 +386,13 @@ def certificate_to_json(cert: EquilibriumCertificate, profile: Sequence[Strategy
             doc = rendered[key] = deviation_report_to_json(report)
         return {**doc, "agent": report.agent + 1}
 
-    # a profile repeats few distinct strategies: render each once, keyed on
-    # an order or a report's integer form (a Fraction hashes slowly), and
-    # give every entry its own dict and list
-    strategies: dict[tuple, dict] = {}
-
-    def render_strategy(strategy: Strategy) -> dict:
-        if isinstance(strategy, Lexicographic):
-            key, field = strategy.order, "order"
-        else:
-            key, field = strategy.report.integer_form, "report"
-        doc = strategies.get(key)
-        if doc is None:
-            doc = strategies[key] = strategy_to_json(strategy)
-        return {"kind": doc["kind"], field: doc[field].copy()}
-
     return {
         "epsilon": format_rational(cert.epsilon),
         "verdict": cert.verdict,
         "mechanism": cert.mechanism,
         "families": cert.families,
         "budget": cert.budget,
-        "profile": [render_strategy(s) for s in profile],
+        "profile": profile_to_json(profile),
         "reports": [render(r) for r in cert.reports],
         "witness": render(cert.witness) if cert.witness else None,
     }

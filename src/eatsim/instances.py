@@ -12,6 +12,12 @@ spec against it: a parameter the generator does not take is refused, ``eps``
 must be exact (a Fraction, an int or a rational string), and every other
 parameter is a count, an int that is not a bool. The builders check the
 domains. The CLI makes one flag per entry of ``PARAMETERS``.
+
+The constructions are blocks of interchangeable agents. A generator builds
+the :class:`Valuation` of each distinct row once and repeats that object
+wherever the row recurs, in the instance and in the bad profile, so a block
+is sum-checked and integer-formed once; ``model.instance_to_json`` and
+``model.profile_to_json`` then render each distinct row once.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from typing import Mapping, Sequence
 
 from .model import (
     FLOATS_NOT_EXACT,
+    ONE,
+    ZERO,
     Instance,
     Proportional,
     Strategy,
@@ -86,10 +94,16 @@ def _check_eps(eps: Fraction, n: int) -> Fraction:
     return eps
 
 
-def _rows(rows: Sequence[Sequence[Fraction]], **labels) -> Instance:
-    n = len(rows)
-    m = len(rows[0])
-    return Instance(n, m, tuple(Valuation(tuple(r)) for r in rows), **labels)
+def _rows(rows: Sequence[Valuation | Sequence[Fraction]], **labels) -> Instance:
+    """The instance of these rows; a row that is already a Valuation is kept
+    as it is, so a repeated one stays one shared object."""
+    valuations = tuple(r if isinstance(r, Valuation) else Valuation(tuple(r)) for r in rows)
+    return Instance(len(valuations), len(valuations[0]), valuations, **labels)
+
+
+def _single_minded(item: int, m: int) -> Valuation:
+    """The row worth 1 on ``item`` and 0 on every other of the m items."""
+    return Valuation(tuple(ONE if j == item else ZERO for j in range(m)))
 
 
 def example1() -> Generated:
@@ -124,16 +138,13 @@ def sqrt_n_lb(n: int, eps: Fraction | None = None) -> Generated:
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 3), n)
     high = Fraction(1, n) + eps
     low = Fraction(1, n) - eps / (n - 1)
-    reported = []
-    for i in range(n):
-        block = i // root
-        reported.append([high if j == block else low for j in range(n)])
-    true_rows = [list(row) for row in reported]
+    true_rows, bad = [], []
     for block in range(root):
-        designated = block * root
-        true_rows[designated] = [Fraction(1) if j == block else Fraction(0) for j in range(n)]
+        report = Valuation(tuple(high if j == block else low for j in range(n)))
+        true_rows += [_single_minded(block, n)] + [report] * (root - 1)
+        bad += [Proportional(report)] * root
     inst = _rows(true_rows)
-    bad = tuple(Proportional(Valuation(tuple(row))) for row in reported)
+    bad = tuple(bad)
     return Generated(inst, bad, {"description": "sqrt(n) lower-bound blocks", "eps": eps})
 
 
@@ -150,11 +161,11 @@ def log_m_lb(k: int, q: int) -> Generated:
     n = k + q
     m = _doubling(q + 1)
     _check_size(n, m)
-    rows = [[Fraction(1) if j == 0 else Fraction(0) for j in range(m)] for _ in range(k)]
+    rows = [_single_minded(0, m)] * k
     for z in range(1, q + 1):
         lo, hi = 2 ** z - 1, 2 ** (z + 1) - 1
         value = Fraction(1, 2 ** z)
-        rows.append([value if lo <= j < hi else Fraction(0) for j in range(m)])
+        rows.append([value if lo <= j < hi else ZERO for j in range(m)])
     inst = _rows(rows)
     bad = tuple(Proportional(v) for v in inst.valuations)
     return Generated(inst, bad, {"description": "log-m lower-bound dyadic blocks",
@@ -164,13 +175,8 @@ def log_m_lb(k: int, q: int) -> Generated:
 def stability_lb(n: int) -> Generated:
     """Best-equilibrium gap: sqrt(n) matched specialists vs a uniform crowd."""
     root = _require_square(n)
-    rows = []
-    for i in range(n):
-        if i < root:
-            rows.append([Fraction(1) if j == i else Fraction(0) for j in range(n)])
-        else:
-            rows.append([Fraction(1, root) if j < root else Fraction(0) for j in range(n)])
-    inst = _rows(rows)
+    crowd = Valuation(tuple(Fraction(1, root) if j < root else ZERO for j in range(n)))
+    inst = _rows([_single_minded(i, n) for i in range(root)] + [crowd] * (n - root))
     return Generated(inst, None, {"description": "price-of-stability specialists"})
 
 
@@ -208,13 +214,8 @@ def cps_beats_ps(n: int, eps: Fraction | None = None) -> Generated:
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     high = Fraction(1, n) + eps
     low = Fraction(1, n) - eps / (root - 1)
-    rows = []
-    for i in range(n):
-        if i < root:
-            rows.append([Fraction(1) if j == i else Fraction(0) for j in range(n)])
-        else:
-            rows.append([high if j < root else low for j in range(n)])
-    inst = _rows(rows)
+    crowd = Valuation(tuple(high if j < root else low for j in range(n)))
+    inst = _rows([_single_minded(i, n) for i in range(root)] + [crowd] * (n - root))
     return Generated(inst, None, {"description": "cardinal eating wins: specialists + crowd",
                                   "eps": eps})
 
@@ -278,10 +279,8 @@ def counterexample_safety(n: int, eps: Fraction | None = None) -> Generated:
         raise GeneratorError("needs n >= 2")
     _check_size(n, n)
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
-    rows = [[1 - (n - 1) * eps] + [eps] * (n - 1)]
-    for _ in range(n - 1):
-        rows.append([Fraction(1)] + [Fraction(0)] * (n - 1))
-    inst = _rows([[Fraction(v) for v in row] for row in rows])
+    hedger = [1 - (n - 1) * eps] + [eps] * (n - 1)
+    inst = _rows([hedger] + [_single_minded(0, n)] * (n - 1))
     bad = tuple(Proportional(v) for v in inst.valuations)
     return Generated(inst, bad, {"description": "truth-telling safety counterexample",
                                  "eps": eps})

@@ -366,14 +366,22 @@ def fixed_order_policy(order: Sequence[int]) -> ZeroPolicy:
 # equilibrium.deviation_report_to_json, in the strategies' labels, in error
 # messages that name an agent or item, and in cli for its arguments and
 # printed lines.
+#
+# Instances and profiles repeat few distinct rows: the exports render each
+# distinct row once, keyed on its cached integer form (a tuple of Fractions
+# hashes slowly), and give every row its own list, so a caller may edit one
+# row of a document without touching another.
 # ---------------------------------------------------------------------------
 
 def instance_to_json(instance: Instance) -> dict:
-    doc: dict = {
-        "n": instance.n,
-        "m": instance.m,
-        "valuations": [[format_rational(v) for v in row.values] for row in instance.valuations],
-    }
+    rendered: dict[tuple, list[str]] = {}
+    rows = []
+    for row in instance.valuations:
+        text = rendered.get(row.integer_form)
+        if text is None:
+            text = rendered[row.integer_form] = [format_rational(v) for v in row.values]
+        rows.append(text.copy())
+    doc: dict = {"n": instance.n, "m": instance.m, "valuations": rows}
     labels = {key: list(names) for key, names in (
         ("agents", instance.agent_labels), ("items", instance.item_labels)) if names}
     if labels:
@@ -413,8 +421,8 @@ def instance_from_json(doc: dict) -> Instance:
             j = i
         rows.append(rows[j] if j < i else tuple(_parsed(x, memo) for x in raw))
         first.append(j)
-    labels = doc.get("labels") or {}
-    if not isinstance(labels, dict):
+    labels = doc.get("labels", {})
+    if not isinstance(labels, dict):  # null, [] and 0 too: no labels is no key
         raise ParseError("'labels' must be an object")
     agent_labels, item_labels = (_labels(labels, key) for key in ("agents", "items"))
     try:
@@ -457,8 +465,13 @@ def strategy_from_json(doc: dict, m: int | None = None, memo: dict | None = None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("strategy must be an object with a 'kind' field")
     kind = doc["kind"]
+    if kind not in ("proportional", "lexicographic"):
+        raise ParseError(f"unknown strategy kind {kind!r}")
+    field = "report" if kind == "proportional" else "order"
+    if field not in doc:  # an empty report or order is written out, never implied
+        raise ParseError(f"{kind} strategy has no {field!r} field")
     if kind == "proportional":
-        entries = doc.get("report", [])
+        entries = doc["report"]
         # JSON true/false are Python ints, and null is no rational at all
         if not isinstance(entries, list) or not all(
                 type(x) in (str, int, float) for x in entries):
@@ -467,18 +480,29 @@ def strategy_from_json(doc: dict, m: int | None = None, memo: dict | None = None
         if m is not None and len(report) != m:
             raise ParseError(f"proportional report has length {len(report)}, expected {m}")
         return Proportional(report)
-    if kind == "lexicographic":
-        order = doc.get("order", [])
-        if not isinstance(order, list) or any(type(j) is not int or j < 1 for j in order):
-            raise ParseError("lexicographic order must contain 1-based item indices")
-        if m is not None and any(j > m for j in order):
-            raise ParseError(f"lexicographic order index out of range for m = {m}")
-        return Lexicographic(tuple(j - 1 for j in order))
-    raise ParseError(f"unknown strategy kind {kind!r}")
+    order = doc["order"]
+    if not isinstance(order, list) or any(type(j) is not int or j < 1 for j in order):
+        raise ParseError("lexicographic order must contain 1-based item indices")
+    if m is not None and any(j > m for j in order):
+        raise ParseError(f"lexicographic order index out of range for m = {m}")
+    return Lexicographic(tuple(j - 1 for j in order))
 
 
 def profile_to_json(profile: Sequence[Strategy]) -> list[dict]:
-    return [strategy_to_json(s) for s in profile]
+    """:func:`strategy_to_json` of each entry, each distinct strategy rendered
+    once, keyed on its order or its report's integer form."""
+    rendered: dict[tuple, dict] = {}
+    docs = []
+    for strategy in profile:
+        if isinstance(strategy, Lexicographic):
+            key, field = strategy.order, "order"
+        else:
+            key, field = strategy.report.integer_form, "report"
+        doc = rendered.get(key)
+        if doc is None:
+            doc = rendered[key] = strategy_to_json(strategy)
+        docs.append({"kind": doc["kind"], field: doc[field].copy()})
+    return docs
 
 
 def profile_from_json(doc, n: int | None = None, m: int | None = None) -> list[Strategy]:

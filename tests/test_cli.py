@@ -537,6 +537,51 @@ def test_cli_output_digest(key, tmp_path, capsys):
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_digest
 
 
+# generate --out --profile-out on the constructions whose rows repeat: the
+# sha256 of the instance file, of the profile file (None: the generator has
+# no bad profile, so there is no --profile-out) and of stdout
+GENERATE_DIGESTS = {
+    "sqrt-n-lb-64": (
+        ["--generator", "sqrt-n-lb", "--n", "64"],
+        "5f10e880ad3eff01181e83b4801a434d6779b224b46967e14f3b248d986db81d",
+        "fa29137ebfaf5be063517940348705a1b7ccf26af587f7d6f1169ae649f1f51b",
+        "95b26cf23f41af7708a1c8e7eeaf0d8b84a4cd1f7b3c045ab42cd7f763781a04"),
+    "log-m-lb-8-4": (
+        ["--generator", "log-m-lb", "--k", "8", "--q", "4"],
+        "9fa2c0aea780c2dbaf78616c4b818164c795ba3a531960cea578ad2cdbf70c21",
+        "3ab99d46846bf3949c565c34b536075548af2f854def4c425167e715d5c1bb03",
+        "f84acbbedf927291d1d9b1e2ac13f14355f788fe17e25e42bfb911d094eb1410"),
+    "stability-lb-16": (
+        ["--generator", "stability-lb", "--n", "16"],
+        "1fb62d87f1d88c7a897e05fe79b7345acc254603df223e1cecab4b9da2a37a5c", None,
+        "f4b50b632b51c10ea66a2cf4c5f33520ae5be3cb774fec439d15485a1d6e3216"),
+    "cps-beats-ps-16": (
+        ["--generator", "cps-beats-ps", "--n", "16"],
+        "f528733a6af4b0eecd064dcf9a5005c02bf6224ced8498bdb8a0961240896013", None,
+        "5a6e9a26548947fb921d1c698ff48e5feb77b52cd9882fa08e22600ef160fe33"),
+    "counterexample-safety-5": (
+        ["--generator", "counterexample-safety", "--n", "5"],
+        "9e7c0906c05ccae0e50fdbf8f12182a4e741149dc0cb4035cf08857330b0224a",
+        "2ff278ac37de4dae7d0a5b41b649906fb6d420ec8312cd347d80fab19b5828c4",
+        "9651fd786414ee043c9b891108ec89a51d72b329839f493f49a811d046ef2c74"),
+}
+
+
+@pytest.mark.parametrize("key", GENERATE_DIGESTS)
+def test_generate_output_digest(key, tmp_path, capsys):
+    args, instance_digest, profile_digest, stdout_digest = GENERATE_DIGESTS[key]
+    instance, profile = tmp_path / "instance.json", tmp_path / "profile.json"
+    argv = ["generate", *args, "--out", str(instance)]
+    if profile_digest:
+        argv += ["--profile-out", str(profile)]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(instance.read_bytes()).hexdigest() == instance_digest
+    if profile_digest:
+        assert hashlib.sha256(profile.read_bytes()).hexdigest() == profile_digest
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_digest
+
+
 class TestGenerateAndSample:
     def test_generate_writes_instance_and_profile(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -629,6 +674,11 @@ _INPUT_FILES = {
                     {"kind": "lexicographic", "order": [2]}],
     "profile-object.json": {"kind": "lexicographic", "order": [1]},
     "labels-int.json": dict(_INSTANCE, labels=7),
+    "labels-empty-list.json": dict(_INSTANCE, labels=[]),
+    "labels-zero.json": dict(_INSTANCE, labels=0),
+    "labels-empty-string.json": dict(_INSTANCE, labels=""),
+    "labels-false.json": dict(_INSTANCE, labels=False),
+    "labels-null.json": dict(_INSTANCE, labels=None),
     "agent-labels-int.json": dict(_INSTANCE, labels={"agents": 5}),
     "item-labels-null.json": dict(_INSTANCE, labels={"items": None}),
     "agent-labels-ints.json": dict(_INSTANCE, labels={"agents": [1, 2]}),
@@ -646,6 +696,8 @@ _INPUT_FILES = {
                         {"kind": "lexicographic", "order": [2]}],
     "report-bools.json": [{"kind": "proportional", "report": [True, False]},
                           {"kind": "lexicographic", "order": [2]}],
+    "report-missing.json": [{"kind": "proportional"}, {"kind": "lexicographic", "order": [2]}],
+    "order-missing.json": [{"kind": "lexicographic"}, {"kind": "lexicographic", "order": [2]}],
     "not-utf8.json": b'\xff{"n": 2, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"]]}',
     # more digits than int() converts by default (4,300)
     "n-5001-digits.json": '{"n": 1' + "0" * 5000 + ', "m": 2, "valuations": []}',
@@ -700,6 +752,11 @@ MALFORMED = {
     "seed-word": ["simulate", *_EXAMPLE1, "--seed", "x"],
     "sample-seed-word": ["sample", *_EXAMPLE1, "--seed", "x"],
     "labels-not-object": ["simulate", "--instance", "{dir}/labels-int.json"],
+    "labels-empty-list": ["simulate", "--instance", "{dir}/labels-empty-list.json"],
+    "labels-zero": ["simulate", "--instance", "{dir}/labels-zero.json"],
+    "labels-empty-string": ["simulate", "--instance", "{dir}/labels-empty-string.json"],
+    "labels-false": ["simulate", "--instance", "{dir}/labels-false.json"],
+    "labels-null": ["simulate", "--instance", "{dir}/labels-null.json"],
     "agent-labels-not-list": ["simulate", "--instance", "{dir}/agent-labels-int.json"],
     "item-labels-null": ["simulate", "--instance", "{dir}/item-labels-null.json"],
     "agent-labels-not-strings": ["opt", "--instance", "{dir}/agent-labels-ints.json"],
@@ -714,6 +771,8 @@ MALFORMED = {
     "report-null-entry": [*_ON_FILE, "{dir}/report-null.json"],
     "order-bool-entry": [*_ON_FILE, "{dir}/order-bool.json"],
     "report-bool-entries": [*_ON_FILE, "{dir}/report-bools.json"],
+    "report-missing": [*_ON_FILE, "{dir}/report-missing.json"],
+    "order-missing": [*_ON_FILE, "{dir}/order-missing.json"],
     "out-missing-dir": ["simulate", *_EXAMPLE1, "--out", "{dir}/missing/trace.json"],
     "out-onto-dir": ["generate", *_EXAMPLE1, "--out", "{dir}"],
     "profile-out-missing-dir": ["generate", "--generator", "log-m-lb", "--k", "2", "--q", "2",
@@ -792,6 +851,11 @@ def test_malformed_input_gets_a_documented_exit_code(key, tmp_path, capsys):
 # exits with its code and prints its one error line, and nothing else.
 REJECTED = {
     "labels-not-object": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "labels-empty-list": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "labels-zero": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "labels-empty-string": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "labels-false": (EXIT_PARSE, "error: 'labels' must be an object"),
+    "labels-null": (EXIT_PARSE, "error: 'labels' must be an object"),
     "agent-labels-not-list": (EXIT_PARSE, "error: labels.agents must be a list of strings"),
     "item-labels-null": (EXIT_PARSE, "error: labels.items must be a list of strings"),
     "agent-labels-not-strings": (EXIT_PARSE, "error: labels.agents must be a list of strings"),
@@ -815,6 +879,8 @@ REJECTED = {
                                      "item indices"),
     "report-bool-entries": (EXIT_PARSE, "error: proportional report must be a list of "
                                         "rational strings"),
+    "report-missing": (EXIT_PARSE, "error: proportional strategy has no 'report' field"),
+    "order-missing": (EXIT_PARSE, "error: lexicographic strategy has no 'order' field"),
     "out-missing-dir": (EXIT_PARSE, "error: [Errno 2] No such file or directory: "),
     "out-onto-dir": (EXIT_PARSE, "error: [Errno 21] Is a directory: "),
     "profile-out-missing-dir": (EXIT_PARSE, "error: [Errno 2] No such file or directory: "),

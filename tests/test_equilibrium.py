@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eatsim import _kernel, engine, equilibrium
+from eatsim import _kernel, engine
 from eatsim import (
     Lexicographic,
     Proportional,
@@ -550,31 +550,6 @@ class TestMemberSlotsAndClassCopies:
         # in place changes no other
         docs = doc["reports"] + ([doc["witness"]] if witness else [])
         assert len({id(d) for d in docs}) == len(docs)
-
-    def test_profile_renders_each_distinct_strategy_once(self, example2, monkeypatch):
-        # repeated proportional reports, equal but not identical, and
-        # repeated orders, one of them the same order as a plain list
-        half = valuation_of(["1/2", "1/2"])
-        profile = [Proportional(half), Lexicographic((1, 0)),
-                   Proportional(valuation_of(["1/2", "1/2"])), Lexicographic([1, 0]),
-                   Proportional(half), Lexicographic((0,))]
-        instance = Instance(6, 2, (example2.valuations[0],) * 6)
-        cert = verify_ne(profile, instance, families=[Truthful()])
-        rendered = []
-
-        def counted(strategy):
-            rendered.append(strategy)
-            return strategy_to_json(strategy)
-
-        monkeypatch.setattr(equilibrium, "strategy_to_json", counted)
-        doc = certificate_to_json(cert, profile)
-        # the reports' best strategy, the truthful report, is in no entry
-        assert len([s for s in rendered if s in profile]) == 3
-        assert doc["profile"] == [strategy_to_json(s) for s in profile]
-        # each entry is its own dict with its own list
-        lists = [entry.get("report", entry.get("order")) for entry in doc["profile"]]
-        assert len({id(entry) for entry in doc["profile"]}) == len(profile)
-        assert len({id(values) for values in lists}) == len(profile)
 
 
 class TestOneCheckedSweep:

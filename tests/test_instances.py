@@ -15,6 +15,7 @@ from eatsim.instances import (
 )
 from eatsim.lotteries import opt
 from eatsim.model import Proportional, instance_defects
+from helpers import assert_exports_render_row_by_row
 
 F = Fraction
 
@@ -102,6 +103,47 @@ GENERATED_DIGESTS = [
                          if isinstance(x, GeneratorSpec) else "")
 def test_generated_bytes_are_pinned(spec, digest):
     assert hashlib.sha256(repr(generate(spec)).encode()).hexdigest() == digest
+
+
+def _valuations(generated):
+    """Every Valuation of the instance and of the bad profile's reports."""
+    return list(generated.instance.valuations) + [
+        s.report for s in generated.bad_profile or ()]
+
+
+# the number of distinct rows of each construction with repeated rows: root
+# block reports plus root single-minded rows, k equal chasers plus q blocks,
+# root specialists plus one crowd row, a hedger plus one rival row
+SHARED_ROWS = [
+    (GeneratorSpec("sqrt-n-lb", {"n": 16}), 8),
+    (GeneratorSpec("sqrt-n-lb", {"n": 64}), 16),
+    (GeneratorSpec("log-m-lb", {"k": 8, "q": 2}), 3),
+    (GeneratorSpec("stability-lb", {"n": 16}), 5),
+    (GeneratorSpec("cps-beats-ps", {"n": 16}), 5),
+    (GeneratorSpec("counterexample-safety", {"n": 5}), 2),
+]
+
+
+@pytest.mark.parametrize("spec, distinct", SHARED_ROWS,
+                         ids=lambda x: f"{x.name}:{dict(x.params)}"
+                         if isinstance(x, GeneratorSpec) else str(x))
+def test_each_distinct_row_is_one_valuation(spec, distinct):
+    valuations = _valuations(generate(spec))
+    assert len(set(valuations)) == distinct
+    assert len({id(v) for v in valuations}) == distinct
+
+
+@pytest.mark.parametrize("spec", PINNED_SPECS, ids=lambda s: f"{s.name}:{dict(s.params)}")
+def test_no_generator_builds_a_row_twice(spec):
+    valuations = _valuations(generate(spec))
+    assert len({id(v) for v in valuations}) == len(set(valuations))
+
+
+@pytest.mark.parametrize("spec", PINNED_SPECS, ids=lambda s: f"{s.name}:{dict(s.params)}")
+def test_exports_render_every_generator_row_by_row(spec):
+    generated = generate(spec)
+    profile = generated.bad_profile or generated.instance.truthful_profile()
+    assert_exports_render_row_by_row(generated.instance, profile)
 
 
 def test_none_means_absent():

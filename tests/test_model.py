@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eatsim import model
 from eatsim.engine import run
 from eatsim.equilibrium import run_profile
 from eatsim.lotteries import random_priority
@@ -30,6 +31,7 @@ from eatsim.model import (
     strategy_to_json,
     valuation_of,
 )
+from helpers import assert_exports_render_row_by_row, random_run_case, rng_for
 
 
 class TestParseRational:
@@ -208,6 +210,12 @@ class TestInstance:
         assert exc.value.defects == ["agent 1: values sum to 5/6, expected 1",
                                      "agent 2: values sum to 5/6, expected 1"]
 
+    @pytest.mark.parametrize("labels", [[], 0, "", False, None, 7, ["a", "b"]], ids=repr)
+    def test_labels_that_are_no_object_are_refused(self, labels):
+        doc = {"n": 1, "m": 1, "valuations": [["1"]], "labels": labels}
+        with pytest.raises(ParseError, match="^'labels' must be an object$"):
+            instance_from_json(doc)
+
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
         with pytest.raises(InvalidInstanceError) as exc:
@@ -265,6 +273,57 @@ class TestStrategies:
     def test_profile_json_round_trip(self):
         profile = [Proportional(valuation_of(["1", "0"])), Lexicographic((1,))]
         assert profile_from_json(profile_to_json(profile), 2, 2) == profile
+
+    @pytest.mark.parametrize("kind", ["proportional", "lexicographic"])
+    def test_a_strategy_without_its_field_is_refused(self, kind):
+        field = "report" if kind == "proportional" else "order"
+        with pytest.raises(ParseError, match=f"^{kind} strategy has no '{field}' field$"):
+            strategy_from_json({"kind": kind})
+
+    def test_an_explicit_empty_order_stays_valid(self):
+        assert strategy_from_json({"kind": "lexicographic", "order": []}, m=2) == \
+            Lexicographic(())
+
+    def test_profile_renders_each_distinct_strategy_once(self, monkeypatch):
+        # repeated proportional reports, equal but not identical, and
+        # repeated orders, one of them the same order as a plain list
+        half = valuation_of(["1/2", "1/2"])
+        profile = [Proportional(half), Lexicographic((1, 0)),
+                   Proportional(valuation_of(["1/2", "1/2"])), Lexicographic([1, 0]),
+                   Proportional(half), Lexicographic((0,))]
+        rendered = []
+
+        def counted(strategy):
+            rendered.append(strategy)
+            return strategy_to_json(strategy)
+
+        monkeypatch.setattr(model, "strategy_to_json", counted)
+        doc = profile_to_json(profile)
+        assert rendered == [profile[0], profile[1], profile[5]]
+        assert doc == [strategy_to_json(s) for s in profile]
+        # each entry is its own dict with its own list
+        lists = [entry.get("report", entry.get("order")) for entry in doc]
+        assert len({id(entry) for entry in doc}) == len(profile)
+        assert len({id(values) for values in lists}) == len(profile)
+
+
+def _equal_copy(strategy):
+    """An equal strategy built anew: its report or order is another object."""
+    if isinstance(strategy, Proportional):
+        return Proportional(Valuation(strategy.report.values))
+    return Lexicographic(list(strategy.order))
+
+
+def test_exports_render_the_fuzz_corpus_row_by_row():
+    # rows and entries repeat, as one shared object and as equal copies
+    rng = rng_for("exports-row-by-row")
+    for _ in range(60):
+        n, m, instance, profile, _ = random_run_case(rng, max_n=6, max_m=5)
+        rows = [rng.choice(instance.valuations) for _ in range(n)]
+        rows = [Valuation(row.values) if rng.random() < 0.3 else row for row in rows]
+        entries = [rng.choice(profile) for _ in range(n)]
+        entries = [_equal_copy(s) if rng.random() < 0.3 else s for s in entries]
+        assert_exports_render_row_by_row(Instance(n, m, tuple(rows)), entries)
 
 
 class TestZeroPolicy:
