@@ -41,14 +41,6 @@ from .model import (
     profile_from_json,
     profile_to_json,
 )
-from .strategies import (
-    GridProportional,
-    Sequential,
-    SingleMinded,
-    Truthful,
-    Uniform,
-    default_grid_resolution,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -64,13 +56,8 @@ POA_CSV_COLUMNS = [
     "ratio", "ratio_approx",
 ]
 
-_FAMILIES = {"truthful": Truthful, "single-minded": SingleMinded,
-             "sequential": Sequential, "uniform": Uniform}
-
-# --families default: the names of the library's default families
-DEFAULT_FAMILIES = ",".join(
-    next(name for name, kind in _FAMILIES.items() if isinstance(family, kind))
-    for family in strategies.DEFAULT_FAMILIES)
+# --families default: the tokens of the library's default families
+DEFAULT_FAMILIES = ",".join(family.token for family in strategies.DEFAULT_FAMILIES)
 
 RRP_SAMPLES = 10000
 
@@ -248,20 +235,17 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
 
 
 def _resolve_families(opts: dict, m: int):
+    """``--families``: family tokens, and ``token:<k>`` for a family's parameter k."""
     families = []
-    for token in opts["families"].split(","):
-        token = token.strip()
-        if token in _FAMILIES:
-            families.append(_FAMILIES[token]())
-        elif token == "grid":
-            families.append(GridProportional(default_grid_resolution(m)))
-        elif token.startswith("grid:"):
-            resolution = _positive_int(token[len("grid:"):])
-            if resolution is None:
-                raise _UsageError(f"grid resolution must be a positive integer, got {token!r}")
-            families.append(GridProportional(resolution))
-        elif token:
+    for token in filter(None, map(str.strip, opts["families"].split(","))):
+        name, colon, text = token.partition(":")
+        kind = next((k for k in strategies.FAMILY_KINDS if k.token == name), None)
+        if kind is None or (colon and kind.parameter is None):
             raise _UsageError(f"unknown family {token!r}")
+        value = _positive_int(text) if colon else None
+        if colon and value is None:
+            raise _UsageError(f"{name} {kind.parameter} must be a positive integer, got {token!r}")
+        families.append(kind.from_token(value, m))
     if not families:
         raise _UsageError("no strategy families given")
     return families

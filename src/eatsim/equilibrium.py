@@ -141,7 +141,7 @@ def _sweep(
     per swept agent, and every run of the sweep, the baseline's too, copies
     it and places only the agent. The greedy sequential members are built
     once per swept agent without re-checking (see
-    :func:`eatsim.strategies.expand_family`).
+    :class:`eatsim.strategies.Sequential`).
 
     So a candidate costs one lookup of its slot and one of that slot's
     payoff. Only a slot new to the agent's sweep costs more: one lean kernel

@@ -397,6 +397,7 @@ def instance_from_json(doc: dict) -> Instance:
     """
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
+    _known_keys(doc, ("n", "m", "valuations", "labels"), "instance document")
     try:
         n = int(doc["n"])
         m = int(doc["m"])
@@ -424,6 +425,7 @@ def instance_from_json(doc: dict) -> Instance:
     labels = doc.get("labels", {})
     if not isinstance(labels, dict):  # null, [] and 0 too: no labels is no key
         raise ParseError("'labels' must be an object")
+    _known_keys(labels, ("agents", "items"), "'labels'")
     agent_labels, item_labels = (_labels(labels, key) for key in ("agents", "items"))
     try:
         made = {j: Valuation(rows[j]) for j in set(first)}
@@ -432,6 +434,13 @@ def instance_from_json(doc: dict) -> Instance:
         raise InvalidInstanceError(
             instance_defects(n, m, rows, agent_labels, item_labels)) from None
     return Instance(n, m, tuple(made[j] for j in first), agent_labels, item_labels)
+
+
+def _known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside ``known``: a misspelt field would be read as absent."""
+    for key in doc:
+        if key not in known:
+            raise ParseError(f"{what} has an unknown key {key!r}")
 
 
 def _labels(labels: dict, key: str) -> tuple[str, ...] | None:
@@ -468,6 +477,7 @@ def strategy_from_json(doc: dict, m: int | None = None, memo: dict | None = None
     if kind not in ("proportional", "lexicographic"):
         raise ParseError(f"unknown strategy kind {kind!r}")
     field = "report" if kind == "proportional" else "order"
+    _known_keys(doc, ("kind", field), f"{kind} strategy")
     if field not in doc:  # an empty report or order is written out, never implied
         raise ParseError(f"{kind} strategy has no {field!r} field")
     if kind == "proportional":

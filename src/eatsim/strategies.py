@@ -1,13 +1,18 @@
-"""Constructors for the strategy families used in best-response search.
+"""Strategy constructors and the strategy families of best-response search.
 
-Four parametric families (plus truthful reporting) cover the deviations the
-analysis machinery needs: single-minded bids, sequential (lexicographic)
-bids, uniform bids over a target set, and an exhaustive grid over the report
-simplex for tiny instances.
+Truthful reporting and four parametric families cover the deviations the
+analysis needs: single-minded bids, sequential (lexicographic) bids, uniform
+bids over a target set, and an exhaustive grid over the report simplex for
+tiny instances. Each family is one class that states its ``token`` in the
+CLI's ``--families``, its ``size(m)`` for m items, its ``members(truth, m)``,
+(label, strategy) pairs in canonical order, and its certificate text
+``describe(m)``. ``FAMILY_KINDS`` orders the classes: a new family is one
+class placed there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,20 +40,6 @@ def _single_minded_members(m: int) -> tuple[tuple[str, Proportional], ...]:
 def sequential(order: Sequence[int]) -> Lexicographic:
     """Consume the items of ``order`` one at a time, skipping finished ones."""
     return Lexicographic(tuple(order))
-
-
-def _greedy_members(truth: Valuation) -> Iterator[tuple[str, Lexicographic]]:
-    """The sequential family's default (label, member) pairs: each prefix of
-    the preference order, shortest first. A prefix is a tuple of distinct
-    nonnegative ints by construction, so its ``Lexicographic`` skips the
-    checks of ``__post_init__``, and each label extends the previous one."""
-    full = truth.preference_order()
-    shown = ""
-    for k, j in enumerate(full, 1):
-        shown = f"{shown},{j + 1}" if shown else f"{j + 1}"
-        member = object.__new__(Lexicographic)
-        object.__setattr__(member, "order", full[:k])
-        yield f"sequential({shown})", member
 
 
 def uniform(items: Iterable[int], m: int) -> Proportional:
@@ -116,71 +107,160 @@ def ps_profile(profile: Sequence[Strategy], m: int) -> list[Lexicographic]:
     return [as_ordinal(s, m) for s in profile]
 
 
-# ---------------------------------------------------------------------------
-# Families. ``expand`` enumerates candidates in the canonical order used by
-# best-response search: truthful, single-minded by item, sequential orders
-# lexicographically, uniform sets by size then lexicographically, grid points
-# lexicographically.
-# ---------------------------------------------------------------------------
+class StrategyFamily:
+    """The base of the family classes; one with a ``parameter`` k is also written ``token:<k>``."""
 
-@dataclass(frozen=True)
-class Truthful:
-    pass
+    parameter: str | None = None
 
-
-@dataclass(frozen=True)
-class SingleMinded:
-    """Every single-item bid."""
+    @classmethod
+    def from_token(cls, value: int | None, m: int) -> StrategyFamily:
+        """The family ``token`` (value None) or ``token:<value>`` names for m items."""
+        return cls()
 
 
 @dataclass(frozen=True)
-class Sequential:
-    """Lexicographic candidates; ``orders=None`` means the deviating agent's
-    own decreasing-true-value order and all its prefixes (the greedy orders)."""
+class Truthful(StrategyFamily):
+    """The agent's true valuation, reported as it is."""
+
+    token = "truthful"
+
+    def size(self, m: int) -> int:
+        return 1
+
+    def members(self, truth: Valuation, m: int) -> Iterable[tuple[str, Strategy]]:
+        return (("truthful", Proportional(truth)),)
+
+    def describe(self, m: int) -> str:
+        return "truthful"
+
+
+@dataclass(frozen=True)
+class SingleMinded(StrategyFamily):
+    """Every single-item bid, by item."""
+
+    token = "single-minded"
+
+    def size(self, m: int) -> int:
+        return m
+
+    def members(self, truth: Valuation, m: int) -> Iterable[tuple[str, Strategy]]:
+        return _single_minded_members(m)
+
+    def describe(self, m: int) -> str:
+        return f"single-minded[all {m} items]"
+
+
+@dataclass(frozen=True)
+class Sequential(StrategyFamily):
+    """Lexicographic candidates, lexicographically; ``orders=None`` means the
+    agent's decreasing-true-value order and all its prefixes (the greedy
+    orders). Named orders are checked when built."""
 
     orders: tuple[tuple[int, ...], ...] | None = None
+    token = "sequential"
+
+    def __post_init__(self):
+        for order in self.orders or ():
+            Lexicographic(order)  # its checks, but for the range
+
+    def size(self, m: int) -> int:
+        return m if self.orders is None else len(self.orders)
+
+    def members(self, truth: Valuation, m: int) -> Iterator[tuple[str, Strategy]]:
+        if self.orders is not None:
+            for order in sorted(self.orders):
+                yield f"sequential({','.join(str(j + 1) for j in order)})", sequential(order)
+            return
+        # each prefix of the preference order, shortest first, as sorted; a
+        # prefix holds distinct nonnegative ints by construction, so it skips
+        # the checks of ``Lexicographic``, and each label extends the last
+        full = truth.preference_order()
+        shown = ""
+        for k, j in enumerate(full, 1):
+            shown = f"{shown},{j + 1}" if shown else f"{j + 1}"
+            member = object.__new__(Lexicographic)
+            object.__setattr__(member, "order", full[:k])
+            yield f"sequential({shown})", member
+
+    def describe(self, m: int) -> str:
+        count = "greedy" if self.orders is None else str(len(self.orders))
+        return f"sequential[{count} orders]"
 
 
 @dataclass(frozen=True)
-class Uniform:
-    """Uniform-bid candidates; ``sets=None`` means the agent's top-k value
-    sets for every k."""
+class Uniform(StrategyFamily):
+    """Uniform-bid candidates, by set size then lexicographically;
+    ``sets=None`` means the agent's top-k value sets for every k. Named sets
+    are checked when built."""
 
     sets: tuple[tuple[int, ...], ...] | None = None
+    token = "uniform"
+
+    def __post_init__(self):
+        for items in self.sets or ():
+            if not items or len(set(items)) != len(items) or not all(
+                    isinstance(j, int) and j >= 0 for j in items):
+                raise ValueError(f"uniform set {items!r} must hold distinct nonnegative ints")
+
+    def size(self, m: int) -> int:
+        return m if self.sets is None else len(self.sets)
+
+    def members(self, truth: Valuation, m: int) -> Iterator[tuple[str, Strategy]]:
+        full = truth.preference_order()
+        sets = [full[:k] for k in range(1, len(full) + 1)] if self.sets is None else self.sets
+        for items in sorted(map(sorted, sets), key=lambda s: (len(s), s)):
+            yield f"uniform({{{','.join(str(j + 1) for j in items)}}})", uniform(items, m)
+
+    def describe(self, m: int) -> str:
+        count = "top-value" if self.sets is None else str(len(self.sets))
+        return f"uniform[{count} sets]"
 
 
 @dataclass(frozen=True)
-class GridProportional:
+class GridProportional(StrategyFamily):
     """All unit-sum reports with entries that are multiples of 1/resolution.
 
     Exhaustive best response only makes sense at tiny scale: the family has
-    C(resolution + m - 1, m - 1) members.
+    C(resolution + m - 1, m - 1) members, in lexicographic order.
     """
 
     resolution: int
+    token = "grid"
+    parameter = "resolution"
 
     def __post_init__(self):
-        if isinstance(self.resolution, float):
-            raise ValueError(FLOATS_NOT_EXACT)
+        if type(self.resolution) is not int:
+            raise ValueError(FLOATS_NOT_EXACT if isinstance(self.resolution, float)
+                             else f"grid resolution must be an int, got {self.resolution!r}")
         if self.resolution < 1:
             raise ValueError("grid resolution must be positive")
 
+    @classmethod
+    def from_token(cls, value: int | None, m: int) -> GridProportional:
+        return cls(default_grid_resolution(m) if value is None else value)
 
-StrategyFamily = Truthful | SingleMinded | Sequential | Uniform | GridProportional
+    def size(self, m: int) -> int:
+        return math.comb(self.resolution + m - 1, m - 1)
+
+    def members(self, truth: Valuation, m: int) -> Iterator[tuple[str, Strategy]]:
+        d, slots = self.resolution, self.resolution + m - 1
+        # stars and bars: the m - 1 bars' slots, lexicographic, give the
+        # entries' numerators in lexicographic order
+        for bars in itertools.combinations(range(slots), m - 1):
+            shares = [Fraction(b - a - 1, d) for a, b in zip((-1, *bars), (*bars, slots))]
+            yield f"grid({','.join(map(str, shares))})", Proportional(Valuation(tuple(shares)))
+
+    def describe(self, m: int) -> str:
+        return f"grid[d={self.resolution}, {self.size(m)} points]"
+
+
+# The family classes in canonical order, the order of every expansion and
+# description; the CLI's ``--families`` takes their tokens.
+FAMILY_KINDS = (Truthful, SingleMinded, Sequential, Uniform, GridProportional)
 
 # The families a certificate sweeps when the caller names none: the default
 # of ``equilibrium.verify_ne`` and of the CLI's ``--families``.
 DEFAULT_FAMILIES = (Truthful(), SingleMinded(), Sequential())
-
-_FAMILY_RANK = {Truthful: 0, SingleMinded: 1, Sequential: 2, Uniform: 3, GridProportional: 4}
-
-
-def _rank(family: StrategyFamily) -> int:
-    """The family's place in canonical enumeration order."""
-    rank = _FAMILY_RANK.get(type(family))
-    if rank is None:
-        raise TypeError(f"not a strategy family: {family!r}")
-    return rank
 
 
 def default_grid_resolution(m: int) -> int:
@@ -193,101 +273,26 @@ def default_grid_resolution(m: int) -> int:
     raise ValueError("no default grid resolution beyond m = 3; pass one explicitly")
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of length ``parts`` summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _kind_rank(family: StrategyFamily) -> int:
+    """The family's place in canonical order; a ``TypeError`` for a non-family."""
+    if type(family) not in FAMILY_KINDS:
+        raise TypeError(f"not a strategy family: {family!r}")
+    return FAMILY_KINDS.index(type(family))
 
 
 def family_size(family: StrategyFamily, m: int) -> int:
-    if isinstance(family, Truthful):
-        return 1
-    if isinstance(family, SingleMinded):
-        return m
-    if isinstance(family, Sequential):
-        return m if family.orders is None else len(family.orders)
-    if isinstance(family, Uniform):
-        return m if family.sets is None else len(family.sets)
-    if isinstance(family, GridProportional):
-        return math.comb(family.resolution + m - 1, m - 1)
-    raise TypeError(f"not a strategy family: {family!r}")
-
-
-def expand_family(
-    family: StrategyFamily, truth: Valuation, m: int
-) -> Iterator[tuple[str, Strategy]]:
-    """Yield (label, candidate strategy) pairs in canonical order.
-
-    The default sequential members, the prefixes of the agent's preference
-    order, are valid by construction and are built without re-checking;
-    orders the caller names in ``Sequential(orders)`` are still checked. A
-    member that does not fit m is left to the sweep's strategy check.
-    """
-    if isinstance(family, Truthful):
-        yield "truthful", Proportional(truth)
-    elif isinstance(family, SingleMinded):
-        yield from _single_minded_members(m)
-    elif isinstance(family, Sequential):
-        if family.orders is None:
-            # sorted, the greedy prefixes come shortest first: in prefix order
-            yield from _greedy_members(truth)
-        else:
-            for order in sorted(family.orders):
-                shown = ",".join(str(j + 1) for j in order)
-                yield f"sequential({shown})", sequential(order)
-    elif isinstance(family, Uniform):
-        sets = top_value_sets(truth) if family.sets is None else family.sets
-        for items in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
-            shown = ",".join(str(j + 1) for j in sorted(items))
-            yield f"uniform({{{shown}}})", uniform(items, m)
-    elif isinstance(family, GridProportional):
-        d = family.resolution
-        for comp in _compositions(d, m):
-            report = Valuation(tuple(Fraction(c, d) for c in comp))
-            shown = ",".join(str(Fraction(c, d)) for c in comp)
-            yield f"grid({shown})", Proportional(report)
-    else:
-        raise TypeError(f"not a strategy family: {family!r}")
+    _kind_rank(family)
+    return family.size(m)
 
 
 def expand_families(
     families: Sequence[StrategyFamily], truth: Valuation, m: int
 ) -> Iterator[tuple[str, Strategy]]:
-    """Expand several families back to back, in canonical family order."""
-    for family in sorted(families, key=_rank):
-        yield from expand_family(family, truth, m)
+    """Every family's (label, member) pairs back to back, in canonical family
+    order; a member that does not fit m is left to the sweep's check."""
+    for family in sorted(families, key=_kind_rank):
+        yield from family.members(truth, m)
 
 
 def describe_families(families: Sequence[StrategyFamily], m: int) -> str:
-    parts = []
-    for family in sorted(families, key=_rank):
-        if isinstance(family, Truthful):
-            parts.append("truthful")
-        elif isinstance(family, SingleMinded):
-            parts.append(f"single-minded[all {m} items]")
-        elif isinstance(family, Sequential):
-            count = "greedy" if family.orders is None else str(len(family.orders))
-            parts.append(f"sequential[{count} orders]")
-        elif isinstance(family, Uniform):
-            count = "top-value" if family.sets is None else str(len(family.sets))
-            parts.append(f"uniform[{count} sets]")
-        else:
-            parts.append(f"grid[d={family.resolution}, {family_size(family, m)} points]")
-    return " + ".join(parts)
-
-
-def greedy_orders(truth: Valuation) -> tuple[tuple[int, ...], ...]:
-    """The agent's decreasing-true-value order and all its nonempty prefixes:
-    the orders of the members :func:`expand_family` builds for ``Sequential()``."""
-    full = truth.preference_order()
-    return tuple(full[:k] for k in range(1, len(full) + 1))
-
-
-def top_value_sets(truth: Valuation) -> tuple[tuple[int, ...], ...]:
-    """Top-k sets by true value for k = 1..m (the uniform-bid candidates)."""
-    full = truth.preference_order()
-    return tuple(tuple(sorted(full[:k])) for k in range(1, len(full) + 1))
+    return " + ".join(family.describe(m) for family in sorted(families, key=_kind_rank))

@@ -24,7 +24,12 @@ from eatsim.cli import (
     execute,
     main,
 )
-from eatsim.model import instance_from_json, profile_from_json
+from eatsim.model import (
+    instance_from_json,
+    instance_to_json,
+    profile_from_json,
+    profile_to_json,
+)
 from eatsim.strategies import DEFAULT_FAMILIES
 
 F = Fraction
@@ -393,6 +398,9 @@ class TestSweepOutputBytes:
 
 _LOG_M_Q3 = ["--generator", "log-m-lb", "--k", "8", "--q", "3"]
 _FIXED_15 = "fixed:15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"
+_EXAMPLE1 = ["--generator", "example1"]
+_EXAMPLE2 = ["--generator", "example2"]
+_ALL_FAMILIES = "truthful,single-minded,sequential,uniform,grid"
 
 
 def _certificate(k, q, mechanism, policy):
@@ -427,7 +435,36 @@ def _simulate_30x30(mechanism, policy):
 #  - log-m-lb k=8 q=3 and sqrt-n-lb simulate, which fire the zero policy at
 #    tied depletions, so most shares are written over a running denominator;
 #    under PS the bad profiles' repeated shadows put many eaters on one item.
+#  - every strategy family on example1 (m = 3, so grid takes its default
+#    d = 6), and grid:4 with uniform on example2: the certificate text, the
+#    members' order and labels, and the engine runs of each family.
 CLI_DIGESTS = {
+    "families-all-ex1-cps": (
+        ["verify-ne", *_EXAMPLE1, "--families", _ALL_FAMILIES, "--mechanism", "cps"],
+        EXIT_REFUTED, "1f0791fa5907b463217b53774c1aa7990958cdff18a35d2cfea150297de6324b",
+        "4e30f48499bd8a2b3667e3c651f79566f4aaa7bad76777b0f76151fe50ba752a"),
+    "families-all-ex1-ps": (
+        ["verify-ne", *_EXAMPLE1, "--families", _ALL_FAMILIES, "--mechanism", "ps"],
+        EXIT_OK, "6e7901f205cdb0403e02d1e56efeaceda52f4d642e784d4a618bedf04ddad19b",
+        "74069b5ee1b81b878c6e2e8761dceb0725704ebb79a466cf27f79866d066bccb"),
+    "br-families-all-ex1-cps": (
+        ["best-response", *_EXAMPLE1, "--families", _ALL_FAMILIES, "--agent", "1",
+         "--dump-candidates", "--mechanism", "cps"],
+        EXIT_OK, "969b7a7b227e795894b7e8905fe7a6ab9566f4faa24e175468d6e374569818b9",
+        "8c1b0135aac6d7c998fd59fa45161a405bd4e12fbc85e3f8d2d74aa3b0515408"),
+    "br-families-all-ex1-ps": (
+        ["best-response", *_EXAMPLE1, "--families", _ALL_FAMILIES, "--agent", "1",
+         "--dump-candidates", "--mechanism", "ps"],
+        EXIT_OK, "2cbcca2ea5226c41af9f632619cbd7f8beac96af86bd738021f5aa7a0a538789",
+        "5fa545a68b072d5bbfed13ed7dc68b55adf0184274296ae646e9eda11c767c04"),
+    "grid4-uniform-ex2-cps": (
+        ["verify-ne", *_EXAMPLE2, "--families", "grid:4,uniform", "--mechanism", "cps"],
+        EXIT_REFUTED, "0fa9b9cb4f70a9a5e69d0170de7c6e35b5687d637b516f87aecec81dcd2cc0ce",
+        "32a01dad05e343af04a802861dbd45376d57cd0076cd11aa61fa45923140e5bf"),
+    "grid4-uniform-ex2-ps": (
+        ["verify-ne", *_EXAMPLE2, "--families", "grid:4,uniform", "--mechanism", "ps"],
+        EXIT_OK, "76017b25a23af4d53d9c46f2c83e5094200807bc4036800c48e326c2c968329a",
+        "9ba65a8cdf9d2d775efae6ed62ae28f6405070d4b2d79d8297c25ae52ee36e63"),
     "cert-k8-q5-cps-lowest": (
         _certificate(8, 5, "cps", "lowest-index"), EXIT_OK,
         "1ac68c12d5b9781681713567bb90f37d4377fc1219d7e18f78728b0b63b9e7ab", None),
@@ -582,6 +619,27 @@ def test_generate_output_digest(key, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_digest
 
 
+# generate's arguments, and whether the generator has a bad profile to write
+READ_BACK = {key: (args, profile_digest is not None)
+             for key, (args, _, profile_digest, _) in GENERATE_DIGESTS.items()}
+READ_BACK.update({"example1": (_EXAMPLE1, False), "example2": (_EXAMPLE2, False)})
+
+
+@pytest.mark.parametrize("key", READ_BACK)
+def test_generated_files_read_back(key, tmp_path):
+    args, has_profile = READ_BACK[key]
+    # the instance and profile files hold only keys their readers know
+    instance, profile = tmp_path / "instance.json", tmp_path / "profile.json"
+    argv = ["generate", *args, "--out", str(instance)]
+    files = run_cli(argv + (["--profile-out", str(profile)] if has_profile else [])).files
+    doc = json.loads(files[str(instance)])
+    read = instance_from_json(doc)
+    assert instance_to_json(read) == doc
+    if has_profile:
+        doc = json.loads(files[str(profile)])
+        assert profile_to_json(profile_from_json(doc, read.n, read.m)) == doc
+
+
 class TestGenerateAndSample:
     def test_generate_writes_instance_and_profile(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -706,9 +764,16 @@ _INPUT_FILES = {
     "huge-exponent.json": dict(_INSTANCE, valuations=[["1e999999", "0"], ["1", "0"]]),
     "report-huge-exponent.json": [{"kind": "proportional", "report": ["1e-99999999", "1"]},
                                   {"kind": "lexicographic", "order": [2]}],
+    # misspelt or stray keys, which used to be read as absent, with exit 0
+    "instance-extra-key.json": dict(_INSTANCE, valuation=[["1", "0"], ["1", "0"]]),
+    "labels-misspelt.json": dict(_INSTANCE, labels={"agent": ["a", "b"]}),
+    "order-misspelt.json": [{"kind": "lexicographic", "ordr": [2], "order": []},
+                            {"kind": "lexicographic", "order": [2]}],
+    "order-with-report.json": [{"kind": "lexicographic", "order": [1], "report": ["0", "1"]},
+                               {"kind": "lexicographic", "order": [2]}],
+    "report-with-order.json": [{"kind": "proportional", "report": ["1", "0"], "order": [2]},
+                               {"kind": "lexicographic", "order": [2]}],
 }
-_EXAMPLE1 = ["--generator", "example1"]
-_EXAMPLE2 = ["--generator", "example2"]
 _RP_LB = ["--generator", "rp-lb", "--n", "3"]
 _ON_FILE = ["simulate", "--instance", "{dir}/instance.json", "--profile"]
 
@@ -788,6 +853,11 @@ MALFORMED = {
     "eps-huge-exponent": ["poa", "--generator", "sqrt-n-lb", "--n", "4",
                           "--eps", "1e-999999999"],
     "epsilon-huge-exponent": ["verify-ne", *_EXAMPLE2, "--epsilon", "1e-99999999999"],
+    "instance-extra-key": ["simulate", "--instance", "{dir}/instance-extra-key.json"],
+    "labels-misspelt": ["simulate", "--instance", "{dir}/labels-misspelt.json"],
+    "order-misspelt": [*_ON_FILE, "{dir}/order-misspelt.json"],
+    "order-with-report": [*_ON_FILE, "{dir}/order-with-report.json"],
+    "report-with-order": [*_ON_FILE, "{dir}/report-with-order.json"],
 }
 
 
@@ -901,6 +971,14 @@ REJECTED = {
                                       "4300 digits"),
     "epsilon-huge-exponent": (EXIT_PARSE, "error: rational '1e-99999999999' needs more "
                                           "than 4300 digits"),
+    "instance-extra-key": (EXIT_PARSE, "error: instance document has an unknown key "
+                                       "'valuation'"),
+    "labels-misspelt": (EXIT_PARSE, "error: 'labels' has an unknown key 'agent'"),
+    "order-misspelt": (EXIT_PARSE, "error: lexicographic strategy has an unknown key 'ordr'"),
+    "order-with-report": (EXIT_PARSE, "error: lexicographic strategy has an unknown key "
+                                      "'report'"),
+    "report-with-order": (EXIT_PARSE, "error: proportional strategy has an unknown key "
+                                      "'order'"),
 }
 
 

@@ -216,6 +216,19 @@ class TestInstance:
         with pytest.raises(ParseError, match="^'labels' must be an object$"):
             instance_from_json(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 1, "m": 1, "valuations": [["1"]], "valuation": []},
+         "^instance document has an unknown key 'valuation'$"),
+        ({"n": 1, "m": 1, "valuations": [["1"]], "labels": {"agent": ["a"]}},
+         "^'labels' has an unknown key 'agent'$"),
+        ({"n": 1, "m": 1, "valuations": [["1"]], "labels": {"items": ["x"], "Items": ["y"]}},
+         "^'labels' has an unknown key 'Items'$"),
+    ], ids=["instance", "labels", "labels-case"])
+    def test_unknown_keys_are_refused(self, doc, message):
+        # a misspelt field used to be read as absent
+        with pytest.raises(ParseError, match=message):
+            instance_from_json(doc)
+
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
         with pytest.raises(InvalidInstanceError) as exc:
@@ -279,6 +292,20 @@ class TestStrategies:
         field = "report" if kind == "proportional" else "order"
         with pytest.raises(ParseError, match=f"^{kind} strategy has no '{field}' field$"):
             strategy_from_json({"kind": kind})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "lexicographic", "ordr": [2], "order": []},
+         "^lexicographic strategy has an unknown key 'ordr'$"),
+        ({"kind": "lexicographic", "order": [1], "report": ["1", "0"]},
+         "^lexicographic strategy has an unknown key 'report'$"),
+        ({"kind": "proportional", "report": ["1", "0"], "order": [1]},
+         "^proportional strategy has an unknown key 'order'$"),
+        ({"kind": "proportional", "reprot": ["1", "0"]},
+         "^proportional strategy has an unknown key 'reprot'$"),
+    ], ids=["misspelt-order", "order-and-report", "report-and-order", "misspelt-report"])
+    def test_a_key_outside_the_kind_is_refused(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            strategy_from_json(doc, m=2)
 
     def test_an_explicit_empty_order_stays_valid(self):
         assert strategy_from_json({"kind": "lexicographic", "order": []}, m=2) == \

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eatsim import Lexicographic, Proportional, run, expected_payoffs, valuation_of
 from eatsim.instances import GeneratorSpec, generate
@@ -11,16 +13,14 @@ from eatsim.strategies import (
     Truthful,
     Uniform,
     as_ordinal,
+    default_grid_resolution,
     describe_families,
     epsilon_strategy,
     expand_families,
-    expand_family,
     family_size,
-    greedy_orders,
     ps_profile,
     sequential,
     single_minded,
-    top_value_sets,
     uniform,
 )
 
@@ -174,12 +174,12 @@ class TestFamilies:
 
     def test_grid_size(self):
         truth = valuation_of(["1/2", "1/2"])
-        members = list(expand_family(GridProportional(12), truth, 2))
+        members = list(GridProportional(12).members(truth, 2))
         assert len(members) == family_size(GridProportional(12), 2) == 13
 
     def test_grid_three_items(self):
         truth = valuation_of(["1/3", "1/3", "1/3"])
-        members = list(expand_family(GridProportional(6), truth, 3))
+        members = list(GridProportional(6).members(truth, 3))
         assert len(members) == 28
         assert all(sum(s.report.values) == 1 for _, s in members)
 
@@ -193,8 +193,6 @@ class TestFamilies:
             list(expand_families([Truthful(), family], truth, 2))
         with pytest.raises(TypeError, match="not a strategy family"):
             describe_families([family], 2)
-        with pytest.raises(TypeError, match="not a strategy family"):
-            list(expand_family(family, truth, 2))
 
     def test_grid_resolution_must_be_positive(self):
         with pytest.raises(ValueError, match="grid resolution must be positive"):
@@ -207,10 +205,11 @@ class TestFamilies:
 
     def test_greedy_defaults_follow_the_agent(self):
         truth = valuation_of(["1/10", "7/10", "1/5"])
-        assert greedy_orders(truth) == ((1,), (1, 2), (1, 2, 0))
-        assert top_value_sets(truth) == ((1,), (1, 2), (0, 1, 2))
-        labels = [label for label, _ in expand_family(Sequential(), truth, 3)]
-        assert "sequential(2)" in labels and "sequential(2,3,1)" in labels
+        assert list(Sequential().members(truth, 3)) == [
+            ("sequential(2)", Lexicographic((1,))), ("sequential(2,3)", Lexicographic((1, 2))),
+            ("sequential(2,3,1)", Lexicographic((1, 2, 0)))]
+        assert [label for label, _ in Uniform().members(truth, 3)] == [
+            "uniform({2})", "uniform({2,3})", "uniform({1,2,3})"]
 
     def test_greedy_members_equal_their_checked_twins(self):
         # the greedy members skip Lexicographic's checks and extend each
@@ -222,9 +221,10 @@ class TestFamilies:
             m = rng.randint(1, 9)
             truth = random_valuation(rng, m, weight_max=3)
             ties += len(set(truth.values)) < m
-            members = list(expand_family(Sequential(), truth, m))
+            members = list(Sequential().members(truth, m))
+            full = truth.preference_order()
             twins = [(f"sequential({','.join(str(j + 1) for j in order)})", Lexicographic(order))
-                     for order in sorted(greedy_orders(truth))]
+                     for order in sorted(full[:k] for k in range(1, m + 1))]
             assert members == twins
             for (_, member), (_, twin) in zip(members, twins):
                 assert type(member) is Lexicographic and type(member.order) is tuple
@@ -232,9 +232,92 @@ class TestFamilies:
                 assert {member: 0}[twin] == 0
         assert ties > 100
 
-    def test_named_orders_are_still_checked(self):
+    def test_named_orders_are_checked_when_built(self):
+        # each order gets the checks of its Lexicographic member, at once
+        with pytest.raises(ValueError, match="^lexicographic order contains duplicates$"):
+            Sequential(((0, 0),))
+        with pytest.raises(ValueError, match="^lexicographic order has a negative index$"):
+            Sequential(((1,), (-1,)))
+        with pytest.raises(ValueError, match="^lexicographic order entries must be int item "
+                                             "indices$"):
+            Sequential(((0, "1"),))
+        # the empty order is a valid Lexicographic, and so a valid member
+        assert Sequential(((),)).size(2) == 1
+
+    @pytest.mark.parametrize("items", [(0, 0), (), (-1,), (0.0,), ("0",)],
+                             ids=["repeated", "empty", "negative", "float", "str"])
+    def test_named_sets_are_checked_when_built(self, items):
+        # a repeated item used to be labelled uniform({1,1}) while the
+        # member bid on item 1 alone
+        with pytest.raises(ValueError, match=r"^uniform set .* must hold distinct "
+                                             r"nonnegative ints$"):
+            Uniform(((1,), items))
+
+    def test_named_items_past_m_are_left_to_the_sweep(self):
         truth = valuation_of(["1/2", "1/2"])
-        with pytest.raises(ValueError, match="duplicates"):
-            list(expand_family(Sequential(((0, 0),)), truth, 2))
-        with pytest.raises(ValueError, match="negative index"):
-            list(expand_family(Sequential(((-1,),)), truth, 2))
+        assert list(Sequential(((2,),)).members(truth, 2)) == [
+            ("sequential(3)", Lexicographic((2,)))]
+        with pytest.raises(ValueError, match="item out of range for m = 2"):
+            list(Uniform(((2,),)).members(truth, 2))
+
+    @pytest.mark.parametrize("resolution", [True, False, F(3, 2), F(3), "3"],
+                             ids=["true", "false", "fraction", "integral-fraction", "str"])
+    def test_grid_resolution_must_be_an_int(self, resolution):
+        # GridProportional(True) used to certify over grid[d=True, 3 points],
+        # and a Fraction failed only inside the sweep
+        with pytest.raises(ValueError, match="^grid resolution must be an int, got "):
+            GridProportional(resolution)
+
+
+# Families of each kind for m <= 4 items, with default and explicit
+# parameters: explicit orders and sets are drawn from permutations, so their
+# items are distinct and in range.
+def _prefixes(m):
+    return st.permutations(range(m)).flatmap(
+        lambda p: st.integers(1, m).map(lambda k: tuple(p[:k])))
+
+
+def _family(kind, m):
+    explicit = st.lists(_prefixes(m), max_size=4).map(tuple)
+    if kind == "truthful":
+        return st.just(Truthful())
+    if kind == "single-minded":
+        return st.just(SingleMinded())
+    if kind == "sequential":
+        return st.just(Sequential()) | explicit.map(Sequential)
+    if kind == "uniform":
+        return st.just(Uniform()) | explicit.map(Uniform)
+    resolutions = st.integers(1, 4)
+    if m <= 3:
+        resolutions |= st.just(default_grid_resolution(m))
+    return resolutions.map(GridProportional)
+
+
+_KINDS = ["truthful", "single-minded", "sequential", "uniform", "grid"]
+
+
+@st.composite
+def _truth_and_families(draw, kinds):
+    m = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)
+                   .filter(lambda ws: sum(ws) > 0))
+    truth = valuation_of([Fraction(w, sum(weights)) for w in weights])
+    return m, truth, [draw(_family(kind, m)) for kind in kinds]
+
+
+class TestFamilyProperties:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_size_counts_the_members(self, kind, data):
+        m, truth, (family,) = data.draw(_truth_and_families([kind]))
+        assert family_size(family, m) == len(list(expand_families([family], truth, m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_expansion_ignores_the_order_families_are_given_in(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, unique=True))
+        m, truth, families = data.draw(_truth_and_families(kinds))
+        shuffled = data.draw(st.permutations(families))
+        assert list(expand_families(shuffled, truth, m)) == \
+            list(expand_families(families, truth, m))
