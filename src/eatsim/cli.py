@@ -4,7 +4,9 @@ Every run is captured as an :class:`ExperimentConfig`, a fully serializable
 record of the subcommand and its options; re-executing an identical config
 reproduces byte-identical outputs (Monte Carlo included, via seeds).
 
-Option defaults live in the parser only; handlers read ``opts[...]``.
+Each subcommand is declared once, in ``_SUBCOMMANDS``; the parser is built
+from the declarations, and ``execute`` resolves the instance, the profile and
+the zero policy, in that order, before the handler makes its own checks.
 
 Exit codes: 0 success, 1 parse error or unreadable/unwritable file,
 2 invariant/domain violation, 3 equilibrium refuted, 4 budget or enumeration
@@ -23,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import engine, equilibrium, instances, lotteries, strategies
 from .model import (
@@ -109,70 +112,47 @@ class CliResult:
     files: dict[str, str] = field(default_factory=dict)
 
 
+class _Subcommand(NamedTuple):
+    """A subcommand's help and handler, ``run(opts, instance, generated,
+    profile, policy)``; what an absent ``--profile`` means (``"truthful"``,
+    ``"bad-if-any"`` for the generator's bad profile if it has one, or None
+    for no ``--profile``); its ``--mechanism`` choices; whether it takes
+    ``--zero-policy``; and its own (flag, keywords), after the shared ones."""
+
+    help: str
+    run: Callable[..., CliResult]
+    profile: str | None = None
+    mechanisms: tuple[str, ...] = ()
+    zero_policy: bool = False
+    flags: tuple[tuple[str, dict], ...] = ()
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser of this process: parsing keeps no state between calls."""
     parser = _Parser(prog="eatsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, profile=True, mechanism=None, policy=True):
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--instance", help="instance JSON file")
         p.add_argument("--generator", help="named instance generator")
         for key in instances.PARAMETERS:
             if key == "eps":
                 p.add_argument("--eps", help="rational, e.g. 1/4096")
             else:
-                p.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
-        if profile:
+                p.add_argument("--" + key.replace("_", "-"), type=int)
+        if command.profile:
             p.add_argument("--profile", help="profile JSON file, 'truthful', or 'bad'")
-        if mechanism:
-            p.add_argument("--mechanism", choices=mechanism, default=mechanism[0])
-        if policy:
-            p.add_argument("--zero-policy", dest="zero_policy", default="lowest-index",
+        if command.mechanisms:
+            p.add_argument("--mechanism", choices=list(command.mechanisms),
+                           default=command.mechanisms[0])
+        if command.zero_policy:
+            p.add_argument("--zero-policy", default="lowest-index",
                            help="uniform | lowest-index | fixed:<1-based permutation>")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file path")
-
-    p = sub.add_parser("simulate", help="run the eating process and export the trace")
-    add_common(p, mechanism=["cps", "ps"])
-
-    p = sub.add_parser("opt", help="optimal welfare benchmark and assignment")
-    add_common(p, profile=False, policy=False)
-
-    p = sub.add_parser("poa", help="welfare/opt ratio rows as CSV")
-    add_common(p, mechanism=["cps", "ps", "rp", "rrp", "both"])
-    p.add_argument("--samples", type=_sample_count,
-                   help="Monte Carlo samples for rp/rrp rows (rp defaults to exact)")
-
-    p = sub.add_parser("best-response", help="sweep strategy families for one agent")
-    add_common(p, mechanism=["cps", "ps"])
-    p.add_argument("--agent", type=int, required=True, help="1-based agent index")
-    p.add_argument("--families", default=DEFAULT_FAMILIES)
-    p.add_argument("--dump-candidates", action="store_true", dest="dump_candidates")
-
-    p = sub.add_parser("verify-ne", help="family-relative epsilon-Nash certificate")
-    add_common(p, mechanism=["cps", "ps"])
-    p.add_argument("--families", default=DEFAULT_FAMILIES)
-    p.add_argument("--epsilon", default="0", help="rational slack, default 0")
-    p.add_argument("--dump-candidates", action="store_true", dest="dump_candidates")
-
-    p = sub.add_parser("rp", help="random priority (exact n! enumeration or sampled)")
-    add_common(p, policy=False)
-    p.add_argument("--samples", type=_sample_count,
-                   help="Monte Carlo sample count (omit for exact)")
-
-    p = sub.add_parser("rrp", help="repeated random priority (sampled)")
-    add_common(p, policy=False)
-    p.add_argument("--samples", type=_sample_count)
-
-    p = sub.add_parser("generate", help="write a generated instance (and bad profile)")
-    add_common(p, profile=False, policy=False)
-    p.add_argument("--profile-out", dest="profile_out",
-                   help="also write the designated bad profile here")
-
-    p = sub.add_parser("sample", help="draw one allocation from the eating lottery")
-    add_common(p, mechanism=["cps", "ps"])
-
+        for flag, keywords in command.flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -207,9 +187,11 @@ def _resolve_instance(opts: dict) -> tuple[Instance, instances.Generated | None]
 
 
 def _resolve_profile(opts: dict, instance: Instance,
-                     generated: instances.Generated | None,
-                     default: str = "truthful") -> list[Strategy]:
-    token = opts.get("profile", default)
+                     generated: instances.Generated | None, default: str) -> list[Strategy]:
+    token = opts.get("profile")
+    if token is None:
+        bad = default == "bad-if-any" and generated is not None and generated.bad_profile
+        token = "bad" if bad else "truthful"
     if token == "truthful":
         return instance.truthful_profile()
     if token == "bad":
@@ -284,10 +266,7 @@ def _lottery(opts: dict, mechanism: str, instance: Instance,
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    policy = _resolve_policy(opts, instance.m)
+def _cmd_simulate(opts, instance, generated, profile, policy) -> CliResult:
     mechanism = opts["mechanism"]
     trace = equilibrium.run_profile(instance.n, instance.m, profile, mechanism, policy)
     payoffs = engine.expected_payoffs(trace, instance.valuations)
@@ -318,8 +297,7 @@ def _assignment(instance: Instance, assignment: tuple[int, ...]) -> tuple[str, d
     return lines, {str(j + 1): agent + 1 for j, agent in enumerate(assignment)}
 
 
-def _cmd_opt(opts: dict) -> CliResult:
-    instance, _ = _resolve_instance(opts)
+def _cmd_opt(opts, instance, *_) -> CliResult:
     value, assignment = lotteries.opt(instance)
     lines, doc = _assignment(instance, assignment)
     return CliResult(EXIT_OK, f"opt welfare: {_both(value)}\n{lines}", _out_file(opts, lambda: {
@@ -329,11 +307,7 @@ def _cmd_opt(opts: dict) -> CliResult:
     }))
 
 
-def _cmd_poa(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    default = "bad" if generated is not None and generated.bad_profile else "truthful"
-    profile = _resolve_profile(opts, instance, generated, default=default)
-    policy = _resolve_policy(opts, instance.m)
+def _cmd_poa(opts, instance, generated, profile, policy) -> CliResult:
     mechanism = opts["mechanism"]
     mechanisms = ["cps", "ps"] if mechanism == "both" else [mechanism]
 
@@ -359,10 +333,7 @@ def _cmd_poa(opts: dict) -> CliResult:
     return CliResult(EXIT_OK, text, files)
 
 
-def _cmd_best_response(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    policy = _resolve_policy(opts, instance.m)
+def _cmd_best_response(opts, instance, generated, profile, policy) -> CliResult:
     agent = opts["agent"] - 1
     if not 0 <= agent < instance.n:
         raise _UsageError(f"--agent must be in 1..{instance.n}")
@@ -383,10 +354,7 @@ def _cmd_best_response(opts: dict) -> CliResult:
         opts, lambda: equilibrium.deviation_report_to_json(report)))
 
 
-def _cmd_verify_ne(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    policy = _resolve_policy(opts, instance.m)
+def _cmd_verify_ne(opts, instance, generated, profile, policy) -> CliResult:
     families = _resolve_families(opts, instance.m)
     epsilon = parse_rational(opts["epsilon"])
     cert = equilibrium.verify_ne(
@@ -425,9 +393,8 @@ def _mechanism_result_doc(result: lotteries.MechanismResult) -> dict:
     return doc
 
 
-def _cmd_lottery(mechanism: str, opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    result = _lottery(opts, mechanism, instance, _resolve_profile(opts, instance, generated))
+def _cmd_lottery(mechanism, opts, instance, generated, profile, *_) -> CliResult:
+    result = _lottery(opts, mechanism, instance, profile)
     out = io.StringIO()
     out.write(f"{result.mechanism} ({result.method})\n")
     out.write(f"expected welfare: {_both(result.expected_welfare)}")
@@ -440,8 +407,7 @@ def _cmd_lottery(mechanism: str, opts: dict) -> CliResult:
         opts, lambda: _mechanism_result_doc(result)))
 
 
-def _cmd_generate(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
+def _cmd_generate(opts, instance, generated, *_) -> CliResult:
     if generated is None:
         raise _UsageError("generate requires --generator")
     doc = instance_to_json(instance)
@@ -462,10 +428,7 @@ def _cmd_generate(opts: dict) -> CliResult:
     return CliResult(EXIT_OK, out.getvalue(), files)
 
 
-def _cmd_sample(opts: dict) -> CliResult:
-    instance, generated = _resolve_instance(opts)
-    profile = _resolve_profile(opts, instance, generated)
-    policy = _resolve_policy(opts, instance.m)
+def _cmd_sample(opts, instance, generated, profile, policy) -> CliResult:
     trace = equilibrium.run_profile(instance.n, instance.m, profile,
                                     opts["mechanism"], policy)
     seed = opts["seed"]
@@ -474,16 +437,45 @@ def _cmd_sample(opts: dict) -> CliResult:
         opts, lambda: {"seed": seed, "assignment": doc}))
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "opt": _cmd_opt,
-    "poa": _cmd_poa,
-    "best-response": _cmd_best_response,
-    "verify-ne": _cmd_verify_ne,
-    "rp": functools.partial(_cmd_lottery, "rp"),
-    "rrp": functools.partial(_cmd_lottery, "rrp"),
-    "generate": _cmd_generate,
-    "sample": _cmd_sample,
+_EATING = ("cps", "ps")
+_FAMILIES_FLAG = ("--families", {"default": DEFAULT_FAMILIES})
+_DUMP_FLAG = ("--dump-candidates", {"action": "store_true"})
+
+# Every subcommand, in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "simulate": _Subcommand(
+        "run the eating process and export the trace", _cmd_simulate,
+        profile="truthful", mechanisms=_EATING, zero_policy=True),
+    "opt": _Subcommand("optimal welfare benchmark and assignment", _cmd_opt),
+    "poa": _Subcommand(
+        "welfare/opt ratio rows as CSV", _cmd_poa, profile="bad-if-any",
+        mechanisms=(*_EATING, "rp", "rrp", "both"), zero_policy=True,
+        flags=(("--samples", {"type": _sample_count, "help": "Monte Carlo samples for "
+                              "rp/rrp rows (rp defaults to exact)"}),)),
+    "best-response": _Subcommand(
+        "sweep strategy families for one agent", _cmd_best_response,
+        profile="truthful", mechanisms=_EATING, zero_policy=True,
+        flags=(("--agent", {"type": int, "required": True, "help": "1-based agent index"}),
+               _FAMILIES_FLAG, _DUMP_FLAG)),
+    "verify-ne": _Subcommand(
+        "family-relative epsilon-Nash certificate", _cmd_verify_ne,
+        profile="truthful", mechanisms=_EATING, zero_policy=True,
+        flags=(_FAMILIES_FLAG,
+               ("--epsilon", {"default": "0", "help": "rational slack, default 0"}), _DUMP_FLAG)),
+    "rp": _Subcommand(
+        "random priority (exact n! enumeration or sampled)",
+        functools.partial(_cmd_lottery, "rp"), profile="truthful",
+        flags=(("--samples", {"type": _sample_count,
+                              "help": "Monte Carlo sample count (omit for exact)"}),)),
+    "rrp": _Subcommand(
+        "repeated random priority (sampled)", functools.partial(_cmd_lottery, "rrp"),
+        profile="truthful", flags=(("--samples", {"type": _sample_count}),)),
+    "generate": _Subcommand(
+        "write a generated instance (and bad profile)", _cmd_generate,
+        flags=(("--profile-out", {"help": "also write the designated bad profile here"}),)),
+    "sample": _Subcommand(
+        "draw one allocation from the eating lottery", _cmd_sample,
+        profile="truthful", mechanisms=_EATING, zero_policy=True),
 }
 
 
@@ -493,8 +485,14 @@ def execute(config: ExperimentConfig) -> CliResult:
     Catches domain errors and maps them onto the exit-code contract so the
     CLI and programmatic callers agree on failure modes.
     """
+    command = _SUBCOMMANDS[config.command]
+    opts = dict(config.options)
     try:
-        return _COMMANDS[config.command](dict(config.options))
+        instance, generated = _resolve_instance(opts)
+        profile = (_resolve_profile(opts, instance, generated, command.profile)
+                   if command.profile else None)
+        policy = _resolve_policy(opts, instance.m) if command.zero_policy else None
+        return command.run(opts, instance, generated, profile, policy)
     except _UsageError:
         raise
     except equilibrium.BudgetConfigError as exc:

@@ -299,7 +299,8 @@ class Lexicographic:
 
     def __post_init__(self):
         order = tuple(self.order)
-        if not all(isinstance(j, int) for j in order):
+        # a bool is an int to Python, but no item index
+        if not all(type(j) is int for j in order):
             raise ValueError("lexicographic order entries must be int item indices")
         object.__setattr__(self, "order", order)
         if len(set(self.order)) != len(self.order):
@@ -345,7 +346,8 @@ class ZeroPolicy:
         if self.kind == "fixed":
             if not self.order:
                 raise ValueError("fixed zero policy requires a permutation")
-            if sorted(self.order) != list(range(len(self.order))):
+            if any(type(j) is not int for j in self.order) or \
+                    sorted(self.order) != list(range(len(self.order))):
                 raise ValueError("fixed zero policy order must be a permutation of all items")
         elif self.order is not None:
             raise ValueError(f"{self.kind} zero policy takes no order")

@@ -5,9 +5,9 @@ analysis needs: single-minded bids, sequential (lexicographic) bids, uniform
 bids over a target set, and an exhaustive grid over the report simplex for
 tiny instances. Each family is one class that states its ``token`` in the
 CLI's ``--families``, its ``size(m)`` for m items, its ``members(truth, m)``,
-(label, strategy) pairs in canonical order, and its certificate text
-``describe(m)``. ``FAMILY_KINDS`` orders the classes: a new family is one
-class placed there.
+(label, strategy) pairs in canonical order, its certificate text
+``describe(m)``, and its ``key()``, which orders the families of one kind.
+``FAMILY_KINDS`` orders the classes: a new family is one class placed there.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ class StrategyFamily:
         """The family ``token`` (value None) or ``token:<value>`` names for m items."""
         return cls()
 
+    def key(self) -> tuple:
+        """A total order on the families of this kind; equal keys give equal
+        members and text."""
+        return ()
+
 
 @dataclass(frozen=True)
 class Truthful(StrategyFamily):
@@ -163,6 +168,10 @@ class Sequential(StrategyFamily):
         for order in self.orders or ():
             Lexicographic(order)  # its checks, but for the range
 
+    def key(self) -> tuple:
+        # the greedy default, then named lists by their sorted orders
+        return self.orders is not None, tuple(sorted(map(tuple, self.orders or ())))
+
     def size(self, m: int) -> int:
         return m if self.orders is None else len(self.orders)
 
@@ -199,8 +208,12 @@ class Uniform(StrategyFamily):
     def __post_init__(self):
         for items in self.sets or ():
             if not items or len(set(items)) != len(items) or not all(
-                    isinstance(j, int) and j >= 0 for j in items):
+                    type(j) is int and j >= 0 for j in items):
                 raise ValueError(f"uniform set {items!r} must hold distinct nonnegative ints")
+
+    def key(self) -> tuple:
+        # the top-value default, then named lists by their sorted sets
+        return self.sets is not None, tuple(sorted(tuple(sorted(s)) for s in self.sets or ()))
 
     def size(self, m: int) -> int:
         return m if self.sets is None else len(self.sets)
@@ -238,6 +251,9 @@ class GridProportional(StrategyFamily):
     @classmethod
     def from_token(cls, value: int | None, m: int) -> GridProportional:
         return cls(default_grid_resolution(m) if value is None else value)
+
+    def key(self) -> tuple:
+        return (self.resolution,)
 
     def size(self, m: int) -> int:
         return math.comb(self.resolution + m - 1, m - 1)
@@ -280,6 +296,11 @@ def _kind_rank(family: StrategyFamily) -> int:
     return FAMILY_KINDS.index(type(family))
 
 
+def _canonical_key(family: StrategyFamily) -> tuple:
+    """By kind, then by the family's ``key()`` within its kind."""
+    return _kind_rank(family), family.key()
+
+
 def family_size(family: StrategyFamily, m: int) -> int:
     _kind_rank(family)
     return family.size(m)
@@ -290,9 +311,9 @@ def expand_families(
 ) -> Iterator[tuple[str, Strategy]]:
     """Every family's (label, member) pairs back to back, in canonical family
     order; a member that does not fit m is left to the sweep's check."""
-    for family in sorted(families, key=_kind_rank):
+    for family in sorted(families, key=_canonical_key):
         yield from family.members(truth, m)
 
 
 def describe_families(families: Sequence[StrategyFamily], m: int) -> str:
-    return " + ".join(family.describe(m) for family in sorted(families, key=_kind_rank))
+    return " + ".join(family.describe(m) for family in sorted(families, key=_canonical_key))

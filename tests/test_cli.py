@@ -292,6 +292,14 @@ class TestDefaultGridResolution:
         assert capsys.readouterr().out == \
             "error: no default grid resolution beyond m = 3; pass one explicitly\n"
 
+    def test_grids_in_either_order_give_one_certificate(self):
+        # the second list used to print and sweep grid[d=3] first
+        first, second = (run_cli(["verify-ne", *_EXAMPLE1, "--families", families,
+                                  "--out", "cert.json"])
+                         for families in ("grid:2,grid:3", "grid:3,grid:2"))
+        assert first.files == second.files and first.stdout == second.stdout
+        assert "families: grid[d=2, 6 points] + grid[d=3, 10 points]" in first.stdout
+
 
 class TestLotteryCommands:
     def test_rp_exact(self):
@@ -776,6 +784,9 @@ _INPUT_FILES = {
 }
 _RP_LB = ["--generator", "rp-lb", "--n", "3"]
 _ON_FILE = ["simulate", "--instance", "{dir}/instance.json", "--profile"]
+# the subcommands that take --zero-policy, and those that take --profile
+_WITH_POLICY = ["simulate", "poa", "best-response", "verify-ne", "sample"]
+_PROFILED = [*_WITH_POLICY, "rp", "rrp"]
 
 MALFORMED = {
     "fixed-repeat": ["simulate", *_EXAMPLE1, "--zero-policy", "fixed:1,1,2"],
@@ -858,6 +869,21 @@ MALFORMED = {
     "order-misspelt": [*_ON_FILE, "{dir}/order-misspelt.json"],
     "order-with-report": [*_ON_FILE, "{dir}/order-with-report.json"],
     "report-with-order": [*_ON_FILE, "{dir}/report-with-order.json"],
+    # several bad inputs at once: the instance is resolved first, then the
+    # profile, then the zero policy, then each command's own checks
+    **{f"{command}-unreadable-instance-first": [
+        command, "--instance", "{dir}/missing.json", "--profile", "{dir}/duplicates.json",
+        *(["--zero-policy", "random"] if command in _WITH_POLICY else []),
+        *(["--agent", "9"] if command == "best-response" else [])]
+       for command in _PROFILED},
+    **{f"{command}-bad-profile-before-policy": [
+        command, "--instance", "{dir}/instance.json", "--profile", "{dir}/duplicates.json",
+        "--zero-policy", "random",
+        *(["--agent", "9"] if command == "best-response" else []),
+        *(["--families", "nope", "--epsilon", "abc"] if command == "verify-ne" else [])]
+       for command in _WITH_POLICY},
+    "generate-unreadable-instance-first": ["generate", "--instance", "{dir}/missing.json",
+                                           "--profile-out", "{dir}/p.json"],
 }
 
 
@@ -979,6 +1005,14 @@ REJECTED = {
                                       "'report'"),
     "report-with-order": (EXIT_PARSE, "error: proportional strategy has an unknown key "
                                       "'order'"),
+    **{f"{command}-unreadable-instance-first": (
+        EXIT_PARSE, "error: [Errno 2] No such file or directory: '{dir}/missing.json'")
+       for command in _PROFILED},
+    **{f"{command}-bad-profile-before-policy": (
+        EXIT_INVALID, "error: lexicographic order contains duplicates")
+       for command in _WITH_POLICY},
+    "generate-unreadable-instance-first": (
+        EXIT_PARSE, "error: [Errno 2] No such file or directory: '{dir}/missing.json'"),
 }
 
 
@@ -1060,6 +1094,31 @@ DOCUMENTED_EXITS = {
     "dict-value": (dict(_INSTANCE, valuations=[["1", "0"], [{}, "1"]]),
                    ["simulate", "--instance", "{dir}/p.json"],
                    EXIT_PARSE, "error: expected a rational string, got dict\n"),
+    # several bad inputs at once, where a usage error wins (see MALFORMED)
+    "poa-no-bad-profile-before-policy": (None, ["poa", *_EXAMPLE1, "--profile", "bad",
+                                                "--zero-policy", "random"], EXIT_USAGE,
+                                         "usage error: this instance has no designated bad "
+                                         "profile\n"),
+    "poa-truthful-default-then-policy": (None, ["poa", *_EXAMPLE1, "--zero-policy", "random"],
+                                         EXIT_USAGE,
+                                         "usage error: unknown zero policy 'random'\n"),
+    "both-inputs-before-reading-either": (None, ["opt", *_EXAMPLE1, "--instance",
+                                                 "{dir}/missing.json"], EXIT_USAGE,
+                                          "usage error: pass either --instance or "
+                                          "--generator, not both\n"),
+    "policy-before-agent": (None, ["best-response", *_EXAMPLE1, "--agent", "9",
+                                   "--zero-policy", "random", "--families", "nope"],
+                            EXIT_USAGE, "usage error: unknown zero policy 'random'\n"),
+    "agent-before-families": (None, ["best-response", *_EXAMPLE1, "--agent", "9",
+                                     "--families", "nope"], EXIT_USAGE,
+                              "usage error: --agent must be in 1..3\n"),
+    "families-before-epsilon": (None, ["verify-ne", *_EXAMPLE1, "--families", "nope",
+                                       "--epsilon", "abc"], EXIT_USAGE,
+                                "usage error: unknown family 'nope'\n"),
+    "sample-no-bad-profile-before-policy": (None, ["sample", *_EXAMPLE1, "--zero-policy",
+                                                   "fixed:1", "--profile", "bad"], EXIT_USAGE,
+                                            "usage error: this instance has no designated "
+                                            "bad profile\n"),
 }
 
 

@@ -262,6 +262,12 @@ class TestStrategies:
         with pytest.raises(ValueError, match="must be int item indices"):
             Lexicographic(order)
 
+    @pytest.mark.parametrize("order", [(True,), (0, False)], ids=["true", "false"])
+    def test_lexicographic_rejects_bool_entries(self, order):
+        # Lexicographic((True,)) used to build, with order=(True,)
+        with pytest.raises(ValueError, match="must be int item indices"):
+            Lexicographic(order)
+
     def test_lexicographic_rejects_negative_indices(self):
         with pytest.raises(ValueError, match="negative index"):
             Lexicographic((-1,))
@@ -360,6 +366,13 @@ class TestZeroPolicy:
 
     def test_fixed_builder(self):
         assert fixed_order_policy([2, 0, 1]).order == (2, 0, 1)
+
+    @pytest.mark.parametrize("order", [(True, False), (1, 0.0), (0, "1")],
+                             ids=["bools", "float", "str"])
+    def test_fixed_order_holds_int_items(self, order):
+        # (True, False) used to pass as the permutation (1, 0)
+        with pytest.raises(ValueError, match="must be a permutation of all items"):
+            fixed_order_policy(order)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

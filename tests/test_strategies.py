@@ -268,6 +268,33 @@ class TestFamilies:
         with pytest.raises(ValueError, match="^grid resolution must be an int, got "):
             GridProportional(resolution)
 
+    @pytest.mark.parametrize("items", [(True,), (0, False)], ids=["true", "false"])
+    def test_named_items_must_not_be_bools(self, items):
+        # a bool is an int to Python: Sequential(((True,),)) used to build
+        # and sweep item 2, which strategy_from_json refuses as JSON true
+        with pytest.raises(ValueError, match="^lexicographic order entries must be int item "
+                                             "indices$"):
+            Sequential(((1,), items))
+        with pytest.raises(ValueError, match=r"^uniform set .* must hold distinct "
+                                             r"nonnegative ints$"):
+            Uniform(((1,), items))
+
+    def test_families_of_one_kind_follow_their_key(self):
+        # grid:3,grid:2 used to expand and print in the order given
+        truth = valuation_of(["1/2", "1/3", "1/6"])
+        for families, first in [
+                ([GridProportional(3), GridProportional(2)], "grid[d=2, 6 points]"),
+                ([Sequential(((1,), (0,))), Sequential()], "sequential[greedy orders]"),
+                ([Uniform(((2,),)), Uniform(((1,),)), Uniform()], "uniform[top-value sets]")]:
+            ordered = sorted(families, key=lambda family: family.key())
+            assert describe_families(families, 3).startswith(first)
+            assert describe_families(families, 3) == describe_families(ordered, 3)
+            assert list(expand_families(families, truth, 3)) == \
+                list(expand_families(ordered, truth, 3))
+        # named lists are keyed by their sorted entries, as their members are
+        assert Sequential(((1,), (0,))).key() == Sequential(((0,), (1,))).key()
+        assert Uniform(((1, 0),)).key() == Uniform(((0, 1),)).key()
+
 
 # Families of each kind for m <= 4 items, with default and explicit
 # parameters: explicit orders and sets are drawn from permutations, so their
@@ -319,5 +346,15 @@ class TestFamilyProperties:
         kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, unique=True))
         m, truth, families = data.draw(_truth_and_families(kinds))
         shuffled = data.draw(st.permutations(families))
+        assert list(expand_families(shuffled, truth, m)) == \
+            list(expand_families(families, truth, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_expansion_ignores_the_order_of_families_of_one_kind(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6))
+        m, truth, families = data.draw(_truth_and_families(kinds))
+        shuffled = data.draw(st.permutations(families))
+        assert describe_families(shuffled, m) == describe_families(families, m)
         assert list(expand_families(shuffled, truth, m)) == \
             list(expand_families(families, truth, m))
