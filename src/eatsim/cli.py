@@ -1,8 +1,10 @@
 """Command line surface: experiment orchestration, file I/O, CSV/JSON reports.
 
-Every run is captured as an :class:`ExperimentConfig`, a fully serializable
-record of the subcommand and its options; re-executing an identical config
-reproduces byte-identical outputs (Monte Carlo included, via seeds).
+A run is its argument list: running the same list again reproduces
+byte-identical outputs (Monte Carlo included, via seeds). This module is the
+only one that reads the outside world: the argument list, and for the
+sweeps, best-response and verify-ne, the engine-run budget ``ALLOC_BUDGET``,
+which the library takes as its ``budget=`` argument.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``; the parser is built
 from the declarations, and ``execute`` resolves the instance, the profile and
@@ -90,21 +92,6 @@ def _sample_count(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One CLI invocation, as data. Identical configs rerun bit-identically."""
-
-    command: str
-    options: dict
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "options": dict(self.options)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "ExperimentConfig":
-        return ExperimentConfig(doc["command"], dict(doc["options"]))
-
-
 @dataclass
 class CliResult:
     exit_code: int
@@ -156,7 +143,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def config_from_argv(argv: list[str]) -> ExperimentConfig:
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and the options it was given or defaults to."""
     # argparse reads a value such as "-1/2" as an option: attach it as "--eps=-1/2"
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):
@@ -166,7 +154,7 @@ def config_from_argv(argv: list[str]) -> ExperimentConfig:
     if namespace.command is None:
         raise _UsageError("a subcommand is required")
     options = {k: v for k, v in vars(namespace).items() if k != "command" and v is not None}
-    return ExperimentConfig(namespace.command, options)
+    return namespace.command, options
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +219,20 @@ def _resolve_families(opts: dict, m: int):
     if not families:
         raise _UsageError("no strategy families given")
     return families
+
+
+def _budget() -> int:
+    """``ALLOC_BUDGET``, a sweep's cap on engine runs; unset or empty is the default."""
+    raw = os.environ.get("ALLOC_BUDGET")
+    if not raw:
+        return equilibrium.DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise _UsageError(f"ALLOC_BUDGET must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _both(value: Fraction) -> str:
@@ -340,7 +342,7 @@ def _cmd_best_response(opts, instance, generated, profile, policy) -> CliResult:
     families = _resolve_families(opts, instance.m)
     report = equilibrium.best_response(
         profile, agent, instance.valuations[agent], families,
-        mechanism=opts["mechanism"], policy=policy,
+        mechanism=opts["mechanism"], policy=policy, budget=_budget(),
         collect_candidates=opts["dump_candidates"])
     out = io.StringIO()
     out.write(f"{_agent_name(instance, agent)} over {report.families}\n")
@@ -359,7 +361,7 @@ def _cmd_verify_ne(opts, instance, generated, profile, policy) -> CliResult:
     epsilon = parse_rational(opts["epsilon"])
     cert = equilibrium.verify_ne(
         profile, instance, epsilon, families,
-        mechanism=opts["mechanism"], policy=policy,
+        mechanism=opts["mechanism"], policy=policy, budget=_budget(),
         collect_candidates=opts["dump_candidates"])
     out = io.StringIO()
     out.write(f"verdict: {cert.verdict} (epsilon = {format_rational(cert.epsilon)},"
@@ -479,14 +481,15 @@ _SUBCOMMANDS = {
 }
 
 
-def execute(config: ExperimentConfig) -> CliResult:
-    """Run a config and capture stdout text plus files to write.
+def execute(argv: list[str]) -> CliResult:
+    """Run an argument list and capture stdout text plus files to write.
 
-    Catches domain errors and maps them onto the exit-code contract so the
-    CLI and programmatic callers agree on failure modes.
+    A usage error raises ``_UsageError``; domain errors map onto the
+    exit-code contract, so the CLI and programmatic callers agree on
+    failure modes.
     """
-    command = _SUBCOMMANDS[config.command]
-    opts = dict(config.options)
+    name, opts = _parse(argv)
+    command = _SUBCOMMANDS[name]
     try:
         instance, generated = _resolve_instance(opts)
         profile = (_resolve_profile(opts, instance, generated, command.profile)
@@ -495,8 +498,6 @@ def execute(config: ExperimentConfig) -> CliResult:
         return command.run(opts, instance, generated, profile, policy)
     except _UsageError:
         raise
-    except equilibrium.BudgetConfigError as exc:
-        raise _UsageError(str(exc)) from None
     except (ParseError, OSError) as exc:
         return CliResult(EXIT_PARSE, f"error: {exc}\n")
     except InvalidInstanceError as exc:
@@ -511,10 +512,8 @@ def execute(config: ExperimentConfig) -> CliResult:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = config_from_argv(argv)
-        result = execute(config)
+        result = execute(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         _build_parser().print_usage(sys.stderr)

@@ -9,7 +9,6 @@ the search is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,31 +38,10 @@ from .strategies import (
 )
 
 DEFAULT_BUDGET = 10 ** 6
-BUDGET_ENV_VAR = "ALLOC_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """A sweep would exceed the configured engine-run budget."""
-
-
-class BudgetConfigError(ValueError):
-    """The engine-run budget in the environment is not a count."""
-
-
-def configured_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise BudgetConfigError(
-            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return budget
+    """A sweep would exceed its engine-run budget."""
 
 
 def run_profile(
@@ -238,7 +216,7 @@ def best_response(
     families: Iterable[StrategyFamily],
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     collect_candidates: bool = False,
 ) -> DeviationReport:
     """Sweep every family member for ``agent`` against the rest of
@@ -251,7 +229,7 @@ def best_response(
     """
     (report,) = _sweep(profile, len(profile), len(true_valuation), [agent],
                        [true_valuation], families, mechanism, policy,
-                       configured_budget(budget), collect_candidates)
+                       budget, collect_candidates)
     return report
 
 
@@ -262,7 +240,7 @@ def verify_ne(
     families: Iterable[StrategyFamily] = DEFAULT_FAMILIES,
     mechanism: str = "cps",
     policy: ZeroPolicy = LOWEST_INDEX_FIRST,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     collect_candidates: bool = False,
 ) -> EquilibriumCertificate:
     """Sweep every agent; certify or return the refutation.
@@ -276,7 +254,6 @@ def verify_ne(
     epsilon = parse_rational(epsilon) if isinstance(epsilon, str) else Fraction(epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    budget = configured_budget(budget)
     reports = _sweep(profile, instance.n, instance.m, range(instance.n),
                      instance.valuations, families, mechanism, policy, budget,
                      collect_candidates)
@@ -341,6 +318,8 @@ def sequential_payoff_floor(
     previous = Fraction(0)
     floor = Fraction(0)
     for x in items:
+        if type(x) is not int:
+            raise ValueError(f"item {x!r} is not an int index")
         if not 0 <= x < trace.m:
             raise ValueError(f"item {x} out of range for m = {trace.m}")
         t = times[x]

@@ -17,7 +17,9 @@ The constructions are blocks of interchangeable agents. A generator builds
 the :class:`Valuation` of each distinct row once and repeats that object
 wherever the row recurs, in the instance and in the bad profile, so a block
 is sum-checked and integer-formed once; ``model.instance_to_json`` and
-``model.profile_to_json`` then render each distinct row once.
+``model.profile_to_json`` then render each distinct row once. A single-minded
+row is the report of :func:`eatsim.strategies.single_minded`, the same cached
+object as the single-minded family's member.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import Mapping, Sequence
 
 from .model import (
     FLOATS_NOT_EXACT,
-    ONE,
     ZERO,
     Instance,
     Proportional,
@@ -38,6 +39,7 @@ from .model import (
     Valuation,
     parse_rational,
 )
+from .strategies import single_minded
 
 
 class GeneratorError(ValueError):
@@ -101,11 +103,6 @@ def _rows(rows: Sequence[Valuation | Sequence[Fraction]], **labels) -> Instance:
     return Instance(len(valuations), len(valuations[0]), valuations, **labels)
 
 
-def _single_minded(item: int, m: int) -> Valuation:
-    """The row worth 1 on ``item`` and 0 on every other of the m items."""
-    return Valuation(tuple(ONE if j == item else ZERO for j in range(m)))
-
-
 def example1() -> Generated:
     rows = [
         [Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)],
@@ -141,7 +138,7 @@ def sqrt_n_lb(n: int, eps: Fraction | None = None) -> Generated:
     true_rows, bad = [], []
     for block in range(root):
         report = Valuation(tuple(high if j == block else low for j in range(n)))
-        true_rows += [_single_minded(block, n)] + [report] * (root - 1)
+        true_rows += [single_minded(block, n).report] + [report] * (root - 1)
         bad += [Proportional(report)] * root
     inst = _rows(true_rows)
     bad = tuple(bad)
@@ -161,7 +158,7 @@ def log_m_lb(k: int, q: int) -> Generated:
     n = k + q
     m = _doubling(q + 1)
     _check_size(n, m)
-    rows = [_single_minded(0, m)] * k
+    rows = [single_minded(0, m).report] * k
     for z in range(1, q + 1):
         lo, hi = 2 ** z - 1, 2 ** (z + 1) - 1
         value = Fraction(1, 2 ** z)
@@ -176,7 +173,7 @@ def stability_lb(n: int) -> Generated:
     """Best-equilibrium gap: sqrt(n) matched specialists vs a uniform crowd."""
     root = _require_square(n)
     crowd = Valuation(tuple(Fraction(1, root) if j < root else ZERO for j in range(n)))
-    inst = _rows([_single_minded(i, n) for i in range(root)] + [crowd] * (n - root))
+    inst = _rows([single_minded(i, n).report for i in range(root)] + [crowd] * (n - root))
     return Generated(inst, None, {"description": "price-of-stability specialists"})
 
 
@@ -215,7 +212,7 @@ def cps_beats_ps(n: int, eps: Fraction | None = None) -> Generated:
     high = Fraction(1, n) + eps
     low = Fraction(1, n) - eps / (root - 1)
     crowd = Valuation(tuple(high if j < root else low for j in range(n)))
-    inst = _rows([_single_minded(i, n) for i in range(root)] + [crowd] * (n - root))
+    inst = _rows([single_minded(i, n).report for i in range(root)] + [crowd] * (n - root))
     return Generated(inst, None, {"description": "cardinal eating wins: specialists + crowd",
                                   "eps": eps})
 
@@ -280,7 +277,7 @@ def counterexample_safety(n: int, eps: Fraction | None = None) -> Generated:
     _check_size(n, n)
     eps = _check_eps(eps if eps is not None else Fraction(1, n ** 2), n)
     hedger = [1 - (n - 1) * eps] + [eps] * (n - 1)
-    inst = _rows([hedger] + [_single_minded(0, n)] * (n - 1))
+    inst = _rows([hedger] + [single_minded(0, n).report] * (n - 1))
     bad = tuple(Proportional(v) for v in inst.valuations)
     return Generated(inst, bad, {"description": "truth-telling safety counterexample",
                                  "eps": eps})

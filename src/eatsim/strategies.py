@@ -19,16 +19,26 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .model import FLOATS_NOT_EXACT, Lexicographic, Proportional, Strategy, Valuation
+from .model import FLOATS_NOT_EXACT, ONE, ZERO, Lexicographic, Proportional, Strategy, Valuation
+
+
+def _check_items(items: tuple) -> None:
+    # a bool is an int to Python, and equal to 0 or 1, but no item index
+    if not all(type(j) is int for j in items):
+        raise ValueError(f"item indices must be ints, got {items!r}")
+
+
+def single_minded(item: int, m: int) -> Proportional:
+    """Report value 1 on one item and 0 elsewhere; built once per (item, m)."""
+    _check_items((item,))  # before the cache, where True finds the bid of 1
+    return _single_minded(item, m)
 
 
 @cache
-def single_minded(item: int, m: int) -> Proportional:
-    """Report value 1 on one item and 0 elsewhere; built once per (item, m)."""
+def _single_minded(item: int, m: int) -> Proportional:
     if not 0 <= item < m:
         raise ValueError(f"item {item} out of range for m = {m}")
-    return Proportional(Valuation(tuple(
-        Fraction(1) if j == item else Fraction(0) for j in range(m))))
+    return Proportional(Valuation(tuple(ONE if j == item else ZERO for j in range(m))))
 
 
 @cache
@@ -44,6 +54,8 @@ def sequential(order: Sequence[int]) -> Lexicographic:
 
 def uniform(items: Iterable[int], m: int) -> Proportional:
     """Report 1/k on each of k target items, 0 elsewhere."""
+    items = tuple(items)
+    _check_items(items)
     chosen = set(items)
     targets = sorted(chosen)
     if not targets:
@@ -68,6 +80,7 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError("eps must lie strictly between 0 and 1/2")
     order = tuple(order)
+    _check_items(order)
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be nonempty and free of duplicates")
     if any(not 0 <= j < m for j in order):

@@ -17,10 +17,10 @@ from eatsim.cli import (
     EXIT_PARSE,
     EXIT_REFUTED,
     EXIT_USAGE,
-    ExperimentConfig,
     POA_CSV_COLUMNS,
+    _UsageError,
+    _parse,
     _resolve_families,
-    config_from_argv,
     execute,
     main,
 )
@@ -36,13 +36,23 @@ F = Fraction
 
 
 def run_cli(argv):
-    return execute(config_from_argv(argv))
+    return execute(argv)
 
 
 class TestUsage:
     def test_empty_args_exit_64(self, capsys):
         assert main([]) == EXIT_USAGE
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["best-response", "--generator", "example1"]],
+                             ids=["empty", "unknown-command", "no-agent"])
+    def test_argv_the_parser_refuses_is_a_usage_error(self, argv, capsys):
+        # execute used to take a config that no parser had checked, and an
+        # unknown command or a missing option raised KeyError
+        with pytest.raises(_UsageError):
+            execute(argv)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_unknown_family_exit_64(self, capsys):
         code = main(["verify-ne", "--generator", "example2",
@@ -234,6 +244,36 @@ class TestVerifyAndBestResponse:
                           "--profile", "truthful"])
         assert result.exit_code == EXIT_BUDGET
 
+    def test_best_response_budget_exceeded_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setenv("ALLOC_BUDGET", "2")
+        assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_BUDGET
+        assert capsys.readouterr().out == "refused: sweep needs 6 engine runs, budget is 2\n"
+
+    def test_best_response_non_integer_budget_exit_64(self, monkeypatch, capsys):
+        monkeypatch.setenv("ALLOC_BUDGET", "abc")
+        assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "usage error: ALLOC_BUDGET must be a non-negative integer, got 'abc'\n")
+
+    def test_poa_ignores_the_budget(self, monkeypatch, capsys):
+        # only the sweeps, best-response and verify-ne, read ALLOC_BUDGET
+        monkeypatch.setenv("ALLOC_BUDGET", "abc")
+        assert main(["poa", *_EXAMPLE2]) == EXIT_OK
+
+    @pytest.mark.parametrize("budget, recorded", [("8", 8), ("", 1000000), (None, 1000000)],
+                             ids=["eight", "empty", "unset"])
+    def test_certificate_records_the_budget(self, monkeypatch, budget, recorded):
+        # moved from the library: the certificate names the budget it ran under
+        if budget is None:
+            monkeypatch.delenv("ALLOC_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("ALLOC_BUDGET", budget)
+        result = run_cli(["verify-ne", *_EXAMPLE2, "--families", "truthful,single-minded",
+                          "--out", "cert.json"])
+        doc = json.loads(result.files["cert.json"])
+        assert doc["budget"] == recorded
+        assert sum(report["engine_runs"] for report in doc["reports"]) == 8
+
     def test_certified_profile_exit_0(self, tmp_path):
         # mutually single-minded agents: nobody can improve on payoff 1
         inst_path = tmp_path / "identity.json"
@@ -256,7 +296,7 @@ class TestVerifyAndBestResponse:
                              ids=["verify-ne", "best-response"])
     def test_default_families_are_the_library_default(self, argv):
         # one set of default families, for --families and for verify_ne
-        opts = config_from_argv(argv + ["--generator", "example2"]).options
+        _, opts = _parse(argv + ["--generator", "example2"])
         assert _resolve_families(opts, 2) == list(DEFAULT_FAMILIES)
 
     def test_negative_epsilon_exit_2(self, capsys):
@@ -696,9 +736,9 @@ class TestConfigRoundTrip:
         ["sample", "--generator", "example1", "--seed", "3", "--out", "alloc.json"],
     ], ids=lambda a: a[0])
     def test_rerun_from_serialized_config_is_bit_identical(self, argv):
-        config = config_from_argv(argv)
-        reloaded = ExperimentConfig.from_json(json.loads(json.dumps(config.to_json())))
-        first = execute(config)
+        # a run is its argument list
+        reloaded = json.loads(json.dumps(argv))
+        first = execute(argv)
         second = execute(reloaded)
         assert first.exit_code == second.exit_code
         assert first.stdout == second.stdout
@@ -1119,12 +1159,22 @@ DOCUMENTED_EXITS = {
                                                    "fixed:1", "--profile", "bad"], EXIT_USAGE,
                                             "usage error: this instance has no designated "
                                             "bad profile\n"),
+    # the CLI reads the budget before verify_ne checks epsilon's sign; this
+    # exited 2 while the library read ALLOC_BUDGET itself
+    "budget-before-epsilon-sign": (None, ["verify-ne", *_EXAMPLE2, "--epsilon=-1/2"],
+                                   EXIT_USAGE, "usage error: ALLOC_BUDGET must be a "
+                                               "non-negative integer, got 'abc'\n"),
 }
+
+# ALLOC_BUDGET for the DOCUMENTED_EXITS rows that set it
+_ROW_BUDGET = {"budget-before-epsilon-sign": "abc"}
 
 
 @pytest.mark.parametrize("key", DOCUMENTED_EXITS)
-def test_documented_exit_without_traceback(key, tmp_path, capsys):
+def test_documented_exit_without_traceback(key, tmp_path, monkeypatch, capsys):
     doc, argv, code, text = DOCUMENTED_EXITS[key]
+    if key in _ROW_BUDGET:
+        monkeypatch.setenv("ALLOC_BUDGET", _ROW_BUDGET[key])
     (tmp_path / "instance.json").write_text(json.dumps(_INSTANCE))
     if doc is not None:
         (tmp_path / "p.json").write_text(json.dumps(doc))

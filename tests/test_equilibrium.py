@@ -16,9 +16,9 @@ from eatsim import (
 )
 from eatsim.equilibrium import (
     BudgetExceededError,
+    DEFAULT_BUDGET,
     best_response,
     certificate_to_json,
-    configured_budget,
     deviation_report_to_json,
     ratio_report,
     run_profile,
@@ -176,13 +176,6 @@ class TestBestResponse:
         with pytest.raises(BudgetExceededError):
             best_response(example2.truthful_profile(), 0, example2.valuations[0],
                           [GridProportional(12)], budget=5)
-
-    def test_budget_env_override(self, example2, monkeypatch):
-        monkeypatch.setenv("ALLOC_BUDGET", "3")
-        assert configured_budget() == 3
-        with pytest.raises(BudgetExceededError):
-            best_response(example2.truthful_profile(), 0, example2.valuations[0],
-                          [SingleMinded(), Truthful()])
 
 
     @pytest.mark.parametrize("agent", [-1, 3, 4])
@@ -568,12 +561,16 @@ class TestOneCheckedSweep:
                            match="^sweep needs 8 engine runs, budget is 7$"):
             verify_ne(example2.truthful_profile(), example2, families=families, budget=7)
 
-    def test_certificate_records_the_configured_budget(self, example2, monkeypatch):
-        monkeypatch.setenv("ALLOC_BUDGET", "8")
+    def test_the_library_does_not_read_the_budget_variable(self, example2, monkeypatch):
+        # only the CLI reads ALLOC_BUDGET; a library call takes budget=
+        monkeypatch.setenv("ALLOC_BUDGET", "1")
         cert = verify_ne(example2.truthful_profile(), example2,
                          families=[Truthful(), SingleMinded()])
-        assert cert.budget == 8
+        assert cert.budget == DEFAULT_BUDGET == 1000000
         assert sum(r.runs for r in cert.reports) == 8
+        report = best_response(example2.truthful_profile(), 0, example2.valuations[0],
+                               [SingleMinded(), Truthful()])
+        assert report.runs == 4
 
     def test_agent_checked_before_the_families(self, example2):
         with pytest.raises(ValueError, match="agent 2 out of range for 2 agents"):
@@ -847,6 +844,14 @@ class TestSequentialPayoffFloor:
         trace = run_profile(2, 2, example2.truthful_profile())
         with pytest.raises(ValueError, match=f"item {item} out of range for m = 2"):
             sequential_payoff_floor(trace, example2.valuations[0], [item])
+
+    @pytest.mark.parametrize("items", [[True], [0, False]], ids=["true", "false"])
+    def test_rejects_bool_items(self, items):
+        # [True] used to read item 2 and return 1/20 on example1
+        example1 = generate(GeneratorSpec("example1")).instance
+        trace = run_profile(3, 3, example1.truthful_profile())
+        with pytest.raises(ValueError, match=r"^item (True|False) is not an int index$"):
+            sequential_payoff_floor(trace, example1.valuations[0], items)
 
     def test_rejects_unsorted_sequences(self, example2):
         profile = [single_minded(0, 2), example2.truthful_profile()[1]]

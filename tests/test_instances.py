@@ -15,6 +15,7 @@ from eatsim.instances import (
 )
 from eatsim.lotteries import opt
 from eatsim.model import Proportional, instance_defects
+from eatsim.strategies import single_minded
 from helpers import assert_exports_render_row_by_row
 
 F = Fraction
@@ -144,6 +145,20 @@ def test_exports_render_every_generator_row_by_row(spec):
     generated = generate(spec)
     profile = generated.bad_profile or generated.instance.truthful_profile()
     assert_exports_render_row_by_row(generated.instance, profile)
+
+
+@pytest.mark.parametrize("spec, row, item", [
+    (GeneratorSpec("sqrt-n-lb", {"n": 9}), 0, 0),
+    (GeneratorSpec("log-m-lb", {"k": 2, "q": 2}), 0, 0),
+    (GeneratorSpec("stability-lb", {"n": 16}), 3, 3),
+    (GeneratorSpec("cps-beats-ps", {"n": 16}), 1, 1),
+    (GeneratorSpec("counterexample-safety", {"n": 4}), 1, 0),
+], ids=lambda x: x.name if isinstance(x, GeneratorSpec) else str(x))
+def test_single_minded_rows_are_the_family_members(spec, row, item):
+    # one builder of the single-minded row: the generator's row is the
+    # cached report the single-minded family sweeps
+    instance = generate(spec).instance
+    assert instance.valuations[row] is single_minded(item, instance.m).report
 
 
 def test_none_means_absent():

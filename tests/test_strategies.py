@@ -48,6 +48,15 @@ class TestSingleMinded:
         with pytest.raises(ValueError):
             single_minded(3, 3)
 
+    @pytest.mark.parametrize("item", [True, False, 1.0], ids=["true", "false", "float"])
+    def test_item_must_be_an_int(self, item):
+        # True == 1, so the cache used to hand back the bid on item 2 once
+        # single_minded(1, 2) had been built
+        single_minded(1, 2)
+        single_minded(0, 2)
+        with pytest.raises(ValueError, match="^item indices must be ints, got "):
+            single_minded(item, 2)
+
     def test_drives_down_consumption_time(self):
         # two-agent instance: holding the rival fixed, bidding everything on
         # item 1 finishes it at 3/4
@@ -60,6 +69,12 @@ class TestEpsilonStrategy:
     def test_two_item_example(self):
         strat = epsilon_strategy((1, 0), F(1, 10), 2)
         assert strat.report.values == (F(1, 10), F(9, 10))
+
+    @pytest.mark.parametrize("order", [(True, False), (0, True)], ids=["bools", "one-bool"])
+    def test_order_entries_must_be_ints(self, order):
+        # (True, False) used to build the report of the order (1, 0)
+        with pytest.raises(ValueError, match="^item indices must be ints, got "):
+            epsilon_strategy(order, F(1, 4), 2)
 
     def test_length_one_degenerates_to_single_minded(self):
         strat = epsilon_strategy((0,), F(1, 4), 3)
@@ -150,6 +165,13 @@ class TestUniformBids:
 
     def test_singleton_equals_single_minded(self):
         assert uniform((4,), 5) == single_minded(4, 5)
+
+    @pytest.mark.parametrize("items", [[True], (1, True), iter([0, False])],
+                             ids=["true", "int-then-bool", "iterator"])
+    def test_items_must_be_ints(self, items):
+        # [True] used to build the bid on item 2, and {1, True} is one set entry
+        with pytest.raises(ValueError, match="^item indices must be ints, got "):
+            uniform(items, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
