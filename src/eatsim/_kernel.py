@@ -39,13 +39,14 @@ group with one target and one start time for it, plus a join time for each
 agent that went idle while the target stood; a chaser's share of the target
 is t - (its join time, else the start), and a new target costs O(1).
 
-L and the proportional part of the item totals are kept from one segment to
-the next while no W_i(S) changes and no agent follows the uniform policy,
-whose share 1 / |S| changes every segment; the eaters and the chasers are
-added onto a copy. The rate rows of the whole trace are shared the same way:
-every agent eating item j at rate 1, an eater or a chaser, gets the one row
-of j, built when j is first eaten; a proportional agent keeps its row while
-its W_i(S) stands, and the uniform agents share one row per segment.
+L and the proportional and uniform part of the item totals (``_totals``)
+are kept from the opening and from one segment to the next while no W_i(S)
+changes and no agent follows the uniform policy, whose share 1 / |S|
+changes every segment; the eaters and the chasers are added onto a copy.
+The rate rows of the whole trace are shared the same way: every agent
+eating item j at rate 1, an eater or a chaser, gets the one row of j, built
+when j is first eaten; a proportional agent keeps its row while its W_i(S)
+stands, and the uniform agents share one row per segment.
 
 inputs
     n, m            problem size
@@ -76,10 +77,12 @@ inputs
                     count is above 0
     opening         None, or the t = 0 state of ``build_opening``: each
                     agent's mode, W_i(S) or target, and support, with one
-                    agent left unplaced. A best-response sweep builds it once
-                    per swept agent from the opponents' slots, and each run
-                    copies it and places only the deviator; without it the
-                    run builds its own
+                    agent left unplaced, and the placed agents' L and item
+                    totals. A best-response sweep builds it once per swept
+                    agent from the opponents' slots, and each run copies it,
+                    places only the deviator and keeps the totals unless
+                    the deviator adds to them; without it the run builds
+                    its own
 
 This module holds the one copy of the eating rule: ``_place`` gives an agent
 its mode at t = 0, for ``build_opening`` and for a run's unplaced agent, and
@@ -96,14 +99,15 @@ reduced, and every time, event and share is a numerator over the D the run
 had when it wrote the value, not reduced: ``eatsim.engine.run`` reduces each
 distinct pair once as it builds its ``Fraction``)
     segments        list of (t_start, t_end, rates) with rates an n x m
-                    matrix; empty when the caller names ``agents``
+                    matrix; empty, and no rate row built, when the caller
+                    names ``agents``
     events          list of (num, den, item), chronological, ties by item;
                     a run that stops early ends them at the stop
     gamma           n x m matrix of total consumption shares; when the
                     caller names ``agents``, only their rows are written and
-                    every other row is empty; a run that stops early writes
-                    shares only for the items that ran out, and the items
-                    still alive at the stop keep share 0
+                    every other row is one shared empty list; a run that
+                    stops early writes shares only for the items that ran
+                    out, and the items still alive at the stop keep share 0
 """
 
 from __future__ import annotations
@@ -157,14 +161,32 @@ def _place(i, w, order, zero_order, mode, value, support, proportional, eaters):
     return mode[i]
 
 
-def build_opening(weights, orders, zero_order, unplaced=None):
+def _totals(m, weights, value, support, proportional, uniform, remaining):
+    """``(L, base)``: L = lcm(W_i(S), |S|) and the proportional and uniform
+    agents' item totals over L, with S the ``remaining`` items."""
+    size = len(remaining)
+    L = lcm(*(value[i] for i in proportional), size if uniform else 1)
+    base = [0] * m
+    for i in proportional:
+        w = weights[i]
+        f = L // value[i]
+        for j in support[i]:
+            base[j] += w[j] * f
+    if uniform:
+        f = uniform * (L // size)
+        for j in remaining:
+            base[j] += f
+    return L, base
+
+
+def build_opening(n, m, weights, orders, zero_order, unplaced=None):
     """The state at t = 0 of every agent but ``unplaced``: ``(unplaced, mode,
-    value, support, proportional, eaters, uniform, chasers)``, with each
-    agent's mode and W_i(S) or target, a proportional agent's support, the
-    proportional agents and the eaters, and the counts of uniform agents and
-    chasers. A run copies what it changes, so one opening serves any number
-    of runs that differ only in agent ``unplaced``'s slot."""
-    n = len(weights)
+    value, support, proportional, eaters, uniform, chasers, L, base)``, with
+    each agent's mode and W_i(S) or target, a proportional agent's support,
+    the proportional agents and the eaters, the counts of uniform agents and
+    chasers, and the placed agents' :func:`_totals` at t = 0. A run copies
+    what it changes, so one opening serves any number of runs that differ
+    only in agent ``unplaced``'s slot."""
     mode = [0] * n
     value = [0] * n
     support = [None] * n  # a proportional agent's remaining items with w_ij > 0
@@ -177,7 +199,8 @@ def build_opening(weights, orders, zero_order, unplaced=None):
                        mode, value, support, proportional, eaters)
             uniform += k == UNIFORM
             chasers += k == CHASE
-    return unplaced, mode, value, support, proportional, eaters, uniform, chasers
+    L, base = _totals(m, weights, value, support, proportional, uniform, range(m))
+    return unplaced, mode, value, support, proportional, eaters, uniform, chasers, L, base
 
 
 def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, opening=None,
@@ -198,7 +221,7 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, openin
     if keys is None:
         keys, left, floor = [0] * m, {0: m}, 0
     kinds = len(left)
-    gamma = [[] for _ in range(n)]
+    gamma = [[]] * n  # an agent not asked for keeps this one empty row
     for i in agents:
         gamma[i] = [_ZERO] * m
     segments = []
@@ -219,9 +242,12 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, openin
     # lowest-index or fixed zero-policy target, and uniform. The last two are
     # counts; the chasers share a target, its start and join times. The run
     # starts from a copy of the opening's lists, never changing the opening.
+    # The total rate of item j is tot[j] / L, and base is tot without the
+    # eaters and the chasers; None once a W_i(S) or, under the uniform
+    # policy, S changes.
     if opening is None:
-        opening = build_opening(weights, orders, zero_order)
-    unplaced, mode, value, support, proportional, eaters, uniform, chasers = opening
+        opening = build_opening(n, m, weights, orders, zero_order)
+    unplaced, mode, value, support, proportional, eaters, uniform, chasers, L, base = opening
     mode, value, support = mode.copy(), value.copy(), support.copy()
     proportional, eaters = proportional.copy(), eaters.copy()
     if unplaced is not None:
@@ -229,31 +255,21 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, openin
                    mode, value, support, proportional, eaters)
         uniform += k == UNIFORM
         chasers += k == CHASE
+        if k == PROPORTIONAL or k == UNIFORM:
+            base = None  # the agent adds to L and the totals
     mark = [_ZERO] * n
     cursor = [0] * n  # position of the target in a lexicographic order
-    rows = [None] * n  # rate rows of the last segment, only for the whole trace
-    eat_rows = [None] * m  # the one rate-1 row of each item, built when first eaten
+    if whole:
+        rows = [None] * n  # rate rows of the last segment
+        eat_rows = [None] * m  # the one rate-1 row of each item, built when first eaten
     zero_cursor = 0  # position of the chasers' target in the zero policy's order
     target = zero_order[0] if zero_order else -1
     begun, joined = _ZERO, {}
 
-    base = None  # tot without the eaters and chasers; None once a W_i(S) changes
     while kinds > floor:
         size = len(remaining)
-
-        # The total rate of item j is tot[j] / L.
-        if base is None or uniform:
-            L = lcm(*(value[i] for i in proportional), size if uniform else 1)
-            base = [0] * m
-            for i in proportional:
-                w = weights[i]
-                f = L // value[i]
-                for j in support[i]:
-                    base[j] += w[j] * f
-            if uniform:
-                f = uniform * (L // size)
-                for j in remaining:
-                    base[j] += f
+        if base is None:
+            L, base = _totals(m, weights, value, support, proportional, uniform, remaining)
         tot = base.copy()
         for i in eaters:
             tot[value[i]] += L
@@ -339,7 +355,9 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, openin
                 W -= w[j]
             if W == value[i]:
                 continue
-            rows[i] = base = None
+            base = None
+            if whole:
+                rows[i] = None
             value[i] = W
             if W:
                 support[i] = [j for j in support[i] if alive[j]]
@@ -369,6 +387,8 @@ def run_eating(n, m, weights, orders, zero_order, agents=None, keys=None, openin
                 mode[i] = UNIFORM
                 mark[i] = (zn, D)
             uniform += len(idle)
+            if uniform:
+                base = None  # the uniform agents' 1 / |S| changes every segment
         else:
             if alive[target]:
                 joined.update(dict.fromkeys(idle, t))

@@ -67,14 +67,14 @@ DEFAULT_FAMILIES = ",".join(family.token for family in strategies.DEFAULT_FAMILI
 RRP_SAMPLES = 10000
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(Exception):
+    """An argument list or ``ALLOC_BUDGET`` value the CLI refuses: exit 64."""
 
 
 class _Parser(argparse.ArgumentParser):
     # scripting contract: bad usage exits 64, not argparse's default 2
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _positive_int(text: str) -> int | None:
@@ -152,7 +152,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     namespace = _build_parser().parse_args(argv)
     if namespace.command is None:
-        raise _UsageError("a subcommand is required")
+        raise UsageError("a subcommand is required")
     options = {k: v for k, v in vars(namespace).items() if k != "command" and v is not None}
     return namespace.command, options
 
@@ -163,7 +163,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 def _resolve_instance(opts: dict) -> tuple[Instance, instances.Generated | None]:
     if opts.get("instance") and opts.get("generator"):
-        raise _UsageError("pass either --instance or --generator, not both")
+        raise UsageError("pass either --instance or --generator, not both")
     if opts.get("instance"):
         return instance_from_json(load_json(opts["instance"])), None
     if opts.get("generator"):
@@ -171,7 +171,7 @@ def _resolve_instance(opts: dict) -> tuple[Instance, instances.Generated | None]
         generated = instances.generate(
             instances.GeneratorSpec(opts["generator"], params, opts["seed"]))
         return generated.instance, generated
-    raise _UsageError("an --instance file or a --generator is required")
+    raise UsageError("an --instance file or a --generator is required")
 
 
 def _resolve_profile(opts: dict, instance: Instance,
@@ -184,7 +184,7 @@ def _resolve_profile(opts: dict, instance: Instance,
         return instance.truthful_profile()
     if token == "bad":
         if generated is None or generated.bad_profile is None:
-            raise _UsageError("this instance has no designated bad profile")
+            raise UsageError("this instance has no designated bad profile")
         return list(generated.bad_profile)
     return profile_from_json(load_json(token), instance.n, instance.m)
 
@@ -197,11 +197,11 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
         try:
             order = [int(x) - 1 for x in token[len("fixed:"):].split(",")]
         except ValueError:
-            raise _UsageError(f"bad fixed policy {token!r}") from None
+            raise UsageError(f"bad fixed policy {token!r}") from None
         if sorted(order) != list(range(m)):
-            raise _UsageError("fixed policy must be a permutation of all items")
+            raise UsageError("fixed policy must be a permutation of all items")
         return fixed_order_policy(order)
-    raise _UsageError(f"unknown zero policy {token!r}")
+    raise UsageError(f"unknown zero policy {token!r}")
 
 
 def _resolve_families(opts: dict, m: int):
@@ -211,13 +211,13 @@ def _resolve_families(opts: dict, m: int):
         name, colon, text = token.partition(":")
         kind = next((k for k in strategies.FAMILY_KINDS if k.token == name), None)
         if kind is None or (colon and kind.parameter is None):
-            raise _UsageError(f"unknown family {token!r}")
+            raise UsageError(f"unknown family {token!r}")
         value = _positive_int(text) if colon else None
         if colon and value is None:
-            raise _UsageError(f"{name} {kind.parameter} must be a positive integer, got {token!r}")
+            raise UsageError(f"{name} {kind.parameter} must be a positive integer, got {token!r}")
         families.append(kind.from_token(value, m))
     if not families:
-        raise _UsageError("no strategy families given")
+        raise UsageError("no strategy families given")
     return families
 
 
@@ -226,13 +226,10 @@ def _budget() -> int:
     raw = os.environ.get("ALLOC_BUDGET")
     if not raw:
         return equilibrium.DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise _UsageError(f"ALLOC_BUDGET must be a non-negative integer, got {raw!r}")
-    return budget
+    # ASCII digits only: int() would also take " 1_0 ", "+5" and "٣"
+    if not (raw.isascii() and raw.isdigit()):
+        raise UsageError(f"ALLOC_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _both(value: Fraction) -> str:
@@ -338,7 +335,7 @@ def _cmd_poa(opts, instance, generated, profile, policy) -> CliResult:
 def _cmd_best_response(opts, instance, generated, profile, policy) -> CliResult:
     agent = opts["agent"] - 1
     if not 0 <= agent < instance.n:
-        raise _UsageError(f"--agent must be in 1..{instance.n}")
+        raise UsageError(f"--agent must be in 1..{instance.n}")
     families = _resolve_families(opts, instance.m)
     report = equilibrium.best_response(
         profile, agent, instance.valuations[agent], families,
@@ -411,7 +408,7 @@ def _cmd_lottery(mechanism, opts, instance, generated, profile, *_) -> CliResult
 
 def _cmd_generate(opts, instance, generated, *_) -> CliResult:
     if generated is None:
-        raise _UsageError("generate requires --generator")
+        raise UsageError("generate requires --generator")
     doc = instance_to_json(instance)
     out = io.StringIO()
     out.write(f"generated {opts['generator']}: n={instance.n} m={instance.m}\n")
@@ -422,10 +419,10 @@ def _cmd_generate(opts, instance, generated, *_) -> CliResult:
         out.write(_json_text(doc))
     if opts.get("profile_out"):
         if generated.bad_profile is None:
-            raise _UsageError(f"generator {opts['generator']!r} has no designated bad profile")
+            raise UsageError(f"generator {opts['generator']!r} has no designated bad profile")
         if opts.get("out") and os.path.realpath(opts["out"]) == os.path.realpath(
                 opts["profile_out"]):
-            raise _UsageError("--out and --profile-out name the same file")
+            raise UsageError("--out and --profile-out name the same file")
         files[opts["profile_out"]] = _json_text(profile_to_json(generated.bad_profile))
     return CliResult(EXIT_OK, out.getvalue(), files)
 
@@ -484,9 +481,9 @@ _SUBCOMMANDS = {
 def execute(argv: list[str]) -> CliResult:
     """Run an argument list and capture stdout text plus files to write.
 
-    A usage error raises ``_UsageError``; domain errors map onto the
-    exit-code contract, so the CLI and programmatic callers agree on
-    failure modes.
+    A usage error raises :class:`UsageError`, which :func:`main` turns
+    into exit 64; domain errors map onto the exit-code contract, so the CLI
+    and programmatic callers agree on failure modes.
     """
     name, opts = _parse(argv)
     command = _SUBCOMMANDS[name]
@@ -496,7 +493,7 @@ def execute(argv: list[str]) -> CliResult:
                    if command.profile else None)
         policy = _resolve_policy(opts, instance.m) if command.zero_policy else None
         return command.run(opts, instance, generated, profile, policy)
-    except _UsageError:
+    except UsageError:
         raise
     except (ParseError, OSError) as exc:
         return CliResult(EXIT_PARSE, f"error: {exc}\n")
@@ -514,7 +511,7 @@ def execute(argv: list[str]) -> CliResult:
 def main(argv: list[str] | None = None) -> int:
     try:
         result = execute(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE

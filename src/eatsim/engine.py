@@ -16,20 +16,21 @@ denominator, and ``run`` is the one place where kernel pairs become
 reduces it. It also converts each rate row object once; every agent eating
 item j at rate 1 shares one row object of the kernel's.
 Callers that need only payoffs (a best-response sweep, a welfare ratio) skip
-that step: ``_payoffs`` asks the kernel for the share rows of some agents only,
-keyed per item by those agents' values, and the run stops once the items
-still alive have one key, so each agent values them alike, at some v_a. As
-every agent eats at total rate 1 until t = m/n, its shares sum to m/n, and
-its payoff is v_a * m/n + sum_j share_j * (v_j - v_a) over the shares the
-kernel wrote, exactly: one integer dot product over the pairs (``_dot``),
-over the row's largest denominator, which every other one divides. A run
-that stops early writes shares only for the items that ran out: a reader
-of lean share rows gets 0 for the items left, whose shares only sum to
-what the row lacks of m/n. The payoff is left as an unreduced
-``(num, den)`` pair: a sweep compares such pairs by
+that step: ``_payoffs`` asks the kernel for the share rows of some agents
+only, a lean run with no segment and no rate row, keyed per item by those
+agents' values, and the run stops once the items still alive have one key, so
+each agent values them alike, at some v_a. As every agent eats at total rate 1
+until t = m/n, its shares sum to m/n, and its payoff is v_a * m/n + sum_j
+share_j * (v_j - v_a) over the shares the kernel wrote, exactly: one integer
+dot product over the pairs (``_dot``), over the row's largest denominator,
+which every other one divides. A run that stops early writes shares only for
+the items that ran out: a reader of lean share rows gets 0 for the items left,
+whose shares only sum to what the row lacks of m/n. The payoff is left as an
+unreduced ``(num, den)`` pair: a sweep compares such pairs by
 cross-multiplication, and only the values it reports become ``Fraction``. A
 sweep also hands ``_payoffs`` its opening: the t = 0 state of the fixed
-opponents, built once per swept agent, which each run copies.
+opponents and their rate totals, built once per swept agent, which each run
+copies.
 ``expected_payoffs`` sums each row over one common multiple of every share
 denominator of a trace, folded once with the largest first, and
 ``trace_to_json`` renders each distinct value and rate row once.
@@ -303,16 +304,20 @@ def _payoffs(args: tuple, agents: Sequence[int], valuations: Sequence[Valuation]
     :func:`_dot` adds it from that key, the value v_a of the items left.
     """
     if len(valuations) == 1:
-        keys, left = valuations[0].integer_form[1], valuations[0].value_counts.copy()
-    else:
-        keys = list(zip(*(v.integer_form[1] for v in valuations)))
-        left = Counter(keys)
+        (agent,), (v,) = agents, valuations
+        left = v.value_counts.copy()
+        row = _kernel_impl.run_eating(*args, agents, v.integer_form[1], opening, left)[2][agent]
+        for key, count in left.items():
+            if count:  # the one key of the items left: their value to the agent
+                return [_dot(row, v, key, args[0])]
+        return [_dot(row, v)]
+    keys = list(zip(*(v.integer_form[1] for v in valuations)))
+    left = Counter(keys)
     _, _, gamma = _kernel_impl.run_eating(*args, agents, keys, opening, left)
     for key, count in left.items():
         if count:  # the one key of the items left: their value to each agent
-            tails = (key,) if len(valuations) == 1 else key
             n = args[0]
-            return [_dot(gamma[i], v, tail, n) for i, v, tail in zip(agents, valuations, tails)]
+            return [_dot(gamma[i], v, tail, n) for i, v, tail in zip(agents, valuations, key)]
     return [_dot(gamma[i], v) for i, v in zip(agents, valuations)]
 
 

@@ -169,7 +169,7 @@ def _sweep(
             continue
         baseline_id = slot_ids.setdefault(baseline, len(slot_ids))
         wanted, truth_row = [agent], [truth]
-        opening = _kernel.build_opening(weights, orders, zero_order, agent)
+        opening = _kernel.build_opening(*args, agent)
         baseline_pair = engine._payoffs(args, wanted, truth_row, opening)[0]
         payoffs: dict[int, tuple[int, int]] = {}
         best_num, best_den = -1, 1  # below every payoff

@@ -28,9 +28,18 @@ def _check_items(items: tuple) -> None:
         raise ValueError(f"item indices must be ints, got {items!r}")
 
 
+def _check_count(m: int) -> None:
+    # True and 1.0 equal 1 and hash alike, but neither is an item count
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, got {type(m).__name__}")
+
+
 def single_minded(item: int, m: int) -> Proportional:
     """Report value 1 on one item and 0 elsewhere; built once per (item, m)."""
-    _check_items((item,))  # before the cache, where True finds the bid of 1
+    # before the cache, where item True finds the bid on item 1, and m = True
+    # or 1.0 the bid for m = 1
+    _check_items((item,))
+    _check_count(m)
     return _single_minded(item, m)
 
 
@@ -56,6 +65,7 @@ def uniform(items: Iterable[int], m: int) -> Proportional:
     """Report 1/k on each of k target items, 0 elsewhere."""
     items = tuple(items)
     _check_items(items)
+    _check_count(m)
     chosen = set(items)
     targets = sorted(chosen)
     if not targets:
@@ -81,6 +91,7 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
         raise ValueError("eps must lie strictly between 0 and 1/2")
     order = tuple(order)
     _check_items(order)
+    _check_count(m)
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be nonempty and free of duplicates")
     if any(not 0 <= j < m for j in order):

@@ -18,7 +18,7 @@ from eatsim.cli import (
     EXIT_REFUTED,
     EXIT_USAGE,
     POA_CSV_COLUMNS,
-    _UsageError,
+    UsageError,
     _parse,
     _resolve_families,
     execute,
@@ -49,7 +49,7 @@ class TestUsage:
     def test_argv_the_parser_refuses_is_a_usage_error(self, argv, capsys):
         # execute used to take a config that no parser had checked, and an
         # unknown command or a missing option raised KeyError
-        with pytest.raises(_UsageError):
+        with pytest.raises(UsageError):
             execute(argv)
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
@@ -249,11 +249,15 @@ class TestVerifyAndBestResponse:
         assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_BUDGET
         assert capsys.readouterr().out == "refused: sweep needs 6 engine runs, budget is 2\n"
 
-    def test_best_response_non_integer_budget_exit_64(self, monkeypatch, capsys):
-        monkeypatch.setenv("ALLOC_BUDGET", "abc")
+    @pytest.mark.parametrize("budget", ["abc", "-1", " 1_0 ", "+5", "1e3", "\u0663"],
+                             ids=["letters", "negative", "underscore", "plus", "exponent",
+                                  "arabic-indic-digit"])
+    def test_best_response_non_integer_budget_exit_64(self, monkeypatch, capsys, budget):
+        # only ASCII digits: int() alone would run " 1_0 " with budget 10
+        monkeypatch.setenv("ALLOC_BUDGET", budget)
         assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(
-            "usage error: ALLOC_BUDGET must be a non-negative integer, got 'abc'\n")
+            f"usage error: ALLOC_BUDGET must be a non-negative integer, got {budget!r}\n")
 
     def test_poa_ignores_the_budget(self, monkeypatch, capsys):
         # only the sweeps, best-response and verify-ne, read ALLOC_BUDGET

@@ -577,16 +577,40 @@ def _families(m, resolution=None):
     return families
 
 
+def _assert_opening_totals(opening, rates):
+    """The opening's t = 0 item totals, over its L, are the sums of the
+    first-segment ``rates`` of its placed proportional and uniform agents,
+    which are the totals a run builds from its own rate rule."""
+    unplaced, mode, *_, L, base = opening
+    placed = [i for i, k in enumerate(mode)
+              if i != unplaced and k in (_kernel.PROPORTIONAL, _kernel.UNIFORM)]
+    assert [Fraction(x, L) for x in base] == [
+        sum((Fraction(*rates[i][j]) for i in placed), Fraction(0)) for j in range(len(base))]
+
+
 def _assert_runs_from_the_opening(n, m, profile, policy, mechanism, truths, families):
     """As a sweep runs them: for each agent, one opening of the others' slots,
     then one lean run per family member with the member's slot. Each run
     equals a fresh run on the same arguments (events and share rows), and
-    leaves the opening as it was; so does a whole trace from the opening."""
+    leaves the opening as it was; so does a whole trace from the opening.
+
+    The totals of every opening are those of the whole trace's first
+    segment. A member whose slot adds to them (a proportional one, or an
+    empty order under the uniform policy) must not reuse them: its run
+    from an opening with wrong totals still equals the fresh run. The one
+    agent's payoff from the opening equals its entry of the payoffs of all
+    agents."""
     args = _kernel_args(n, m, profile, policy, mechanism)
     _, _, weights, orders, zero_order = args
+    _, _, rates = _kernel.run_eating(*args)[0][0]
+    _assert_opening_totals(_kernel.build_opening(*args), rates)
+    everyone = _exact_payoffs(args, range(n), truths)
     for agent, truth in enumerate(truths):
-        opening = _kernel.build_opening(weights, orders, zero_order, agent)
+        opening = _kernel.build_opening(*args, agent)
+        _assert_opening_totals(opening, rates)
         snapshot = copy.deepcopy(opening)
+        *_, L, base = opening
+        wrong = (*opening[:-1], [x + L for x in base])
         baseline = weights[agent], orders[agent]
         keys = truth.integer_form[1]
         assert truth.value_counts == Counter(keys)
@@ -595,9 +619,13 @@ def _assert_runs_from_the_opening(n, m, profile, policy, mechanism, truths, fami
             fresh = _lean_run(args, [agent], keys)
             assert _lean_run(args, [agent], keys, opening) == fresh
             assert opening == snapshot
+            if weights[agent] or not (orders[agent] or zero_order):
+                assert _lean_run(args, [agent], keys, wrong) == fresh
         weights[agent], orders[agent] = baseline
         assert _kernel.run_eating(*args, None, None, opening) == _kernel.run_eating(*args)
         assert opening == snapshot
+        (pair,) = _payoffs(args, [agent], [truth], opening)
+        assert Fraction(*pair) == everyone[agent]
 
 
 def test_runs_from_a_sweep_opening_match_fresh_runs_on_the_fuzz_corpus():

@@ -37,6 +37,20 @@ def test_single_minded_bids_are_built_once():
     assert all(first[label] is second[label] for label in first)
 
 
+@pytest.mark.parametrize("build", [
+    lambda m: single_minded(0, m),
+    lambda m: uniform([0], m),
+    lambda m: epsilon_strategy((0,), F(1, 4), m),
+], ids=["single_minded", "uniform", "epsilon_strategy"])
+def test_item_count_must_be_an_int(build):
+    # single_minded(0, True) used to build a one-item bid, which the cache
+    # then handed back for single_minded(0, 1.0)
+    for m in (True, 1.0, F(1), "1"):
+        with pytest.raises(ValueError, match=f"^m must be an int, got {type(m).__name__}$"):
+            build(m)
+    assert build(1).report.values == (F(1),)
+
+
 class TestSingleMinded:
     def test_basic(self):
         assert single_minded(1, 3).report.values == (F(0), F(1), F(0))
