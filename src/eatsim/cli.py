@@ -4,7 +4,8 @@ A run is its argument list: running the same list again reproduces
 byte-identical outputs (Monte Carlo included, via seeds). This module is the
 only one that reads the outside world: the argument list, and for the
 sweeps, best-response and verify-ne, the engine-run budget ``ALLOC_BUDGET``,
-which the library takes as its ``budget=`` argument.
+which the library takes as its ``budget=`` argument. ``_integer`` is the one
+reader of every integer in them, in flags, family tokens and ``ALLOC_BUDGET``.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``; the parser is built
 from the declarations, and ``execute`` resolves the instance, the profile and
@@ -31,6 +32,7 @@ from typing import Callable, NamedTuple
 
 from . import engine, equilibrium, instances, lotteries, strategies
 from .model import (
+    MAX_DIGITS,
     Instance,
     InvalidInstanceError,
     ParseError,
@@ -77,17 +79,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int | None:
+def _integer(text: str) -> int:
+    """ASCII digits and an optional leading "-" (int() also takes " 1_0 " and "٣")."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _positive(text: str) -> int:
+    """An :func:`_integer` of at least 1: ``--samples`` and ``grid:<d>``."""
     try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def _sample_count(text: str) -> int:
-    value = _positive_int(text)
-    if value is None:
+        value = _integer(text)
+    except argparse.ArgumentTypeError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
@@ -127,7 +133,7 @@ def _build_parser() -> _Parser:
             if key == "eps":
                 p.add_argument("--eps", help="rational, e.g. 1/4096")
             else:
-                p.add_argument("--" + key.replace("_", "-"), type=int)
+                p.add_argument("--" + key.replace("_", "-"), type=_integer)
         if command.profile:
             p.add_argument("--profile", help="profile JSON file, 'truthful', or 'bad'")
         if command.mechanisms:
@@ -136,7 +142,7 @@ def _build_parser() -> _Parser:
         if command.zero_policy:
             p.add_argument("--zero-policy", default="lowest-index",
                            help="uniform | lowest-index | fixed:<1-based permutation>")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_integer, default=0)
         p.add_argument("--out", help="output file path")
         for flag, keywords in command.flags:
             p.add_argument(flag, **keywords)
@@ -195,8 +201,8 @@ def _resolve_policy(opts: dict, m: int) -> ZeroPolicy:
         return ZeroPolicy(token)
     if token.startswith("fixed:"):
         try:
-            order = [int(x) - 1 for x in token[len("fixed:"):].split(",")]
-        except ValueError:
+            order = [_integer(x) - 1 for x in token[len("fixed:"):].split(",")]
+        except argparse.ArgumentTypeError:
             raise UsageError(f"bad fixed policy {token!r}") from None
         if sorted(order) != list(range(m)):
             raise UsageError("fixed policy must be a permutation of all items")
@@ -212,9 +218,11 @@ def _resolve_families(opts: dict, m: int):
         kind = next((k for k in strategies.FAMILY_KINDS if k.token == name), None)
         if kind is None or (colon and kind.parameter is None):
             raise UsageError(f"unknown family {token!r}")
-        value = _positive_int(text) if colon else None
-        if colon and value is None:
-            raise UsageError(f"{name} {kind.parameter} must be a positive integer, got {token!r}")
+        try:
+            value = _positive(text) if colon else None
+        except argparse.ArgumentTypeError:
+            raise UsageError(f"{name} {kind.parameter} must be a positive integer, "
+                             f"got {token!r}") from None
         families.append(kind.from_token(value, m))
     if not families:
         raise UsageError("no strategy families given")
@@ -226,10 +234,12 @@ def _budget() -> int:
     raw = os.environ.get("ALLOC_BUDGET")
     if not raw:
         return equilibrium.DEFAULT_BUDGET
-    # ASCII digits only: int() would also take " 1_0 ", "+5" and "٣"
-    if not (raw.isascii() and raw.isdigit()):
-        raise UsageError(f"ALLOC_BUDGET must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    try:
+        if raw[0] != "-":  # a sign, even on 0, is no budget
+            return _integer(raw)
+    except argparse.ArgumentTypeError:
+        pass
+    raise UsageError(f"ALLOC_BUDGET must be a non-negative integer, got {raw!r}")
 
 
 def _both(value: Fraction) -> str:
@@ -449,12 +459,12 @@ _SUBCOMMANDS = {
     "poa": _Subcommand(
         "welfare/opt ratio rows as CSV", _cmd_poa, profile="bad-if-any",
         mechanisms=(*_EATING, "rp", "rrp", "both"), zero_policy=True,
-        flags=(("--samples", {"type": _sample_count, "help": "Monte Carlo samples for "
+        flags=(("--samples", {"type": _positive, "help": "Monte Carlo samples for "
                               "rp/rrp rows (rp defaults to exact)"}),)),
     "best-response": _Subcommand(
         "sweep strategy families for one agent", _cmd_best_response,
         profile="truthful", mechanisms=_EATING, zero_policy=True,
-        flags=(("--agent", {"type": int, "required": True, "help": "1-based agent index"}),
+        flags=(("--agent", {"type": _integer, "required": True, "help": "1-based agent index"}),
                _FAMILIES_FLAG, _DUMP_FLAG)),
     "verify-ne": _Subcommand(
         "family-relative epsilon-Nash certificate", _cmd_verify_ne,
@@ -464,11 +474,11 @@ _SUBCOMMANDS = {
     "rp": _Subcommand(
         "random priority (exact n! enumeration or sampled)",
         functools.partial(_cmd_lottery, "rp"), profile="truthful",
-        flags=(("--samples", {"type": _sample_count,
+        flags=(("--samples", {"type": _positive,
                               "help": "Monte Carlo sample count (omit for exact)"}),)),
     "rrp": _Subcommand(
         "repeated random priority (sampled)", functools.partial(_cmd_lottery, "rrp"),
-        profile="truthful", flags=(("--samples", {"type": _sample_count}),)),
+        profile="truthful", flags=(("--samples", {"type": _positive}),)),
     "generate": _Subcommand(
         "write a generated instance (and bad profile)", _cmd_generate,
         flags=(("--profile-out", {"help": "also write the designated bad profile here"}),)),

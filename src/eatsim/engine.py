@@ -51,6 +51,7 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
+    as_count,
     check_strategy,
     decimal_str,
     format_rational,
@@ -154,10 +155,9 @@ def _kernel_args(n: int, m: int, profile: Sequence[Strategy], policy: ZeroPolicy
     with the same error."""
     if mechanism not in ("cps", "ps"):
         raise ValueError(f"unknown eating mechanism {mechanism!r}")
-    if n < 1:
-        raise ValueError(f"n = {n} must be at least 1")
-    if m < 1:
-        raise ValueError(f"m = {m} must be at least 1")
+    for what, size in (("n", n), ("m", m)):
+        if as_count(size, what) < 1:
+            raise ValueError(f"{what} = {size} must be at least 1")
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies, expected {n}")
     if policy.kind == "fixed" and len(policy.order) != m:

@@ -9,7 +9,7 @@ the search is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,6 +23,8 @@ from .model import (
     Strategy,
     Valuation,
     ZeroPolicy,
+    as_count,
+    as_item_indices,
     check_strategy,
     format_rational,
     parse_rational,
@@ -139,7 +141,7 @@ def _sweep(
     """
     families = tuple(families)  # read for the sizes, the description and each agent
     for agent in agents:
-        if not 0 <= agent < n:
+        if not 0 <= as_count(agent, "agent") < n:
             raise ValueError(f"agent {agent} out of range for {n} agents")
     if not families:
         raise ValueError("need at least one strategy family")
@@ -147,7 +149,7 @@ def _sweep(
     if not candidates:
         raise ValueError("the strategy families have no members")
     total = len(agents) * (candidates + 1)
-    if total > budget:
+    if total > as_count(budget, "budget"):
         raise BudgetExceededError(f"sweep needs {total} engine runs, budget is {budget}")
     args = engine._kernel_args(n, m, profile, policy, mechanism)
     _, _, weights, orders, zero_order = args
@@ -163,9 +165,7 @@ def _sweep(
         key = (truth.integer_form, baseline)
         shared = swept.get(key)
         if shared is not None:
-            reports.append(DeviationReport(
-                agent, shared.baseline_payoff, shared.best_label, shared.best_strategy,
-                shared.best_payoff, shared.gain, shared.families, shared.runs, shared.candidates))
+            reports.append(replace(shared, agent=agent))
             continue
         baseline_id = slot_ids.setdefault(baseline, len(slot_ids))
         wanted, truth_row = [agent], [truth]
@@ -314,14 +314,11 @@ def sequential_payoff_floor(
     (1/4) * sum_l (t_{x_l} - t_{x_{l-1}}) * v'(x_l) with t_{x_0} = 0.
     A certified equilibrium payoff must clear this floor up to epsilon.
     """
+    items = as_item_indices(items, "item sequence", trace.m)
     times = trace.consumption_times()
     previous = Fraction(0)
     floor = Fraction(0)
     for x in items:
-        if type(x) is not int:
-            raise ValueError(f"item {x!r} is not an int index")
-        if not 0 <= x < trace.m:
-            raise ValueError(f"item {x} out of range for m = {trace.m}")
         t = times[x]
         if t > 1:
             raise ValueError("floor only applies to items consumed by time 1")

@@ -37,6 +37,7 @@ from .model import (
     Proportional,
     Strategy,
     Valuation,
+    as_count,
     parse_rational,
 )
 from .strategies import single_minded
@@ -334,13 +335,13 @@ def _bind(key: str, raw) -> int | Fraction:
     """One parameter value, checked: eps is exact, and every other parameter is a count."""
     if isinstance(raw, float):
         raise GeneratorError(FLOATS_NOT_EXACT)
-    if key == "eps" and isinstance(raw, str):
-        return parse_rational(raw)
-    # True, Fraction(5, 2) and "2" are no counts; an int eps is outside every range
-    if type(raw) is int or key == "eps" and isinstance(raw, Fraction):
-        return raw
-    kind = "a Fraction, an int or a rational string" if key == "eps" else "an int"
-    raise GeneratorError(f"{key} must be {kind}, got {type(raw).__name__}")
+    if key == "eps" and isinstance(raw, (str, Fraction)):
+        return parse_rational(raw) if isinstance(raw, str) else raw
+    try:
+        return as_count(raw, key)  # an int eps is outside every range
+    except ValueError:
+        kind = "a Fraction, an int or a rational string" if key == "eps" else "an int"
+        raise GeneratorError(f"{key} must be {kind}, got {type(raw).__name__}") from None
 
 
 def generate(spec: GeneratorSpec) -> Generated:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import engine, strategies
-from .model import LOWEST_INDEX_FIRST, Instance, Strategy, valued_items
+from .model import LOWEST_INDEX_FIRST, Instance, Strategy, as_count, valued_items
 
 
 # Fewest samples in a block of their own: a fork costs a few ms, the time of
@@ -219,7 +219,7 @@ def _setup(
     then a sampled run needs a seed. Returns each report's ranking, the
     value table's denominator and integer rows, and the valued-item mask.
     """
-    if samples is not None and samples < 1:
+    if samples is not None and as_count(samples, "samples") < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     engine._kernel_args(instance.n, instance.m, reports, LOWEST_INDEX_FIRST, "ps")
     if samples is not None and seed is None:

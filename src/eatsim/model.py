@@ -7,7 +7,9 @@ enters a computation path; decimal strings exist for display only.
 :func:`integer_form` is the one conversion from exact values to integers:
 numerators over the least common denominator. A valuation's unit-sum check
 and preference order, kernel weights, payoffs, and the lotteries' value table
-(:attr:`Instance.value_table`, built from the rows' forms) all use it.
+(:attr:`Instance.value_table`, built from the rows' forms) all use it. Beside
+it, :func:`as_count` and :func:`as_item_indices` are the one rule for counts
+and item indices, an ``int`` that is not a bool; the JSON readers check text.
 
 Item and agent indices are 0-based inside the package and 1-based in every
 external format (JSON files, CLI output).
@@ -108,6 +110,31 @@ def integer_form(values: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
     values = tuple(values)
     d = math.lcm(*(v.denominator for v in values))
     return d, tuple(v.numerator * (d // v.denominator) for v in values)
+
+
+def as_count(value, what: str) -> int:
+    """``value`` if it is an int but no bool, else a ``ValueError`` naming
+    ``what`` (:data:`FLOATS_NOT_EXACT` for a float). Ranges are the caller's."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise ValueError(FLOATS_NOT_EXACT)
+    raise ValueError(f"{what} must be an int, got {type(value).__name__}")
+
+
+def as_item_indices(items: Iterable[int], what: str, m: int | None = None) -> tuple[int, ...]:
+    """``items`` as a tuple of distinct ints (no bools), each at least 0 and
+    below ``m`` if given, else a ``ValueError`` whose text starts with ``what``."""
+    items = tuple(items)
+    if not all(type(j) is int for j in items):
+        raise ValueError(f"{what} entries must be int item indices")
+    if len(set(items)) != len(items):
+        raise ValueError(f"{what} contains duplicates")
+    if items and min(items) < 0:
+        raise ValueError(f"{what} has a negative index")
+    if m is not None and items and max(items) >= m:
+        raise ValueError(f"{what} has an item out of range for m = {m}")
+    return items
 
 
 def valued_items(rows: Iterable[Sequence[int]]) -> list[bool]:
@@ -255,10 +282,12 @@ def instance_defects(
     :class:`Valuation` passed the sign and sum checks when it was built.
     """
     defects: list[str] = []
-    if n < 1:
-        defects.append(f"n = {n} must be at least 1")
-    if m < 1:
-        defects.append(f"m = {m} must be at least 1")
+    for what, size in (("n", n), ("m", m)):
+        try:
+            if as_count(size, what) < 1:
+                defects.append(f"{what} = {size} must be at least 1")
+        except ValueError as exc:
+            defects.append(str(exc))
     if len(valuations) != n:
         defects.append(f"expected {n} valuation rows, got {len(valuations)}")
     for i, row in enumerate(valuations):
@@ -298,15 +327,7 @@ class Lexicographic:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(self.order)
-        # a bool is an int to Python, but no item index
-        if not all(type(j) is int for j in order):
-            raise ValueError("lexicographic order entries must be int item indices")
-        object.__setattr__(self, "order", order)
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("lexicographic order contains duplicates")
-        if any(j < 0 for j in self.order):
-            raise ValueError("lexicographic order has a negative index")
+        object.__setattr__(self, "order", as_item_indices(self.order, "lexicographic order"))
 
 
 # A ``|`` union, not ``typing.Union[...]``: typing caches its subscriptions,
@@ -346,9 +367,8 @@ class ZeroPolicy:
         if self.kind == "fixed":
             if not self.order:
                 raise ValueError("fixed zero policy requires a permutation")
-            if any(type(j) is not int for j in self.order) or \
-                    sorted(self.order) != list(range(len(self.order))):
-                raise ValueError("fixed zero policy order must be a permutation of all items")
+            object.__setattr__(self, "order", as_item_indices(  # so a permutation
+                self.order, "fixed zero policy order", len(self.order)))
         elif self.order is not None:
             raise ValueError(f"{self.kind} zero policy takes no order")
 

@@ -19,34 +19,19 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .model import FLOATS_NOT_EXACT, ONE, ZERO, Lexicographic, Proportional, Strategy, Valuation
-
-
-def _check_items(items: tuple) -> None:
-    # a bool is an int to Python, and equal to 0 or 1, but no item index
-    if not all(type(j) is int for j in items):
-        raise ValueError(f"item indices must be ints, got {items!r}")
-
-
-def _check_count(m: int) -> None:
-    # True and 1.0 equal 1 and hash alike, but neither is an item count
-    if type(m) is not int:
-        raise ValueError(f"m must be an int, got {type(m).__name__}")
+from .model import (FLOATS_NOT_EXACT, ONE, ZERO, Lexicographic, Proportional, Strategy,
+                    Valuation, as_count, as_item_indices)
 
 
 def single_minded(item: int, m: int) -> Proportional:
     """Report value 1 on one item and 0 elsewhere; built once per (item, m)."""
-    # before the cache, where item True finds the bid on item 1, and m = True
-    # or 1.0 the bid for m = 1
-    _check_items((item,))
-    _check_count(m)
+    # before the cache, where item True or m = 1.0 would find a cached bid
+    as_item_indices((item,), "single-minded bid", as_count(m, "m"))
     return _single_minded(item, m)
 
 
 @cache
 def _single_minded(item: int, m: int) -> Proportional:
-    if not 0 <= item < m:
-        raise ValueError(f"item {item} out of range for m = {m}")
     return Proportional(Valuation(tuple(ONE if j == item else ZERO for j in range(m))))
 
 
@@ -63,16 +48,10 @@ def sequential(order: Sequence[int]) -> Lexicographic:
 
 def uniform(items: Iterable[int], m: int) -> Proportional:
     """Report 1/k on each of k target items, 0 elsewhere."""
-    items = tuple(items)
-    _check_items(items)
-    _check_count(m)
-    chosen = set(items)
-    targets = sorted(chosen)
-    if not targets:
+    chosen = set(as_item_indices(items, "uniform bid", as_count(m, "m")))
+    if not chosen:
         raise ValueError("uniform bid needs a nonempty item set")
-    if targets[0] < 0 or targets[-1] >= m:
-        raise ValueError(f"item out of range for m = {m}")
-    share = Fraction(1, len(targets))
+    share = Fraction(1, len(chosen))
     return Proportional(Valuation(tuple(
         share if j in chosen else Fraction(0) for j in range(m))))
 
@@ -89,13 +68,9 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError("eps must lie strictly between 0 and 1/2")
-    order = tuple(order)
-    _check_items(order)
-    _check_count(m)
-    if len(set(order)) != len(order) or not order:
-        raise ValueError("order must be nonempty and free of duplicates")
-    if any(not 0 <= j < m for j in order):
-        raise ValueError(f"item out of range for m = {m}")
+    order = as_item_indices(order, "order", as_count(m, "m"))
+    if not order:
+        raise ValueError("order must be nonempty")
     k = len(order)
     values = [Fraction(0)] * m
     values[order[0]] = 1 - sum((eps ** ell for ell in range(1, k)), Fraction(0))
@@ -231,9 +206,8 @@ class Uniform(StrategyFamily):
 
     def __post_init__(self):
         for items in self.sets or ():
-            if not items or len(set(items)) != len(items) or not all(
-                    type(j) is int and j >= 0 for j in items):
-                raise ValueError(f"uniform set {items!r} must hold distinct nonnegative ints")
+            if not as_item_indices(items, f"uniform set {items!r}"):
+                raise ValueError(f"uniform set {items!r} is empty")
 
     def key(self) -> tuple:
         # the top-value default, then named lists by their sorted sets
@@ -266,10 +240,7 @@ class GridProportional(StrategyFamily):
     parameter = "resolution"
 
     def __post_init__(self):
-        if type(self.resolution) is not int:
-            raise ValueError(FLOATS_NOT_EXACT if isinstance(self.resolution, float)
-                             else f"grid resolution must be an int, got {self.resolution!r}")
-        if self.resolution < 1:
+        if as_count(self.resolution, "grid resolution") < 1:
             raise ValueError("grid resolution must be positive")
 
     @classmethod

@@ -249,16 +249,6 @@ class TestVerifyAndBestResponse:
         assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_BUDGET
         assert capsys.readouterr().out == "refused: sweep needs 6 engine runs, budget is 2\n"
 
-    @pytest.mark.parametrize("budget", ["abc", "-1", " 1_0 ", "+5", "1e3", "\u0663"],
-                             ids=["letters", "negative", "underscore", "plus", "exponent",
-                                  "arabic-indic-digit"])
-    def test_best_response_non_integer_budget_exit_64(self, monkeypatch, capsys, budget):
-        # only ASCII digits: int() alone would run " 1_0 " with budget 10
-        monkeypatch.setenv("ALLOC_BUDGET", budget)
-        assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(
-            f"usage error: ALLOC_BUDGET must be a non-negative integer, got {budget!r}\n")
-
     def test_poa_ignores_the_budget(self, monkeypatch, capsys):
         # only the sweeps, best-response and verify-ne, read ALLOC_BUDGET
         monkeypatch.setenv("ALLOC_BUDGET", "abc")
@@ -767,6 +757,79 @@ class TestUsageErrorsNameTheBadValue:
         assert code == EXIT_USAGE
         assert "ALLOC_BUDGET must be a non-negative integer, got 'abc'" in \
             capsys.readouterr().err
+
+
+# Every integer the command line reads goes through one reader, which takes
+# ASCII digits with an optional leading "-" and nothing else: int() alone
+# used to run --n " 1_0 " as n = 10, --agent +1, --seed and --n in
+# Arabic-Indic digits, grid:+2 and --samples " 1_0 ". Each input: its
+# argument list, the value at "{}" (for ALLOC_BUDGET, the command it bounds),
+# and the usage line a spelling it refuses prints.
+def _int_flag(flag):
+    return lambda text: f"argument {flag}: invalid int value: {text!r}"
+
+
+_GENERATE_RANDOM = ["generate", "--generator", "random"]
+INTEGER_INPUTS = {
+    "--n": ([*_GENERATE_RANDOM, "--n", "{}", "--m", "2"], _int_flag("--n")),
+    "--m": ([*_GENERATE_RANDOM, "--n", "2", "--m", "{}"], _int_flag("--m")),
+    "--k": (["generate", "--generator", "log-m-lb", "--k", "{}", "--q", "2"], _int_flag("--k")),
+    "--q": (["generate", "--generator", "log-m-lb", "--k", "2", "--q", "{}"], _int_flag("--q")),
+    "--x": (["generate", "--generator", "tightness", "--x", "{}"], _int_flag("--x")),
+    "--weight-max": ([*_GENERATE_RANDOM, "--n", "2", "--m", "2", "--weight-max", "{}"],
+                     _int_flag("--weight-max")),
+    "--seed": (["sample", *_EXAMPLE1, "--seed", "{}"], _int_flag("--seed")),
+    "--agent": (["best-response", *_EXAMPLE2, "--agent", "{}"], _int_flag("--agent")),
+    "--samples": (["rrp", *_EXAMPLE2, "--samples", "{}"],
+                  lambda text: f"argument --samples: must be a positive integer, got {text!r}"),
+    "grid": (["verify-ne", *_EXAMPLE2, "--families", "grid:{}"],
+             lambda text: "grid resolution must be a positive integer, got "
+                          f"{f'grid:{text}'.strip()!r}"),
+    "fixed": (["simulate", *_EXAMPLE1, "--zero-policy", "fixed:2,3,{}"],
+              lambda text: f"bad fixed policy {f'fixed:2,3,{text}'!r}"),
+    "ALLOC_BUDGET": (["best-response", *_EXAMPLE2, "--agent", "1"],
+                     lambda text: f"ALLOC_BUDGET must be a non-negative integer, got {text!r}"),
+}
+_SPELLINGS = [" 1_0 ", "+1", "\u0661", "1.0"]
+# ALLOC_BUDGET takes no sign at all, not even on 0
+_BUDGET_SPELLINGS = ["abc", "-1", "-0", "+5", "1e3", "\u0663"]
+
+
+@pytest.mark.parametrize("key, text", [(key, text) for key in INTEGER_INPUTS
+                                       for text in _SPELLINGS]
+                         + [("ALLOC_BUDGET", text) for text in _BUDGET_SPELLINGS],
+                         ids=lambda x: ascii(x).strip("'"))
+def test_integer_text_is_ascii_digits(key, text, monkeypatch, capsys):
+    argv, line = INTEGER_INPUTS[key]
+    if key == "ALLOC_BUDGET":
+        monkeypatch.setenv("ALLOC_BUDGET", text)
+    else:
+        argv = [arg.replace("{}", text) for arg in argv]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: {line(text)}\n")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # the sign stays readable where it was
+    (["sample", *_EXAMPLE1, "--seed", "-3"], EXIT_OK, "seed -3\n"),
+    ([*_GENERATE_RANDOM, "--n", "-4", "--m", "2"], EXIT_INVALID,
+     "generator error: needs n >= 1 and m >= 1\n"),
+    (["best-response", *_EXAMPLE2, "--agent", "1", "--families", "grid:2"], EXIT_OK,
+     "agent 1 [A] over grid[d=2, 3 points]\n"),
+    (["simulate", *_EXAMPLE1, "--zero-policy", "fixed:2,3,1"], EXIT_OK, "instance: n=3 m=3\n"),
+], ids=["negative-seed", "negative-n", "grid", "fixed"])
+def test_integer_text_that_is_ascii_digits_is_read(argv, code, out, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out.startswith(out)
+
+
+def test_a_sign_rule_keeps_its_line(monkeypatch, capsys):
+    assert main(["rrp", *_EXAMPLE2, "--samples", "0"]) == EXIT_USAGE
+    assert "usage error: argument --samples: must be a positive integer, got '0'\n" in \
+        capsys.readouterr().err
+    monkeypatch.setenv("ALLOC_BUDGET", "0")
+    assert main(["best-response", *_EXAMPLE2, "--agent", "1"]) == EXIT_BUDGET
+    assert capsys.readouterr().out == "refused: sweep needs 6 engine runs, budget is 0\n"
 
 
 _INSTANCE = {"n": 2, "m": 2, "valuations": [["1/2", "1/2"], ["1", "0"]]}

@@ -838,21 +838,6 @@ class TestSequentialPayoffFloor:
         with pytest.raises(ValueError):
             sequential_payoff_floor(trace, gen.instance.valuations[0], late[:1])
 
-    @pytest.mark.parametrize("item", [-1, 2, 5])
-    def test_rejects_items_out_of_range(self, example2, item):
-        # -1 used to read the last item's time and 5 raised IndexError
-        trace = run_profile(2, 2, example2.truthful_profile())
-        with pytest.raises(ValueError, match=f"item {item} out of range for m = 2"):
-            sequential_payoff_floor(trace, example2.valuations[0], [item])
-
-    @pytest.mark.parametrize("items", [[True], [0, False]], ids=["true", "false"])
-    def test_rejects_bool_items(self, items):
-        # [True] used to read item 2 and return 1/20 on example1
-        example1 = generate(GeneratorSpec("example1")).instance
-        trace = run_profile(3, 3, example1.truthful_profile())
-        with pytest.raises(ValueError, match=r"^item (True|False) is not an int index$"):
-            sequential_payoff_floor(trace, example1.valuations[0], items)
-
     def test_rejects_unsorted_sequences(self, example2):
         profile = [single_minded(0, 2), example2.truthful_profile()[1]]
         trace = run_profile(2, 2, profile)

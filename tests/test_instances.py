@@ -214,15 +214,6 @@ class TestBinding:
             generate(spec)
         assert str(exc.value) == message
 
-    # int() used to truncate each of these: n = 2, 1 and 2
-    @pytest.mark.parametrize("key", ["n", "m", "weight_max"])
-    @pytest.mark.parametrize("raw", [True, F(5, 2), "2", F(2)], ids=repr)
-    def test_counts_must_be_ints(self, key, raw):
-        params = dict({"n": 2, "m": 3}, **{key: raw})
-        with pytest.raises(GeneratorError) as exc:
-            generate(GeneratorSpec("random", params))
-        assert str(exc.value) == f"{key} must be an int, got {type(raw).__name__}"
-
     @pytest.mark.parametrize("raw", [True, [1, 100]], ids=repr)
     def test_eps_must_be_exact(self, raw):
         with pytest.raises(GeneratorError) as exc:

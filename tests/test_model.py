@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eatsim import model
-from eatsim.engine import run
-from eatsim.equilibrium import run_profile
-from eatsim.lotteries import random_priority
+from eatsim.engine import _kernel_args, run
+from eatsim.equilibrium import best_response, run_profile, sequential_payoff_floor, verify_ne
+from eatsim.instances import GeneratorError, GeneratorSpec, generate
+from eatsim.lotteries import random_priority, repeated_random_priority
 from eatsim.model import (
+    FLOATS_NOT_EXACT,
+    LOWEST_INDEX_FIRST,
     Instance,
     InvalidInstanceError,
     Lexicographic,
@@ -30,6 +33,14 @@ from eatsim.model import (
     strategy_from_json,
     strategy_to_json,
     valuation_of,
+)
+from eatsim.strategies import (
+    GridProportional,
+    Sequential,
+    Uniform,
+    epsilon_strategy,
+    single_minded,
+    uniform,
 )
 from helpers import assert_exports_render_row_by_row, random_run_case, rng_for
 
@@ -256,18 +267,6 @@ class TestStrategies:
         assert random_priority(instance, [listed, Lexicographic((2,))]) == \
             random_priority(instance, [Lexicographic((0, 1)), Lexicographic((2,))])
 
-    @pytest.mark.parametrize("order", [(1.0,), (0, "1"), (None,)],
-                             ids=["float", "str", "none"])
-    def test_lexicographic_rejects_non_int_entries(self, order):
-        with pytest.raises(ValueError, match="must be int item indices"):
-            Lexicographic(order)
-
-    @pytest.mark.parametrize("order", [(True,), (0, False)], ids=["true", "false"])
-    def test_lexicographic_rejects_bool_entries(self, order):
-        # Lexicographic((True,)) used to build, with order=(True,)
-        with pytest.raises(ValueError, match="must be int item indices"):
-            Lexicographic(order)
-
     def test_lexicographic_rejects_negative_indices(self):
         with pytest.raises(ValueError, match="negative index"):
             Lexicographic((-1,))
@@ -367,13 +366,6 @@ class TestZeroPolicy:
     def test_fixed_builder(self):
         assert fixed_order_policy([2, 0, 1]).order == (2, 0, 1)
 
-    @pytest.mark.parametrize("order", [(True, False), (1, 0.0), (0, "1")],
-                             ids=["bools", "float", "str"])
-    def test_fixed_order_holds_int_items(self, order):
-        # (True, False) used to pass as the permutation (1, 0)
-        with pytest.raises(ValueError, match="must be a permutation of all items"):
-            fixed_order_policy(order)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ZeroPolicy("random-ish")
@@ -385,3 +377,127 @@ class TestZeroPolicy:
     def test_uniform_takes_no_order(self):
         with pytest.raises(ValueError, match="uniform zero policy takes no order"):
             ZeroPolicy("uniform", (0,))
+
+
+# ---------------------------------------------------------------------------
+# One integer rule. Every library entry that takes a count asks
+# model.as_count, and every one that takes item indices asks
+# model.as_item_indices; each row below used to be a check of its own, or no
+# check at all.
+# ---------------------------------------------------------------------------
+
+EXAMPLE1 = generate(GeneratorSpec("example1")).instance
+EXAMPLE1_TRACE = run_profile(3, 3, EXAMPLE1.truthful_profile())
+ONE_ITEM = (valuation_of(["1"]),)
+
+
+def _sweep(agent=0, budget=4):
+    return best_response(EXAMPLE1.truthful_profile(), agent, EXAMPLE1.valuations[0],
+                         [GridProportional(1)], budget=budget)
+
+
+# entry -> (call with the count, the count it takes, what the message names,
+# the error class); a float gets FLOATS_NOT_EXACT
+COUNT_ENTRIES = {
+    "single_minded-m": (lambda c: single_minded(0, c), 1, "m", ValueError),
+    "uniform-m": (lambda c: uniform([0], c), 1, "m", ValueError),
+    "epsilon_strategy-m": (lambda c: epsilon_strategy((0,), Fraction(1, 4), c), 1, "m",
+                           ValueError),
+    "GridProportional": (GridProportional, 1, "grid resolution", ValueError),
+    **{f"generate-{key}": (
+        lambda c, key=key: generate(GeneratorSpec("random", dict({"n": 2, "m": 2}, **{key: c}))),
+        1, key, GeneratorError) for key in ("n", "m", "weight_max")},
+    "random_priority-samples": (
+        lambda c: random_priority(EXAMPLE1, EXAMPLE1.truthful_profile(), c, 0), 1, "samples",
+        ValueError),
+    "repeated_random_priority-samples": (
+        lambda c: repeated_random_priority(EXAMPLE1, EXAMPLE1.truthful_profile(), c, 0), 1,
+        "samples", ValueError),
+    "verify_ne-budget": (
+        lambda c: verify_ne(EXAMPLE1.truthful_profile(), EXAMPLE1, budget=c), 10 ** 6, "budget",
+        ValueError),
+    "best_response-budget": (lambda c: _sweep(budget=c), 4, "budget", ValueError),
+    "best_response-agent": (lambda c: _sweep(agent=c), 0, "agent", ValueError),
+    "Instance-n": (lambda c: Instance(c, 1, ONE_ITEM), 1, "n", InvalidInstanceError),
+    "Instance-m": (lambda c: Instance(1, c, ONE_ITEM), 1, "m", InvalidInstanceError),
+    "instance_defects-n": (lambda c: instance_defects(c, 1, ONE_ITEM), 1, "n", None),
+    "run-n": (lambda c: run(c, 1, [Lexicographic(())]), 1, "n", ValueError),
+    "run-m": (lambda c: run(1, c, [Lexicographic(())]), 1, "m", ValueError),
+    "run_profile-n": (lambda c: run_profile(c, 1, [Lexicographic(())]), 1, "n", ValueError),
+    "kernel_args-m": (lambda c: _kernel_args(1, c, [Lexicographic(())], LOWEST_INDEX_FIRST), 1,
+                      "m", ValueError),
+}
+BAD_COUNTS = {"true": True, "float": 1.0, "fraction": Fraction(1), "str": "1"}
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_a_count_is_an_int_and_no_bool(entry, bad):
+    # True used to run as 1 (samples=True reported monte-carlo(samples=True),
+    # Instance(True, ...) exported "n": true), 2.0 raised TypeError, and a
+    # bool m found single_minded's cached bid for m = 1
+    call, _, what, error = COUNT_ENTRIES[entry]
+    value = BAD_COUNTS[bad]
+    message = FLOATS_NOT_EXACT if bad == "float" else \
+        f"{what} must be an int, got {type(value).__name__}"
+    if error is None:  # reported as a defect, beside any others
+        assert message in call(value)
+        return
+    with pytest.raises(error) as exc:
+        call(value)
+    if error is InvalidInstanceError:
+        assert message in exc.value.defects
+    else:
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_a_count_that_is_an_int_is_taken(entry):
+    call, good, _, error = COUNT_ENTRIES[entry]
+    result = call(good)
+    if error is None:
+        assert result == []
+
+
+# entry -> (call with the items, what the message names (or a function of
+# the items that gives it), and m: None for no range check, or a function of
+# the items)
+INDEX_ENTRIES = {
+    "Lexicographic": (Lexicographic, "lexicographic order", None),
+    "Sequential": (lambda items: Sequential((items,)), "lexicographic order", None),
+    "fixed_order_policy": (fixed_order_policy, "fixed zero policy order", len),
+    "ZeroPolicy": (lambda items: ZeroPolicy("fixed", items), "fixed zero policy order", len),
+    "Uniform": (lambda items: Uniform(((0,), items)), lambda items: f"uniform set {items!r}",
+                None),
+    "uniform": (lambda items: uniform(items, 3), "uniform bid", lambda _: 3),
+    "uniform-iterator": (lambda items: uniform(iter(items), 3), "uniform bid", lambda _: 3),
+    "single_minded": (lambda items: single_minded(*items, 3), "single-minded bid", lambda _: 3),
+    "epsilon_strategy": (lambda items: epsilon_strategy(items, Fraction(1, 4), 3), "order",
+                         lambda _: 3),
+    "sequential_payoff_floor": (
+        lambda items: sequential_payoff_floor(EXAMPLE1_TRACE, EXAMPLE1.valuations[0], items),
+        "item sequence", lambda _: 3),
+}
+BAD_INDICES = {"true": (True,), "false": (0, False), "float": (1.0,),
+               "fraction": (Fraction(1),), "str": ("1",), "none": (None,),
+               "duplicate": (1, 1), "negative": (-1,), "past-m": (3,)}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, m_of) in INDEX_ENTRIES.items() for bad, items in
+    BAD_INDICES.items()
+    # a single-minded bid names one item, and only some entries know m
+    if (entry != "single_minded" or len(items) == 1) and (bad != "past-m" or m_of)])
+def test_item_indices_are_distinct_ints_in_range(entry, bad):
+    # (True, False) used to pass as the permutation (1, 0), uniform([0, 0], 2)
+    # bid on item 1 alone, and a repeated item passed the payoff floor
+    call, what, m_of = INDEX_ENTRIES[entry]
+    items = BAD_INDICES[bad]
+    what = what(items) if callable(what) else what
+    message = {"duplicate": f"{what} contains duplicates",
+               "negative": f"{what} has a negative index",
+               "past-m": f"{what} has an item out of range for m = {m_of and m_of(items)}",
+               }.get(bad, f"{what} entries must be int item indices")
+    with pytest.raises(ValueError) as exc:
+        call(items)
+    assert str(exc.value) == message

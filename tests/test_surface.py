@@ -79,21 +79,22 @@ def test_readme_library_example_holds():
     assert checked == 4
 
 
-# sha256 of each subcommand's flag table (_flag_table), recorded before the
-# generator flags were built from instances.PARAMETERS: a renamed, reordered
-# or retyped flag, or new help text, changes its digest. The table, not
+# sha256 of each subcommand's flag table (_flag_table), recorded when every
+# integer flag took the CLI's one integer reader (cli._integer, or
+# cli._positive for --samples) as its type: a renamed, reordered or retyped
+# flag, or new help text, changes its digest. The table, not
 # format_help(), is hashed: argparse lays help text out differently across
 # the CPython releases that tier-1 runs on.
 FLAG_DIGESTS = {
-    "simulate": "76f3bccb5bca9447b7b9355c32de1817724adc425fc19ee1e40a304541d4c97a",
-    "opt": "97f5758147e8739016c34b0831cd27d3df264461f2ab778ae44f77ce9b8e2eec",
-    "poa": "139ee816f091c2011aa6296d7c14afec257db5fedfa619df7536f22d4fb37f12",
-    "best-response": "06c7e5e4807578b248b5f71395907ea02f47774f1ca003e7321b63ed07d4791f",
-    "verify-ne": "efc4491dc5722496a44802d47e8c16cc5ef7340b99cd2485ca73bfaceb6e7b94",
-    "rp": "c980693e429db45b3a4dfa96862b301e0b451a79163644f64eadeec3392df7dc",
-    "rrp": "f6d7cdff61fa8d6c442f9837e0681a0f2ed20c1f5a37aab97e8d40fad8e9e878",
-    "generate": "a476ef33d18b96e3d2ca50cf818ae5dc486eccb17243a8a8f543f264e5247c6f",
-    "sample": "76f3bccb5bca9447b7b9355c32de1817724adc425fc19ee1e40a304541d4c97a",
+    "simulate": "258d4797e327b36549d08c1ea892fc50b045b3d6dcd594328f69b09663858add",
+    "opt": "071336d2444164824d2c2d6e5ea4628eb62d4ed7506001eba263b27cedbf7b40",
+    "poa": "a3ac6d2f52eb6ba64755b97e3d7fd23cfc1d45e673c1a19156d430a1606dab5c",
+    "best-response": "c6e10f3dc3e73c6d83eba906c82f6967078b7258174433378170892b5954f5ac",
+    "verify-ne": "025b3597cd2bb2f82b76106056fa0be43f85fb32577647806bf3923d0f6218ed",
+    "rp": "17c4ee75681e25b8f3053982eea3c12036b27e83c438a581950f75ac0147c2f8",
+    "rrp": "554109ccff796f8f67a5f35f6a93e2eb661d4917a59ff0d758a4b2b8a641cf94",
+    "generate": "96540de7ad04379a7716e3640bd5f2e081be9be06defbd1c0521b0d00d9e8eec",
+    "sample": "258d4797e327b36549d08c1ea892fc50b045b3d6dcd594328f69b09663858add",
 }
 
 
@@ -119,3 +120,30 @@ def test_every_subcommand_is_pinned():
 def test_subcommand_flags_are_pinned(command):
     table = _flag_table(_subparsers()[command])
     assert hashlib.sha256(table.encode("utf-8")).hexdigest() == FLAG_DIGESTS[command], table
+
+
+def _enclosing_functions(pattern):
+    """(file name, innermost enclosing function) of each match of ``pattern``
+    in the text of eatsim's modules; None for a match outside any function."""
+    found = set()
+    for path in sorted((ROOT / "src" / "eatsim").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = [(node.lineno, node.end_lineno, node.name) for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for match in re.finditer(pattern, text):
+            line = text.count("\n", 0, match.start()) + 1
+            inside = [(start, name) for start, end, name in spans if start <= line <= end]
+            found.add((path.name, max(inside)[1] if inside else None))
+    return found
+
+
+def test_only_the_cli_reads_the_environment():
+    assert {path for path, _ in _enclosing_functions(r"\b(environ|getenv)\b")} == {"cli.py"}
+
+
+def test_only_model_decides_what_an_integer_is():
+    # the library's two checks, and the JSON readers, which read outside
+    # text; any other copy of the rule belongs in one of the two checks
+    assert _enclosing_functions(r"type\([^)]*\) is (not )?int\b") == {
+        ("model.py", "as_count"), ("model.py", "as_item_indices"),
+        ("model.py", "instance_from_json"), ("model.py", "strategy_from_json")}
