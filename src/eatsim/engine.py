@@ -329,6 +329,7 @@ def sample_allocation(trace: Trace, seed: int) -> tuple[int, ...]:
     draws the items in index order, each by one exact integer draw against
     the column's common denominator.
     """
+    as_count(seed, "seed")  # any int, a negative one too
     shares = trace.shares
     n, m = trace.n, trace.m
     rng = random.Random(f"eatsim-alloc:{seed}")

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from . import _kernel, engine
 from .lotteries import opt as opt_welfare
 from .model import (
-    FLOATS_NOT_EXACT,
     Instance,
     LOWEST_INDEX_FIRST,
     Lexicographic,
@@ -25,9 +24,9 @@ from .model import (
     ZeroPolicy,
     as_count,
     as_item_indices,
+    as_rational,
     check_strategy,
     format_rational,
-    parse_rational,
     profile_to_json,
     strategy_to_json,
 )
@@ -249,9 +248,7 @@ def verify_ne(
     (by default truthful, single-minded and sequential): it is a refutation
     whenever some agent gains more than epsilon, and a certificate otherwise.
     """
-    if isinstance(epsilon, float):
-        raise ValueError(FLOATS_NOT_EXACT)
-    epsilon = parse_rational(epsilon) if isinstance(epsilon, str) else Fraction(epsilon)
+    epsilon = as_rational(epsilon, "epsilon")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     reports = _sweep(profile, instance.n, instance.m, range(instance.n),

@@ -9,9 +9,9 @@ the construction end to end.
 One table, ``_GENERATORS``, names each generator's builder and its required
 and optional parameters, drawn from ``PARAMETERS``. :func:`generate` binds a
 spec against it: a parameter the generator does not take is refused, ``eps``
-must be exact (a Fraction, an int or a rational string), and every other
-parameter is a count, an int that is not a bool. The builders check the
-domains. The CLI makes one flag per entry of ``PARAMETERS``.
+must pass ``model.as_rational``, and every other parameter, and the seed,
+``model.as_count``. The builders check the domains. The CLI makes one flag
+per entry of ``PARAMETERS``.
 
 The constructions are blocks of interchangeable agents. A generator builds
 the :class:`Valuation` of each distinct row once and repeats that object
@@ -31,14 +31,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import (
-    FLOATS_NOT_EXACT,
     ZERO,
     Instance,
+    ParseError,
     Proportional,
     Strategy,
     Valuation,
     as_count,
-    parse_rational,
+    as_rational,
 )
 from .strategies import single_minded
 
@@ -332,16 +332,13 @@ PARAMETERS = ("n", "m", "k", "q", "x", "eps", "weight_max")
 
 
 def _bind(key: str, raw) -> int | Fraction:
-    """One parameter value, checked: eps is exact, and every other parameter is a count."""
-    if isinstance(raw, float):
-        raise GeneratorError(FLOATS_NOT_EXACT)
-    if key == "eps" and isinstance(raw, (str, Fraction)):
-        return parse_rational(raw) if isinstance(raw, str) else raw
+    """One value by model's rules: eps is exact; every other parameter, and the seed, an int."""
     try:
-        return as_count(raw, key)  # an int eps is outside every range
-    except ValueError:
-        kind = "a Fraction, an int or a rational string" if key == "eps" else "an int"
-        raise GeneratorError(f"{key} must be {kind}, got {type(raw).__name__}") from None
+        return as_rational(raw, key) if key == "eps" else as_count(raw, key)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise GeneratorError(str(exc)) from None
 
 
 def generate(spec: GeneratorSpec) -> Generated:
@@ -360,6 +357,7 @@ def generate(spec: GeneratorSpec) -> Generated:
     kwargs = {key: _bind(key, raw) for key, raw in params.items()}
     if missing := [key for key in required if key not in kwargs]:
         raise GeneratorError(f"missing required parameter {missing[0]!r}")
+    seed = 0 if spec.seed is None else _bind("seed", spec.seed)
     if spec.name == "random":
-        kwargs["seed"] = spec.seed or 0
+        kwargs["seed"] = seed
     return build(**kwargs)

@@ -216,7 +216,7 @@ def _setup(
 
     ``samples`` is None for exact RP only. A sample count must be at least
     1; then the profile must pass the eating mechanisms' check under ps;
-    then a sampled run needs a seed. Returns each report's ranking, the
+    then a sampled run needs an int seed. Returns each report's ranking, the
     value table's denominator and integer rows, and the valued-item mask.
     """
     if samples is not None and as_count(samples, "samples") < 1:
@@ -224,6 +224,8 @@ def _setup(
     engine._kernel_args(instance.n, instance.m, reports, LOWEST_INDEX_FIRST, "ps")
     if samples is not None and seed is None:
         raise ValueError("Monte Carlo mode requires a seed")
+    if samples is not None:
+        as_count(seed, "seed")  # any int, a negative one too
     denom, value_int = instance.value_table
     rankings = [strategies._ordinal_order(s, instance.m) for s in reports]
     return rankings, denom, value_int, valued_items(value_int)

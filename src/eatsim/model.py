@@ -8,8 +8,9 @@ enters a computation path; decimal strings exist for display only.
 numerators over the least common denominator. A valuation's unit-sum check
 and preference order, kernel weights, payoffs, and the lotteries' value table
 (:attr:`Instance.value_table`, built from the rows' forms) all use it. Beside
-it, :func:`as_count` and :func:`as_item_indices` are the one rule for counts
-and item indices, an ``int`` that is not a bool; the JSON readers check text.
+it, :func:`as_count`, :func:`as_item_indices` and :func:`as_rational` are the
+one rule for counts, item indices (an ``int`` but no bool) and exact numbers;
+the JSON readers check text.
 
 Item and agent indices are 0-based inside the package and 1-based in every
 external format (JSON files, CLI output).
@@ -122,6 +123,19 @@ def as_count(value, what: str) -> int:
     raise ValueError(f"{what} must be an int, got {type(value).__name__}")
 
 
+def as_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction: a Fraction as it is, an int (no bool), text by
+    :func:`parse_rational`; else a ``ValueError`` (:data:`FLOATS_NOT_EXACT` for a float)."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(FLOATS_NOT_EXACT if isinstance(value, float) else f"{what} must be a "
+                     f"Fraction, an int or a rational string, got {type(value).__name__}")
+
+
 def as_item_indices(items: Iterable[int], what: str, m: int | None = None) -> tuple[int, ...]:
     """``items`` as a tuple of distinct ints (no bools), each at least 0 and
     below ``m`` if given, else a ``ValueError`` whose text starts with ``what``."""
@@ -143,16 +157,6 @@ def valued_items(rows: Iterable[Sequence[int]]) -> list[bool]:
     return [any(column) for column in zip(*rows)]
 
 
-def _number(entry) -> Fraction:
-    """``Fraction(entry)``, with a ``ValueError`` for an entry that is no
-    number (``None``, a list), as for every other bad entry."""
-    try:
-        return Fraction(entry)
-    except TypeError:
-        raise ValueError(f"valuation entry {entry!r} is not a number; "
-                         "pass Fraction, int, or a rational string") from None
-
-
 @dataclass(frozen=True)
 class Valuation:
     """A unit-sum valuation: one nonnegative Fraction per item, summing to 1.
@@ -163,10 +167,8 @@ class Valuation:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(isinstance(v, (float, bool)) for v in self.values):
-            raise ValueError("valuation has a bool entry; pass Fraction, int, or a rational string"
-                             if bool in map(type, self.values) else FLOATS_NOT_EXACT)
-        vals = tuple(v if type(v) is Fraction else _number(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else as_rational(v, "valuation entry")
+                     for v in self.values)
         object.__setattr__(self, "values", vals)
         d, nums = self.integer_form
         if any(x < 0 for x in nums):
@@ -219,11 +221,7 @@ def valuation_of(entries: Iterable[Union[Fraction, int, str]],
         known = key in memo
     except TypeError:  # an unhashable entry, which Valuation refuses below
         known = False
-    if not known:
-        for e in entries:
-            if isinstance(e, float):
-                raise ParseError(f"float {e!r} is not exact; quote it as a string")
-        # Valuation converts every other entry, and refuses a bool
+    if not known:  # strings through the memo; Valuation checks every other entry
         memo[key] = Valuation(tuple(_parsed(e, memo) if isinstance(e, str) else e
                                     for e in entries))
     return memo[key]
@@ -249,8 +247,10 @@ class Instance:
     item_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        defects = instance_defects(self.n, self.m, self.valuations,
-                                   self.agent_labels, self.item_labels)
+        defects = [f"agent {i + 1}: row is not a Valuation"
+                   for i, row in enumerate(self.valuations) if not isinstance(row, Valuation)]
+        defects = defects or instance_defects(self.n, self.m, self.valuations,
+                                              self.agent_labels, self.item_labels)
         if defects:
             raise InvalidInstanceError(defects)
 
@@ -282,17 +282,19 @@ def instance_defects(
     :class:`Valuation` passed the sign and sum checks when it was built.
     """
     defects: list[str] = []
+    counts = set()  # the sizes that are ints, so the rows can be measured against them
     for what, size in (("n", n), ("m", m)):
         try:
             if as_count(size, what) < 1:
                 defects.append(f"{what} = {size} must be at least 1")
+            counts.add(what)
         except ValueError as exc:
             defects.append(str(exc))
-    if len(valuations) != n:
+    if "n" in counts and len(valuations) != n:
         defects.append(f"expected {n} valuation rows, got {len(valuations)}")
     for i, row in enumerate(valuations):
         vals = row.values if isinstance(row, Valuation) else tuple(row)
-        if len(vals) != m:
+        if "m" in counts and len(vals) != m:
             defects.append(f"agent {i + 1}: row length {len(vals)} != m = {m}")
             continue
         if isinstance(row, Valuation):
@@ -302,9 +304,9 @@ def instance_defects(
             defects.append(f"agent {i + 1}: negative value at item {j + 1}")
         if not negatives and sum(vals, ZERO) != ONE:
             defects.append(f"agent {i + 1}: values sum to {sum(vals, ZERO)}, expected 1")
-    if agent_labels is not None and len(agent_labels) != n:
+    if agent_labels is not None and "n" in counts and len(agent_labels) != n:
         defects.append(f"expected {n} agent labels, got {len(agent_labels)}")
-    if item_labels is not None and len(item_labels) != m:
+    if item_labels is not None and "m" in counts and len(item_labels) != m:
         defects.append(f"expected {m} item labels, got {len(item_labels)}")
     return defects
 
@@ -504,9 +506,9 @@ def strategy_from_json(doc: dict, m: int | None = None, memo: dict | None = None
         raise ParseError(f"{kind} strategy has no {field!r} field")
     if kind == "proportional":
         entries = doc["report"]
-        # JSON true/false are Python ints, and null is no rational at all
+        # JSON true/false are Python ints; null and a float are no exact rational
         if not isinstance(entries, list) or not all(
-                type(x) in (str, int, float) for x in entries):
+                type(x) in (str, int) for x in entries):
             raise ParseError("proportional report must be a list of rational strings")
         report = valuation_of(entries, memo)
         if m is not None and len(report) != m:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .model import (FLOATS_NOT_EXACT, ONE, ZERO, Lexicographic, Proportional, Strategy,
-                    Valuation, as_count, as_item_indices)
+from .model import (ONE, ZERO, Lexicographic, Proportional, Strategy, Valuation, as_count,
+                    as_item_indices, as_rational)
 
 
 def single_minded(item: int, m: int) -> Proportional:
@@ -63,9 +63,7 @@ def epsilon_strategy(order: Sequence[int], eps: Fraction, m: int) -> Proportiona
     for l >= 2, so the report is unit-sum by construction. (The l-th power is
     taken with exponent l-1, the only convention that sums to one.)
     """
-    if isinstance(eps, float):
-        raise ValueError(FLOATS_NOT_EXACT)
-    eps = Fraction(eps)
+    eps = as_rational(eps, "eps")
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError("eps must lie strictly between 0 and 1/2")
     order = as_item_indices(order, "order", as_count(m, "m"))

@@ -214,13 +214,6 @@ class TestBinding:
             generate(spec)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("raw", [True, [1, 100]], ids=repr)
-    def test_eps_must_be_exact(self, raw):
-        with pytest.raises(GeneratorError) as exc:
-            generate(GeneratorSpec("rp-lb", {"n": 3, "eps": raw}))
-        assert str(exc.value) == ("eps must be a Fraction, an int or a rational string, "
-                                  f"got {type(raw).__name__}")
-
     @pytest.mark.parametrize("raw", ["1/100", F(1, 100), " 0.01 "], ids=repr)
     def test_eps_forms_build_one_instance(self, raw):
         assert generate(GeneratorSpec("rp-lb", {"n": 3, "eps": raw})) == \

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eatsim import model
-from eatsim.engine import _kernel_args, run
+from eatsim.engine import _kernel_args, run, sample_allocation
 from eatsim.equilibrium import best_response, run_profile, sequential_payoff_floor, verify_ne
 from eatsim.instances import GeneratorError, GeneratorSpec, generate
 from eatsim.lotteries import random_priority, repeated_random_priority
@@ -20,6 +21,7 @@ from eatsim.model import (
     Proportional,
     Valuation,
     ZeroPolicy,
+    as_rational,
     check_strategy,
     fixed_order_policy,
     format_rational,
@@ -80,35 +82,12 @@ class TestValuation:
         with pytest.raises(ValueError, match="negative"):
             Valuation((Fraction(3, 2), Fraction(-1, 2)))
 
-    def test_floats_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="not exact"):
-            Valuation((0.6, 0.4))
-        with pytest.raises(ParseError, match="quote"):
-            valuation_of([0.6, "2/5"])
-
-    # both used to build (1, 0)
-    @pytest.mark.parametrize("build", [Valuation, valuation_of])
-    def test_bools_rejected(self, build):
-        with pytest.raises(ValueError) as exc:
-            build((True, False))
-        assert str(exc.value) == \
-            "valuation has a bool entry; pass Fraction, int, or a rational string"
-
-    # both used to raise TypeError, from Fraction or from hashing the row
-    @pytest.mark.parametrize("entry", [None, [1], {}], ids=["none", "list", "dict"])
-    @pytest.mark.parametrize("build", [Valuation, valuation_of])
-    def test_non_number_entries_rejected(self, build, entry):
-        with pytest.raises(ValueError) as exc:
-            build((entry, "1"))
-        assert str(exc.value) == f"valuation entry {entry!r} is not a number; " \
-            "pass Fraction, int, or a rational string"
-
     def test_memo_keeps_only_rows_of_strings(self):
         memo = {}
         assert valuation_of(["1", "0"], memo) is valuation_of(["1", "0"], memo)
         assert valuation_of([1, 0], memo) == valuation_of(["1", "0"], memo)
         # an equal key of other types is no licence to skip the checks
-        with pytest.raises(ParseError, match="quote"):
+        with pytest.raises(ValueError, match=f"^{FLOATS_NOT_EXACT}$"):
             valuation_of([1.0, 0], memo)
         with pytest.raises(ValueError, match="bool"):
             valuation_of([True, 0], memo)
@@ -240,6 +219,19 @@ class TestInstance:
         with pytest.raises(ParseError, match=message):
             instance_from_json(doc)
 
+    def test_sizes_that_are_no_ints_measure_no_rows(self):
+        # the rows used to be counted against n = "1" too
+        assert instance_defects("1", 1, (valuation_of(["1"]),)) == ["n must be an int, got str"]
+        assert instance_defects("1", "x", (valuation_of(["1"]),), ("a",), ("b",)) == [
+            "n must be an int, got str", "m must be an int, got str"]
+
+    def test_rows_that_are_no_valuations_are_refused(self):
+        # the tuple row used to build, and opt or run then raised AttributeError
+        with pytest.raises(InvalidInstanceError) as exc:
+            Instance(2, 2, ((Fraction(1), Fraction(0)), ("1", "0")))
+        assert exc.value.defects == ["agent 1: row is not a Valuation",
+                                     "agent 2: row is not a Valuation"]
+
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
         with pytest.raises(InvalidInstanceError) as exc:
@@ -311,6 +303,11 @@ class TestStrategies:
     def test_a_key_outside_the_kind_is_refused(self, doc, message):
         with pytest.raises(ParseError, match=message):
             strategy_from_json(doc, m=2)
+
+    def test_a_float_report_entry_is_refused_as_no_rational_string(self):
+        with pytest.raises(ParseError, match="^proportional report must be a list of rational "
+                                             "strings$"):
+            strategy_from_json({"kind": "proportional", "report": [0.5, 0.5]})
 
     def test_an_explicit_empty_order_stays_valid(self):
         assert strategy_from_json({"kind": "lexicographic", "order": []}, m=2) == \
@@ -426,6 +423,17 @@ COUNT_ENTRIES = {
     "run_profile-n": (lambda c: run_profile(c, 1, [Lexicographic(())]), 1, "n", ValueError),
     "kernel_args-m": (lambda c: _kernel_args(1, c, [Lexicographic(())], LOWEST_INDEX_FIRST), 1,
                       "m", ValueError),
+    # a seed is an int of any sign; True used to seed like 1 and report seed=True
+    "random_priority-seed": (
+        lambda c: random_priority(EXAMPLE1, EXAMPLE1.truthful_profile(), 1, c), -3, "seed",
+        ValueError),
+    "repeated_random_priority-seed": (
+        lambda c: repeated_random_priority(EXAMPLE1, EXAMPLE1.truthful_profile(), 1, c), -3,
+        "seed", ValueError),
+    "sample_allocation-seed": (lambda c: sample_allocation(EXAMPLE1_TRACE, c), -3, "seed",
+                               ValueError),
+    "generate-seed": (lambda c: generate(GeneratorSpec("random", {"n": 2, "m": 2}, c)), -3,
+                      "seed", GeneratorError),
 }
 BAD_COUNTS = {"true": True, "float": 1.0, "fraction": Fraction(1), "str": "1"}
 
@@ -501,3 +509,56 @@ def test_item_indices_are_distinct_ints_in_range(entry, bad):
     with pytest.raises(ValueError) as exc:
         call(items)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# One rational rule. Every library entry that takes an exact number asks
+# model.as_rational; each used to have a rule of its own.
+# ---------------------------------------------------------------------------
+
+# entry -> (call with the value, what the message names, the class of a type error)
+RATIONAL_ENTRIES = {
+    "Valuation": (lambda x: Valuation((x, "1")), "valuation entry", ValueError),
+    "valuation_of": (lambda x: valuation_of((x, "1")), "valuation entry", ValueError),
+    "verify_ne-epsilon": (lambda x: verify_ne(EXAMPLE1.truthful_profile(), EXAMPLE1, x),
+                          "epsilon", ValueError),
+    "epsilon_strategy-eps": (lambda x: epsilon_strategy((0, 1), x, 2), "eps", ValueError),
+    "generate-eps": (lambda x: generate(GeneratorSpec("rp-lb", {"n": 3, "eps": x})), "eps",
+                     GeneratorError),
+}
+# bad value -> the message of a ParseError, or None for a type error
+BAD_RATIONALS = {
+    "true": (True, None), "false": (False, None), "float": (0.5, None), "none": (None, None),
+    "list": ([1], None), "dict": ({}, None), "decimal": (Decimal("0.5"), None),
+    "text": ("abc", "malformed rational 'abc'"),
+    "zero-denominator": ("1/0", "zero denominator in '1/0'"),
+    "too-long": ("1e-99999999", "rational '1e-99999999' needs more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in RATIONAL_ENTRIES for bad in BAD_RATIONALS
+    # a None parameter is an absent one in a GeneratorSpec
+    if (entry, bad) != ("generate-eps", "none")])
+def test_an_exact_number_is_a_fraction_an_int_or_rational_text(entry, bad):
+    # "1/0" used to raise ZeroDivisionError in Valuation and epsilon_strategy,
+    # None a TypeError in verify_ne, and True certified with epsilon 1
+    call, what, error = RATIONAL_ENTRIES[entry]
+    value, parse_message = BAD_RATIONALS[bad]
+    if parse_message is not None:
+        error, message = ParseError, parse_message
+    elif bad == "float":
+        message = FLOATS_NOT_EXACT
+    else:
+        message = f"{what} must be a Fraction, an int or a rational string, " \
+            f"got {type(value).__name__}"
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_as_rational_takes_a_fraction_as_it_is():
+    third = Fraction(1, 3)
+    assert as_rational(third, "x") is third
+    assert as_rational(2, "x") == 2 and type(as_rational(2, "x")) is Fraction
+    assert as_rational(" 0.5 ", "x") == Fraction(1, 2)

@@ -90,11 +90,6 @@ class TestEpsilonStrategy:
         with pytest.raises(ValueError):
             epsilon_strategy((0, 0), F(1, 4), 2)
 
-    def test_float_eps_is_refused(self):
-        with pytest.raises(ValueError, match="^floats are not exact; pass Fraction, int, or a "
-                                             "rational string$"):
-            epsilon_strategy((0, 1), 0.1, 2)
-
     def test_order_past_m_rejected(self):
         with pytest.raises(ValueError, match="item out of range for m = 2"):
             epsilon_strategy((0, 2), F(1, 4), 2)

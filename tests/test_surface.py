@@ -145,5 +145,14 @@ def test_only_model_decides_what_an_integer_is():
     # the library's two checks, and the JSON readers, which read outside
     # text; any other copy of the rule belongs in one of the two checks
     assert _enclosing_functions(r"type\([^)]*\) is (not )?int\b") == {
-        ("model.py", "as_count"), ("model.py", "as_item_indices"),
+        ("model.py", "as_count"), ("model.py", "as_item_indices"), ("model.py", "as_rational"),
         ("model.py", "instance_from_json"), ("model.py", "strategy_from_json")}
+
+
+def test_only_model_decides_what_a_rational_is():
+    # as_rational, and the parsers of outside text; any other copy of the
+    # rule belongs in as_rational
+    assert _enclosing_functions(r"\bFLOATS_NOT_EXACT\b") == {
+        ("model.py", None), ("model.py", "as_count"), ("model.py", "as_rational")}
+    assert _enclosing_functions(r"(?<!def )\bparse_rational\(") == {
+        ("model.py", "as_rational"), ("model.py", "_parsed"), ("cli.py", "_cmd_verify_ne")}
