@@ -66,8 +66,6 @@ POA_CSV_COLUMNS = [
 # --families default: the tokens of the library's default families
 DEFAULT_FAMILIES = ",".join(family.token for family in strategies.DEFAULT_FAMILIES)
 
-RRP_SAMPLES = 10000
-
 
 class UsageError(Exception):
     """An argument list or ``ALLOC_BUDGET`` value the CLI refuses: exit 64."""
@@ -263,12 +261,9 @@ def _out_file(opts: dict, make_doc) -> dict[str, str]:
 
 def _lottery(opts: dict, mechanism: str, instance: Instance,
              profile: list[Strategy]) -> lotteries.MechanismResult:
-    """RP, exact unless --samples; or RRP, RRP_SAMPLES draws unless --samples."""
-    samples = opts.get("samples")
-    if mechanism == "rp":
-        return lotteries.random_priority(instance, profile, samples, opts["seed"])
-    return lotteries.repeated_random_priority(instance, profile, samples or RRP_SAMPLES,
-                                              opts["seed"])
+    """RP or RRP, exact unless --samples."""
+    run = lotteries.random_priority if mechanism == "rp" else lotteries.repeated_random_priority
+    return run(instance, profile, opts.get("samples"), opts["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +444,8 @@ def _cmd_sample(opts, instance, generated, profile, policy) -> CliResult:
 _EATING = ("cps", "ps")
 _FAMILIES_FLAG = ("--families", {"default": DEFAULT_FAMILIES})
 _DUMP_FLAG = ("--dump-candidates", {"action": "store_true"})
+_SAMPLES_FLAG = ("--samples", {"type": _positive,
+                               "help": "Monte Carlo sample count (omit for exact)"})
 
 # Every subcommand, in the order ``--help`` lists them.
 _SUBCOMMANDS = {
@@ -458,9 +455,7 @@ _SUBCOMMANDS = {
     "opt": _Subcommand("optimal welfare benchmark and assignment", _cmd_opt),
     "poa": _Subcommand(
         "welfare/opt ratio rows as CSV", _cmd_poa, profile="bad-if-any",
-        mechanisms=(*_EATING, "rp", "rrp", "both"), zero_policy=True,
-        flags=(("--samples", {"type": _positive, "help": "Monte Carlo samples for "
-                              "rp/rrp rows (rp defaults to exact)"}),)),
+        mechanisms=(*_EATING, "rp", "rrp", "both"), zero_policy=True, flags=(_SAMPLES_FLAG,)),
     "best-response": _Subcommand(
         "sweep strategy families for one agent", _cmd_best_response,
         profile="truthful", mechanisms=_EATING, zero_policy=True,
@@ -472,13 +467,11 @@ _SUBCOMMANDS = {
         flags=(_FAMILIES_FLAG,
                ("--epsilon", {"default": "0", "help": "rational slack, default 0"}), _DUMP_FLAG)),
     "rp": _Subcommand(
-        "random priority (exact n! enumeration or sampled)",
-        functools.partial(_cmd_lottery, "rp"), profile="truthful",
-        flags=(("--samples", {"type": _positive,
-                              "help": "Monte Carlo sample count (omit for exact)"}),)),
+        "random priority (exact, or sampled with --samples)",
+        functools.partial(_cmd_lottery, "rp"), profile="truthful", flags=(_SAMPLES_FLAG,)),
     "rrp": _Subcommand(
-        "repeated random priority (sampled)", functools.partial(_cmd_lottery, "rrp"),
-        profile="truthful", flags=(("--samples", {"type": _positive}),)),
+        "repeated random priority (exact, or sampled with --samples)",
+        functools.partial(_cmd_lottery, "rrp"), profile="truthful", flags=(_SAMPLES_FLAG,)),
     "generate": _Subcommand(
         "write a generated instance (and bad profile)", _cmd_generate,
         flags=(("--profile-out", {"help": "also write the designated bad profile here"}),)),

@@ -1,9 +1,11 @@
 """Non-eating mechanisms and the welfare benchmark.
 
-Random Priority samples one agent order and lets each picked agent grab its
+Random Priority draws one agent order and lets each agent in turn grab its
 quota of favorite available items; Repeated Random Priority draws an agent
 uniformly m times in a row, one item per draw. ``opt`` is the benchmark that
-hands every item to an agent that values it most.
+hands every item to an agent that values it most. Both lotteries are exact
+unless a sample count is given: the exact result averages every order (RP)
+or every draw sequence (RRP), and a sampled one draws that many.
 
 Each agent ranks items by its report's ordinal shadow
 (:func:`eatsim.strategies.as_ordinal`), the order PS eats in. RP and RRP
@@ -17,17 +19,21 @@ sample, seeded with ``"eatsim-<mechanism>:<seed>:<sample>"``, so results are
 reproducible bit for bit and samples could be drawn in any order. One
 generator is reseeded per sample, which gives the same state as a fresh one.
 
-An item is *valued* when some agent's true value for it is positive. An RRP
-sample, and an RP order, sampled or enumerated, stops once every valued item
-is taken: every later pick gains exactly 0. As each sample reseeds its own
-stream, skipping the tail of one sample leaves every other sample unchanged,
-so the results are those of playing every draw and turn to the end.
+An item is *valued* when some agent's true value for it is positive. A
+draw sequence of either lottery, sampled or walked exactly, stops once every
+valued item is taken: every later pick gains exactly 0. As each sample
+reseeds its own stream, skipping the tail of one sample leaves every other
+sample unchanged, so the results are those of playing every draw and turn to
+the end.
 
 RP and RRP accumulate integers over the instance's cached value table
-(:attr:`eatsim.model.Instance.value_table`). Exact RP goes through order
-positions breadth-first: prefixes that place the same agents and take the
-same items share one state, whose next turns are each played once, weighted
-by the orders through it. It and sampling share one pick routine.
+(:attr:`eatsim.model.Instance.value_table`). Exact RP and exact RRP share
+one layered walk, ``_exact``, which goes through the turns breadth-first:
+prefixes that draw the same agents (RP only) and take the same items share
+one state, whose next turns are each played once, weighted by the draw
+sequences through it. A walk of more than ``MAX_TURNS`` turns is refused
+with :class:`ExactEnumerationRefused`. The walk and sampled RP share one
+pick routine, ``_grab``.
 
 Sampled RP and RRP differ only in how a block of samples is played; one
 Monte Carlo driver, ``_monte_carlo``, runs the blocks, merges them and
@@ -55,13 +61,17 @@ from . import engine, strategies
 from .model import LOWEST_INDEX_FIRST, Instance, Strategy, as_count, valued_items
 
 
+# Most (state, agent) turns an exact walk plays, a few seconds of work: RRP on
+# ps-beats-cps n=16 plays 1,048,560 of them and RP on sqrt-n-lb n=16 524,288.
+MAX_TURNS = 2 * 10**6
+
 # Fewest samples in a block of their own: a fork costs a few ms, the time of
 # a few hundred samples, so a block this size repays it several times over.
 MIN_BLOCK = 2048
 
 
 class ExactEnumerationRefused(ValueError):
-    """Exact Random Priority is refused for more than 8 agents; sample instead."""
+    """An exact RP or RRP walk of more than ``MAX_TURNS`` turns is refused; sample instead."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,7 @@ def _setup(
 ) -> tuple[list[tuple[int, ...]], int, tuple[tuple[int, ...], ...], list[bool]]:
     """The checks RP and RRP make, in this order, and what both play over.
 
-    ``samples`` is None for exact RP only. A sample count must be at least
+    ``samples`` is None for an exact run. A sample count must be at least
     1; then the profile must pass the eating mechanisms' check under ps;
     then a sampled run needs an int seed. Returns each report's ranking, the
     value table's denominator and integer rows, and the valued-item mask.
@@ -252,6 +262,67 @@ def _monte_carlo(mechanism: str, denom: int, samples: int, seed: int, block) -> 
         _stderr(total // common, total_sq // common ** 2, samples, denom // common))
 
 
+def _exact(
+    mechanism: str,
+    rankings: Sequence[Sequence[int]],
+    denom: int,
+    value_int: tuple[tuple[int, ...], ...],
+    valued: list[bool],
+    quotas: Sequence[int],
+    once: bool,
+) -> MechanismResult:
+    """The exact average over every draw sequence of a lottery, by a layered walk.
+
+    Turn k of a sequence draws an agent, which takes the first ``quotas[k]``
+    available items of its ranking. With ``once`` the sequences are the n!
+    orders, each agent drawn once (RP); otherwise they are all n^len(quotas)
+    sequences of agents (RRP).
+
+    ``layer`` maps each state at turn k (the agents drawn, with ``once``, and
+    the items taken, as bit masks, and the valued items left) to the number
+    of draw prefixes that reach it. A (state, agent) turn is played once and
+    stands for reach * weight sequences, where weight counts the ways to
+    finish one: (n-1-k)! orders or n^(len(quotas)-1-k) draws. A state with
+    nothing of value left is not extended, as every later turn gains 0.
+    Each layer's turns are counted before it is played, so a walk of more
+    than ``MAX_TURNS`` turns is refused before it plays the layer that
+    would pass the limit.
+    """
+    n, m, depth = len(rankings), len(valued), len(quotas)
+    per_agent_num = [0] * n
+    layer = {(0, 0, sum(valued)): 1}
+    turns = 0
+    for k, quota in enumerate(quotas):
+        rest = depth - 1 - k
+        weight = math.factorial(rest) if once else n ** rest
+        turns += len(layer) * (n - k if once else n)
+        if turns > MAX_TURNS:
+            raise ExactEnumerationRefused(
+                f"exact {mechanism} plays more than {MAX_TURNS} turns; sample instead")
+        successors: dict[tuple[int, int, int], int] = {}
+        for (drawn, taken, left), reach in layer.items():
+            available = [not taken >> j & 1 for j in range(m)]
+            ways = reach * weight
+            for agent in range(n):
+                if drawn >> agent & 1:
+                    continue
+                row = value_int[agent]
+                gain = worth = mask = 0
+                for j in _grab(rankings[agent], available, quota):
+                    available[j] = True  # free again for the next agent
+                    gain += row[j]
+                    worth += valued[j]
+                    mask |= 1 << j
+                per_agent_num[agent] += gain * ways
+                if left > worth:
+                    state = (drawn | once << agent, taken | mask, left - worth)
+                    successors[state] = successors.get(state, 0) + reach
+        layer = successors
+    count = (math.factorial(n) if once else n ** depth) * denom
+    return MechanismResult(mechanism, Fraction(sum(per_agent_num), count),
+                           tuple(Fraction(p, count) for p in per_agent_num), "exact-enumeration")
+
+
 def random_priority(
     instance: Instance,
     reports: Sequence[Strategy],
@@ -262,13 +333,11 @@ def random_priority(
 
     The quota is floor(m/n) items per agent, with the m mod n leftover items
     appended to the turn of the order's final agent. With ``samples`` unset
-    the result is the exact average over all n! orders (refused for n > 8);
-    otherwise ``samples`` seeded orders are drawn.
+    the result is the exact average over all n! orders; otherwise ``samples``
+    seeded orders are drawn.
     """
     rankings, denom, value_int, valued = _setup(instance, reports, samples, seed)
     n, m = instance.n, instance.m
-    if samples is None and n > 8:
-        raise ExactEnumerationRefused(f"n = {n} > 8; use the Monte Carlo mode")
     valued_count = sum(valued)
     quotas = [m // n] * (n - 1) + [m // n + m % n]
 
@@ -307,44 +376,24 @@ def random_priority(
 
         return _monte_carlo("rp", denom, samples, seed, block)
 
-    # ``layer`` maps each state at ``pos`` (agents placed and items taken, as
-    # bit masks, and valued items left) to the number of order prefixes that
-    # reach it. A (state, agent) turn is played once and stands for
-    # reach * (n-1-pos)! orders. A state with nothing of value left is not
-    # extended, as every later turn gains 0.
-    per_agent_num = [0] * n
-    layer = {(0, 0, valued_count): 1}
-    for pos in range(n):
-        weight = math.factorial(n - 1 - pos)
-        successors: dict[tuple[int, int, int], int] = {}
-        for (placed, taken, left), reach in layer.items():
-            available = [not taken >> j & 1 for j in range(m)]
-            for agent in range(n):
-                if placed >> agent & 1:
-                    continue
-                items, gain, worth = turn(agent, pos, available)
-                per_agent_num[agent] += gain * reach * weight
-                if left > worth:
-                    state = (placed | 1 << agent,
-                             taken | sum(1 << j for j in items), left - worth)
-                    successors[state] = successors.get(state, 0) + reach
-                for j in items:
-                    available[j] = True
-        layer = successors
-    count = math.factorial(n) * denom
-    return MechanismResult("rp", Fraction(sum(per_agent_num), count),
-                           tuple(Fraction(p, count) for p in per_agent_num), "exact-enumeration")
+    return _exact("rp", rankings, denom, value_int, valued, quotas, once=True)
 
 
 def repeated_random_priority(
     instance: Instance,
     reports: Sequence[Strategy],
-    samples: int,
-    seed: int,
+    samples: int | None = None,
+    seed: int | None = None,
 ) -> MechanismResult:
-    """Repeated Random Priority: m i.i.d. uniform draws, one favorite item each."""
+    """Repeated Random Priority: m i.i.d. uniform draws, one favorite item each.
+
+    With ``samples`` unset the result is the exact average over all n^m draw
+    sequences; otherwise ``samples`` seeded sequences are drawn.
+    """
     rankings, denom, value_int, valued = _setup(instance, reports, samples, seed)
     n, m = instance.n, instance.m
+    if samples is None:
+        return _exact("rrp", rankings, denom, value_int, valued, [1] * m, once=False)
     valued_count = sum(valued)
 
     def block(start: int, stop: int) -> tuple[list[int], int, int]:

@@ -253,6 +253,9 @@ class Instance:
                                               self.agent_labels, self.item_labels)
         if defects:
             raise InvalidInstanceError(defects)
+        for key in ("agent_labels", "item_labels"):  # a list reads back as a tuple
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
 
     def truthful_profile(self) -> list["Strategy"]:
         return [Proportional(v) for v in self.valuations]
@@ -304,10 +307,15 @@ def instance_defects(
             defects.append(f"agent {i + 1}: negative value at item {j + 1}")
         if not negatives and sum(vals, ZERO) != ONE:
             defects.append(f"agent {i + 1}: values sum to {sum(vals, ZERO)}, expected 1")
-    if agent_labels is not None and "n" in counts and len(agent_labels) != n:
-        defects.append(f"expected {n} agent labels, got {len(agent_labels)}")
-    if item_labels is not None and "m" in counts and len(item_labels) != m:
-        defects.append(f"expected {m} item labels, got {len(item_labels)}")
+    for what, labels, size, count in (("agent", agent_labels, "n", n),
+                                      ("item", item_labels, "m", m)):
+        if labels is None:
+            continue
+        if isinstance(labels, str) or not isinstance(labels, Sequence) or \
+                not all(isinstance(x, str) for x in labels):
+            defects.append(f"{what} labels must be a sequence of strings")
+        elif size in counts and len(labels) != count:
+            defects.append(f"expected {count} {what} labels, got {len(labels)}")
     return defects
 
 
@@ -316,6 +324,11 @@ class Proportional:
     """Report a unit-sum valuation; consumption splits in proportion to it."""
 
     report: Valuation
+
+    def __post_init__(self):
+        if not isinstance(self.report, Valuation):
+            raise ValueError("proportional report must be a Valuation, "
+                             f"got {type(self.report).__name__}")
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,8 @@ def test_a11_random_priority_bounds():
     sampled = repeated_random_priority(dyadic.instance, list(dyadic.bad_profile),
                                        samples=100_000, seed=2026)
     assert float(sampled.expected_welfare) <= 4 + 3 * sampled.stderr
+    exact = repeated_random_priority(dyadic.instance, list(dyadic.bad_profile))
+    assert exact.method == "exact-enumeration" and exact.expected_welfare <= 4
 
 
 # --- criterion 12: the two mechanisms separate on tilted instances ----------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import eatsim
+from eatsim import lotteries
 from eatsim.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -24,7 +25,9 @@ from eatsim.cli import (
     execute,
     main,
 )
+from eatsim.instances import GeneratorSpec, generate
 from eatsim.model import (
+    format_rational,
     instance_from_json,
     instance_to_json,
     profile_from_json,
@@ -342,10 +345,38 @@ class TestLotteryCommands:
         assert "exact-enumeration" in result.stdout
         assert "expected welfare: 1 (~1)" in result.stdout
 
-    def test_rp_exact_refused_for_large_n(self):
-        result = run_cli(["rp", "--generator", "random", "--n", "9", "--m", "9",
-                          "--seed", "0", "--profile", "truthful"])
-        assert result.exit_code == EXIT_BUDGET
+    @pytest.mark.parametrize("argv", [
+        ["rp", "--generator", "random", "--n", "9", "--m", "9"],
+        ["poa", "--generator", "random", "--n", "9", "--m", "9", "--mechanism", "rp"],
+    ], ids=["rp-n-9", "poa-rp-n-9"])
+    def test_exact_rp_past_eight_agents(self, argv):
+        # these exited 4 while exact RP was capped at n <= 8
+        inst = generate(GeneratorSpec("random", {"n": 9, "m": 9}, 0)).instance
+        welfare = lotteries.random_priority(inst, inst.truthful_profile()).expected_welfare
+        result = run_cli(argv)
+        assert result.exit_code == EXIT_OK and format_rational(welfare) in result.stdout
+
+    @pytest.mark.parametrize("argv, mechanism", [
+        (["rp", "--generator", "example1"], "rp"), (["rrp", "--generator", "example1"], "rrp"),
+        (["poa", "--generator", "example1", "--mechanism", "rp"], "rp"),
+        (["poa", "--generator", "example1", "--mechanism", "rrp"], "rrp"),
+    ], ids=["rp", "rrp", "poa-rp", "poa-rrp"])
+    def test_exact_walk_past_the_turn_limit_exit_4(self, argv, mechanism, monkeypatch):
+        monkeypatch.setattr(lotteries, "MAX_TURNS", 2)
+        result = run_cli(argv)
+        assert (result.exit_code, result.stdout) == (
+            EXIT_BUDGET, f"refused: exact {mechanism} plays more than 2 turns; sample instead\n")
+        assert run_cli([*argv, "--samples", "10"]).exit_code == EXIT_OK
+
+    def test_rrp_exact_by_default(self, tmp_path):
+        out = tmp_path / "rrp.json"
+        result = run_cli(["rrp", "--generator", "rp-lb", "--n", "4", "--eps", "1/100",
+                          "--out", str(out)])
+        assert result.stdout.splitlines()[:2] == [
+            "rrp (exact-enumeration)", "expected welfare: 62/25 (~2.48)"]
+        doc = json.loads(result.files[str(out)])
+        assert doc["method"] == "exact-enumeration" and doc["expected_welfare"] == "62/25"
+        assert not {"samples", "seed", "stderr"} & set(doc)
 
     def test_rrp_reports_stderr_and_seed(self, tmp_path):
         out = tmp_path / "rrp.json"
@@ -914,9 +945,6 @@ MALFORMED = {
     "eps-negative": ["generate", *_RP_LB, "--eps", "-1/2"],
     "epsilon-negative": ["verify-ne", *_EXAMPLE2, "--epsilon", "-1/10"],
     "n-not-square": ["generate", "--generator", "sqrt-n-lb", "--n", "5"],
-    "rp-n-9": ["rp", "--generator", "random", "--n", "9", "--m", "9"],
-    "poa-rp-n-9": ["poa", "--generator", "random", "--n", "9", "--m", "9",
-                   "--mechanism", "rp"],
     "weight-max-0": ["generate", "--generator", "random", "--n", "2", "--m", "2",
                      "--weight-max", "0"],
     "unknown-generator": ["simulate", "--generator", "no-such-generator"],
@@ -1023,8 +1051,6 @@ MALFORMED_EXITS = {
     "eps-above": EXIT_INVALID,
     "eps-zero": EXIT_INVALID,
     "n-not-square": EXIT_INVALID,
-    "rp-n-9": EXIT_BUDGET,
-    "poa-rp-n-9": EXIT_BUDGET,
     "weight-max-0": EXIT_INVALID,
     "unknown-generator": EXIT_INVALID,
     "no-bad-profile": EXIT_USAGE,

@@ -4,7 +4,7 @@ import random
 import signal
 import threading
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -197,6 +197,48 @@ def plain_exact_rp(instance, reports):
     return sum(per_agent, F(0)), per_agent
 
 
+def brute_force_rrp(instance, reports):
+    """(welfare, per-agent payoffs) of Repeated Random Priority averaged over
+    all n^m draw sequences, each played to the end; picks are counted, then
+    valued once."""
+    n, m = instance.n, instance.m
+    rankings = plain_rankings(m, reports)
+    picks = [[0] * m for _ in range(n)]
+    for draws in product(range(n), repeat=m):
+        available = [True] * m
+        for agent in draws:
+            j = next(j for j in rankings[agent] if available[j])
+            available[j] = False
+            picks[agent][j] += 1
+    sequences = n ** m
+    per_agent = tuple(sum((c * v for c, v in zip(picks[i], instance.valuations[i].values)),
+                          F(0)) / sequences for i in range(n))
+    return sum(per_agent, F(0)), per_agent
+
+
+def counted_turns(monkeypatch):
+    """A list that gets one entry per pick routine call from now on: one per
+    turn of an exact walk."""
+    grab = lotteries._grab
+    calls = []
+
+    def counted(ranking, available, count):
+        calls.append(1)
+        return grab(ranking, available, count)
+
+    monkeypatch.setattr(lotteries, "_grab", counted)
+    return calls
+
+
+def assert_within_four_stderr(exact, sampled):
+    assert exact.method == "exact-enumeration" and sampled.samples == 4096
+    if sampled.stderr == 0:  # every draw gave one welfare
+        assert sampled.expected_welfare == exact.expected_welfare
+    else:
+        assert abs(float(exact.expected_welfare - sampled.expected_welfare)) \
+            <= 4 * sampled.stderr
+
+
 class TestAgainstPlainReference:
     """Early stops and merged order prefixes change no result, stderr repr included."""
 
@@ -224,14 +266,7 @@ class TestAgainstPlainReference:
     def test_one_turn_per_state_and_agent(self, monkeypatch):
         inst = generate(GeneratorSpec("random", {"n": 7, "m": 14}, 0)).instance
         reports = inst.truthful_profile()
-        grab = lotteries._grab
-        calls = []
-
-        def counted(ranking, available, count):
-            calls.append(1)
-            return grab(ranking, available, count)
-
-        monkeypatch.setattr(lotteries, "_grab", counted)
+        calls = counted_turns(monkeypatch)
         random_priority(inst, reports)
         # the (agents placed, items taken, next agent) turns of plain play that
         # start with something of value left, or at the first position
@@ -247,6 +282,63 @@ class TestAgainstPlainReference:
                 count = inst.m // inst.n + (inst.m % inst.n if pos == inst.n - 1 else 0)
                 taken.update([j for j in rankings[agent] if j not in taken][:count])
         assert len(calls) == len(turns) == 1037
+
+
+class TestExactRepeatedRandomPriority:
+    """Exact RRP walks the taken-item masks that draw sequences reach."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_brute_force_over_every_draw_sequence(self, n, m):
+        rng = rng_for(f"rrp-brute-force-{n}-{m}")
+        cases = [random_instance(n, m, 6, seed=seed).instance for seed in range(3)]
+        cases.append(sparse_instance(rng, n, m))  # zero columns: early stops
+        for inst in cases:
+            for reports in (inst.truthful_profile(), random_profile(rng, n, m)):
+                exact = repeated_random_priority(inst, reports)
+                assert exact.method == "exact-enumeration"
+                assert (exact.samples, exact.seed, exact.stderr) == (None, None, None)
+                assert (exact.expected_welfare, exact.per_agent) == brute_force_rrp(inst, reports)
+
+    def test_one_turn_per_state_and_agent(self, monkeypatch):
+        rng = rng_for("rrp-turns")
+        inst = sparse_instance(rng, 4, 7)
+        reports = random_profile(rng, 4, 7)
+        calls = counted_turns(monkeypatch)
+        repeated_random_priority(inst, reports)
+        # the (items taken, next agent) turns of plain play that start with
+        # something of value left, or at the first draw
+        rankings = plain_rankings(inst.m, reports)
+        valued = {j for j in range(inst.m) if any(row[j] for row in inst.valuations)}
+        turns = set()
+        for draws in product(range(inst.n), repeat=inst.m):
+            taken = set()
+            for k, agent in enumerate(draws):
+                if k and valued <= taken:
+                    break
+                turns.add((frozenset(taken), agent))
+                taken.add(next(j for j in rankings[agent] if j not in taken))
+        assert len(calls) == len(turns) < inst.n ** inst.m
+
+    @pytest.mark.parametrize("params, welfare", [
+        ({"n": 4, "eps": "1/100"}, F(62, 25)), ({"n": 7}, F(55, 14)),
+    ], ids=["rp-lb-4", "rp-lb-7"])
+    def test_pinned_values(self, params, welfare):
+        # each value also came from a backward recursion over taken-item sets
+        gen = generate(GeneratorSpec("rp-lb", params))
+        result = repeated_random_priority(gen.instance, list(gen.bad_profile))
+        assert result.expected_welfare == welfare
+
+    @pytest.mark.parametrize("generator, params", [
+        ("rp-lb", {"n": 7}), ("log-m-lb", {"k": 4, "q": 3}), ("random", {"n": 7, "m": 14}),
+    ], ids=["rp-lb-7", "log-m-lb-4-3", "random-7x14"])
+    def test_tracks_sampling(self, generator, params):
+        gen = generate(GeneratorSpec(generator, params, 0))
+        reports = list(gen.bad_profile or gen.instance.truthful_profile())
+        exact = repeated_random_priority(gen.instance, reports)
+        assert sum(exact.per_agent, F(0)) == exact.expected_welfare
+        assert_within_four_stderr(
+            exact, repeated_random_priority(gen.instance, reports, 4096, seed=0))
 
 
 class TestOpt:
@@ -340,12 +432,21 @@ class TestRandomPriority:
             assert exact.per_agent == expected
             assert exact.expected_welfare == sum(expected, F(0))
 
-    def test_exact_refused_beyond_eight_agents(self):
-        gen = random_instance(9, 9, 10, seed=1)
-        with pytest.raises(ExactEnumerationRefused):
-            random_priority(gen.instance, gen.instance.truthful_profile())
-        with pytest.raises(ExactEnumerationRefused):  # exact RP ignores a seed
-            random_priority(gen.instance, gen.instance.truthful_profile(), seed=0)
+    @pytest.mark.parametrize("inst, reports", [
+        *(pytest.param(inst, inst.truthful_profile(), id=f"random-{n}x{n}")
+          for n in range(9, 13) for inst in [random_instance(n, n, 10, seed=n).instance]),
+        *(pytest.param(gen.instance, list(gen.bad_profile), id=f"rp-lb-{n}")
+          for n in range(9, 13) for gen in [generate(GeneratorSpec("rp-lb", {"n": n}))]),
+    ])
+    def test_exact_past_eight_agents_tracks_sampling(self, inst, reports):
+        exact = random_priority(inst, reports)
+        assert sum(exact.per_agent, F(0)) == exact.expected_welfare
+        assert_within_four_stderr(exact, random_priority(inst, reports, 4096, seed=0))
+
+    def test_exact_ignores_a_seed(self):
+        inst = random_instance(9, 9, 10, seed=1).instance
+        reports = inst.truthful_profile()
+        assert random_priority(inst, reports, seed=0) == random_priority(inst, reports)
 
     def test_collapse_instance_exact_value(self):
         gen = generate(GeneratorSpec("rp-lb", {"n": 4, "eps": "1/100"}))
@@ -423,6 +524,7 @@ class TestRepeatedRandomPriority:
         gen = generate(GeneratorSpec("log-m-lb", {"k": 4, "q": 3}))
         result = repeated_random_priority(gen.instance, list(gen.bad_profile), 2000, seed=11)
         assert float(result.expected_welfare) <= 4 + 3 * result.stderr
+        assert repeated_random_priority(gen.instance, list(gen.bad_profile)).expected_welfare <= 4
 
 
 class TestMalformedProfiles:
@@ -458,7 +560,7 @@ class TestCheckOrder:
     and a malformed profile before a missing seed; no sample is played
     before every check has passed."""
 
-    SAMPLED = [random_priority, repeated_random_priority]
+    LOTTERIES = [random_priority, repeated_random_priority]
 
     @pytest.fixture(autouse=True)
     def no_sampling(self, monkeypatch):
@@ -466,13 +568,13 @@ class TestCheckOrder:
             raise AssertionError("a sample was played before the checks passed")
         monkeypatch.setattr(lotteries, "_run_blocks", refuse)
 
-    @pytest.mark.parametrize("call", SAMPLED, ids=["rp", "rrp"])
+    @pytest.mark.parametrize("call", LOTTERIES, ids=["rp", "rrp"])
     def test_missing_seed_is_refused_before_sampling(self, call):
         inst = generate(GeneratorSpec("rp-lb", {"n": 3, "eps": "1/100"})).instance
         with pytest.raises(ValueError, match="^Monte Carlo mode requires a seed$"):
             call(inst, inst.truthful_profile(), 4096, None)
 
-    @pytest.mark.parametrize("call", SAMPLED, ids=["rp", "rrp"])
+    @pytest.mark.parametrize("call", LOTTERIES, ids=["rp", "rrp"])
     @pytest.mark.parametrize("samples, message", [
         (0, "samples must be at least 1, got 0"),
         (10, "profile has 2 strategies, expected 3"),
@@ -483,12 +585,38 @@ class TestCheckOrder:
             call(inst, inst.truthful_profile()[:2], samples, None)
         assert type(exc.value) is ValueError and str(exc.value) == message
 
-    def test_exact_rp_checks_the_profile_before_the_agent_cap(self):
+    @pytest.mark.parametrize("call", LOTTERIES, ids=["rp", "rrp"])
+    def test_exact_runs_check_the_profile_before_the_turn_limit(self, call, monkeypatch):
+        monkeypatch.setattr(lotteries, "MAX_TURNS", 0)
         inst = random_instance(9, 9, 10, seed=1).instance
         with pytest.raises(ValueError) as exc:
-            random_priority(inst, inst.truthful_profile()[:8])
+            call(inst, inst.truthful_profile()[:8])
         assert type(exc.value) is ValueError
         assert str(exc.value) == "profile has 8 strategies, expected 9"
+
+
+class TestTurnLimit:
+    """An exact walk of more than MAX_TURNS turns is refused; a sampled run
+    plays no turn of a walk and is never refused."""
+
+    @pytest.mark.parametrize("call, mechanism", [
+        (random_priority, "rp"), (repeated_random_priority, "rrp"),
+    ], ids=["rp", "rrp"])
+    def test_refused_past_the_limit(self, call, mechanism, monkeypatch):
+        inst = random_instance(4, 5, 10, seed=2).instance
+        reports = inst.truthful_profile()
+        calls = counted_turns(monkeypatch)
+        exact = call(inst, reports)
+        turns = len(calls)
+        monkeypatch.setattr(lotteries, "MAX_TURNS", turns)
+        assert call(inst, reports) == exact
+        monkeypatch.setattr(lotteries, "MAX_TURNS", turns - 1)
+        with pytest.raises(ExactEnumerationRefused) as exc:
+            call(inst, reports)
+        assert str(exc.value) == \
+            f"exact {mechanism} plays more than {turns - 1} turns; sample instead"
+        monkeypatch.setattr(lotteries, "MAX_TURNS", 0)
+        assert call(inst, reports, 50, 1).method == "monte-carlo(samples=50, seed=1)"
 
 
 class TestSampleCountsAndErrorBars:

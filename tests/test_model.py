@@ -232,6 +232,23 @@ class TestInstance:
         assert exc.value.defects == ["agent 1: row is not a Valuation",
                                      "agent 2: row is not a Valuation"]
 
+    @pytest.mark.parametrize("labels, valid", [
+        (("a",), True), (["a"], True),
+        ((5,), False), ("a", False), (("a", None), False), (5, False), ([b"a"], False),
+    ], ids=repr)
+    def test_an_instance_that_builds_round_trips_through_json(self, labels, valid):
+        # (5,) used to build and be written as "agents": [5], which reading
+        # then refused; "a" was taken as the one label "a"
+        rows = (valuation_of(["1"]),)
+        for what, agent_labels, item_labels in (("agent", labels, None), ("item", None, labels)):
+            if valid:
+                inst = Instance(1, 1, rows, agent_labels, item_labels)
+                assert instance_from_json(instance_to_json(inst)) == inst
+                continue
+            with pytest.raises(InvalidInstanceError) as exc:
+                Instance(1, 1, rows, agent_labels, item_labels)
+            assert exc.value.defects == [f"{what} labels must be a sequence of strings"]
+
     def test_bad_sum_reported_with_agent_index(self):
         doc = {"n": 1, "m": 2, "valuations": [["1/2", "1/3"]]}
         with pytest.raises(InvalidInstanceError) as exc:
@@ -240,6 +257,15 @@ class TestInstance:
 
 
 class TestStrategies:
+    @pytest.mark.parametrize("report", [(Fraction(1),), ["1"], "1", None], ids=repr)
+    def test_a_proportional_report_is_a_valuation(self, report):
+        # the tuple report used to build, and engine.run then raised AttributeError
+        with pytest.raises(ValueError) as exc:
+            Proportional(report)
+        assert type(exc.value) is ValueError and str(exc.value) == \
+            f"proportional report must be a Valuation, got {type(report).__name__}"
+        assert run(1, 1, [Proportional(valuation_of(["1"]))]).shares == ((Fraction(1),),)
+
     def test_lexicographic_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Lexicographic((0, 1, 0))

@@ -88,11 +88,11 @@ def test_readme_library_example_holds():
 FLAG_DIGESTS = {
     "simulate": "258d4797e327b36549d08c1ea892fc50b045b3d6dcd594328f69b09663858add",
     "opt": "071336d2444164824d2c2d6e5ea4628eb62d4ed7506001eba263b27cedbf7b40",
-    "poa": "a3ac6d2f52eb6ba64755b97e3d7fd23cfc1d45e673c1a19156d430a1606dab5c",
+    "poa": "82ba6460319fd8ef36d0fb07c74d28f192bffb1bcae569153e9d5985d1fa71e0",
     "best-response": "c6e10f3dc3e73c6d83eba906c82f6967078b7258174433378170892b5954f5ac",
     "verify-ne": "025b3597cd2bb2f82b76106056fa0be43f85fb32577647806bf3923d0f6218ed",
     "rp": "17c4ee75681e25b8f3053982eea3c12036b27e83c438a581950f75ac0147c2f8",
-    "rrp": "554109ccff796f8f67a5f35f6a93e2eb661d4917a59ff0d758a4b2b8a641cf94",
+    "rrp": "17c4ee75681e25b8f3053982eea3c12036b27e83c438a581950f75ac0147c2f8",
     "generate": "96540de7ad04379a7716e3640bd5f2e081be9be06defbd1c0521b0d00d9e8eec",
     "sample": "258d4797e327b36549d08c1ea892fc50b045b3d6dcd594328f69b09663858add",
 }
