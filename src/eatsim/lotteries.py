@@ -28,12 +28,13 @@ the end.
 
 RP and RRP accumulate integers over the instance's cached value table
 (:attr:`eatsim.model.Instance.value_table`). Exact RP and exact RRP share
-one layered walk, ``_exact``, which goes through the turns breadth-first:
-prefixes that draw the same agents (RP only) and take the same items share
-one state, whose next turns are each played once, weighted by the draw
-sequences through it. A walk of more than ``MAX_TURNS`` turns is refused
-with :class:`ExactEnumerationRefused`. The walk and sampled RP share one
-pick routine, ``_grab``.
+one layered walk, ``_exact``, which goes breadth-first over classes of
+agents with equal rankings and value rows: prefixes that draw as many of
+each class (RP only) and take the same items share one state, whose next
+turns are each played once per class, weighted by the draw sequences
+through it. A walk of more than ``MAX_TURNS`` turns is refused with
+:class:`ExactEnumerationRefused`. The walk and sampled RP share one pick
+routine, ``_grab``.
 
 Sampled RP and RRP differ only in how a block of samples is played; one
 Monte Carlo driver, ``_monte_carlo``, runs the blocks, merges them and
@@ -61,8 +62,8 @@ from . import engine, strategies
 from .model import LOWEST_INDEX_FIRST, Instance, Strategy, as_count, valued_items
 
 
-# Most (state, agent) turns an exact walk plays, a few seconds of work: RRP on
-# ps-beats-cps n=16 plays 1,048,560 of them and RP on sqrt-n-lb n=16 524,288.
+# Most (state, class) turns an exact walk counts, a few seconds of work: RRP on
+# ps-beats-cps n=16 counts 1,048,560 of them and RP on sqrt-n-lb n=25 955,985.
 MAX_TURNS = 2 * 10**6
 
 # Fewest samples in a block of their own: a fork costs a few ms, the time of
@@ -278,46 +279,62 @@ def _exact(
     orders, each agent drawn once (RP); otherwise they are all n^len(quotas)
     sequences of agents (RRP).
 
-    ``layer`` maps each state at turn k (the agents drawn, with ``once``, and
-    the items taken, as bit masks, and the valued items left) to the number
-    of draw prefixes that reach it. A (state, agent) turn is played once and
-    stands for reach * weight sequences, where weight counts the ways to
-    finish one: (n-1-k)! orders or n^(len(quotas)-1-k) draws. A state with
-    nothing of value left is not extended, as every later turn gains 0.
-    Each layer's turns are counted before it is played, so a walk of more
-    than ``MAX_TURNS`` turns is refused before it plays the layer that
-    would pass the limit.
+    Agents with equal rankings and value rows form a class, whose members a
+    uniform draw cannot tell apart. ``layer`` maps each state at turn k (the
+    members drawn per class, with ``once``, one bit field per class in one int,
+    so a lone agent has one bit; the items taken, as a bit mask; the valued
+    items left) to the number of draw prefixes that reach it. A (state, class)
+    turn is played once for reach * free prefixes, one per member not yet
+    drawn, each finished in weight ways: (n-1-k)! orders or n^(len(quotas)-1-k)
+    draws. A class's total is split evenly among its members, exactly by
+    symmetry. A state with nothing of value left is not extended, as every
+    later turn gains 0. Each layer's turns are counted before it is played, as
+    states times classes (at most n - k for RP), so a walk of more than
+    ``MAX_TURNS`` turns is refused before it plays the layer that would pass
+    the limit. The count is exact when every agent is a class of its own, and
+    an upper bound otherwise.
     """
     n, m, depth = len(rankings), len(valued), len(quotas)
-    per_agent_num = [0] * n
+    index: dict[tuple[Sequence[int], tuple[int, ...]], int] = {}  # (ranking, row) -> class
+    class_of = [index.setdefault((rankings[i], value_int[i]), len(index)) for i in range(n)]
+    classes, shift = [], 0  # (ranking, row, size, its field's shift and mask, what a draw adds)
+    for (ranking, row), c in index.items():
+        width = class_of.count(c).bit_length()
+        classes.append((ranking, row, class_of.count(c), shift, (1 << width) - 1, once << shift))
+        shift += width
+    class_num = [0] * len(classes)
+    bits = [1 << j for j in range(m)]
     layer = {(0, 0, sum(valued)): 1}
     turns = 0
     for k, quota in enumerate(quotas):
-        rest = depth - 1 - k
-        weight = math.factorial(rest) if once else n ** rest
-        turns += len(layer) * (n - k if once else n)
+        turns += len(layer) * (min(len(classes), n - k) if once else len(classes))
         if turns > MAX_TURNS:
             raise ExactEnumerationRefused(
                 f"exact {mechanism} plays more than {MAX_TURNS} turns; sample instead")
+        gains = [0] * len(classes)
         successors: dict[tuple[int, int, int], int] = {}
         for (drawn, taken, left), reach in layer.items():
-            available = [not taken >> j & 1 for j in range(m)]
-            ways = reach * weight
-            for agent in range(n):
-                if drawn >> agent & 1:
+            available = [not taken & b for b in bits]
+            for c, (ranking, row, size, shift, field, bit) in enumerate(classes):
+                free = size - (drawn >> shift & field)
+                if not free:
                     continue
-                row = value_int[agent]
                 gain = worth = mask = 0
-                for j in _grab(rankings[agent], available, quota):
-                    available[j] = True  # free again for the next agent
+                for j in _grab(ranking, available, quota):
+                    available[j] = True  # free again for the next class
                     gain += row[j]
                     worth += valued[j]
-                    mask |= 1 << j
-                per_agent_num[agent] += gain * ways
+                    mask |= bits[j]
+                ways = reach * free
+                gains[c] += gain * ways
                 if left > worth:
-                    state = (drawn | once << agent, taken | mask, left - worth)
-                    successors[state] = successors.get(state, 0) + reach
+                    state = (drawn + bit, taken | mask, left - worth)
+                    successors[state] = successors.get(state, 0) + ways
+        rest = depth - 1 - k
+        weight = math.factorial(rest) if once else n ** rest
+        class_num = [total + gain * weight for total, gain in zip(class_num, gains)]
         layer = successors
+    per_agent_num = [class_num[c] // classes[c][2] for c in class_of]
     count = (math.factorial(n) if once else n ** depth) * denom
     return MechanismResult(mechanism, Fraction(sum(per_agent_num), count),
                            tuple(Fraction(p, count) for p in per_agent_num), "exact-enumeration")

@@ -136,8 +136,21 @@ def sparse_instance(rng, n, m):
     return Instance(n, m, tuple(rows))
 
 
+def repeated_agents_case(rng, n, m):
+    """(instance, reports) in which n agents repeat k < n (truth, report)
+    pairs, so some class of the exact walk has several members."""
+    k = rng.randint(1, max(1, n - 1))
+    kinds = random_instance(k, m, 4, seed=rng.randrange(10 ** 6)).instance
+    others = random_profile(rng, k, m)
+    kind_reports = [rng.choice(pair) for pair in zip(kinds.truthful_profile(), others)]
+    picks = [rng.randrange(k) for _ in range(n)]
+    rows = tuple(kinds.valuations[c] for c in picks)
+    return Instance(n, m, rows), [kind_reports[c] for c in picks]
+
+
 def reference_cases():
-    """(instance, reports) cases: sparse m >> n, rp-lb, m < n, lexicographic prefixes."""
+    """(instance, reports) cases: sparse m >> n, rp-lb, m < n, lexicographic
+    prefixes, and agents that repeat a few (truth, report) pairs."""
     rng = rng_for("lottery-reference")
     for trial in range(8):
         n = rng.randint(2, 5)
@@ -160,6 +173,11 @@ def reference_cases():
         prefixes = [Lexicographic(tuple(rng.sample(range(m), rng.randint(1, m))))
                     for _ in range(n)]
         yield pytest.param(inst, prefixes, id=f"prefixes-{trial}")
+    rng = rng_for("lottery-reference-repeated")
+    for trial in range(10):
+        n = rng.randint(2, 6)
+        yield pytest.param(*repeated_agents_case(rng, n, rng.randint(1, 2 * n)),
+                           id=f"repeated-{trial}")
 
 
 def large_exact_cases():
@@ -299,6 +317,10 @@ class TestExactRepeatedRandomPriority:
                 assert exact.method == "exact-enumeration"
                 assert (exact.samples, exact.seed, exact.stderr) == (None, None, None)
                 assert (exact.expected_welfare, exact.per_agent) == brute_force_rrp(inst, reports)
+        for _ in range(3):
+            inst, reports = repeated_agents_case(rng, n, m)
+            exact = repeated_random_priority(inst, reports)
+            assert (exact.expected_welfare, exact.per_agent) == brute_force_rrp(inst, reports)
 
     def test_one_turn_per_state_and_agent(self, monkeypatch):
         rng = rng_for("rrp-turns")
@@ -339,6 +361,89 @@ class TestExactRepeatedRandomPriority:
         assert sum(exact.per_agent, F(0)) == exact.expected_welfare
         assert_within_four_stderr(
             exact, repeated_random_priority(gen.instance, reports, 4096, seed=0))
+
+
+def plain_classes(instance, reports):
+    """(rankings, each agent's class), a class named by its first agent
+    with an equal ranking and value row."""
+    rankings = plain_rankings(instance.m, reports)
+    keys = [(rankings[i], instance.valuations[i].values) for i in range(instance.n)]
+    return rankings, [keys.index(key) for key in keys]
+
+
+class TestAgentClasses:
+    """Agents with equal rankings and value rows are one class of the exact
+    walk; the walk draws classes and splits each class's total evenly. The
+    reference cases and the RRP brute force also cover repeated agents."""
+
+    @pytest.mark.parametrize("call, reference", [
+        (random_priority, plain_exact_rp), (repeated_random_priority, brute_force_rrp),
+    ], ids=["rp", "rrp"])
+    @pytest.mark.parametrize("rows, reports", [
+        # the same report over different truths
+        ((["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], ["1/3", "1/3", "1/3"]),
+         [single_minded(0, 3), single_minded(0, 3), single_minded(1, 3)]),
+        # the same truth under different reports
+        ((["1/2", "1/4", "1/4"], ["1/2", "1/4", "1/4"], ["1/3", "1/3", "1/3"]),
+         [single_minded(0, 3), single_minded(2, 3), single_minded(0, 3)]),
+    ], ids=["same-report", "same-truth"])
+    def test_agents_that_differ_in_truth_or_report_stay_apart(self, call, reference,
+                                                             rows, reports):
+        inst = Instance(3, 3, tuple(valuation_of(row) for row in rows))
+        exact = call(inst, reports)
+        assert (exact.expected_welfare, exact.per_agent) == reference(inst, reports)
+        assert exact.per_agent[0] != exact.per_agent[1]
+
+    def test_one_rp_turn_per_class_count_state_and_class(self, monkeypatch):
+        gen = generate(GeneratorSpec("sqrt-n-lb", {"n": 9}))
+        inst, reports = gen.instance, list(gen.bad_profile)
+        calls = counted_turns(monkeypatch)
+        random_priority(inst, reports)
+        # the (classes placed, items taken, next class) turns of plain play
+        # that start with something of value left, or at the first position;
+        rankings, kind = plain_classes(inst, reports)
+        valued = {j for j in range(inst.m) if any(row[j] for row in inst.valuations)}
+        turns = set()
+        for order in set(permutations(kind)):
+            taken = set()
+            for pos, c in enumerate(order):
+                if pos and valued <= taken:
+                    break
+                turns.add((tuple(sorted(order[:pos])), frozenset(taken), c))
+                count = inst.m // inst.n + (inst.m % inst.n if pos == inst.n - 1 else 0)
+                taken.update([j for j in rankings[c] if j not in taken][:count])
+        assert len(set(kind)) == 6
+        assert len(calls) == len(turns) == 756
+
+    def test_one_rrp_turn_per_state_and_class(self, monkeypatch):
+        rng = rng_for("rrp-class-turns")
+        inst, reports = repeated_agents_case(rng, 4, 6)
+        calls = counted_turns(monkeypatch)
+        repeated_random_priority(inst, reports)
+        # the (items taken, next class) turns of plain play that start with
+        # something of value left, or at the first draw
+        rankings, kind = plain_classes(inst, reports)
+        valued = {j for j in range(inst.m) if any(row[j] for row in inst.valuations)}
+        turns = set()
+        for draws in product(kind, repeat=inst.m):
+            taken = set()
+            for k, c in enumerate(draws):
+                if k and valued <= taken:
+                    break
+                turns.add((frozenset(taken), c))
+                taken.add(next(j for j in rankings[c] if j not in taken))
+        assert len(set(kind)) < inst.n
+        assert len(calls) == len(turns)
+
+    def test_sqrt_n_lb_16_pinned(self, monkeypatch):
+        gen = generate(GeneratorSpec("sqrt-n-lb", {"n": 16}))
+        calls = counted_turns(monkeypatch)
+        result = random_priority(gen.instance, list(gen.bad_profile))
+        assert result.expected_welfare == F(118153, 83200)
+        blocks = [(F(1091, 7280), F(145653, 2329600)), (F(1191, 7280), F(54623, 873600)),
+                  (F(1269, 7280), F(874007, 13977600)), (F(265, 1456), F(58269, 931840))]
+        assert result.per_agent == tuple(p for lone, rest in blocks for p in (lone, *[rest] * 3))
+        assert len(calls) == 20480  # one agent at a time played 524,288 turns
 
 
 class TestOpt:
